@@ -87,10 +87,13 @@ def bloch_of(matrix, basis: GeneratorBasis) -> np.ndarray:
 
 
 def bloch_state(r, basis: GeneratorBasis) -> np.ndarray:
-    """Reconstruct (I + r . gamma)/d from Bloch coefficients."""
+    """Reconstruct (I + r . gamma)/d from Bloch coefficients.
+
+    An (N, d^2 - 1) stack of coefficient rows gives an (N, d, d) stack.
+    """
     d = basis.dimension
     coeffs = np.asarray(r, dtype=float)
-    if coeffs.shape != (d * d - 1,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != d * d - 1:
         raise DimensionMismatch(f"coefficient vector shape {coeffs.shape} for d={d}")
     return (np.eye(d, dtype=complex) + np.tensordot(coeffs, basis.matrices, axes=1)) / d
 

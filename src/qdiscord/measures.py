@@ -40,8 +40,10 @@ def von_neumann_entropy(rho) -> float:
 
 
 def linear_entropy(rho) -> float:
-    """S2(rho) = 2*(1 - Tr(rho^2))."""
+    """S2(rho) = 2*(1 - Tr(rho^2)); an (N, d, d) stack gives N values."""
     m = _matrix_of(rho)
+    if m.ndim == 3:
+        return 2.0 * (1.0 - np.einsum("nij,nji->n", m, m).real)
     return float(2.0 * (1.0 - trace_product(m, m).real))
 
 

@@ -10,6 +10,7 @@ two-point decomposition brings up to the closed-form value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,15 +21,23 @@ from .linalg import EIGENVALUE_CLAMP, PAULIS
 from .measures import linear_entropy, mutual_information
 from .states import DensityMatrix, trial_seed
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The 5x5 refinement window in units of its half-width, ordered by ring: the
+# centre first, so that ties keep a start in place, and the border last.
+_WINDOW = np.array(sorted(
+    itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2),
+    key=lambda step: max(abs(step[0]), abs(step[1])),
+))
+_ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Search schedule for the projective oracle.
 
-    The coarse grid must be at least 64 x 32 in (theta, phi); the top cells
-    are refined by per-coordinate golden-section descent.
+    The coarse grid must be at least 64 x 32 in (theta, phi); its best
+    ``refine_starts`` cells are refined in lockstep until every search
+    window is below ``angle_tol`` radians, or for at most ``max_rounds``
+    rounds.
     """
 
     n_theta: int = 64
@@ -40,6 +49,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n_theta < 64 or self.n_phi < 32:
             raise ValueError(f"grid {self.n_theta}x{self.n_phi} below the 64x32 floor")
+        if self.refine_starts < 1:
+            raise ValueError(f"refine_starts must be at least 1, got {self.refine_starts}")
+        if not (math.isfinite(self.angle_tol) and self.angle_tol > 0.0):
+            raise ValueError(f"angle_tol must be positive and finite, got {self.angle_tol}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +77,21 @@ def measurement_projectors(theta: float, phi: float):
 
 
 def _batched_entropy(matrices: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Entropies of unnormalized conditional states, zero where prob vanishes."""
+    """Entropies of unnormalized conditional states, zero where prob vanishes.
+
+    2x2 conditionals take their eigenvalues from trace and determinant,
+    tr/2 +- sqrt(tr^2/4 - det) written as mean +- sqrt(((a-d)/2)^2 + |b|^2);
+    larger ones go through eigvalsh.
+    """
     safe = np.where(probs > 1e-15, probs, 1.0)
     normalized = matrices / safe[:, None, None]
-    lam = np.linalg.eigvalsh(normalized)
+    if normalized.shape[-1] == 2:
+        a, d = normalized[:, 0, 0].real, normalized[:, 1, 1].real
+        mean = 0.5 * (a + d)
+        radius = np.sqrt(0.25 * (a - d) ** 2 + np.abs(normalized[:, 1, 0]) ** 2)
+        lam = np.column_stack([mean - radius, mean + radius])
+    else:
+        lam = np.linalg.eigvalsh(normalized)
     lam = np.where(lam > EIGENVALUE_CLAMP, lam, 1.0)
     ent = -np.sum(lam * np.log2(lam), axis=1)
     return np.where(probs > 1e-15, ent, 0.0)
@@ -97,50 +121,29 @@ def _entropy_drop_batch(t_unit, t_pauli, s_a, directions: np.ndarray) -> np.ndar
     )
 
 
-def _branch_entropy_qubit(m, prob: float) -> float:
-    """prob * S(m / prob) for an unnormalized 2x2 Hermitian conditional."""
-    if prob <= 1e-15:
-        return 0.0
-    det = (m[0, 0].real * m[1, 1].real - (m[0, 1] * m[1, 0]).real) / (prob * prob)
-    lam = 0.5 + math.sqrt(max(0.25 - det, 0.0))
-    if lam >= 1.0:
-        return 0.0
-    return prob * (-lam * math.log2(lam) - (1.0 - lam) * math.log2(1.0 - lam))
-
-
-def _directions(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    st, ct = np.sin(thetas), np.cos(thetas)
-    return np.column_stack([st * np.cos(phis), st * np.sin(phis), ct])
-
-
-def _golden_max(fun, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi] down to bracket width tol."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    return ((x1, f1) if f1 >= f2 else (x2, f2))
+def _directions(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors for an (M, 2) array of (theta, phi) rows."""
+    st = np.sin(angles[:, 0])
+    return np.column_stack(
+        [st * np.cos(angles[:, 1]), st * np.sin(angles[:, 1]), np.cos(angles[:, 0])]
+    )
 
 
 def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None) -> float:
     """Best entropy drop of A over two-outcome projective measurements on B.
 
-    Coarse grid scan, then coordinate descent from the best cells. The result
-    is a certified lower bound on the POVM maximum.
+    A coarse grid scan picks the best cells. All of them are then refined in
+    lockstep: each round evaluates a 5x5 (theta, phi) window around every
+    start in one batch and re-centres each start on its best point. A start
+    whose best point lies inside its window halves the window; one whose
+    best point lies on the border moves on at the same width. Every
+    evaluated value is the entropy drop of a real measurement, so the
+    maximum over all of them, coarse grid included, is a certified lower
+    bound on the POVM maximum.
     """
     if rho.dim_b != 2:
         raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
     grid = grid or GridSpec()
-    d_a = rho.dim_a
     t_unit, t_pauli = _measurement_response(rho)
     lam_a = np.linalg.eigvalsh(t_unit).real
     lam_a = lam_a[lam_a > EIGENVALUE_CLAMP]
@@ -148,58 +151,21 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None) 
 
     thetas = (np.arange(grid.n_theta) + 0.5) * math.pi / grid.n_theta
     phis = (np.arange(grid.n_phi) + 0.5) * 2.0 * math.pi / grid.n_phi
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    points = np.column_stack([tt.ravel(), pp.ravel()])
-    values = _entropy_drop_batch(
-        t_unit, t_pauli, s_a, _directions(points[:, 0], points[:, 1])
-    )
-
-    if d_a == 2:
-
-        def objective(theta, phi):
-            st = math.sin(theta)
-            n = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-            plus = 0.5 * (
-                t_unit + n[0] * t_pauli[0] + n[1] * t_pauli[1] + n[2] * t_pauli[2]
-            )
-            p_plus = plus[0, 0].real + plus[1, 1].real
-            return (
-                s_a
-                - _branch_entropy_qubit(plus, p_plus)
-                - _branch_entropy_qubit(t_unit - plus, 1.0 - p_plus)
-            )
-
-    else:
-
-        def objective(theta, phi):
-            return float(
-                _entropy_drop_batch(
-                    t_unit, t_pauli, s_a,
-                    _directions(np.array([theta]), np.array([phi])),
-                )[0]
-            )
-
+    points = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+    values = _entropy_drop_batch(t_unit, t_pauli, s_a, _directions(points))
     best = float(np.max(values))
-    w_theta = math.pi / grid.n_theta
-    w_phi = 2.0 * math.pi / grid.n_phi
-    for idx in np.argsort(values)[::-1][: grid.refine_starts]:
-        theta, phi = points[idx]
-        value = float(values[idx])
-        for _ in range(grid.max_rounds):
-            previous = value
-            new_theta, value = _golden_max(
-                lambda t: objective(t, phi), theta - w_theta, theta + w_theta,
-                grid.angle_tol,
-            )
-            new_phi, value = _golden_max(
-                lambda f: objective(new_theta, f), phi - w_phi, phi + w_phi,
-                grid.angle_tol,
-            )
-            moved = max(abs(new_theta - theta), abs(new_phi - phi))
-            theta, phi = new_theta, new_phi
-            if moved < grid.angle_tol or value - previous < 1e-14:
-                break
-        best = max(best, value)
+
+    centres = points[np.argsort(values)[::-1][: grid.refine_starts]]
+    width = np.tile([math.pi / grid.n_theta, 2.0 * math.pi / grid.n_phi], (len(centres), 1))
+    for _ in range(grid.max_rounds):
+        if width.max() < grid.angle_tol:
+            break
+        local = centres[:, None, :] + _WINDOW * width[:, None, :]
+        values = _entropy_drop_batch(t_unit, t_pauli, s_a, _directions(local.reshape(-1, 2)))
+        pick = np.argmax(values.reshape(len(centres), len(_WINDOW)), axis=1)
+        centres = local[np.arange(len(centres)), pick]
+        best = max(best, float(np.max(values)))
+        width = np.where(_ON_BORDER[pick, None], width, width / 2.0)
     return best
 
 
@@ -264,19 +230,21 @@ def aligned_decomposition(ch: ChannelBloch) -> Decomposition:
     return _chord(r_b, top)
 
 
-def _decomposition_objective(ch: ChannelBloch, r_b: np.ndarray, decomp: Decomposition) -> float:
-    """S2 of the mixed output minus the average S2 of the pure-input outputs.
+def _decomposition_objectives(ch: ChannelBloch, r_b: np.ndarray, decomps) -> np.ndarray:
+    """S2 of the mixed output minus the average S2 of the pure-input outputs,
+    one value per decomposition.
 
-    Outputs are reconstructed as actual density matrices and fed to the
-    linear-entropy function, rather than using the Bloch-norm shortcut.
+    Outputs of every decomposition element are reconstructed together as an
+    (N, d, d) stack of density matrices and fed to the linear-entropy
+    function, rather than using the Bloch-norm shortcut.
     """
     basis = gell_mann_basis(ch.output_dim)
-    mixed_out = bloch_state(ch.linear_part @ r_b + ch.offset, basis)
-    value = linear_entropy(mixed_out)
-    for p, r in zip(decomp.probabilities, decomp.bloch_vectors):
-        pure_out = bloch_state(ch.linear_part @ r + ch.offset, basis)
-        value -= float(p) * linear_entropy(pure_out)
-    return value
+    probs = np.concatenate([dec.probabilities for dec in decomps])
+    vectors = np.concatenate([dec.bloch_vectors for dec in decomps])
+    owner = np.repeat(np.arange(len(decomps)), [len(dec.probabilities) for dec in decomps])
+    mixed = linear_entropy(bloch_state(ch.linear_part @ r_b + ch.offset, basis))
+    pure = linear_entropy(bloch_state(vectors @ ch.linear_part.T + ch.offset, basis))
+    return mixed - np.bincount(owner, weights=probs * pure, minlength=len(decomps))
 
 
 def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200, seed: int = 0) -> float:
@@ -290,10 +258,9 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200, seed: int = 0
     ch = extract_channel(rho)
     lam = ch.marginal_eigenvalues
     r_b = np.array([0.0, 0.0, float(lam[0] - lam[1])])
-    best = _decomposition_objective(ch, r_b, aligned_decomposition(ch))
-    for size in (2, 3, 4):
-        for t in range(trials):
-            rng = np.random.default_rng(trial_seed(seed, size, t))
-            decomp = random_decomposition(r_b, size, rng)
-            best = max(best, _decomposition_objective(ch, r_b, decomp))
-    return best
+    decomps = [aligned_decomposition(ch)] + [
+        random_decomposition(r_b, size, np.random.default_rng(trial_seed(seed, size, t)))
+        for size in (2, 3, 4)
+        for t in range(trials)
+    ]
+    return float(np.max(_decomposition_objectives(ch, r_b, decomps)))

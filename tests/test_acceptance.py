@@ -164,20 +164,22 @@ def test_criterion_7_projective_oracle_agreement():
     )
     violations = 0
     worst_excess = 0.0
+    worst_gap = 0.0
     for t in range(200):
         rho = make_random_rank2(trial_seed(707, t))
         theorem = discord_rank2(rho).I_cc
         oracle = projective_classical_correlation(rho)
         excess = oracle - theorem
         worst_excess = max(worst_excess, excess)
+        worst_gap = max(worst_gap, -excess)
         if theorem < oracle - 1e-6:
             violations += 1
     elapsed = time.perf_counter() - started
-    ok = worst_family <= 1e-4 and violations == 0
+    ok = worst_family <= 1e-4 and violations == 0 and worst_gap <= 1e-6
     report(7, ok, elapsed, 300.0,
            f"family agreement worst {worst_family:.2e}; "
            f"200 random states, {violations} bound violations "
-           f"(max oracle excess {worst_excess:.2e})")
+           f"(max oracle excess {worst_excess:.2e}, max attainment gap {worst_gap:.2e})")
 
 
 def test_criterion_8_prefactor_at_d3():

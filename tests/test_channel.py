@@ -71,10 +71,11 @@ class TestBlochCoefficients:
     def test_roundtrip_random_states(self, d):
         rng = np.random.default_rng(d)
         basis = gell_mann_basis(d)
-        for _ in range(25):
-            rho = random_density(rng, d)
-            r = bloch_of(rho, basis)
+        rhos = [random_density(rng, d) for _ in range(25)]
+        rs = [bloch_of(rho, basis) for rho in rhos]
+        for rho, r in zip(rhos, rs):
             np.testing.assert_allclose(bloch_state(r, basis), rho, atol=1e-12)
+        np.testing.assert_allclose(bloch_state(np.stack(rs), basis), rhos, atol=1e-12)
 
     def test_qubit_bloch_norm_within_ball(self):
         rng = np.random.default_rng(21)

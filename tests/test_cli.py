@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from qdiscord import cli
 from qdiscord.cli import main
+from qdiscord.errors import DegenerateMarginal
 
 LOG2_3 = math.log2(3.0)
 
@@ -224,10 +226,25 @@ class TestValidate:
         assert doc["trials"] == 25
         assert set(doc["checks"]) == {
             "kw", "monogamy", "decomposition_bound", "decomposition_attain",
-            "projective_bound", "local_unitary", "roundtrip",
+            "projective_bound", "projective_attain", "local_unitary", "roundtrip",
         }
         assert doc["checks"]["kw"]["max_residual"] <= 1e-8
+        counts = {name: (c["evaluated"], c["skipped"]) for name, c in doc["checks"].items()}
+        assert set(counts.values()) == {(25, 0)}
         assert "wall time" in err
+
+    def test_projective_checks_run_when_decomposition_skips(self, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateMarginal("rank-1 marginal")
+
+        monkeypatch.setattr(cli, "decomposition_linear_cc", degenerate)
+        code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", "3")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        counts = {name: (c["evaluated"], c["skipped"]) for name, c in checks.items()}
+        assert counts["projective_bound"] == counts["projective_attain"] == (25, 0)
+        assert counts["decomposition_bound"] == counts["decomposition_attain"] == (0, 25)
+        assert counts["kw"] == counts["roundtrip"] == (30, 0)
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "validate", "--trials", "10", "--seed", "7",

@@ -83,6 +83,16 @@ class TestLinearEntropy:
                 s2 = linear_entropy(random_density(rng, d))
                 assert -1e-12 <= s2 <= 2.0 * (d - 1) / d + 1e-12
 
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        for d in (2, 3, 4):
+            rhos = [random_density(rng, d) for _ in range(10)]
+            np.testing.assert_allclose(
+                linear_entropy(np.stack(rhos)),
+                [linear_entropy(rho) for rho in rhos],
+                rtol=0, atol=1e-15,
+            )
+
 
 class TestBinaryEntropy:
     def test_half(self):

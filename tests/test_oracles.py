@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pure_density
-from qdiscord.channel import extract_channel, linear_classical_correlation
+from conftest import random_density, random_pure_density
+from qdiscord.channel import (
+    bloch_state,
+    extract_channel,
+    gell_mann_basis,
+    linear_classical_correlation,
+)
 from qdiscord.discord import discord_rank2
 from qdiscord.errors import DegenerateMarginal
-from qdiscord.linalg import tensor
+from qdiscord.linalg import partial_trace, tensor
+from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.oracles import (
     GridSpec,
+    _batched_entropy,
+    _decomposition_objectives,
     aligned_decomposition,
     decomposition_linear_cc,
     measurement_projectors,
@@ -59,6 +67,41 @@ class TestProjectiveOracle:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             GridSpec(n_theta=32, n_phi=32)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"angle_tol": 0.0}, {"angle_tol": -1.0}, {"angle_tol": math.nan},
+         {"angle_tol": math.inf}, {"refine_starts": 0}, {"refine_starts": -2}],
+    )
+    def test_schedule_that_cannot_converge_rejected(self, fields):
+        with pytest.raises(ValueError):
+            GridSpec(**fields)
+
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_never_below_own_coarse_grid(self, dim_a):
+        # The coarse grid's entropy drops, recomputed from explicit projectors.
+        grid = GridSpec()
+        thetas = (np.arange(grid.n_theta) + 0.5) * math.pi / grid.n_theta
+        phis = (np.arange(grid.n_phi) + 0.5) * 2.0 * math.pi / grid.n_phi
+        for seed in (3, 4):
+            rho = make_random_rank2(seed, dim_a=dim_a)
+            r = rho.matrix.reshape(dim_a, 2, dim_a, 2)
+            s_a = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
+            coarse = -math.inf
+            for theta in thetas:
+                for phi in phis:
+                    drop = s_a
+                    for proj in measurement_projectors(theta, phi):
+                        cond = np.einsum("abcd,db->ac", r, proj)
+                        p = np.trace(cond).real
+                        drop -= p * von_neumann_entropy(cond / p)
+                    coarse = max(coarse, drop)
+            assert projective_classical_correlation(rho, grid) >= coarse - 1e-12
+
+    def test_repeated_calls_identical(self):
+        for rho in (make_random_rank2(6), make_random_rank2(6, dim_a=3)):
+            first = projective_classical_correlation(rho)
+            assert all(projective_classical_correlation(rho) == first for _ in range(3))
 
     def test_monotone_under_grid_doubling(self):
         coarse = GridSpec(n_theta=64, n_phi=32)
@@ -135,6 +178,39 @@ class TestDecompositionOracle:
     def test_degenerate_marginal_raises(self):
         with pytest.raises(DegenerateMarginal):
             decomposition_linear_cc(make_horodecki(0.0), trials=4, seed=0)
+
+
+class TestBatchedPaths:
+    def test_qubit_entropy_formula_matches_eigvalsh(self):
+        rng = np.random.default_rng(44)
+        probs = np.concatenate([[0.0, 1e-16, 1e-15, 2e-15, 1e-9], rng.uniform(0, 1, 40)])
+        mats = np.stack([p * random_density(rng, 2) for p in probs])
+        reference = []
+        for m, p in zip(mats, probs):
+            lam = np.linalg.eigvalsh(m / p) if p > 1e-15 else np.ones(2)
+            lam = lam[lam > 1e-12]
+            reference.append(float(-np.sum(lam * np.log2(lam))) if p > 1e-15 else 0.0)
+        np.testing.assert_allclose(_batched_entropy(mats, probs), reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 4])
+    def test_objectives_match_one_at_a_time(self, dim_a):
+        rng = np.random.default_rng(45)
+        ch = extract_channel(make_random_rank2(7, dim_a=dim_a))
+        lam = ch.marginal_eigenvalues
+        r_b = np.array([0.0, 0.0, lam[0] - lam[1]])
+        decomps = [random_decomposition(r_b, size, rng) for size in (2, 3, 4, 4, 3, 2)]
+        basis = gell_mann_basis(dim_a)
+
+        def s2_out(r):
+            return linear_entropy(bloch_state(ch.linear_part @ r + ch.offset, basis))
+
+        reference = [
+            s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(dec.probabilities, dec.bloch_vectors))
+            for dec in decomps
+        ]
+        np.testing.assert_allclose(
+            _decomposition_objectives(ch, r_b, decomps), reference, rtol=0, atol=1e-14
+        )
 
 
 class TestDecompositionSampling:
