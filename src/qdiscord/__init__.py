@@ -9,14 +9,13 @@ from .channel import (
     bloch_state,
     extract_channel,
     gell_mann_basis,
-    linear_cc_from_channel,
     linear_classical_correlation,
     reassemble_state,
     singular_values,
 )
 from .discord import (
     CorrelationReport,
-    classical_correlation_rank2,
+    correlation_report,
     discord_rank2,
     discord_rho2_closed_form,
     koashi_winter_residual,
@@ -71,7 +70,6 @@ from .states import (
     make_random_rank2,
     make_rho2,
     purify,
-    rank_of,
     reduced,
     trial_seed,
 )

@@ -5,6 +5,9 @@ A dx2 state rho_AB equals (Lambda x I) applied to the symmetric purification
 of rho_B, for a unique channel Lambda from the purifying qubit B' into A.
 On Bloch vectors Lambda acts affinely, r -> L r + l, and the linear-entropy
 classical correlation of rho_AB is (4/d^2) * lam_max(L^T L) * S2(rho_B).
+
+Only the singular values of L enter, so ``linear_cc_batch`` uses the frame-free
+L[m, k] = (d/4) Tr(g_m Tr_B[rho (I x K_k)]), K_k = rho_B^{-1/2} sigma_k rho_B^{-1/2}.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .measures import linear_entropy
 from .states import DensityMatrix
 
 _MARGINAL_RANK_TOL = 1e-10
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def bloch_state(r, basis: GeneratorBasis) -> np.ndarray:
     return (np.eye(d, dtype=complex) + np.tensordot(coeffs, basis.matrices, axes=1)) / d
 
 
-def extract_channel(rho: DensityMatrix, marginal_basis=None) -> ChannelBloch:
+def extract_channel(rho: DensityMatrix) -> ChannelBloch:
     """Recover the channel of a dx2 state from its action on the B eigenbasis.
 
     The images Lambda(|phi_i><phi_j|) = Tr_B[rho (I x |phi_j><phi_i|)] /
@@ -106,23 +110,11 @@ def extract_channel(rho: DensityMatrix, marginal_basis=None) -> ChannelBloch:
     affine (L, l) data is then read off in the Pauli frame that maps |phi_i>
     to |i>. A rank-1 rho_B leaves the channel undefined off the support and
     raises DegenerateMarginal; callers should use the zero shortcut instead.
-
-    ``marginal_basis`` optionally overrides the eigensystem as a pair
-    (eigenvalues, eigenvector_columns), which matters only when rho_B is
-    degenerate and the eigenbasis is a genuine choice.
     """
     if rho.dim_b != 2:
         raise DimensionMismatch(f"channel extraction needs dB=2, got dims {rho.dims}")
-    rho_b = partial_trace(rho.matrix, rho.dims, "B")
-    if marginal_basis is None:
-        eig = hermitian_eig(rho_b)
-        lam, vecs = eig.values, eig.vectors
-    else:
-        lam = np.asarray(marginal_basis[0], dtype=float)
-        vecs = np.asarray(marginal_basis[1], dtype=complex)
-        recon = vecs @ np.diag(lam) @ vecs.conj().T
-        if np.max(np.abs(recon - rho_b)) > 1e-10:
-            raise DimensionMismatch("supplied basis does not diagonalize rho_B")
+    eig = hermitian_eig(partial_trace(rho.matrix, rho.dims, "B"))
+    lam, vecs = eig.values, eig.vectors
     if lam[1] <= _MARGINAL_RANK_TOL:
         raise DegenerateMarginal(
             f"rho_B eigenvalues {lam} are rank-1 within {_MARGINAL_RANK_TOL}"
@@ -200,26 +192,53 @@ def singular_values(ch: ChannelBloch) -> np.ndarray:
     return np.linalg.svd(ch.linear_part, compute_uv=False)
 
 
-def linear_cc_from_channel(ch: ChannelBloch, marginal_linear_entropy: float) -> float:
-    """Closed-form linear-entropy classical correlation from the channel.
+def stack_states(rho):
+    """(matrices, dims, single) for one DensityMatrix or a sequence with equal
+    dims, of a shape the closed forms support: (dA, 2) with dA in {2, 3, 4}."""
+    single = isinstance(rho, DensityMatrix)
+    states = [rho] if single else list(rho)
+    dims = {state.dims for state in states}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"a batch needs one shared dims, got {sorted(dims)}")
+    (d_a, d_b), = dims
+    if d_b != 2 or d_a not in (2, 3, 4):
+        raise DimensionMismatch(
+            f"supported shapes are (dA, 2) with dA in {{2, 3, 4}}, got dims {(d_a, d_b)}"
+        )
+    return np.stack([state.matrix for state in states]), (d_a, d_b), single
 
-    Reads only the linear part: (4/d^2) * lam_max(L^T L) * S2(rho_B).
+
+def in_blocks(stack_function, matrices: np.ndarray, *args) -> np.ndarray:
+    """``stack_function`` over blocks of at most 128 states, joined on the last
+    axis; temporaries then stay at tens of kB however large the batch."""
+    blocks = range(0, len(matrices), _BLOCK)
+    return np.concatenate(
+        [stack_function(matrices[i : i + _BLOCK], *args) for i in blocks], axis=-1
+    )
+
+
+def linear_cc_batch(matrices: np.ndarray, d_a: int) -> np.ndarray:
+    """Frame-free I2_cc of an (N, 2dA, 2dA) stack of dA x 2 states.
+
+    T[m, k] = Tr(g_m Tr_B[rho (I x K_k)]) = (4/d) L[m, k], so I2_cc reads
+    lam_max(T^T T) S2(rho_B) / 4. A rank-1 rho_B (smaller eigenvalue at most
+    1e-10) gives 0, since S2(rho_B) = 0 and the channel is undefined there.
     """
-    gram = ch.linear_part.T @ ch.linear_part
-    lam_max = float(hermitian_eig(gram).values[0])
-    d = ch.output_dim
-    return (4.0 / (d * d)) * lam_max * marginal_linear_entropy
+    rho_b = partial_trace(matrices, (d_a, 2), "B")
+    lam, vecs = np.linalg.eigh(rho_b)
+    pure = lam[:, 0] <= _MARGINAL_RANK_TOL
+    scale = 1.0 / np.sqrt(np.where(pure[:, None], 1.0, lam))
+    inv_root = np.einsum("nij,nj,nkj->nik", vecs, scale, vecs.conj())
+    k_ops = np.einsum("nhe,keb,nbf->nkhf", inv_root, np.stack(PAULIS), inv_root)
+    r = matrices.reshape(-1, d_a, 2, d_a, 2)
+    t = np.einsum("nafch,mca,nkhf->nmk", r, gell_mann_basis(d_a).matrices, k_ops).real
+    lam_max = np.linalg.eigvalsh(np.einsum("nmk,nml->nkl", t, t))[:, -1]
+    return np.where(pure, 0.0, 0.25 * lam_max * linear_entropy(rho_b))
 
 
-def linear_classical_correlation(rho: DensityMatrix) -> float:
-    """Linear-entropy classical correlation of a dx2 state, any rank.
-
-    A rank-1 marginal forces the value to 0 because S2(rho_B) = 0, so that
-    case short-circuits without extracting a channel.
-    """
-    try:
-        ch = extract_channel(rho)
-    except DegenerateMarginal:
-        return 0.0
-    s2_b = linear_entropy(partial_trace(rho.matrix, rho.dims, "B"))
-    return linear_cc_from_channel(ch, s2_b)
+def linear_classical_correlation(rho):
+    """Linear-entropy classical correlation of a dx2 state of any rank; a float
+    for one DensityMatrix, an array for a sequence of them with equal dims."""
+    matrices, dims, single = stack_states(rho)
+    values = in_blocks(linear_cc_batch, matrices, dims[0])
+    return values[0].item() if single else values

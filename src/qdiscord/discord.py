@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import linear_classical_correlation
+from .channel import in_blocks, linear_cc_batch, stack_states
 from .errors import (
     ConsistencyError,
     DegenerateDenominator,
@@ -28,31 +28,31 @@ from .errors import (
     OutOfDomain,
     RankTooHigh,
 )
-from .linalg import clamp_spectrum, hermitian_eig
+from .linalg import EIGENVALUE_CLAMP, partial_trace
 from .measures import (
     binary_entropy,
     eof_two_qubit,
     f_map,
     linear_entropy,
+    spectral_entropy,
     tangle_two_qubit,
+    unit_interval,
     von_neumann_entropy,
 )
-from .states import (
-    RANK_TOL,
-    DensityMatrix,
-    FamilySpec,
-    purify,
-    reduced,
-    traced_over_b,
-)
+from .states import RANK_TOL, DensityMatrix, FamilySpec
 
 _CLAMP_WINDOW = 1e-9
+_FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
+           "Q_discord", "rank")
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Every correlation quantity computed for one rank-<=2 two-qubit state.
+    """Every correlation quantity of one dA x 2 state, or of a batch.
 
+    A batch holds one entry per state in each field: arrays, and a tuple for
+    ``reason``. ``I_cc`` and ``Q_discord`` need a two-qubit state of rank at
+    most 2; elsewhere they are None (NaN in a batch) and ``reason`` says why.
     Entropic fields are in bits; S2 and I2 values are dimensionless.
     """
 
@@ -63,74 +63,92 @@ class CorrelationReport:
     S2_B: float
     I_mutual: float
     I2_cc: float
-    I_cc: float
-    Q_discord: float
+    I_cc: Optional[float]
+    Q_discord: Optional[float]
     rank: int
     family: Optional[FamilySpec] = None
+    reason: Optional[str] = None
 
 
-def _clamp_unit_interval(value: float) -> float:
+def _clamp_unit_interval(value):
     """Snap rounding overshoot into [0, 1]; larger violations are bugs."""
-    if value < -_CLAMP_WINDOW or value > 1.0 + _CLAMP_WINDOW:
-        raise ConsistencyError(
-            f"f argument {value} overshoots [0, 1] beyond the {_CLAMP_WINDOW} window"
-        )
-    return min(max(value, 0.0), 1.0)
+    return unit_interval(value, "f argument", _CLAMP_WINDOW, ConsistencyError)
 
 
-def _require_rank2(rho: DensityMatrix) -> int:
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"rank-2 formulas need a 2x2 pair, got dims {rho.dims}")
-    values = clamp_spectrum(hermitian_eig(rho.matrix).values)
-    rank = int(np.sum(values > RANK_TOL))
-    if rank > 2:
-        raise RankTooHigh(
-            f"state has rank {rank}; third-largest eigenvalue {values[2]:.6e}"
-        )
-    return rank
-
-
-def discord_rank2(rho: DensityMatrix, family: Optional[FamilySpec] = None) -> CorrelationReport:
-    """Full correlation report for a rank-<=2 two-qubit state."""
-    rank = _require_rank2(rho)
-    rho_a = reduced(rho, "A")
-    rho_b = reduced(rho, "B")
-    s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
-    s_ab = von_neumann_entropy(rho)
-    s2_a = linear_entropy(rho_a)
-    s2_b = linear_entropy(rho_b)
-    i2_cc = linear_classical_correlation(rho)
-    i_cc = s_a - f_map(_clamp_unit_interval(s2_a - i2_cc))
+def _report_rows(matrices: np.ndarray, dims) -> np.ndarray:
+    """One row per report field, then the third-largest eigenvalues, for a stack."""
+    rho_a = partial_trace(matrices, dims, "A")
+    rho_b = partial_trace(matrices, dims, "B")
+    spectrum = np.linalg.eigvalsh(matrices)
+    rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
+    applies = (rank <= 2) & (dims == (2, 2))
+    s_a, s_b, s_ab = (von_neumann_entropy(rho_a), von_neumann_entropy(rho_b),
+                      spectral_entropy(spectrum))
+    s2_a, i2_cc = linear_entropy(rho_a), linear_cc_batch(matrices, dims[0])
+    f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
+    i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
-    return CorrelationReport(
-        S_A=s_a,
-        S_B=s_b,
-        S_AB=s_ab,
-        S2_A=s2_a,
-        S2_B=s2_b,
-        I_mutual=i_mutual,
-        I2_cc=i2_cc,
-        I_cc=i_cc,
-        Q_discord=i_mutual - i_cc,
-        rank=rank,
-        family=family,
-    )
+    return np.stack([s_a, s_b, s_ab, s2_a, linear_entropy(rho_b), i_mutual, i2_cc,
+                     i_cc, i_mutual - i_cc, rank, spectrum[:, -3]])
 
 
-def classical_correlation_rank2(rho: DensityMatrix) -> float:
-    """Classical correlation S(rho_A) - f(S2(rho_A) - I2_cc) under measurement on B."""
-    return discord_rank2(rho).I_cc
+def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
+    """The error that rules out the rank-2 two-qubit closed form, if any."""
+    if dims != (2, 2):
+        return DimensionMismatch(f"rank-2 formulas need a 2x2 pair, got dims {dims}")
+    if rank > 2:
+        return RankTooHigh(f"state has rank {rank}; third-largest eigenvalue "
+                           f"{third_eigenvalue:.6e}")
+    return None
 
 
-def discord_rho2_closed_form(x: float, theta: float, eta: float) -> float:
+def _assess(rho, family):
+    """``correlation_report(rho, family)`` and each state's exclusion error or None."""
+    matrices, dims, single = stack_states(rho)
+    *rows, third = in_blocks(_report_rows, matrices, dims)
+    fields = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
+    errors = [_exclusion(dims, r, t) for r, t in zip(fields["rank"], third)]
+    reasons = [error and f"rank-2 two-qubit closed form not applicable: {error}"
+               for error in errors]
+    if single:
+        fields = {name: values[0].item() for name, values in fields.items()}
+        if errors[0]:
+            fields.update(I_cc=None, Q_discord=None)
+    reason = reasons[0] if single else tuple(reasons)
+    return CorrelationReport(**fields, family=family, reason=reason), errors
+
+
+def correlation_report(rho, family: Optional[FamilySpec] = None) -> CorrelationReport:
+    """Every correlation quantity of a dA x 2 state, or of a sequence of them.
+
+    Never raises for a supported shape; ``reason`` says where the rank-2
+    two-qubit closed form does not apply and ``I_cc``/``Q_discord`` are unset.
+    """
+    return _assess(rho, family)[0]
+
+
+def discord_rank2(rho, family: Optional[FamilySpec] = None) -> CorrelationReport:
+    """``correlation_report`` for rank-<=2 two-qubit states; raises DimensionMismatch
+    or RankTooHigh elsewhere, naming the first offending state of a batch."""
+    report, errors = _assess(rho, family)
+    for index, error in enumerate(errors):
+        if error is not None:
+            raise error if isinstance(rho, DensityMatrix) else type(error)(
+                f"state {index}: {error}"
+            )
+    return report
+
+
+def discord_rho2_closed_form(x, theta: float, eta: float):
     """Discord of the two-parameter pure-state mixture family, in closed form.
 
-    Raises DegenerateDenominator when rho_B is (numerically) pure, in which
-    case the caller should fall back to the pipeline on the built state.
+    ``x`` may be an array of weights, giving an array. Where rho_B is
+    (numerically) pure the marginal weight product vanishes and the formula
+    is undefined: a scalar call raises DegenerateDenominator and an array
+    call gives NaN there, and the caller should fall back to the pipeline on
+    the built state.
     """
-    if not 0.0 <= x <= 1.0:
-        raise OutOfDomain(f"x={x} outside [0, 1]")
+    x = unit_interval(x, "x", slack=0.0)
     if not 0.0 <= theta <= 2.0 * math.pi:
         raise OutOfDomain(f"theta={theta} outside [0, 2*pi]")
     if not 0.0 <= eta <= 2.0 * math.pi:
@@ -139,11 +157,12 @@ def discord_rho2_closed_form(x: float, theta: float, eta: float) -> float:
     se, ce = math.sin(eta), math.cos(eta)
     d1 = x * ct * ct + (1.0 - x) * se * se
     d2 = x * st * st + (1.0 - x) * ce * ce
-    den = d1 * d2
-    if den <= 1e-12:
-        raise DegenerateDenominator(f"marginal weight product {den:.3e} vanishes")
-    l1 = (x * st * ct + (1.0 - x) * se * ce) / math.sqrt(den)
-    l2 = (x * st * ct - (1.0 - x) * se * ce) / math.sqrt(den)
+    degenerate = d1 * d2 <= 1e-12
+    if x.ndim == 0 and degenerate:
+        raise DegenerateDenominator(f"marginal weight product {d1 * d2:.3e} vanishes")
+    den = np.where(degenerate, 1.0, d1 * d2)
+    l1 = (x * st * ct + (1.0 - x) * se * ce) / np.sqrt(den)
+    l2 = (x * st * ct - (1.0 - x) * se * ce) / np.sqrt(den)
     l3 = (x * x * st * st * ct * ct - (1.0 - x) ** 2 * se * se * ce * ce) / den
     # l4 is S2(rho_A) = 4a(1-a) for a = x sin^2(theta) + (1-x) sin^2(eta),
     # expanded in double angles; the cross term enters with a plus sign.
@@ -156,26 +175,39 @@ def discord_rho2_closed_form(x: float, theta: float, eta: float) -> float:
         + 2.0 * x * (1.0 - x) * sin2t * sin2e
     )
     l5 = 4.0 * den
-    peak = max(l1 * l1, l2 * l2, l3 * l3)
-    return (
-        binary_entropy(d2)
-        - binary_entropy(x)
-        + f_map(_clamp_unit_interval(l4 - peak * l5))
-    )
+    peak = np.maximum(np.maximum(l1 * l1, l2 * l2), l3 * l3)
+    f_arg = _clamp_unit_interval(np.where(degenerate, 0.0, l4 - peak * l5))
+    q = binary_entropy(d2) - binary_entropy(x) + f_map(f_arg)
+    return float(q) if x.ndim == 0 else np.where(degenerate, np.nan, q)
 
 
-def koashi_winter_residual(rho: DensityMatrix) -> float:
-    """E_f(rho_AC) + I_cc(rho_AB) - S(rho_A) across a purification; ~0 when exact."""
+def _purified_rho_ac(matrices: np.ndarray) -> np.ndarray:
+    """rho_AC of a purification of each rank-<=2 two-qubit state in a stack.
+
+    The purifying qubit C indexes the two largest eigenvalues; eigenvalues at
+    or below 1e-12 get no weight, so a rank-1 state leaves rho_AC a product.
+    """
+    lam, vecs = np.linalg.eigh(matrices)
+    lam = np.where(lam[:, 2:] > EIGENVALUE_CLAMP, lam[:, 2:], 0.0)
+    weights = np.sqrt(lam / lam.sum(axis=1, keepdims=True))
+    psi = (vecs[:, :, 2:] * weights[:, None, :]).reshape(-1, 2, 2, 2)
+    return np.einsum("nabc,ndbe->nacde", psi, psi.conj()).reshape(-1, 4, 4)
+
+
+def _identity_residual(rho, measure, identity):
+    """``identity(report, measure(rho_AC))`` for one state or a batch of them."""
     report = discord_rank2(rho)
-    pur = purify(rho)
-    ef = eof_two_qubit(traced_over_b(pur)) if pur.dims[2] == 2 else 0.0
-    return ef + report.I_cc - report.S_A
+    matrices, _, single = stack_states(rho)
+    values = in_blocks(lambda block: measure(_purified_rho_ac(block)), matrices)
+    residual = identity(report, values)
+    return residual[0].item() if single else residual
 
 
-def monogamy_residual(rho: DensityMatrix) -> float:
+def koashi_winter_residual(rho):
+    """E_f(rho_AC) + I_cc(rho_AB) - S(rho_A) across a purification; ~0 when exact."""
+    return _identity_residual(rho, eof_two_qubit, lambda r, e_f: e_f + r.I_cc - r.S_A)
+
+
+def monogamy_residual(rho):
     """tau(rho_AC) + I2_cc(rho_AB) - S2(rho_A) across a purification; ~0 when exact."""
-    _require_rank2(rho)
-    pur = purify(rho)
-    tau = tangle_two_qubit(traced_over_b(pur)) if pur.dims[2] == 2 else 0.0
-    i2 = linear_classical_correlation(rho)
-    return tau + i2 - linear_entropy(reduced(rho, "A"))
+    return _identity_residual(rho, tangle_two_qubit, lambda r, t: t + r.I2_cc - r.S2_A)

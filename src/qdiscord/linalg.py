@@ -49,13 +49,6 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 
-def clamp_spectrum(values: np.ndarray, clamp: float = EIGENVALUE_CLAMP) -> np.ndarray:
-    """Zero out eigenvalues that are numerically indistinguishable from 0."""
-    out = np.array(values, dtype=float)
-    out[np.abs(out) < clamp] = 0.0
-    return out
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product, dimensions multiply."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -65,18 +58,21 @@ def partial_trace(m, dims, keep: str) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 
     ``dims`` is (dA, dB); ``keep`` selects the surviving subsystem, "A" or "B".
+    An (N, n, n) stack of operators gives an (N, d, d) stack.
     """
-    a = _square(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack, got shape {a.shape}")
     d_a, d_b = int(dims[0]), int(dims[1])
-    if a.shape[0] != d_a * d_b:
+    if a.shape[-1] != d_a * d_b:
         raise DimensionMismatch(
-            f"matrix of size {a.shape[0]} cannot split into dims ({d_a}, {d_b})"
+            f"matrix of size {a.shape[-1]} cannot split into dims ({d_a}, {d_b})"
         )
-    r = a.reshape(d_a, d_b, d_a, d_b)
+    r = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "B":
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

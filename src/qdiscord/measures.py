@@ -7,19 +7,10 @@ entropy sums.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
-from .linalg import (
-    EIGENVALUE_CLAMP,
-    PAULI_Y,
-    hermitian_eig,
-    partial_trace,
-    tensor,
-    trace_product,
-)
+from .linalg import EIGENVALUE_CLAMP, PAULI_Y, partial_trace, tensor
 from .states import DensityMatrix
 
 _DOMAIN_SLACK = 1e-12
@@ -32,37 +23,49 @@ def _matrix_of(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -sum of lam*log2(lam) over eigenvalues above 1e-12."""
-    values = hermitian_eig(_matrix_of(rho)).values
-    values = values[values > EIGENVALUE_CLAMP]
-    return float(-np.sum(values * np.log2(values))) + 0.0
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
-def linear_entropy(rho) -> float:
+def spectral_entropy(values):
+    """-sum of lam*log2(lam) over the last axis, for eigenvalues above 1e-12."""
+    v = np.asarray(values, dtype=float)
+    kept = np.where(v > EIGENVALUE_CLAMP, v, 1.0)
+    return _scalar_or_array(-np.sum(kept * np.log2(kept), axis=-1) + 0.0)
+
+
+def von_neumann_entropy(rho):
+    """S(rho) over eigenvalues above 1e-12; an (N, d, d) stack gives N values."""
+    return spectral_entropy(np.linalg.eigvalsh(_matrix_of(rho)))
+
+
+def linear_entropy(rho):
     """S2(rho) = 2*(1 - Tr(rho^2)); an (N, d, d) stack gives N values."""
     m = _matrix_of(rho)
-    if m.ndim == 3:
-        return 2.0 * (1.0 - np.einsum("nij,nji->n", m, m).real)
-    return float(2.0 * (1.0 - trace_product(m, m).real))
+    return _scalar_or_array(2.0 * (1.0 - np.einsum("...ij,...ji->...", m, m).real))
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x*log2(x) - (1-x)*log2(1-x) on [0, 1], with h(0) = h(1) = 0."""
-    if x < -_DOMAIN_SLACK or x > 1.0 + _DOMAIN_SLACK:
-        raise OutOfDomain(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+def unit_interval(x, what: str, slack: float = _DOMAIN_SLACK, error=OutOfDomain):
+    """``x`` clipped into [0, 1]; ``error`` where it is farther out than ``slack``."""
+    v = np.asarray(x, dtype=float)
+    outside = ~((v >= -slack) & (v <= 1.0 + slack))
+    if np.any(outside):
+        raise error(f"{what} {v[outside].flat[0]} outside [0, 1] by more than {slack}")
+    return np.clip(v, 0.0, 1.0)
 
 
-def f_map(x: float) -> float:
+def binary_entropy(x):
+    """h(x) = -x*log2(x) - (1-x)*log2(1-x) on [0, 1], h(0) = h(1) = 0; elementwise."""
+    p = unit_interval(x, "binary entropy argument")
+    terms = np.stack([p, 1.0 - p])
+    safe = np.where(terms > 0.0, terms, 1.0)
+    return _scalar_or_array(-np.sum(safe * np.log2(safe), axis=0))
+
+
+def f_map(x):
     """The monotone map f(x) = h((1 + sqrt(1-x))/2) from [0, 1] onto [0, 1]."""
-    if x < -_DOMAIN_SLACK or x > 1.0 + _DOMAIN_SLACK:
-        raise OutOfDomain(f"f argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - x)) / 2.0)
+    v = unit_interval(x, "f argument")
+    return binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -73,42 +76,34 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def _two_qubit_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        if rho.dims != (2, 2):
-            raise DimensionMismatch(f"expected a 2x2 qubit pair, got dims {rho.dims}")
-        return rho.matrix
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _matrix_of(rho)
+    if getattr(rho, "dims", (2, 2)) != (2, 2) or m.shape[-2:] != (4, 4) or m.ndim > 3:
+        raise DimensionMismatch(f"expected two qubits or a stack of them, got {m.shape}")
     return m
 
 
-def wootters_concurrence(rho) -> float:
+def wootters_concurrence(rho):
     """Concurrence of a two-qubit state from the spin-flip spectrum.
 
     The spin-flip values (square roots of the eigenvalues of
     rho (YxY) rho* (YxY)) are computed as the singular values of the complex
     symmetric matrix sqrt(lam_i lam_j) <v_i| YxY |v_j*> on the support of rho.
     Restricting to the support keeps rank-deficient states exact instead of
-    turning eigenvalue noise into sqrt-amplified error.
+    turning eigenvalue noise into sqrt-amplified error. Works on stacks too.
     """
-    m = _two_qubit_matrix(rho)
-    eig = hermitian_eig(m)
-    keep = eig.values > EIGENVALUE_CLAMP
-    lam = eig.values[keep]
-    vecs = eig.vectors[:, keep]
-    core = vecs.conj().T @ _SPIN_FLIP @ vecs.conj()
-    root = np.sqrt(lam)
-    mu = np.linalg.svd(root[:, None] * core * root[None, :], compute_uv=False)
-    return float(max(0.0, mu[0] - np.sum(mu[1:])))
+    lam, vecs = np.linalg.eigh(_two_qubit_matrix(rho))
+    root = np.sqrt(np.where(lam > EIGENVALUE_CLAMP, lam, 0.0))
+    core = np.swapaxes(vecs.conj(), -1, -2) @ _SPIN_FLIP @ vecs.conj()
+    mu = np.linalg.svd(root[..., :, None] * core * root[..., None, :], compute_uv=False)
+    return _scalar_or_array(np.maximum(0.0, mu[..., 0] - np.sum(mu[..., 1:], axis=-1)))
 
 
-def tangle_two_qubit(rho) -> float:
+def tangle_two_qubit(rho):
     """Squared concurrence; equals the tangle for two-qubit states."""
     c = wootters_concurrence(rho)
     return c * c
 
 
-def eof_two_qubit(rho) -> float:
+def eof_two_qubit(rho):
     """Entanglement of formation f(C^2) for a two-qubit state."""
     return f_map(tangle_two_qubit(rho))

@@ -25,7 +25,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    clamp_spectrum,
     hermitian_eig,
     partial_trace,
     tensor,
@@ -211,12 +210,6 @@ def random_unitary(seed: int, dim: int) -> np.ndarray:
     return q * phases.conj()
 
 
-def rank_of(rho: DensityMatrix) -> int:
-    """Numerical rank: eigenvalues above 1e-10 after clamping tiny noise to 0."""
-    values = clamp_spectrum(hermitian_eig(rho.matrix).values)
-    return int(np.sum(values > RANK_TOL))
-
-
 def reduced(rho: DensityMatrix, side: str) -> np.ndarray:
     """Reduced density matrix of subsystem "A" or "B"."""
     return partial_trace(rho.matrix, rho.dims, keep=side)
@@ -225,9 +218,8 @@ def reduced(rho: DensityMatrix, side: str) -> np.ndarray:
 def purify(rho: DensityMatrix) -> Purification:
     """Attach an ancilla C of dimension rank(rho) carrying the eigenbasis index."""
     eig = hermitian_eig(rho.matrix)
-    values = clamp_spectrum(eig.values)
-    keep = values > EIGENVALUE_CLAMP
-    lam = values[keep]
+    keep = eig.values > EIGENVALUE_CLAMP
+    lam = eig.values[keep]
     vecs = eig.vectors[:, keep]
     d_c = int(lam.size)
     d_a, d_b = rho.dims

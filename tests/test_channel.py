@@ -10,7 +10,6 @@ from qdiscord.channel import (
     bloch_state,
     extract_channel,
     gell_mann_basis,
-    linear_cc_from_channel,
     linear_classical_correlation,
     reassemble_state,
     singular_values,
@@ -24,6 +23,7 @@ from qdiscord.states import (
     make_example1,
     make_horodecki,
     make_random_rank2,
+    make_rho2,
     reduced,
 )
 
@@ -160,27 +160,6 @@ class TestExtractChannel:
             ch = extract_channel(rho)
             assert np.max(np.abs(reassemble_state(ch) - rho.matrix)) < 1e-9
 
-    def test_degenerate_marginal_basis_choice_changes_only_frame(self):
-        # rho_B = I/2 for Bell-diagonal states, so any unitary basis works;
-        # the singular values of L must not depend on the choice.
-        rho = make_bell_diagonal(0.7, -0.4, 0.2)
-        base = extract_channel(rho)
-        rng = np.random.default_rng(24)
-        lam = np.array([0.5, 0.5])
-        for _ in range(5):
-            w = haar_unitary(rng, 2)
-            alt = extract_channel(rho, marginal_basis=(lam, w))
-            np.testing.assert_allclose(
-                singular_values(alt), singular_values(base), atol=1e-9
-            )
-            assert np.max(np.abs(reassemble_state(alt) - rho.matrix)) < 1e-9
-
-    def test_marginal_basis_must_diagonalize(self):
-        rho = make_horodecki(0.5)
-        bad = (np.array([0.75, 0.25]), haar_unitary(np.random.default_rng(1), 2))
-        with pytest.raises(DimensionMismatch):
-            extract_channel(rho, marginal_basis=bad)
-
 
 class TestLinearClassicalCorrelation:
     @pytest.mark.parametrize("x", np.linspace(0.0, 2.0, 21))
@@ -226,13 +205,19 @@ class TestLinearClassicalCorrelation:
             )
 
     def test_value_ignores_offset(self):
-        import dataclasses
-
-        rho = make_horodecki(0.5)
-        ch = extract_channel(rho)
-        s2_b = linear_entropy(reduced(rho, "B"))
-        shifted = dataclasses.replace(ch, offset=ch.offset + 1.0)
-        assert linear_cc_from_channel(shifted, s2_b) == linear_cc_from_channel(ch, s2_b)
+        # Adding (delta . gamma / d) x rho_B shifts only the channel offset;
+        # rho_B and the linear part, hence I2_cc, stay the same.
+        rho = make_bell_diagonal(0.3, -0.5, 0.1)
+        rho_b = reduced(rho, "B")
+        shifted = DensityMatrix((2, 2), rho.matrix + 0.05 * tensor(PAULIS[2], rho_b))
+        base, moved = extract_channel(rho), extract_channel(shifted)
+        assert np.max(np.abs(moved.offset - base.offset)) > 0.05
+        np.testing.assert_allclose(
+            singular_values(moved), singular_values(base), atol=1e-12
+        )
+        assert linear_classical_correlation(shifted) == pytest.approx(
+            linear_classical_correlation(rho), abs=1e-12
+        )
 
     def test_qutrit_output_prefactor(self):
         # at d=3 the 4/d^2 prefactor is 4/9; check the formula wiring directly
@@ -244,3 +229,80 @@ class TestLinearClassicalCorrelation:
         assert linear_classical_correlation(rho) == pytest.approx(
             4.0 / 9.0 * lam_max * s2_b, abs=1e-12
         )
+
+
+def eigenframe_i2_cc(rho):
+    """Reference I2_cc from the eigenframe channel: (4/d^2) s_max(L)^2 S2(rho_B)."""
+    d = rho.dim_a
+    s_max = singular_values(extract_channel(rho))[0]
+    return 4.0 / (d * d) * s_max * s_max * linear_entropy(reduced(rho, "B"))
+
+
+class TestFrameFreeCore:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_eigenframe_reference(self, d):
+        states = [make_random_rank2(seed, dim_a=d) for seed in range(500)]
+        got = linear_classical_correlation(states)
+        expected = [eigenframe_i2_cc(rho) for rho in states]
+        assert got.shape == (500,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    def test_batch_equals_batches_of_one(self):
+        states = [make_random_rank2(seed, dim_a=2 + seed % 3) for seed in range(60)]
+        for d in (2, 3, 4):
+            same_dims = [rho for rho in states if rho.dim_a == d]
+            batch = linear_classical_correlation(same_dims)
+            singles = [linear_classical_correlation([rho])[0] for rho in same_dims]
+            np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
+            assert isinstance(linear_classical_correlation(same_dims[0]), float)
+
+    def test_degenerate_marginal_frame_free_matches_any_eigenframe(self):
+        # rho_B = I/2 for Bell-diagonal states, so every basis diagonalizes it
+        # and the eigenframe channel is a genuine choice. The frame-free value
+        # must agree with the singular values read in any of those frames.
+        rho = make_bell_diagonal(0.7, -0.4, 0.2)
+        got = linear_classical_correlation(rho)
+        assert got == pytest.approx(0.49, abs=1e-12)
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            w = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            rotated = DensityMatrix((2, 2), w @ rho.matrix @ w.conj().T)
+            assert linear_classical_correlation(rotated) == pytest.approx(got, abs=1e-12)
+            assert eigenframe_i2_cc(rotated) == pytest.approx(got, abs=1e-12)
+
+    @pytest.mark.parametrize("small,expected_zero", [(5e-11, True), (2e-10, False)])
+    def test_rank_one_marginal_cut(self, small, expected_zero):
+        # Pure sqrt(1-e)|00> + sqrt(e)|11>: rho_B = diag(1-e, e) and, with no
+        # tangle left for a purifying system, I2_cc = S2(rho_A) = 4e(1-e).
+        psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
+        rho = DensityMatrix((2, 2), np.outer(psi, psi))
+        got = linear_classical_correlation(rho)
+        if expected_zero:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(4 * small * (1 - small), rel=1e-6)
+
+    def test_mixed_dims_and_empty_batches_rejected(self):
+        states = [make_random_rank2(0), make_random_rank2(1, dim_a=3)]
+        with pytest.raises(DimensionMismatch, match=r"one shared dims, got \[\(2, 2\), \(3, 2\)\]"):
+            linear_classical_correlation(states)
+        with pytest.raises(DimensionMismatch, match="one shared dims"):
+            linear_classical_correlation([])
+
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 3), (5, 2)])
+    def test_unsupported_shapes_rejected_at_entry(self, dims):
+        n = dims[0] * dims[1]
+        rho = DensityMatrix(dims, np.eye(n, dtype=complex) / n)
+        with pytest.raises(DimensionMismatch, match=r"\(dA, 2\) with dA in \{2, 3, 4\}"):
+            linear_classical_correlation(rho)
+
+    def test_rho2_family_matches_reference(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            x, theta, eta = rng.uniform(0, 1), *rng.uniform(0, 2 * math.pi, 2)
+            rho = make_rho2(x, theta, eta)
+            if min(np.linalg.eigvalsh(reduced(rho, "B"))) <= 1e-10:
+                continue
+            assert linear_classical_correlation(rho) == pytest.approx(
+                eigenframe_i2_cc(rho), abs=1e-13
+            )

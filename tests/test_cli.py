@@ -6,7 +6,9 @@ import pytest
 
 from qdiscord import cli
 from qdiscord.cli import main
+from qdiscord.discord import discord_rank2, koashi_winter_residual, monogamy_residual
 from qdiscord.errors import DegenerateMarginal
+from qdiscord.states import make_random_rank2, trial_seed
 
 LOG2_3 = math.log2(3.0)
 
@@ -122,6 +124,17 @@ class TestCompute:
         assert doc["Q_discord"] is None
         assert doc["I2_cc"] >= 0.0
         assert "2x2" in doc["reason"]
+
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 3), (5, 2)])
+    def test_unsupported_shape_exit_2(self, capsys, tmp_path, dims):
+        n = dims[0] * dims[1]
+        rows = [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": list(dims), "matrix": rows}), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert code == 2 and out == ""
+        assert "(dA, 2) with dA in {2, 3, 4}" in err
+        assert f"got dims {tuple(dims)}" in err
 
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run(capsys, "compute", "--family", "rho2", "--x", "0.3",
@@ -239,12 +252,53 @@ class TestValidate:
 
         monkeypatch.setattr(cli, "decomposition_linear_cc", degenerate)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", "3")
-        assert code == 0
+        assert code == 1
         checks = json.loads(out)["checks"]
         counts = {name: (c["evaluated"], c["skipped"]) for name, c in checks.items()}
         assert counts["projective_bound"] == counts["projective_attain"] == (25, 0)
         assert counts["decomposition_bound"] == counts["decomposition_attain"] == (0, 25)
         assert counts["kw"] == counts["roundtrip"] == (30, 0)
+        for name in ("decomposition_bound", "decomposition_attain"):
+            assert checks[name]["pass"] is False
+            assert checks[name]["max_residual"] is None
+            assert checks[name]["worst_trial"] is None
+        assert checks["projective_bound"]["pass"] is True
+
+    def test_worst_trial_reproduces_its_residual(self, capsys):
+        seed = 42
+        code, out, _ = run(capsys, "validate", "--trials", "60", "--seed", str(seed))
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        recompute = {
+            "kw": lambda rho: abs(koashi_winter_residual(rho)),
+            "monogamy": lambda rho: abs(monogamy_residual(rho)),
+            "projective_bound": lambda rho: (
+                cli.projective_classical_correlation(rho) - discord_rank2(rho).I_cc
+            ),
+        }
+        for name, residual in recompute.items():
+            worst_trial = checks[name]["worst_trial"]
+            assert 0 <= worst_trial < (25 if name.startswith("projective") else 60)
+            rho = make_random_rank2(trial_seed(seed, worst_trial))
+            assert residual(rho) == pytest.approx(
+                checks[name]["max_residual"], rel=1e-9, abs=1e-15
+            )
+        assert all(isinstance(c["worst_trial"], int) for c in checks.values())
+
+    def test_worst_trial_names_the_largest_of_distinct_residuals(self, capsys, monkeypatch):
+        # Offset the decomposition oracle by a state-dependent amount so every
+        # trial has a clearly different residual.
+        exact = cli.decomposition_linear_cc
+        monkeypatch.setattr(cli, "decomposition_linear_cc", lambda rho, **kw: (
+            exact(rho, **kw) + 1e-3 * rho.matrix[0, 0].real))
+        seed = 5
+        code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
+        assert code == 1
+        check = json.loads(out)["checks"]["decomposition_bound"]
+        offsets = [1e-3 * make_random_rank2(trial_seed(seed, t)).matrix[0, 0].real
+                   for t in range(25)]
+        assert check["worst_trial"] == int(np.argmax(offsets))
+        assert check["max_residual"] == pytest.approx(max(offsets), abs=1e-8)
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "validate", "--trials", "10", "--seed", "7",

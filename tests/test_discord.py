@@ -5,7 +5,8 @@ import pytest
 
 from conftest import haar_unitary, random_pure_density
 from qdiscord.discord import (
-    classical_correlation_rank2,
+    CorrelationReport,
+    correlation_report,
     discord_rank2,
     discord_rho2_closed_form,
     koashi_winter_residual,
@@ -58,29 +59,29 @@ def classical_quantum_state(p, rng):
 
 class TestClassicalCorrelation:
     def test_bell_state(self):
-        assert classical_correlation_rank2(make_bell_diagonal(1, -1, 1)) == (
+        assert discord_rank2(make_bell_diagonal(1, -1, 1)).I_cc == (
             pytest.approx(1.0, abs=1e-12)
         )
 
     @pytest.mark.parametrize("lam", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_rank2_bell_diagonal_is_one(self, lam):
         rho = make_bell_diagonal(1.0, 1 - 2 * lam, 2 * lam - 1)
-        assert classical_correlation_rank2(rho) == pytest.approx(1.0, abs=1e-9)
+        assert discord_rank2(rho).I_cc == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 11))
     def test_horodecki_closed_form(self, p):
         p = float(p)
-        got = classical_correlation_rank2(make_horodecki(p))
+        got = discord_rank2(make_horodecki(p)).I_cc
         expected = reference_h(p / 2) - reference_f(2 * p * (1 - p))
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_rank_gate_reports_third_eigenvalue(self):
         with pytest.raises(RankTooHigh, match="1.6"):
-            classical_correlation_rank2(make_example1(1.0))
+            discord_rank2(make_example1(1.0))
 
     def test_dimension_gate(self):
         with pytest.raises(DimensionMismatch):
-            classical_correlation_rank2(make_random_rank2(0, dim_a=3))
+            discord_rank2(make_random_rank2(0, dim_a=3))
 
     def test_clamp_guard_rejects_large_overshoot(self):
         from qdiscord.discord import _clamp_unit_interval
@@ -216,6 +217,19 @@ class TestRho2ClosedForm:
             assert closed == pytest.approx(pipeline, abs=1e-8)
             checked += 1
 
+    def test_array_of_weights_matches_scalar_calls(self):
+        grid = np.linspace(0.0, 1.0, 41)
+        for theta, eta in ((math.pi / 2, math.pi / 4), (1.1, 2.3), (0.4, 5.9)):
+            got = discord_rho2_closed_form(grid, theta, eta)
+            for x, value in zip(grid, got):
+                try:
+                    expected = discord_rho2_closed_form(float(x), theta, eta)
+                except DegenerateDenominator:
+                    assert np.isnan(value)
+                    continue
+                assert value == pytest.approx(expected, abs=1e-14)
+        assert np.isnan(discord_rho2_closed_form(grid, math.pi / 2, math.pi / 4)[-1])
+
     def test_degenerate_denominator_signals_fallback(self):
         with pytest.raises(DegenerateDenominator):
             discord_rho2_closed_form(1.0, math.pi / 2, math.pi / 4)
@@ -225,6 +239,8 @@ class TestRho2ClosedForm:
             discord_rho2_closed_form(1.5, 0.3, 0.3)
         with pytest.raises(OutOfDomain):
             discord_rho2_closed_form(0.5, -0.1, 0.3)
+        with pytest.raises(OutOfDomain):
+            discord_rho2_closed_form(np.array([0.5, math.nan]), 0.3, 0.3)
 
 
 class TestIdentityResiduals:
@@ -258,3 +274,80 @@ class TestIdentityResiduals:
             koashi_winter_residual(make_example1(0.5))
         with pytest.raises(RankTooHigh):
             monogamy_residual(make_example1(0.5))
+
+
+FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
+          "Q_discord", "rank")
+
+
+class TestBatchedReport:
+    def test_batch_equals_batches_of_one(self):
+        states = [make_random_rank2(seed) for seed in range(200)]
+        states += [make_horodecki(p) for p in (0.0, 0.3, 1.0)]
+        batch = discord_rank2(states)
+        for i, rho in enumerate(states):
+            one = discord_rank2([rho])
+            for name in FIELDS:
+                assert getattr(batch, name)[i] == pytest.approx(
+                    getattr(one, name)[0], abs=1e-14
+                )
+
+    def test_single_state_gives_numbers(self):
+        report = discord_rank2(make_horodecki(0.5))
+        for name in FIELDS[:-1]:
+            assert type(getattr(report, name)) is float
+        assert type(report.rank) is int and report.reason is None
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_two_bell_mixtures_in_a_batch(self, lam):
+        # rho_B = I/2 is degenerate, so no eigenframe is preferred.
+        rho = make_bell_diagonal(1.0, 1 - 2 * lam, 2 * lam - 1)
+        report = discord_rank2([rho, make_horodecki(0.5), rho])
+        np.testing.assert_allclose(report.I_cc[[0, 2]], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            report.Q_discord[[0, 2]], 1 - reference_h(lam), rtol=0, atol=1e-12
+        )
+
+    def test_mixed_ranks_give_reasons_only_on_high_rank_members(self):
+        states = [make_random_rank2(1), make_bell_diagonal(0.2, -0.3, 0.1),
+                  make_horodecki(0.5), make_example1(1.0)]
+        report = correlation_report(states)
+        assert list(report.rank) == [2, 4, 2, 4]
+        assert report.reason[0] is None and report.reason[2] is None
+        assert "rank 4" in report.reason[1] and "rank 4" in report.reason[3]
+        assert np.isnan(report.I_cc[[1, 3]]).all()
+        assert np.isnan(report.Q_discord[[1, 3]]).all()
+        assert np.isfinite(report.I_cc[[0, 2]]).all()
+        assert report.I2_cc[3] == pytest.approx(1 / 9, abs=1e-12)
+        single = discord_rank2(states[2])
+        assert report.Q_discord[2] == pytest.approx(single.Q_discord, abs=1e-14)
+
+    def test_batch_raise_names_first_offending_state(self):
+        states = [make_random_rank2(1), make_horodecki(0.5), make_example1(1.0),
+                  make_example1(0.5)]
+        with pytest.raises(RankTooHigh, match="state 2: state has rank 4"):
+            discord_rank2(states)
+        with pytest.raises(RankTooHigh, match="state 2"):
+            monogamy_residual(states)
+
+    def test_report_of_wide_state_keeps_linear_fields(self):
+        report = correlation_report(make_random_rank2(3, dim_a=3))
+        assert isinstance(report, CorrelationReport)
+        assert report.I_cc is None and report.Q_discord is None
+        assert "2x2" in report.reason and report.rank == 2
+        assert report.I2_cc > 0.0
+        with pytest.raises(DimensionMismatch, match="2x2"):
+            discord_rank2([make_random_rank2(3, dim_a=3)])
+
+    def test_report_of_rank_two_state_equals_discord_rank2(self):
+        rho = make_random_rank2(5)
+        assert correlation_report(rho) == discord_rank2(rho)
+
+    def test_residual_batches_equal_batches_of_one(self):
+        states = [make_random_rank2(seed) for seed in range(40)] + [make_horodecki(0.0)]
+        for residual in (koashi_winter_residual, monogamy_residual):
+            batch = residual(states)
+            singles = [residual(rho) for rho in states]
+            assert batch.shape == (41,)
+            np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
+            assert np.max(np.abs(batch)) <= 1e-8

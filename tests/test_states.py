@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdiscord.discord import correlation_report
 from qdiscord.errors import (
     DimensionMismatch,
     NotPositive,
@@ -25,7 +26,6 @@ from qdiscord.states import (
     make_random_rank2,
     make_rho2,
     purify,
-    rank_of,
     reduced,
     state_from_json_dict,
     state_to_json_dict,
@@ -55,7 +55,7 @@ class TestBellDiagonal:
         np.testing.assert_allclose(
             values, sorted([lam, 1 - lam, 0, 0], reverse=True), atol=1e-12
         )
-        assert rank_of(rho) == 2
+        assert correlation_report(rho).rank == 2
 
     def test_invalid_coefficients_raise(self):
         with pytest.raises(NotPositive):
@@ -130,7 +130,7 @@ class TestRho2:
 
     def test_pure_limit(self):
         rho = make_rho2(1.0, 0.3, 1.1)
-        assert rank_of(rho) == 1
+        assert correlation_report(rho).rank == 1
 
     def test_equal_mixture_entropy(self):
         assert von_neumann_entropy(
@@ -152,7 +152,7 @@ class TestRandomRank2:
 
     def test_rank_exactly_two(self):
         for seed in range(50):
-            assert rank_of(make_random_rank2(seed)) == 2
+            assert correlation_report(make_random_rank2(seed)).rank == 2
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_constructor_invariants_hold(self, dim_a):
