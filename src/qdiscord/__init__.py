@@ -18,6 +18,7 @@ from .discord import (
     correlation_report,
     discord_rank2,
     discord_rho2_closed_form,
+    identity_residuals,
     koashi_winter_residual,
     monogamy_residual,
 )

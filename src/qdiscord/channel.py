@@ -19,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
-from .linalg import PAULIS, hermitian_eig, partial_trace, tensor, trace_product
+from .linalg import PAULIS, hermitian_eig, partial_trace, tensor
 from .measures import linear_entropy
-from .states import DensityMatrix
+from .states import DensityMatrix, stack_matrices
 
 _MARGINAL_RANK_TOL = 1e-10
 _BLOCK = 128
@@ -85,9 +85,7 @@ def bloch_of(matrix, basis: GeneratorBasis) -> np.ndarray:
     d = basis.dimension
     if m.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match d={d}")
-    return np.array(
-        [0.5 * d * trace_product(m, g).real for g in basis.matrices], dtype=float
-    )
+    return 0.5 * d * np.einsum("ij,mji->m", m, basis.matrices).real
 
 
 def bloch_state(r, basis: GeneratorBasis) -> np.ndarray:
@@ -155,16 +153,10 @@ def apply_channel(ch: ChannelBloch, qubit_operator) -> np.ndarray:
     if x.shape != (2, 2):
         raise DimensionMismatch(f"channel input must be 2x2, got {x.shape}")
     d = ch.output_dim
-    basis = gell_mann_basis(d)
-    gamma = basis.matrices
-    out = np.trace(x) * (
-        np.eye(d, dtype=complex) + np.tensordot(ch.offset, gamma, axes=1)
-    )
-    for k, sigma in enumerate(PAULIS):
-        out = out + np.trace(x @ sigma) * np.tensordot(
-            ch.linear_part[:, k], gamma, axes=1
-        )
-    return out / d
+    pauli_weights = np.einsum("ij,kji->k", x, np.stack(PAULIS))
+    bloch = np.trace(x) * ch.offset + ch.linear_part @ pauli_weights
+    gamma = gell_mann_basis(d).matrices
+    return (np.trace(x) * np.eye(d) + np.tensordot(bloch, gamma, axes=1)) / d
 
 
 def reassemble_state(ch: ChannelBloch) -> np.ndarray:
@@ -195,25 +187,20 @@ def singular_values(ch: ChannelBloch) -> np.ndarray:
 def stack_states(rho):
     """(matrices, dims, single) for one DensityMatrix or a sequence with equal
     dims, of a shape the closed forms support: (dA, 2) with dA in {2, 3, 4}."""
-    single = isinstance(rho, DensityMatrix)
-    states = [rho] if single else list(rho)
-    dims = {state.dims for state in states}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"a batch needs one shared dims, got {sorted(dims)}")
-    (d_a, d_b), = dims
+    matrices, (d_a, d_b), single = stack_matrices(rho)
     if d_b != 2 or d_a not in (2, 3, 4):
         raise DimensionMismatch(
             f"supported shapes are (dA, 2) with dA in {{2, 3, 4}}, got dims {(d_a, d_b)}"
         )
-    return np.stack([state.matrix for state in states]), (d_a, d_b), single
+    return matrices, (d_a, d_b), single
 
 
-def in_blocks(stack_function, matrices: np.ndarray, *args) -> np.ndarray:
-    """``stack_function`` over blocks of at most 128 states, joined on the last
-    axis; temporaries then stay at tens of kB however large the batch."""
-    blocks = range(0, len(matrices), _BLOCK)
+def in_blocks(stack_function, states, *args) -> np.ndarray:
+    """``stack_function`` over blocks of at most 128 states (stack rows or list
+    items), joined on the last axis; temporaries stay at tens of kB."""
+    blocks = range(0, len(states), _BLOCK)
     return np.concatenate(
-        [stack_function(matrices[i : i + _BLOCK], *args) for i in blocks], axis=-1
+        [stack_function(states[i : i + _BLOCK], *args) for i in blocks], axis=-1
     )
 
 

@@ -20,14 +20,9 @@ from .discord import (
     correlation_report,
     discord_rank2,
     discord_rho2_closed_form,
-    koashi_winter_residual,
-    monogamy_residual,
+    identity_residuals,
 )
-from .errors import (
-    DegenerateMarginal,
-    QDiscordError,
-    StateFormatError,
-)
+from .errors import DegenerateMarginal, QDiscordError
 from .linalg import tensor
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
@@ -258,10 +253,9 @@ def run_validation(trials: int, seed: int, tolerances=None) -> dict:
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     states = [make_random_rank2(trial_seed(seed, t)) for t in range(trials)]
     twins = [_local_unitary_twin(rho, trial_seed(seed, t)) for t, rho in enumerate(states)]
-    report = discord_rank2(states)
+    report, kw, monogamy = identity_residuals(states)
     twin_report = discord_rank2(twins)
-    residuals["kw"] = np.abs(koashi_winter_residual(states))
-    residuals["monogamy"] = np.abs(monogamy_residual(states))
+    residuals["kw"], residuals["monogamy"] = np.abs(kw), np.abs(monogamy)
     residuals["local_unitary"] = np.maximum(
         np.abs(report.Q_discord - twin_report.Q_discord),
         np.abs(report.I_cc - twin_report.I_cc),
@@ -378,10 +372,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except (QDiscordError, StateFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QDiscordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,10 +28,9 @@ from .errors import (
     OutOfDomain,
     RankTooHigh,
 )
-from .linalg import EIGENVALUE_CLAMP, partial_trace
+from .linalg import partial_trace
 from .measures import (
     binary_entropy,
-    eof_two_qubit,
     f_map,
     linear_entropy,
     spectral_entropy,
@@ -39,7 +38,7 @@ from .measures import (
     unit_interval,
     von_neumann_entropy,
 )
-from .states import RANK_TOL, DensityMatrix, FamilySpec
+from .states import RANK_TOL, DensityMatrix, FamilySpec, purify, traced_over_b
 
 _CLAMP_WINDOW = 1e-9
 _FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
@@ -181,33 +180,31 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
     return float(q) if x.ndim == 0 else np.where(degenerate, np.nan, q)
 
 
-def _purified_rho_ac(matrices: np.ndarray) -> np.ndarray:
-    """rho_AC of a purification of each rank-<=2 two-qubit state in a stack.
-
-    The purifying qubit C indexes the two largest eigenvalues; eigenvalues at
-    or below 1e-12 get no weight, so a rank-1 state leaves rho_AC a product.
-    """
-    lam, vecs = np.linalg.eigh(matrices)
-    lam = np.where(lam[:, 2:] > EIGENVALUE_CLAMP, lam[:, 2:], 0.0)
-    weights = np.sqrt(lam / lam.sum(axis=1, keepdims=True))
-    psi = (vecs[:, :, 2:] * weights[:, None, :]).reshape(-1, 2, 2, 2)
-    return np.einsum("nabc,ndbe->nacde", psi, psi.conj()).reshape(-1, 4, 4)
+def _purified_tangle(states) -> np.ndarray:
+    """tau(rho_AC) across one purification of each state in a list; a rank-1
+    state gets a trivial C, so its rho_AC is a product with tangle 0."""
+    pur = purify(states)
+    if pur.dims[2] == 1:
+        return np.zeros(len(states))
+    return tangle_two_qubit(traced_over_b(pur))
 
 
-def _identity_residual(rho, measure, identity):
-    """``identity(report, measure(rho_AC))`` for one state or a batch of them."""
+def identity_residuals(rho):
+    """``(report, kw, monogamy)`` for one state or a batch, from one report and
+    one purification: the two residuals below, with E_f(rho_AC) = f(tau)."""
     report = discord_rank2(rho)
-    matrices, _, single = stack_states(rho)
-    values = in_blocks(lambda block: measure(_purified_rho_ac(block)), matrices)
-    residual = identity(report, values)
-    return residual[0].item() if single else residual
+    single = isinstance(rho, DensityMatrix)
+    tau = in_blocks(_purified_tangle, [rho] if single else list(rho))
+    if single:
+        tau = tau[0].item()
+    return report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A
 
 
 def koashi_winter_residual(rho):
     """E_f(rho_AC) + I_cc(rho_AB) - S(rho_A) across a purification; ~0 when exact."""
-    return _identity_residual(rho, eof_two_qubit, lambda r, e_f: e_f + r.I_cc - r.S_A)
+    return identity_residuals(rho)[1]
 
 
 def monogamy_residual(rho):
     """tau(rho_AC) + I2_cc(rho_AB) - S2(rho_A) across a purification; ~0 when exact."""
-    return _identity_residual(rho, tangle_two_qubit, lambda r, t: t + r.I2_cc - r.S2_A)
+    return identity_residuals(rho)[2]

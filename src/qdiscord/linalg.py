@@ -36,16 +36,21 @@ def _square(m) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises NotHermitian when max|m - m^H| exceeds 1e-10 entrywise.
-    """
-    a = _square(m)
-    deviation = float(np.max(np.abs(a - a.conj().T)))
+def checked_hermitian(m) -> np.ndarray:
+    """``m`` as a complex square matrix or (N, n, n) stack; DimensionMismatch for
+    other shapes, NotHermitian when max|m - m^H| exceeds 1e-10 entrywise."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack, got shape {a.shape}")
+    deviation = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), initial=0.0))
     if deviation > HERMITIAN_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {deviation:.3e}")
-    values, vectors = np.linalg.eigh(a)
+    return a
+
+
+def hermitian_eig(m) -> EigenDecomposition:
+    """Eigendecomposition of a checked Hermitian matrix, eigenvalues descending."""
+    values, vectors = np.linalg.eigh(checked_hermitian(_square(m)))
     return EigenDecomposition(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 

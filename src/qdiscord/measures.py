@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
-from .linalg import EIGENVALUE_CLAMP, PAULI_Y, partial_trace, tensor
+from .linalg import EIGENVALUE_CLAMP, PAULI_Y, checked_hermitian, partial_trace, tensor
 from .states import DensityMatrix
 
 _DOMAIN_SLACK = 1e-12
@@ -18,9 +18,11 @@ _SPIN_FLIP = tensor(PAULI_Y, PAULI_Y)
 
 
 def _matrix_of(rho) -> np.ndarray:
+    """The matrix of a DensityMatrix, which its constructor validated, or a raw
+    square matrix or stack, checked here for shape and Hermiticity."""
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    return np.asarray(rho, dtype=complex)
+    return checked_hermitian(rho)
 
 
 def _scalar_or_array(values: np.ndarray):

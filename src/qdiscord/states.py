@@ -21,11 +21,9 @@ from .errors import (
     StateFormatError,
 )
 from .linalg import (
-    EIGENVALUE_CLAMP,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    hermitian_eig,
     partial_trace,
     tensor,
 )
@@ -88,7 +86,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Purification:
-    """Pure |psi>_ABC with Tr_C recovering the source state.
+    """Pure |psi>_ABC with Tr_C recovering the source state (a row per state).
 
     The C dimension equals the numerical rank of the source, so rank-1 inputs
     get a trivial one-dimensional C and rank-2 inputs get a qubit C.
@@ -215,18 +213,32 @@ def reduced(rho: DensityMatrix, side: str) -> np.ndarray:
     return partial_trace(rho.matrix, rho.dims, keep=side)
 
 
-def purify(rho: DensityMatrix) -> Purification:
-    """Attach an ancilla C of dimension rank(rho) carrying the eigenbasis index."""
-    eig = hermitian_eig(rho.matrix)
-    keep = eig.values > EIGENVALUE_CLAMP
-    lam = eig.values[keep]
-    vecs = eig.vectors[:, keep]
-    d_c = int(lam.size)
-    d_a, d_b = rho.dims
-    psi = np.zeros(d_a * d_b * d_c, dtype=complex)
-    for i in range(d_c):
-        psi[i::d_c] += math.sqrt(lam[i]) * vecs[:, i]
-    psi = psi / np.linalg.norm(psi)
+def stack_matrices(rho):
+    """(matrices, dims, single) for one DensityMatrix or a sequence of them with
+    equal dims; one state is a stack of one."""
+    single = isinstance(rho, DensityMatrix)
+    states = [rho] if single else list(rho)
+    dims = {state.dims for state in states}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"a batch needs one shared dims, got {sorted(dims)}")
+    return np.stack([state.matrix for state in states]), dims.pop(), single
+
+
+def purify(rho) -> Purification:
+    """Attach an ancilla C of dimension rank(rho) (eigenvalues above 1e-10)
+    carrying the eigenbasis index. A sequence of states with equal dims gives
+    one row per state; C takes the batch's largest rank, extra levels weigh 0."""
+    matrices, (d_a, d_b), single = stack_matrices(rho)
+    values, vectors = np.linalg.eigh(matrices)
+    values, vectors = values[:, ::-1], vectors[:, :, ::-1]
+    kept = values > RANK_TOL
+    d_c = int(kept.sum(axis=1).max())
+    lam = np.where(kept[:, :d_c], values[:, :d_c], 0.0)
+    vecs = vectors[:, :, :d_c]
+    psi = (vecs * np.sqrt(lam)[:, None, :]).reshape(len(matrices), -1)
+    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    if single:
+        psi, lam, vecs = psi[0], lam[0], vecs[0]
     return Purification(
         state_vector=psi,
         dims=(d_a, d_b, d_c),
@@ -236,18 +248,19 @@ def purify(rho: DensityMatrix) -> Purification:
 
 
 def traced_over_c(pur: Purification) -> np.ndarray:
-    """Tr_C |psi><psi|, which must reproduce the purified state."""
+    """Tr_C |psi><psi|, which must reproduce the purified state (or stack)."""
     d_a, d_b, d_c = pur.dims
-    t = pur.state_vector.reshape(d_a * d_b, d_c)
-    return t @ t.conj().T
+    t = pur.state_vector.reshape(*pur.state_vector.shape[:-1], d_a * d_b, d_c)
+    return t @ np.swapaxes(t, -1, -2).conj()
 
 
 def traced_over_b(pur: Purification) -> np.ndarray:
-    """Tr_B |psi><psi| as an (dA*dC) x (dA*dC) matrix with index a*dC + c."""
+    """Tr_B |psi><psi| as (dA*dC) x (dA*dC) matrices with index a*dC + c."""
     d_a, d_b, d_c = pur.dims
-    t = pur.state_vector.reshape(d_a, d_b, d_c)
-    rho_ac = np.einsum("abc,dbe->acde", t, t.conj())
-    return rho_ac.reshape(d_a * d_c, d_a * d_c)
+    lead = pur.state_vector.shape[:-1]
+    t = pur.state_vector.reshape(*lead, d_a, d_b, d_c)
+    rho_ac = np.einsum("...abc,...dbe->...acde", t, t.conj())
+    return rho_ac.reshape(*lead, d_a * d_c, d_a * d_c)
 
 
 def make_family(spec: FamilySpec) -> DensityMatrix:

@@ -9,6 +9,7 @@ from qdiscord.discord import (
     correlation_report,
     discord_rank2,
     discord_rho2_closed_form,
+    identity_residuals,
     koashi_winter_residual,
     monogamy_residual,
 )
@@ -269,6 +270,29 @@ class TestIdentityResiduals:
         for seed in range(200):
             assert abs(monogamy_residual(make_random_rank2(seed))) <= 1e-8
 
+    def test_third_eigenvalue_below_rank_tol_keeps_qubit_ancilla(self):
+        # 5e-11 outside the support still counts as rank 2; the purification
+        # must then keep a qubit C, or E_f(rho_AC) and the tangle read 0.
+        states = []
+        for seed in range(5):
+            rho = make_random_rank2(seed)
+            outside = np.linalg.eigh(rho.matrix)[1][:, 0]
+            m = (1 - 5e-11) * rho.matrix + 5e-11 * np.outer(outside, outside.conj())
+            states.append(DensityMatrix((2, 2), m))
+        states.append(make_horodecki(0.0))
+        report, kw, monogamy = identity_residuals(states)
+        assert list(report.rank) == [2] * 5 + [1]
+        assert np.max(np.abs(kw)) <= 1e-8 and np.max(np.abs(monogamy)) <= 1e-8
+        assert koashi_winter_residual(states[0]) == pytest.approx(kw[0], abs=1e-14)
+
+    def test_identity_residuals_report_is_discord_rank2(self):
+        states = [make_random_rank2(seed) for seed in range(20)]
+        report, kw, monogamy = identity_residuals(states)
+        reference = discord_rank2(states)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(report, name), getattr(reference, name))
+        assert kw.shape == monogamy.shape == (20,)
+
     def test_rank_gate(self):
         with pytest.raises(RankTooHigh):
             koashi_winter_residual(make_example1(0.5))
@@ -344,10 +368,11 @@ class TestBatchedReport:
         assert correlation_report(rho) == discord_rank2(rho)
 
     def test_residual_batches_equal_batches_of_one(self):
-        states = [make_random_rank2(seed) for seed in range(40)] + [make_horodecki(0.0)]
+        # 201 states span two blocks of 128; the pure last one has a trivial C.
+        states = [make_random_rank2(seed) for seed in range(200)] + [make_horodecki(0.0)]
         for residual in (koashi_winter_residual, monogamy_residual):
             batch = residual(states)
             singles = [residual(rho) for rho in states]
-            assert batch.shape == (41,)
+            assert batch.shape == (201,)
             np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
             assert np.max(np.abs(batch)) <= 1e-8

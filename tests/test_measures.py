@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density, random_pure_density
-from qdiscord.errors import DimensionMismatch, OutOfDomain
+from qdiscord.errors import DimensionMismatch, NotHermitian, OutOfDomain
 from qdiscord.linalg import PAULI_Y, tensor
 from qdiscord.measures import (
     binary_entropy,
@@ -59,6 +59,41 @@ class TestVonNeumannEntropy:
         for _ in range(25):
             s = von_neumann_entropy(random_density(rng, 4))
             assert -1e-12 <= s <= 2.0 + 1e-12
+
+
+class TestRawArrayInput:
+    """Raw arrays are checked where they enter, since no constructor has."""
+
+    def test_non_hermitian_matrix_raises(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 0.1
+        for measure in (von_neumann_entropy, linear_entropy, wootters_concurrence,
+                        tangle_two_qubit, eof_two_qubit):
+            with pytest.raises(NotHermitian):
+                measure(m)
+
+    def test_non_hermitian_member_of_a_stack_raises(self):
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        stack[2, 3, 0] = 1e-9
+        with pytest.raises(NotHermitian):
+            von_neumann_entropy(stack)
+        with pytest.raises(NotHermitian):
+            wootters_concurrence(stack)
+
+    def test_non_square_raises_dimension_mismatch(self):
+        for m in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                von_neumann_entropy(m)
+            with pytest.raises(DimensionMismatch):
+                wootters_concurrence(m)
+
+    def test_rounding_level_asymmetry_is_accepted(self):
+        rng = np.random.default_rng(18)
+        m = random_density(rng, 4)
+        m[0, 1] += 1e-12
+        assert von_neumann_entropy(m) == pytest.approx(
+            von_neumann_entropy((m + m.conj().T) / 2), abs=1e-10
+        )
 
 
 class TestLinearEntropy:

@@ -29,6 +29,7 @@ from qdiscord.states import (
     reduced,
     state_from_json_dict,
     state_to_json_dict,
+    traced_over_b,
     traced_over_c,
     trial_seed,
 )
@@ -205,6 +206,59 @@ class TestPurify:
         ] + [make_random_rank2(s) for s in range(25)]
         for rho in states:
             assert np.max(np.abs(traced_over_c(purify(rho)) - rho.matrix)) < 1e-10
+
+
+def _with_third_eigenvalue(rho, eps):
+    """rho with weight eps moved onto a vector outside its rank-2 support."""
+    outside = np.linalg.eigh(rho.matrix)[1][:, 0]
+    return DensityMatrix(rho.dims, (1 - eps) * rho.matrix + eps * np.outer(outside, outside.conj()))
+
+
+class TestBatchedPurify:
+    STATES = [make_random_rank2(s) for s in range(6)] + [
+        make_horodecki(0.3),
+        make_example1(2.0),
+        make_rho2(1.0, 0.4, 0.0),
+    ]
+
+    def test_batch_reproduces_every_state(self):
+        pur = purify(self.STATES)
+        assert pur.dims == (2, 2, 2)
+        assert pur.state_vector.shape == (9, 8)
+        np.testing.assert_allclose(np.linalg.norm(pur.state_vector, axis=1), 1.0, atol=1e-12)
+        for rho, back in zip(self.STATES, traced_over_c(pur)):
+            assert np.max(np.abs(back - rho.matrix)) < 1e-10
+
+    def test_rank1_member_gets_zero_weight_on_its_extra_level(self):
+        pur = purify(self.STATES)
+        assert pur.eigenvalues.shape == (9, 2)
+        assert pur.eigenvalues[-1, 1] == 0.0
+        assert np.all(pur.eigenvalues[:-1, 1] > 1e-10)
+        rho_ac = traced_over_b(pur)[-1]
+        # a pure source leaves C unentangled: rho_AC = rho_A x |0><0|
+        expected = np.kron(reduced(self.STATES[-1], "A"), np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(rho_ac, expected, atol=1e-12)
+
+    def test_batch_rho_ac_spectra_match_single_purifications(self):
+        batch = traced_over_b(purify(self.STATES))
+        for rho, rho_ac in zip(self.STATES, batch):
+            single = traced_over_b(purify(rho))
+            want = np.sort(np.linalg.eigvalsh(single))
+            got = np.sort(np.linalg.eigvalsh(rho_ac))[-want.size:]
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_rank_counts_eigenvalues_above_rank_tol(self):
+        base = make_random_rank2(11)
+        assert purify(_with_third_eigenvalue(base, 5e-11)).dims == (2, 2, 2)
+        assert purify(_with_third_eigenvalue(base, 2e-10)).dims == (2, 2, 3)
+        assert correlation_report(_with_third_eigenvalue(base, 5e-11)).rank == 2
+
+    def test_wide_states_and_unequal_dims(self):
+        wide = [make_random_rank2(s, dim_a=3) for s in range(3)]
+        pur = purify(wide)
+        assert pur.dims == (3, 2, 2) and traced_over_b(pur).shape == (3, 6, 6)
+        with pytest.raises(DimensionMismatch):
+            purify([wide[0], make_horodecki(0.5)])
 
 
 class TestReduced:
