@@ -15,7 +15,12 @@ import time
 
 import numpy as np
 
-from .channel import extract_channel, linear_classical_correlation, reassemble_state
+from .channel import (
+    extract_channel,
+    in_blocks,
+    linear_classical_correlation,
+    reassemble_state,
+)
 from .discord import (
     correlation_report,
     discord_rank2,
@@ -23,7 +28,6 @@ from .discord import (
     identity_residuals,
 )
 from .errors import DegenerateMarginal, QDiscordError
-from .linalg import tensor
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
 from .states import (
@@ -35,6 +39,7 @@ from .states import (
     make_family,
     make_random_rank2,
     random_unitary,
+    stack_matrices,
     trial_seed,
 )
 
@@ -49,6 +54,7 @@ _CHECK_TOLERANCES = {
     "roundtrip": 1e-9,
 }
 _ORACLE_TRIAL_CAP = 25
+_STAGES = ("draw_states", "twins", "residuals", "roundtrip", "oracles")
 
 
 def _fmt_json(value) -> str:
@@ -218,14 +224,29 @@ def _parse_tolerance_overrides(pairs):
     return tolerances
 
 
-def _local_unitary_twin(rho: DensityMatrix, seed: int) -> DensityMatrix:
-    u_a = random_unitary(trial_seed(seed, 101), 2)
-    u_b = random_unitary(trial_seed(seed, 102), 2)
-    u = tensor(u_a, u_b)
-    return DensityMatrix(rho.dims, u @ rho.matrix @ u.conj().T)
+def _twin_correlations(draws) -> np.ndarray:
+    """(I_cc, Q_discord) rows for the local-unitary twins of (trial seed, state)
+    pairs: (U_A x U_B) rho (U_A x U_B)^dagger, with U_A and U_B drawn from the
+    trial seed's substreams 101 and 102."""
+    seeds, states = zip(*draws)
+    u_a = random_unitary([trial_seed(s, 101) for s in seeds], 2)
+    u_b = random_unitary([trial_seed(s, 102) for s in seeds], 2)
+    u = np.einsum("nac,nbd->nabcd", u_a, u_b).reshape(-1, 4, 4)
+    matrices, dims, _ = stack_matrices(states)
+    rotated = np.einsum("nij,njk,nlk->nil", u, matrices, u.conj())
+    report = discord_rank2([DensityMatrix(dims, m) for m in rotated])
+    return np.stack([report.I_cc, report.Q_discord])
 
 
-def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int) -> dict:
+def _roundtrip_residuals(states) -> np.ndarray:
+    """max|reassemble_state(extract_channel(rho)) - rho| per state; NaN where
+    rho_B is rank-1 and the channel is undefined."""
+    matrices = stack_matrices(states)[0]
+    rebuilt = reassemble_state(extract_channel(states))
+    return np.max(np.abs(rebuilt - matrices), axis=(1, 2))
+
+
+def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: int) -> dict:
     """A check's verdict from its per-trial residuals (NaN: not run); no run, no pass."""
     evaluated = int(np.count_nonzero(~np.isnan(residuals)))
     worst = int(np.nanargmax(residuals)) if evaluated else None
@@ -237,36 +258,39 @@ def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int) -> dic
         "evaluated": evaluated,
         "skipped": skipped,
         "worst_trial": worst,
+        "worst_seed": None if worst is None else trial_seed(seed, worst),
     }
 
 
-def run_validation(trials: int, seed: int, tolerances=None) -> dict:
+def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) -> dict:
     """Run every identity and oracle check on seeded random rank-2 states.
 
-    The closed-form checks make one batched call over all trials; roundtrip
-    runs trial by trial, and the oracle-backed checks on the first 25 trials.
-    Each check reports the trials it evaluated, those it skipped because
-    rho_B is rank-1, and the trial of its largest residual.
+    Trial t draws ``make_random_rank2(trial_seed(seed, t))``. The closed-form
+    checks, the local-unitary twins and the channel round trip each make one
+    batched call per block of 128 trials; the oracle-backed checks run on the
+    first 25 trials. Each check reports the trials it evaluated, those it
+    skipped because rho_B is rank-1, the trial of its largest residual and
+    that trial's seed. A dict passed as ``stage_seconds`` receives the wall
+    time of each stage and the total.
     """
     tolerances = tolerances or dict(_CHECK_TOLERANCES)
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
-    states = [make_random_rank2(trial_seed(seed, t)) for t in range(trials)]
-    twins = [_local_unitary_twin(rho, trial_seed(seed, t)) for t, rho in enumerate(states)]
+    laps = [time.perf_counter()]
+    seeds = [trial_seed(seed, t) for t in range(trials)]
+    states = [make_random_rank2(s) for s in seeds]
+    laps.append(time.perf_counter())
+    twin_i_cc, twin_q = in_blocks(_twin_correlations, list(zip(seeds, states)))
+    laps.append(time.perf_counter())
     report, kw, monogamy = identity_residuals(states)
-    twin_report = discord_rank2(twins)
     residuals["kw"], residuals["monogamy"] = np.abs(kw), np.abs(monogamy)
     residuals["local_unitary"] = np.maximum(
-        np.abs(report.Q_discord - twin_report.Q_discord),
-        np.abs(report.I_cc - twin_report.I_cc),
+        np.abs(report.Q_discord - twin_q), np.abs(report.I_cc - twin_i_cc)
     )
-    for t, rho in enumerate(states):
-        try:
-            ch = extract_channel(rho)
-        except DegenerateMarginal:
-            skipped["roundtrip"] += 1
-            continue
-        residuals["roundtrip"][t] = np.max(np.abs(reassemble_state(ch) - rho.matrix))
+    laps.append(time.perf_counter())
+    residuals["roundtrip"] = in_blocks(_roundtrip_residuals, states)
+    skipped["roundtrip"] = int(np.count_nonzero(np.isnan(residuals["roundtrip"])))
+    laps.append(time.perf_counter())
     for t, rho in enumerate(states[:_ORACLE_TRIAL_CAP]):
         projective = projective_classical_correlation(rho)
         residuals["projective_bound"][t] = projective - report.I_cc[t]
@@ -279,8 +303,11 @@ def run_validation(trials: int, seed: int, tolerances=None) -> dict:
             continue
         residuals["decomposition_bound"][t] = oracle - report.I2_cc[t]
         residuals["decomposition_attain"][t] = report.I2_cc[t] - oracle
+    laps.append(time.perf_counter())
+    if stage_seconds is not None:
+        stage_seconds.update(zip(_STAGES, np.diff(laps).tolist()), total=laps[-1] - laps[0])
     checks = {
-        name: _check_summary(residuals[name], tolerances[name], skipped[name])
+        name: _check_summary(residuals[name], tolerances[name], skipped[name], seed)
         for name in _CHECK_TOLERANCES
     }
     return {
@@ -295,11 +322,11 @@ def cmd_validate(args) -> int:
     if args.trials < 1:
         raise QDiscordError(f"--trials must be at least 1, got {args.trials}")
     tolerances = _parse_tolerance_overrides(args.tol)
-    started = time.perf_counter()
-    summary = run_validation(args.trials, args.seed, tolerances)
-    elapsed = time.perf_counter() - started
+    stage_seconds = {}
+    summary = run_validation(args.trials, args.seed, tolerances, stage_seconds)
     print(_fmt_json(summary))
-    print(f"validation wall time: {elapsed:.2f} s", file=sys.stderr)
+    print(_fmt_json({name: round(t, 6) for name, t in stage_seconds.items()}),
+          file=sys.stderr)
     return 0 if summary["pass"] else 1
 
 

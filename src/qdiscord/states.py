@@ -199,13 +199,19 @@ def make_random_rank2(seed: int, dim_a: int = 2) -> DensityMatrix:
     return DensityMatrix((dim_a, 2), m)
 
 
-def random_unitary(seed: int, dim: int) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian, deterministic in seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases.conj()
+def random_unitary(seed, dim: int) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Gaussian, deterministic in seed.
+
+    A sequence of seeds gives an (N, dim, dim) stack: each seed draws from its
+    own stream, as a single call would, and one batched QR serves them all.
+    """
+    single = np.ndim(seed) == 0
+    draws = np.stack([np.random.default_rng(s).standard_normal((2, dim, dim))
+                      for s in ([seed] if single else seed)])
+    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
+    return u[0] if single else u
 
 
 def reduced(rho: DensityMatrix, side: str) -> np.ndarray:

@@ -270,10 +270,13 @@ class TestFrameFreeCore:
             assert linear_classical_correlation(rotated) == pytest.approx(got, abs=1e-12)
             assert eigenframe_i2_cc(rotated) == pytest.approx(got, abs=1e-12)
 
-    @pytest.mark.parametrize("small,expected_zero", [(5e-11, True), (2e-10, False)])
+    @pytest.mark.parametrize("small,expected_zero", [
+        (5e-11, True), (2e-10, False), (1.01e-10, False), (1e-9, False), (1e-8, False),
+    ])
     def test_rank_one_marginal_cut(self, small, expected_zero):
         # Pure sqrt(1-e)|00> + sqrt(e)|11>: rho_B = diag(1-e, e) and, with no
-        # tangle left for a purifying system, I2_cc = S2(rho_A) = 4e(1-e).
+        # tangle left for a purifying system, I2_cc = S2(rho_A) = 4e(1-e). This
+        # attains the two-qubit bound I2_cc <= S2(rho_B).
         psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
         rho = DensityMatrix((2, 2), np.outer(psi, psi))
         got = linear_classical_correlation(rho)
@@ -306,3 +309,88 @@ class TestFrameFreeCore:
             assert linear_classical_correlation(rho) == pytest.approx(
                 eigenframe_i2_cc(rho), abs=1e-13
             )
+
+
+class TestBatchedChannel:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batch_equals_batches_of_one(self, d):
+        states = [make_random_rank2(seed, dim_a=d) for seed in range(40)]
+        batch = extract_channel(states)
+        rebuilt = reassemble_state(batch)
+        assert batch.linear_part.shape == (40, d * d - 1, 3)
+        assert rebuilt.shape == (40, 2 * d, 2 * d)
+        qubit_in = random_density(np.random.default_rng(d), 2)
+        images = apply_channel(batch, qubit_in)
+        for n, rho in enumerate(states):
+            one = extract_channel(rho)
+            for field in ("linear_part", "offset", "marginal_eigenvalues", "marginal_basis"):
+                np.testing.assert_array_equal(getattr(batch, field)[n], getattr(one, field))
+            np.testing.assert_allclose(rebuilt[n], reassemble_state(one), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                images[n], apply_channel(one, qubit_in), rtol=0, atol=1e-15
+            )
+        assert np.max(np.abs(rebuilt - [rho.matrix for rho in states])) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_one_marginal_member_is_nan_in_a_batch(self, d):
+        rng = np.random.default_rng(30 + d)
+        product = DensityMatrix(
+            (d, 2), np.kron(random_density(rng, d), np.diag([1.0, 0.0]))
+        )
+        states = [make_random_rank2(0, dim_a=d), product, make_random_rank2(1, dim_a=d)]
+        batch = extract_channel(states)
+        assert np.isnan(batch.linear_part[1]).all() and np.isnan(batch.offset[1]).all()
+        assert not np.isnan(batch.linear_part[[0, 2]]).any()
+        rebuilt = reassemble_state(batch)
+        assert np.isnan(rebuilt[1]).all()
+        for n in (0, 2):
+            np.testing.assert_allclose(
+                rebuilt[n], reassemble_state(extract_channel(states[n])), rtol=0, atol=1e-15
+            )
+        with pytest.raises(DegenerateMarginal):
+            extract_channel(product)
+        assert np.isnan(extract_channel([product]).linear_part).all()
+
+
+class TestRankOneMarginalContinuity:
+    """I2_cc <= (2(d-1)/d) S2(rho_B), from |r|^2 <= d(d-1)/2 for d-level Bloch
+    vectors; at d=2 that is I2_cc <= S2(rho_B) = 4 eps (1 - eps)."""
+
+    @staticmethod
+    def filtered(rho, eps):
+        # A local filter on B that leaves rho_B with smaller eigenvalue eps.
+        # It keeps the channel, so I2_cc / S2(rho_B) is unchanged.
+        lam, v = np.linalg.eigh(reduced(rho, "B"))
+        t = math.sqrt(eps * lam[1] / ((1 - eps) * lam[0]))
+        k = np.kron(np.eye(rho.dim_a), v @ np.diag([t, 1.0]) @ v.conj().T)
+        m = k @ rho.matrix @ k.conj().T
+        return DensityMatrix(rho.dims, m / np.trace(m).real)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [1.01e-10, 1e-9, 1e-8])
+    def test_bound_above_the_cut(self, d, eps):
+        bound = 2 * (d - 1) / d
+        for seed in range(20):
+            rho = make_random_rank2(seed, dim_a=d)
+            ratio = linear_classical_correlation(rho) / linear_entropy(reduced(rho, "B"))
+            near = self.filtered(rho, eps)
+            s2_b = linear_entropy(reduced(near, "B"))
+            assert s2_b == pytest.approx(4 * eps * (1 - eps), rel=1e-3)
+            got = linear_classical_correlation(near)
+            assert got == pytest.approx(ratio * s2_b, rel=1e-5)
+            assert got <= bound * s2_b * (1 + 1e-5)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_jump_below_the_cut_is_within_the_bound(self, d):
+        # Below the cut I2_cc reads 0; the value it drops, ratio * S2(rho_B),
+        # is at most (2(d-1)/d) 4 eps (1 - eps).
+        eps, bound = 5e-11, 2 * (d - 1) / d
+        for seed in range(20):
+            rho = make_random_rank2(seed, dim_a=d)
+            ratio = linear_classical_correlation(rho) / linear_entropy(reduced(rho, "B"))
+            below = self.filtered(rho, eps)
+            s2_b = linear_entropy(reduced(below, "B"))
+            assert s2_b == pytest.approx(4 * eps * (1 - eps), rel=1e-3)
+            assert linear_classical_correlation(below) == 0.0
+            assert ratio <= bound
+            assert ratio * s2_b <= bound * 4 * eps

@@ -7,8 +7,16 @@ import pytest
 from qdiscord import cli
 from qdiscord.cli import main
 from qdiscord.discord import discord_rank2, koashi_winter_residual, monogamy_residual
+from qdiscord.channel import extract_channel, reassemble_state
 from qdiscord.errors import DegenerateMarginal
-from qdiscord.states import make_random_rank2, trial_seed
+from qdiscord.linalg import tensor
+from qdiscord.states import (
+    DensityMatrix,
+    make_horodecki,
+    make_random_rank2,
+    random_unitary,
+    trial_seed,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -244,7 +252,23 @@ class TestValidate:
         assert doc["checks"]["kw"]["max_residual"] <= 1e-8
         counts = {name: (c["evaluated"], c["skipped"]) for name, c in doc["checks"].items()}
         assert set(counts.values()) == {(25, 0)}
-        assert "wall time" in err
+        for check in doc["checks"].values():
+            assert check["worst_seed"] == trial_seed(42, check["worst_trial"])
+        assert list(json.loads(err)) == [
+            "draw_states", "twins", "residuals", "roundtrip", "oracles", "total",
+        ]
+
+    def test_stage_times_go_to_stderr_and_stdout_stays_identical(self, capsys):
+        _, first, err_first = run(capsys, "validate", "--trials", "40", "--seed", "8")
+        _, second, err_second = run(capsys, "validate", "--trials", "40", "--seed", "8")
+        assert first == second
+        assert "draw_states" not in first
+        for err in (err_first, err_second):
+            assert err.count("\n") == 1
+            stages = json.loads(err)
+            assert all(seconds >= 0 for seconds in stages.values())
+            parts = sum(seconds for name, seconds in stages.items() if name != "total")
+            assert parts == pytest.approx(stages["total"], abs=1e-5)
 
     def test_projective_checks_run_when_decomposition_skips(self, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
@@ -269,21 +293,56 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--trials", "60", "--seed", str(seed))
         assert code == 0
         checks = json.loads(out)["checks"]
+
+        def local_unitary(rho, trial):
+            twin_i_cc, twin_q = cli._twin_correlations([(trial, rho)])[:, 0]
+            report = discord_rank2(rho)
+            return max(abs(report.Q_discord - twin_q), abs(report.I_cc - twin_i_cc))
+
         recompute = {
-            "kw": lambda rho: abs(koashi_winter_residual(rho)),
-            "monogamy": lambda rho: abs(monogamy_residual(rho)),
-            "projective_bound": lambda rho: (
+            "kw": lambda rho, trial: abs(koashi_winter_residual(rho)),
+            "monogamy": lambda rho, trial: abs(monogamy_residual(rho)),
+            "projective_bound": lambda rho, trial: (
                 cli.projective_classical_correlation(rho) - discord_rank2(rho).I_cc
             ),
+            "roundtrip": lambda rho, trial: np.max(
+                np.abs(reassemble_state(extract_channel(rho)) - rho.matrix)
+            ),
+            "local_unitary": local_unitary,
         }
         for name, residual in recompute.items():
-            worst_trial = checks[name]["worst_trial"]
+            worst_trial, worst_seed = checks[name]["worst_trial"], checks[name]["worst_seed"]
             assert 0 <= worst_trial < (25 if name.startswith("projective") else 60)
-            rho = make_random_rank2(trial_seed(seed, worst_trial))
-            assert residual(rho) == pytest.approx(
+            assert worst_seed == trial_seed(seed, worst_trial)
+            rho = make_random_rank2(worst_seed)
+            assert residual(rho, worst_seed) == pytest.approx(
                 checks[name]["max_residual"], rel=1e-9, abs=1e-15
             )
         assert all(isinstance(c["worst_trial"], int) for c in checks.values())
+
+    def test_twins_match_the_per_state_reference(self):
+        # The batched twin draw against U = U_A x U_B built one trial at a time.
+        seeds = [trial_seed(9, t) for t in range(150)]
+        states = [make_random_rank2(s) for s in seeds]
+        batch = cli.in_blocks(cli._twin_correlations, list(zip(seeds, states)))
+        for n, (s, rho) in enumerate(zip(seeds, states)):
+            u = tensor(random_unitary(trial_seed(s, 101), 2),
+                       random_unitary(trial_seed(s, 102), 2))
+            twin = discord_rank2(DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T))
+            assert batch[:, n] == pytest.approx([twin.I_cc, twin.Q_discord], abs=1e-13)
+
+    def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
+        seed, degenerate_trial = 4, 3
+        product = make_horodecki(0.0)
+        draw = cli.make_random_rank2
+        monkeypatch.setattr(cli, "make_random_rank2", lambda s: (
+            product if s == trial_seed(seed, degenerate_trial) else draw(s)))
+        code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert (checks["roundtrip"]["evaluated"], checks["roundtrip"]["skipped"]) == (29, 1)
+        assert checks["decomposition_bound"]["skipped"] == 1
+        assert checks["kw"]["evaluated"] == checks["local_unitary"]["evaluated"] == 30
 
     def test_worst_trial_names_the_largest_of_distinct_residuals(self, capsys, monkeypatch):
         # Offset the decomposition oracle by a state-dependent amount so every

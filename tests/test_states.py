@@ -26,6 +26,7 @@ from qdiscord.states import (
     make_random_rank2,
     make_rho2,
     purify,
+    random_unitary,
     reduced,
     state_from_json_dict,
     state_to_json_dict,
@@ -171,6 +172,24 @@ class TestRandomRank2:
         assert trial_seed(1, 0) != trial_seed(1, 1)
         assert trial_seed(1, 0) != trial_seed(2, 0)
         assert trial_seed(5, 3) == trial_seed(5, 3)
+
+
+class TestRandomUnitary:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_seed_sequence_matches_per_seed_calls(self, dim):
+        seeds = [trial_seed(11, t, 101) for t in range(200)]
+        stack = random_unitary(seeds, dim)
+        singles = [random_unitary(seed, dim) for seed in seeds]
+        assert stack.shape == (200, dim, dim)
+        assert singles[0].shape == (dim, dim)
+        np.testing.assert_allclose(stack, singles, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_unitary_and_deterministic(self, dim):
+        u = random_unitary(7, dim)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-14)
+        np.testing.assert_array_equal(u, random_unitary(7, dim))
+        assert not np.allclose(u, random_unitary(8, dim))
 
 
 class TestPurify:
