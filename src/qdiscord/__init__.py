@@ -34,13 +34,7 @@ from .errors import (
     RankTooHigh,
     StateFormatError,
 )
-from .linalg import (
-    EigenDecomposition,
-    hermitian_eig,
-    partial_trace,
-    tensor,
-    trace_product,
-)
+from .linalg import partial_trace, tensor
 from .measures import (
     binary_entropy,
     eof_two_qubit,
@@ -52,7 +46,6 @@ from .measures import (
     wootters_concurrence,
 )
 from .oracles import (
-    Decomposition,
     GridSpec,
     decomposition_linear_cc,
     projective_classical_correlation,

@@ -6,8 +6,6 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
@@ -21,21 +19,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in descending order with matching orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def checked_hermitian(m) -> np.ndarray:
     """``m`` as a complex square matrix or (N, n, n) stack; DimensionMismatch for
     other shapes, NotHermitian when max|m - m^H| exceeds 1e-10 entrywise."""
@@ -46,12 +29,6 @@ def checked_hermitian(m) -> np.ndarray:
     if deviation > HERMITIAN_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {deviation:.3e}")
     return a
-
-
-def hermitian_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a checked Hermitian matrix, eigenvalues descending."""
-    values, vectors = np.linalg.eigh(checked_hermitian(_square(m)))
-    return EigenDecomposition(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 
 def tensor(a, b) -> np.ndarray:
@@ -80,10 +57,3 @@ def partial_trace(m, dims, keep: str) -> np.ndarray:
         return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
-
-def trace_product(a, b) -> complex:
-    """Tr(a @ b) without forming the product matrix."""
-    ma, mb = _square(a), _square(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return complex(np.sum(ma * mb.T))

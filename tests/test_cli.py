@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -258,9 +259,11 @@ class TestValidate:
             "draw_states", "twins", "residuals", "roundtrip", "oracles", "total",
         ]
 
-    def test_stage_times_go_to_stderr_and_stdout_stays_identical(self, capsys):
+    def test_stage_times_go_to_stderr_and_stdout_stays_identical(self, capsys, caplog):
         _, first, err_first = run(capsys, "validate", "--trials", "40", "--seed", "8")
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
         _, second, err_second = run(capsys, "validate", "--trials", "40", "--seed", "8")
+        assert len(caplog.records) == 50  # each oracle on each of the 25 oracle trials
         assert first == second
         assert "draw_states" not in first
         for err in (err_first, err_second):

@@ -4,56 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from qdiscord.errors import DimensionMismatch, NotHermitian
-from qdiscord.linalg import (
-    PAULI_Z,
-    hermitian_eig,
-    partial_trace,
-    tensor,
-    trace_product,
-)
+from qdiscord.errors import DimensionMismatch
+from qdiscord.linalg import PAULI_Z, partial_trace, tensor
 from qdiscord.states import make_horodecki
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        eig = hermitian_eig(np.eye(2))
-        np.testing.assert_allclose(eig.values, [1.0, 1.0])
-
-    def test_diagonal_sorted_descending(self):
-        eig = hermitian_eig(np.diag([1.0 / 3.0, 2.0 / 3.0]))
-        np.testing.assert_allclose(eig.values, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-        # eigenvectors of a diagonal input are a permutation up to phase
-        assert np.allclose(np.abs(eig.vectors), [[0, 1], [1, 0]], atol=1e-12)
-
-    def test_example1_rank2_spectrum(self):
-        from qdiscord.states import make_example1
-
-        eig = hermitian_eig(make_example1(2.0).matrix)
-        np.testing.assert_allclose(
-            eig.values, [2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0], atol=1e-12
-        )
-
-    def test_not_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_non_square_raises(self):
-        with pytest.raises(DimensionMismatch):
-            hermitian_eig(np.zeros((2, 3)))
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_reconstruction_and_trace(self, dim):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            m = random_hermitian(rng, dim)
-            eig = hermitian_eig(m)
-            assert np.sum(eig.values) == pytest.approx(np.trace(m).real, abs=1e-10)
-            recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
-            assert np.max(np.abs(recon - m)) < 1e-10
-            gram = eig.vectors.conj().T @ eig.vectors
-            assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
-            assert np.all(np.diff(eig.values) <= 1e-14)
 
 
 class TestTensor:
@@ -121,31 +74,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), (3, 2), "A")
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        assert trace_product(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_purity_of_maximally_mixed(self):
-        rho = np.eye(2) / 2
-        assert trace_product(rho, rho).real == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
-    def test_horodecki_marginal_purity(self, p):
-        rho_b = partial_trace(make_horodecki(p).matrix, (2, 2), "A")
-        expected = 1.0 - p * (2.0 - p) / 2.0
-        assert trace_product(rho_b, rho_b).real == pytest.approx(expected, abs=1e-12)
-
-    def test_matches_full_product(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert trace_product(a, b) == pytest.approx(np.trace(a @ b), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            trace_product(np.eye(2), np.eye(3))
 
 
 @settings(deadline=None, max_examples=40)

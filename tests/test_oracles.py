@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_density, random_pure_density
+from qdiscord import oracles
 from qdiscord.channel import (
     bloch_state,
     extract_channel,
@@ -12,18 +14,19 @@ from qdiscord.channel import (
 )
 from qdiscord.discord import discord_rank2
 from qdiscord.errors import DegenerateMarginal
-from qdiscord.linalg import partial_trace, tensor
+from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
 from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.oracles import (
     GridSpec,
     _batched_entropy,
     _decomposition_objectives,
+    _measurement_response,
+    _sampled_decompositions,
     aligned_decomposition,
     decomposition_linear_cc,
     measurement_projectors,
     projective_classical_correlation,
     projective_discord,
-    random_decomposition,
 )
 from qdiscord.states import (
     DensityMatrix,
@@ -117,6 +120,108 @@ class TestProjectiveOracle:
         assert value >= -1e-10
 
 
+def _partial_trace_response(rho):
+    """The dA x dA frame: Tr_B[rho] and Tr_B[rho (I x sigma_k)], for any rank."""
+    d_a = rho.dim_a
+    r = rho.matrix.reshape(d_a, 2, d_a, 2)
+    return np.einsum("abcb->ac", r), np.stack([np.einsum("abcd,db->ac", r, s) for s in PAULIS])
+
+
+def _in_partial_trace_frame(monkeypatch, rho):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_measurement_response", _partial_trace_response)
+        return projective_classical_correlation(rho)
+
+
+def _random_rank(rng, dim_a, rank):
+    g = rng.standard_normal((2 * dim_a, rank)) + 1j * rng.standard_normal((2 * dim_a, rank))
+    m = g @ g.conj().T
+    return DensityMatrix((dim_a, 2), m / np.trace(m).real)
+
+
+class TestRankFrame:
+    @pytest.mark.parametrize("dim_a", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, "full"])
+    def test_matches_partial_trace_frame(self, monkeypatch, dim_a, rank):
+        rng = np.random.default_rng(100 * dim_a + (0 if rank == "full" else rank))
+        for _ in range(3):
+            rho = _random_rank(rng, dim_a, 2 * dim_a if rank == "full" else rank)
+            frame = _measurement_response(rho)[0].shape[0]
+            assert frame == (rank if rank != "full" and rank < dim_a else dim_a)
+            got = projective_classical_correlation(rho)
+            assert got == pytest.approx(_in_partial_trace_frame(monkeypatch, rho), abs=1e-14)
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 4])
+    def test_bell_state_on_two_levels_of_a(self, monkeypatch, dim_a):
+        # |Phi+> on the first two levels of A: rank 1 in a 2dA-dimensional space.
+        psi = np.zeros(2 * dim_a, dtype=complex)
+        psi[[0, 3]] = 1.0 / math.sqrt(2.0)
+        rho = DensityMatrix((dim_a, 2), np.outer(psi, psi.conj()))
+        assert _measurement_response(rho)[0].shape == (1, 1)
+        got = projective_classical_correlation(rho)
+        assert got == pytest.approx(1.0, abs=1e-14)
+        assert got == pytest.approx(_in_partial_trace_frame(monkeypatch, rho), abs=1e-14)
+
+    @pytest.mark.parametrize("dim_a", [3, 4])
+    @pytest.mark.parametrize("eps,frame", [(5e-13, 2), (2e-12, 3)])
+    def test_both_sides_of_the_eigenvalue_cut(self, monkeypatch, dim_a, eps, frame):
+        # A third eigenvalue eps below the cut is left out of the frame, above
+        # it is kept; either way the value moves by about eps log2(1/eps).
+        assert (eps < EIGENVALUE_CLAMP) == (frame == 2)
+        dropped_mass = eps * (1.0 - math.log2(eps))
+        for seed in (1, 2, 3):
+            rank2 = make_random_rank2(seed, dim_a=dim_a)
+            w = np.linalg.eigh(rank2.matrix)[1][:, 0]
+            rho = DensityMatrix(
+                rank2.dims, (1.0 - eps) * rank2.matrix + eps * np.outer(w, w.conj())
+            )
+            assert _measurement_response(rho)[0].shape[0] == frame
+            got = projective_classical_correlation(rho)
+            full = _in_partial_trace_frame(monkeypatch, rho)
+            assert abs(got - full) <= (dropped_mass if frame == 2 else 1e-14)
+            assert abs(got - projective_classical_correlation(rank2)) <= 2.0 * dropped_mass
+
+
+class TestOracleLogging:
+    def test_projective_search_logs_its_convergence(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
+        grid = GridSpec()
+        for rho in (make_random_rank2(3), make_random_rank2(3, dim_a=3), make_example1(0.5)):
+            caplog.clear()
+            value = projective_classical_correlation(rho, grid)
+            (record,) = caplog.records
+            fields = dict(part.split("=") for part in record.getMessage().split()[1:])
+            rounds = int(fields["rounds"])
+            assert 0 < rounds <= grid.max_rounds
+            assert int(fields["directions"]) == (
+                grid.n_theta * grid.n_phi + rounds * grid.refine_starts * 25
+            )
+            assert int(fields["frame"]) == 2
+            assert float(fields["best"]) == value
+            theta, phi = float(fields["theta"]), float(fields["phi"])
+            drop = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
+            r = rho.matrix.reshape(rho.dim_a, 2, rho.dim_a, 2)
+            for proj in measurement_projectors(theta, phi):
+                cond = np.einsum("abcd,db->ac", r, proj)
+                p = np.trace(cond).real
+                drop -= p * von_neumann_entropy(cond / p)
+            assert drop == pytest.approx(value, abs=1e-12)
+
+    def test_decomposition_search_logs_candidates_and_winner(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
+        value = decomposition_linear_cc(make_random_rank2(4), trials=8, seed=2)
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"decomposition: candidates=25 aligned_won=True best={value:.17g}"
+        )
+
+    def test_silent_by_default(self, caplog):
+        caplog.set_level(logging.INFO, logger="qdiscord.oracles")
+        projective_classical_correlation(make_random_rank2(3))
+        decomposition_linear_cc(make_random_rank2(3), trials=4, seed=0)
+        assert caplog.records == []
+
+
 class TestProjectiveDiscord:
     def test_bell_state(self):
         assert projective_discord(make_bell_diagonal(1, -1, 1)) == pytest.approx(
@@ -194,54 +299,58 @@ class TestBatchedPaths:
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_objectives_match_one_at_a_time(self, dim_a):
-        rng = np.random.default_rng(45)
         ch = extract_channel(make_random_rank2(7, dim_a=dim_a))
         lam = ch.marginal_eigenvalues
         r_b = np.array([0.0, 0.0, lam[0] - lam[1]])
-        decomps = [random_decomposition(r_b, size, rng) for size in (2, 3, 4, 4, 3, 2)]
         basis = gell_mann_basis(dim_a)
 
         def s2_out(r):
             return linear_entropy(bloch_state(ch.linear_part @ r + ch.offset, basis))
 
-        reference = [
-            s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(dec.probabilities, dec.bloch_vectors))
-            for dec in decomps
-        ]
-        np.testing.assert_allclose(
-            _decomposition_objectives(ch, r_b, decomps), reference, rtol=0, atol=1e-14
-        )
+        for probs, vectors in [aligned_decomposition(ch), *_sampled_decompositions(r_b, 6, 45)]:
+            reference = [
+                s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(row_p, row_v))
+                for row_p, row_v in zip(probs, vectors)
+            ]
+            np.testing.assert_allclose(
+                _decomposition_objectives(ch, r_b, probs, vectors), reference, rtol=0, atol=1e-14
+            )
 
 
 class TestDecompositionSampling:
+    @staticmethod
+    def _marginal(seed):
+        ch = extract_channel(make_random_rank2(seed))
+        lam = ch.marginal_eigenvalues
+        return ch, np.array([0.0, 0.0, lam[0] - lam[1]])
+
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_constraints_hold(self, size):
-        rng = np.random.default_rng(43)
         for seed in range(20):
-            rho = make_random_rank2(seed)
-            ch = extract_channel(rho)
-            lam = ch.marginal_eigenvalues
-            r_b = np.array([0.0, 0.0, lam[0] - lam[1]])
-            decomp = random_decomposition(r_b, size, rng)
-            assert decomp.probabilities.shape == (size,)
-            assert np.all(decomp.probabilities >= -1e-12)
-            assert np.sum(decomp.probabilities) == pytest.approx(1.0, abs=1e-10)
-            recon = decomp.probabilities @ decomp.bloch_vectors
-            np.testing.assert_allclose(recon, r_b, atol=1e-10)
-            norms = np.linalg.norm(decomp.bloch_vectors, axis=1)
-            np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+            _, r_b = self._marginal(seed)
+            probs, vectors = _sampled_decompositions(r_b, 16, seed)[size - 2]
+            assert probs.shape == (16, size) and vectors.shape == (16, size, 3)
+            assert np.all(probs >= -1e-12)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-10)
+            recon = np.einsum("ns,nsk->nk", probs, vectors)
+            np.testing.assert_allclose(recon, np.broadcast_to(r_b, recon.shape), atol=1e-10)
+            np.testing.assert_allclose(np.linalg.norm(vectors, axis=2), 1.0, atol=1e-10)
+
+    def test_smaller_sample_is_a_prefix_of_a_larger_one(self):
+        _, r_b = self._marginal(5)
+        small = _sampled_decompositions(r_b, 16, 11)
+        large = _sampled_decompositions(r_b, 32, 11)
+        for (p16, v16), (p32, v32) in zip(small, large):
+            np.testing.assert_array_equal(p16, p32[:16])
+            np.testing.assert_array_equal(v16, v32[:16])
 
     def test_aligned_candidate_constraints(self):
         for seed in range(20):
-            ch = extract_channel(make_random_rank2(seed))
-            lam = ch.marginal_eigenvalues
-            r_b = np.array([0.0, 0.0, lam[0] - lam[1]])
-            decomp = aligned_decomposition(ch)
-            recon = decomp.probabilities @ decomp.bloch_vectors
-            np.testing.assert_allclose(recon, r_b, atol=1e-10)
-            np.testing.assert_allclose(
-                np.linalg.norm(decomp.bloch_vectors, axis=1), 1.0, atol=1e-10
-            )
+            ch, r_b = self._marginal(seed)
+            probs, vectors = aligned_decomposition(ch)
+            assert probs.shape == (1, 2) and vectors.shape == (1, 2, 3)
+            np.testing.assert_allclose(probs[0] @ vectors[0], r_b, atol=1e-10)
+            np.testing.assert_allclose(np.linalg.norm(vectors[0], axis=1), 1.0, atol=1e-10)
 
 
 class TestOracleSandwich:

@@ -12,7 +12,6 @@ from qdiscord.errors import (
     OutOfDomain,
     StateFormatError,
 )
-from qdiscord.linalg import hermitian_eig
 from qdiscord.measures import von_neumann_entropy
 from qdiscord.states import (
     DensityMatrix,
@@ -53,10 +52,8 @@ class TestBellDiagonal:
     @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.9])
     def test_two_bell_mixture_is_rank_two(self, lam):
         rho = make_bell_diagonal(1.0, 1 - 2 * lam, 2 * lam - 1)
-        values = hermitian_eig(rho.matrix).values
-        np.testing.assert_allclose(
-            values, sorted([lam, 1 - lam, 0, 0], reverse=True), atol=1e-12
-        )
+        values = np.linalg.eigvalsh(rho.matrix)
+        np.testing.assert_allclose(values, sorted([lam, 1 - lam, 0, 0]), atol=1e-12)
         assert correlation_report(rho).rank == 2
 
     def test_invalid_coefficients_raise(self):
@@ -94,23 +91,19 @@ class TestHorodecki:
 
 class TestExample1:
     def test_rank_two_at_endpoint(self):
-        values = hermitian_eig(make_example1(2.0).matrix).values
-        np.testing.assert_allclose(values, [2 / 3, 1 / 3, 0, 0], atol=1e-12)
+        values = np.linalg.eigvalsh(make_example1(2.0).matrix)
+        np.testing.assert_allclose(values, [0, 0, 1 / 3, 2 / 3], atol=1e-12)
 
     def test_spectrum_at_zero(self):
-        values = hermitian_eig(make_example1(0.0).matrix).values
-        np.testing.assert_allclose(values, [1 / 3, 1 / 3, 1 / 3, 0], atol=1e-12)
+        values = np.linalg.eigvalsh(make_example1(0.0).matrix)
+        np.testing.assert_allclose(values, [0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     @pytest.mark.parametrize("x", np.linspace(0, 2, 9))
     def test_spectrum_formula_and_trace(self, x):
         rho = make_example1(float(x))
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
-        expected = sorted(
-            [(2 - x) / 6, (2 - x) / 6, (2 + x) / 6, x / 6], reverse=True
-        )
-        np.testing.assert_allclose(
-            hermitian_eig(rho.matrix).values, expected, atol=1e-12
-        )
+        expected = sorted([(2 - x) / 6, (2 - x) / 6, (2 + x) / 6, x / 6])
+        np.testing.assert_allclose(np.linalg.eigvalsh(rho.matrix), expected, atol=1e-12)
 
     def test_marginal_b_maximally_mixed(self):
         for x in (0.0, 0.7, 2.0):
