@@ -34,7 +34,7 @@ from .errors import (
     RankTooHigh,
     StateFormatError,
 )
-from .linalg import partial_trace, tensor
+from .linalg import partial_trace, tensor, trace_product
 from .measures import (
     binary_entropy,
     eof_two_qubit,

@@ -57,3 +57,13 @@ def partial_trace(m, dims, keep: str) -> np.ndarray:
         return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
+
+def trace_product(a, b) -> complex:
+    """Tr(a @ b) without forming the product matrix."""
+    ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    for m in (ma, mb):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if ma.shape != mb.shape:
+        raise DimensionMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
+    return complex(np.sum(ma * mb.T))
