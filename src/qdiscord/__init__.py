@@ -27,6 +27,7 @@ from .errors import (
     DegenerateDenominator,
     DegenerateMarginal,
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPositive,
     OutOfDomain,
@@ -34,7 +35,7 @@ from .errors import (
     RankTooHigh,
     StateFormatError,
 )
-from .linalg import partial_trace, tensor, trace_product
+from .linalg import partial_trace, tensor
 from .measures import (
     binary_entropy,
     eof_two_qubit,
@@ -53,13 +54,11 @@ from .oracles import (
 )
 from .states import (
     DensityMatrix,
-    FamilySpec,
     Purification,
     dump_state,
     load_state,
     make_bell_diagonal,
     make_example1,
-    make_family,
     make_horodecki,
     make_random_rank2,
     make_rho2,

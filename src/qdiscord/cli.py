@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,13 +32,14 @@ from .errors import DegenerateMarginal, QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
 from .states import (
-    FAMILY_NAMES,
     DensityMatrix,
-    FamilySpec,
     dump_state,
     load_state,
-    make_family,
+    make_bell_diagonal,
+    make_example1,
+    make_horodecki,
     make_random_rank2,
+    make_rho2,
     random_unitary,
     stack_matrices,
     trial_seed,
@@ -84,126 +86,117 @@ def _parse_c_triple(text: str):
     return tuple(float(p) for p in parts)
 
 
-def _family_spec(args) -> FamilySpec:
-    name = args.family
-    if name == "bell_diagonal":
-        if args.c is None:
-            raise QDiscordError("family bell_diagonal requires --c c1,c2,c3")
-        c1, c2, c3 = args.c
-        return FamilySpec(name, {"c1": c1, "c2": c2, "c3": c3})
-    if name == "horodecki":
-        if args.p is None:
-            raise QDiscordError("family horodecki requires --p")
-        return FamilySpec(name, {"p": args.p})
-    if name == "example1":
-        if args.x is None:
-            raise QDiscordError("family example1 requires --x")
-        return FamilySpec(name, {"x": args.x})
-    if name == "rho2":
-        if args.x is None or args.theta is None or args.eta is None:
-            raise QDiscordError("family rho2 requires --x, --theta and --eta")
-        return FamilySpec(name, {"x": args.x, "theta": args.theta, "eta": args.eta})
-    if name == "random_rank2":
-        if args.seed is None:
-            raise QDiscordError("family random_rank2 requires --seed")
-        return FamilySpec(name, {"seed": args.seed, "da": args.da})
-    raise QDiscordError(f"unknown family {name!r}")
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
-def _load_input_state(args):
-    """Returns (state, family spec or None) from --family flags or --state file."""
-    if args.state is not None:
-        with open(args.state, "r", encoding="utf-8") as handle:
-            return load_state(handle.read()), None
-    if args.family is None:
-        raise QDiscordError("provide either --family or --state")
-    spec = _family_spec(args)
-    return make_family(spec), spec
+_REPORT_COLUMNS = ("S_A", "S_B", "S_AB", "I_mutual", "I_cc", "Q_discord")
 
 
-def _family_payload(spec):
-    if spec is None:
-        return None
-    return {"name": spec.name, "parameters": dict(spec.parameters)}
+def _report_columns(report, closed):
+    """The report columns plus the family's closed-form discord."""
+    columns = [getattr(report, name) for name in _REPORT_COLUMNS]
+    return [*_REPORT_COLUMNS, "Q_closed_form"], [*columns, closed]
+
+
+def _example1_columns(grid, states, parameters):
+    closed = [max(1.0 / 9.0, (1.0 - 2.0 * x) ** 2 / 9.0) for x in grid]
+    return ["I2_cc", "I2_cc_closed"], [linear_classical_correlation(states), closed]
+
+
+def _horodecki_columns(grid, states, parameters):
+    p = np.array(grid)
+    closed = binary_entropy(p / 2.0) - binary_entropy(p) + f_map(2.0 * p * (1.0 - p))
+    return _report_columns(discord_rank2(states), closed)
+
+
+def _rho2_columns(grid, states, parameters):
+    report = discord_rank2(states)
+    closed = discord_rho2_closed_form(np.array(grid), parameters["theta"], parameters["eta"])
+    return _report_columns(report, np.where(np.isnan(closed), report.Q_discord, closed))
+
+
+class _Family(NamedTuple):
+    """A state family as the CLI sees it: the builder, the flags it takes
+    positionally (in payload order), and for a sweepable family the swept
+    flag and a ``(grid, states, parameters) -> (header, columns)`` function
+    giving the measured and closed-form columns."""
+
+    build: Callable
+    flags: tuple
+    sweep: Optional[str] = None
+    columns: Optional[Callable] = None
+
+
+_FAMILIES = {
+    "bell_diagonal": _Family(make_bell_diagonal, ("c",)),
+    "horodecki": _Family(make_horodecki, ("p",), "p", _horodecki_columns),
+    "example1": _Family(make_example1, ("x",), "x", _example1_columns),
+    "rho2": _Family(make_rho2, ("x", "theta", "eta"), "x", _rho2_columns),
+    "random_rank2": _Family(make_random_rank2, ("seed", "da")),
+}
+
+
+def _family_parameters(args, swept=None) -> dict:
+    """The payload parameters of ``--family`` from its flags, naming every
+    missing flag but ``swept``; the ``--c`` triple gives c1, c2 and c3."""
+    flags = _FAMILIES[args.family].flags
+    missing = [f"--{flag}" for flag in flags if flag != swept and getattr(args, flag) is None]
+    if missing:
+        listed = ", ".join(missing[:-1]) + " and " + missing[-1] if missing[1:] else missing[0]
+        raise QDiscordError(f"family {args.family} requires {listed}")
+    parameters = {}
+    for flag in flags:
+        value = getattr(args, flag)
+        if isinstance(value, tuple):
+            parameters.update((f"{flag}{i}", v) for i, v in enumerate(value, 1))
+        else:
+            parameters[flag] = value
+    return parameters
+
+
+def _family_state(args):
+    """(state, payload parameters) of the ``--family`` flags."""
+    parameters = _family_parameters(args)
+    return _FAMILIES[args.family].build(*parameters.values()), parameters
 
 
 def cmd_compute(args) -> int:
-    rho, spec = _load_input_state(args)
-    fields = vars(correlation_report(rho, family=spec)).items()
-    payload = {"family": _family_payload(spec)}
-    payload.update((name, value) for name, value in fields if name != "family")
-    print(_fmt_json(payload))
+    if args.state is not None:
+        with open(args.state, "r", encoding="utf-8") as handle:
+            rho, family = load_state(handle.read()), None
+    elif args.family is None:
+        raise QDiscordError("provide either --family or --state")
+    else:
+        rho, parameters = _family_state(args)
+        family = {"name": args.family, "parameters": parameters}
+    print(_fmt_json({"family": family, **vars(correlation_report(rho))}))
     return 0
-
-
-def _example1_i2_closed(x: float) -> float:
-    return max(1.0 / 9.0, (1.0 - 2.0 * x) ** 2 / 9.0)
-
-
-def _horodecki_q_closed(p: float) -> float:
-    return (
-        binary_entropy(p / 2.0)
-        - binary_entropy(p)
-        + f_map(2.0 * p * (1.0 - p))
-    )
 
 
 def _sweep_grid(start: float, stop: float, steps: int):
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-_REPORT_COLUMNS = ("S_A", "S_B", "S_AB", "I_mutual", "I_cc", "Q_discord")
-
-
-def _report_rows(param: str, grid, report, closed):
-    """Sweep rows of the report columns plus the family's closed-form discord."""
-    header = [param, *_REPORT_COLUMNS, "Q_closed_form"]
-    columns = [grid, *(getattr(report, name) for name in _REPORT_COLUMNS), closed]
-    return header, [list(row) for row in zip(*columns)]
-
-
-def _sweep_rows(args):
-    """Header and rows of one sweep; all grid states go through one batched call."""
-    grid = _sweep_grid(args.start, args.stop, args.steps)
-    if args.family == "example1":
-        if args.param != "x":
-            raise QDiscordError("example1 sweeps over --param x")
-        states = [make_family(FamilySpec("example1", {"x": x})) for x in grid]
-        i2_cc = linear_classical_correlation(states)
-        rows = [[x, i2, _example1_i2_closed(x)] for x, i2 in zip(grid, i2_cc)]
-        return ["x", "I2_cc", "I2_cc_closed"], rows
-    if args.family == "horodecki":
-        if args.param != "p":
-            raise QDiscordError("horodecki sweeps over --param p")
-        report = discord_rank2(
-            [make_family(FamilySpec("horodecki", {"p": p})) for p in grid]
-        )
-        return _report_rows("p", grid, report, _horodecki_q_closed(np.array(grid)))
-    if args.family == "rho2":
-        if args.param != "x":
-            raise QDiscordError("rho2 sweeps over --param x")
-        if args.theta is None or args.eta is None:
-            raise QDiscordError("rho2 sweeps require fixed --theta and --eta")
-        angles = {"theta": args.theta, "eta": args.eta}
-        report = discord_rank2(
-            [make_family(FamilySpec("rho2", {"x": x, **angles})) for x in grid]
-        )
-        closed = discord_rho2_closed_form(np.array(grid), args.theta, args.eta)
-        closed = np.where(np.isnan(closed), report.Q_discord, closed)
-        return _report_rows("x", grid, report, closed)
-    raise QDiscordError(f"family {args.family!r} has no sweep schema")
-
-
 def cmd_sweep(args) -> int:
+    """Write the CSV of one sweep; all grid states go through one batched call."""
     if args.steps < 2:
         raise QDiscordError(f"--steps must be at least 2, got {args.steps}")
     if not args.start < args.stop:
         raise QDiscordError(f"--from {args.start} must be below --to {args.stop}")
-    header, rows = _sweep_rows(args)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
+    family = _FAMILIES[args.family]
+    if family.sweep is None:
+        raise QDiscordError(f"family {args.family!r} has no sweep schema")
+    if args.param != family.sweep:
+        raise QDiscordError(f"{args.family} sweeps over --param {family.sweep}")
+    parameters = _family_parameters(args, swept=family.sweep)
+    grid = _sweep_grid(args.start, args.stop, args.steps)
+    states = [family.build(*{**parameters, family.sweep: v}.values()) for v in grid]
+    header, columns = family.columns(grid, states, parameters)
+    rows = (",".join(repr(float(v)) for v in row) for row in zip(grid, *columns))
+    text = "\n".join([",".join([family.sweep, *header]), *rows]) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -331,13 +324,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_state_show(args) -> int:
-    spec = _family_spec(args)
-    print(dump_state(make_family(spec)))
+    print(dump_state(_family_state(args)[0]))
     return 0
 
 
 def _add_family_arguments(parser, include_state=False):
-    parser.add_argument("--family", choices=FAMILY_NAMES, default=None)
+    # With --state as the alternative, compute checks for --family itself.
+    parser.add_argument("--family", choices=tuple(_FAMILIES), required=not include_state)
     parser.add_argument("--c", type=_parse_c_triple, default=None,
                         help="bell_diagonal coefficients c1,c2,c3")
     parser.add_argument("--p", type=float, default=None, help="horodecki weight")
@@ -345,7 +338,7 @@ def _add_family_arguments(parser, include_state=False):
                         help="example1 / rho2 parameter")
     parser.add_argument("--theta", type=float, default=None, help="rho2 angle")
     parser.add_argument("--eta", type=float, default=None, help="rho2 angle")
-    parser.add_argument("--seed", type=int, default=None, help="random_rank2 seed")
+    parser.add_argument("--seed", type=_parse_seed, default=None, help="random_rank2 seed")
     parser.add_argument("--da", type=int, default=2,
                         help="random_rank2 A-side dimension (2, 3 or 4)")
     if include_state:
@@ -376,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="run the randomized identity suite")
     validate.add_argument("--trials", type=int, required=True)
-    validate.add_argument("--seed", type=int, default=0)
+    validate.add_argument("--seed", type=_parse_seed, default=0)
     validate.add_argument("--tol", action="append", default=None,
                           metavar="NAME=VALUE",
                           help="override a check tolerance, e.g. kw=1e-6")

@@ -38,7 +38,7 @@ from .measures import (
     unit_interval,
     von_neumann_entropy,
 )
-from .states import RANK_TOL, DensityMatrix, FamilySpec, purify, traced_over_b
+from .states import RANK_TOL, DensityMatrix, purify, traced_over_b
 
 _CLAMP_WINDOW = 1e-9
 _FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
@@ -65,7 +65,6 @@ class CorrelationReport:
     I_cc: Optional[float]
     Q_discord: Optional[float]
     rank: int
-    family: Optional[FamilySpec] = None
     reason: Optional[str] = None
 
 
@@ -101,8 +100,8 @@ def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
     return None
 
 
-def _assess(rho, family):
-    """``correlation_report(rho, family)`` and each state's exclusion error or None."""
+def _assess(rho):
+    """``correlation_report(rho)`` and each state's exclusion error or None."""
     matrices, dims, single = stack_states(rho)
     *rows, third = in_blocks(_report_rows, matrices, dims)
     fields = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
@@ -114,22 +113,22 @@ def _assess(rho, family):
         if errors[0]:
             fields.update(I_cc=None, Q_discord=None)
     reason = reasons[0] if single else tuple(reasons)
-    return CorrelationReport(**fields, family=family, reason=reason), errors
+    return CorrelationReport(**fields, reason=reason), errors
 
 
-def correlation_report(rho, family: Optional[FamilySpec] = None) -> CorrelationReport:
+def correlation_report(rho) -> CorrelationReport:
     """Every correlation quantity of a dA x 2 state, or of a sequence of them.
 
     Never raises for a supported shape; ``reason`` says where the rank-2
     two-qubit closed form does not apply and ``I_cc``/``Q_discord`` are unset.
     """
-    return _assess(rho, family)[0]
+    return _assess(rho)[0]
 
 
-def discord_rank2(rho, family: Optional[FamilySpec] = None) -> CorrelationReport:
+def discord_rank2(rho) -> CorrelationReport:
     """``correlation_report`` for rank-<=2 two-qubit states; raises DimensionMismatch
     or RankTooHigh elsewhere, naming the first offending state of a batch."""
-    report, errors = _assess(rho, family)
+    report, errors = _assess(rho)
     for index, error in enumerate(errors):
         if error is not None:
             raise error if isinstance(rho, DensityMatrix) else type(error)(

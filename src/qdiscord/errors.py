@@ -13,6 +13,10 @@ class DimensionMismatch(QDiscordError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
 
+class NotFinite(QDiscordError):
+    """A would-be density matrix has a NaN or infinite entry."""
+
+
 class OutOfDomain(QDiscordError):
     """A scalar parameter lies outside its documented domain."""
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPositive,
     OutOfDomain,
@@ -30,8 +31,6 @@ from .linalg import (
 
 RANK_TOL = 1e-10
 _JSON_TOL = 1e-8
-
-FAMILY_NAMES = ("bell_diagonal", "horodecki", "example1", "rho2", "random_rank2")
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,8 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match dims ({d_a}, {d_b})"
             )
+        if not np.isfinite(m).all():
+            raise NotFinite("matrix has a NaN or infinite entry")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > 1e-10:
             raise NotHermitian(f"matrix deviates from Hermiticity by {herm_dev:.3e}")
@@ -95,19 +96,6 @@ class Purification:
     state_vector: np.ndarray
     dims: tuple
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named state family together with its parameter values."""
-
-    name: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
-            raise OutOfDomain(f"unknown family {self.name!r}")
 
 
 def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
@@ -240,17 +228,11 @@ def purify(rho) -> Purification:
     kept = values > RANK_TOL
     d_c = int(kept.sum(axis=1).max())
     lam = np.where(kept[:, :d_c], values[:, :d_c], 0.0)
-    vecs = vectors[:, :, :d_c]
-    psi = (vecs * np.sqrt(lam)[:, None, :]).reshape(len(matrices), -1)
+    psi = (vectors[:, :, :d_c] * np.sqrt(lam)[:, None, :]).reshape(len(matrices), -1)
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
     if single:
-        psi, lam, vecs = psi[0], lam[0], vecs[0]
-    return Purification(
-        state_vector=psi,
-        dims=(d_a, d_b, d_c),
-        eigenvalues=lam,
-        eigenvectors=vecs,
-    )
+        psi, lam = psi[0], lam[0]
+    return Purification(state_vector=psi, dims=(d_a, d_b, d_c), eigenvalues=lam)
 
 
 def traced_over_c(pur: Purification) -> np.ndarray:
@@ -267,22 +249,6 @@ def traced_over_b(pur: Purification) -> np.ndarray:
     t = pur.state_vector.reshape(*lead, d_a, d_b, d_c)
     rho_ac = np.einsum("...abc,...dbe->...acde", t, t.conj())
     return rho_ac.reshape(*lead, d_a * d_c, d_a * d_c)
-
-
-def make_family(spec: FamilySpec) -> DensityMatrix:
-    """Build the density matrix a FamilySpec describes."""
-    p = spec.parameters
-    if spec.name == "bell_diagonal":
-        return make_bell_diagonal(p["c1"], p["c2"], p["c3"])
-    if spec.name == "horodecki":
-        return make_horodecki(p["p"])
-    if spec.name == "example1":
-        return make_example1(p["x"])
-    if spec.name == "rho2":
-        return make_rho2(p["x"], p["theta"], p["eta"])
-    if spec.name == "random_rank2":
-        return make_random_rank2(int(p["seed"]), int(p.get("da", 2)))
-    raise OutOfDomain(f"unknown family {spec.name!r}")
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:
@@ -315,6 +281,8 @@ def state_from_json_dict(obj) -> DensityMatrix:
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise StateFormatError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+    if not np.isfinite(m).all():
+        raise StateFormatError("matrix entries must be finite, got NaN or Infinity")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateFormatError(f"matrix is not square: shape {m.shape}")
     if m.shape[0] != dims[0] * dims[1]:

@@ -13,8 +13,12 @@ from qdiscord.errors import DegenerateMarginal
 from qdiscord.linalg import tensor
 from qdiscord.states import (
     DensityMatrix,
+    dump_state,
+    make_bell_diagonal,
+    make_example1,
     make_horodecki,
     make_random_rank2,
+    make_rho2,
     random_unitary,
     trial_seed,
 )
@@ -36,6 +40,48 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# (name, flags, the state the flags describe, the payload parameters)
+FAMILIES = [
+    ("bell_diagonal", ["--c", "0.3,-0.2,0.1"], make_bell_diagonal(0.3, -0.2, 0.1),
+     {"c1": 0.3, "c2": -0.2, "c3": 0.1}),
+    ("horodecki", ["--p", "0.37"], make_horodecki(0.37), {"p": 0.37}),
+    ("example1", ["--x", "0.7"], make_example1(0.7), {"x": 0.7}),
+    ("rho2", ["--x", "0.3", "--theta", "1.0", "--eta", "2.0"], make_rho2(0.3, 1.0, 2.0),
+     {"x": 0.3, "theta": 1.0, "eta": 2.0}),
+    ("random_rank2", ["--seed", "11", "--da", "3"], make_random_rank2(11, 3),
+     {"seed": 11, "da": 3}),
+]
+
+
+@pytest.mark.parametrize("name, flags, state, parameters", FAMILIES,
+                         ids=[case[0] for case in FAMILIES])
+def test_family_flags_build_the_builders_state(capsys, name, flags, state, parameters):
+    code, out, _ = run(capsys, "state", "show", "--family", name, *flags)
+    assert code == 0
+    assert out == dump_state(state) + "\n"
+    code, out, _ = run(capsys, "compute", "--family", name, *flags)
+    assert code == 0
+    family = json.loads(out)["family"]
+    assert family == {"name": name, "parameters": parameters}
+    assert list(family["parameters"]) == list(parameters)
+
+
+@pytest.mark.parametrize("name, flags, missing", [
+    ("bell_diagonal", [], "--c"),
+    ("horodecki", [], "--p"),
+    ("example1", [], "--x"),
+    ("rho2", [], "--x, --theta and --eta"),
+    ("rho2", ["--theta", "1"], "--x and --eta"),
+    ("rho2", ["--x", "0.3", "--theta", "1"], "--eta"),
+    ("random_rank2", ["--da", "3"], "--seed"),
+])
+@pytest.mark.parametrize("command", [["compute"], ["state", "show"]])
+def test_missing_flags_are_each_named(capsys, command, name, flags, missing):
+    code, out, err = run(capsys, *command, "--family", name, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: family {name} requires {missing}\n"
 
 
 class TestCompute:
@@ -103,6 +149,22 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--family", "horodecki")
         assert code == 2
         assert "requires --p" in err
+
+    @pytest.mark.parametrize("c", ["nan,0,0", "0,nan,0.5"])
+    def test_non_finite_flag_exit_2(self, capsys, c):
+        code, out, err = run(capsys, "compute", "--family", "bell_diagonal", "--c", c)
+        assert (code, out) == (2, "")
+        assert err == "error: matrix has a NaN or infinite entry\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_state_file_exit_2(self, capsys, tmp_path, literal):
+        path = tmp_path / "state.json"
+        doc = json.loads(dump_state(make_horodecki(0.5)))
+        doc["matrix"][1][2][0] = "LITERAL"
+        path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: matrix entries must be finite, got NaN or Infinity\n"
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "horodecki", "--p", "1.5")
@@ -230,6 +292,19 @@ class TestSweep:
                          "--from", "1", "--to", "0", "--steps", "11",
                          "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_swept_flag_is_not_required(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--family", "rho2", "--param", "x",
+                           "--from", "0", "--to", "1", "--steps", "5", "--theta", "1",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err == "error: family rho2 requires --eta\n"
+
+    def test_family_is_required(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--param", "x", "--from", "0", "--to", "1",
+                           "--steps", "5", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "required: --family" in err
 
     def test_unknown_sweep_family_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--family", "random_rank2", "--param",
@@ -394,6 +469,17 @@ class TestValidate:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--trials", "3", "--seed", "-5"],
+    ["compute", "--family", "random_rank2", "--seed", "-5"],
+    ["state", "show", "--family", "random_rank2", "--seed", "-5"],
+])
+def test_negative_seed_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: expected a non-negative integer, got '-5'\n")
+
+
 class TestStateShow:
     def test_emits_parseable_schema(self, capsys):
         code, out, _ = run(capsys, "state", "show", "--family", "horodecki",
@@ -409,8 +495,9 @@ class TestStateShow:
         np.testing.assert_array_equal(matrix, make_horodecki(0.5).matrix)
 
     def test_usage_error_without_family(self, capsys):
-        code, _, _ = run(capsys, "state", "show")
+        code, _, err = run(capsys, "state", "show")
         assert code == 2
+        assert "the following arguments are required: --family" in err
 
 
 class TestUsage:

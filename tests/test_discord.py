@@ -175,12 +175,6 @@ class TestDiscordRank2:
             assert twin.Q_discord == pytest.approx(base.Q_discord, abs=1e-8)
             assert twin.I_cc == pytest.approx(base.I_cc, abs=1e-8)
 
-    def test_family_echo(self):
-        from qdiscord.states import FamilySpec
-
-        spec = FamilySpec("horodecki", {"p": 0.5})
-        assert discord_rank2(make_horodecki(0.5), family=spec).family is spec
-
 
 class TestRho2ClosedForm:
     def test_horodecki_slice_on_grid(self):

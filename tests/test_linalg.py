@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from qdiscord.errors import DimensionMismatch
-from qdiscord.linalg import PAULI_Z, partial_trace, tensor, trace_product
+from qdiscord.linalg import PAULI_Z, partial_trace, tensor
 from qdiscord.states import make_horodecki
 
 
@@ -84,28 +84,3 @@ def test_partial_trace_then_trace_equals_trace(seed):
     assert np.trace(partial_trace(m, (2, 2), "A")) == pytest.approx(
         np.trace(m), abs=1e-12
     )
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        assert trace_product(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_purity_of_maximally_mixed(self):
-        rho = np.eye(2) / 2
-        assert trace_product(rho, rho).real == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
-    def test_horodecki_marginal_purity(self, p):
-        rho_b = partial_trace(make_horodecki(p).matrix, (2, 2), "A")
-        expected = 1.0 - p * (2.0 - p) / 2.0
-        assert trace_product(rho_b, rho_b).real == pytest.approx(expected, abs=1e-12)
-
-    def test_matches_full_product(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert trace_product(a, b) == pytest.approx(np.trace(a @ b), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            trace_product(np.eye(2), np.eye(3))

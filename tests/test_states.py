@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdiscord.discord import correlation_report
 from qdiscord.errors import (
     DimensionMismatch,
+    NotFinite,
     NotPositive,
     OutOfDomain,
     StateFormatError,
@@ -15,12 +16,10 @@ from qdiscord.errors import (
 from qdiscord.measures import von_neumann_entropy
 from qdiscord.states import (
     DensityMatrix,
-    FamilySpec,
     dump_state,
     load_state,
     make_bell_diagonal,
     make_example1,
-    make_family,
     make_horodecki,
     make_random_rank2,
     make_rho2,
@@ -313,6 +312,14 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entry(self, value, entry):
+        m = np.eye(4, dtype=complex) / 4
+        m[entry] = value
+        with pytest.raises(NotFinite, match="NaN or infinite"):
+            DensityMatrix((2, 2), m)
+
 
 class TestJsonFormat:
     def test_roundtrip_is_bit_exact(self):
@@ -355,24 +362,20 @@ class TestJsonFormat:
         with pytest.raises(StateFormatError):
             state_from_json_dict({"dims": [2, 2]})
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_is_a_format_error(self, literal):
+        # Python's json module reads these literals as floats; the parser must
+        # name them before any arithmetic can warn or fail to converge.
+        text = dump_state(make_horodecki(0.5)).replace("0.25", literal, 1)
+        with pytest.raises(StateFormatError, match="finite"):
+            load_state(text)
+
     def test_small_asymmetry_within_parser_tolerance_is_symmetrized(self):
         # full-rank state, so a 5e-9 one-sided perturbation stays positive
         doc = state_to_json_dict(make_bell_diagonal(0.2, -0.3, 0.1))
         doc["matrix"][0][1] = [doc["matrix"][0][1][0] + 5e-9, doc["matrix"][0][1][1]]
         rho = state_from_json_dict(doc)
         assert abs(rho.matrix[0, 1] - rho.matrix[1, 0].conjugate()) == 0.0
-
-
-class TestFamilySpec:
-    def test_make_family_dispatch(self):
-        spec = FamilySpec("horodecki", {"p": 0.5})
-        np.testing.assert_array_equal(
-            make_family(spec).matrix, make_horodecki(0.5).matrix
-        )
-
-    def test_unknown_family(self):
-        with pytest.raises(OutOfDomain):
-            FamilySpec("ghz", {})
 
 
 @settings(deadline=None, max_examples=60)
