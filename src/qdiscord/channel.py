@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import PAULIS, partial_trace
 from .measures import linear_entropy
-from .states import stack_matrices
+from .states import DensityMatrix
 
 _MARGINAL_RANK_TOL = 1e-10
 _BLOCK = 128
@@ -42,8 +42,7 @@ class ChannelBloch:
     ``marginal_eigenvalues`` (descending) and ``marginal_basis`` record the
     eigensystem of rho_B that fixed the B' frame. The raw linear_part depends
     on that frame; only its singular values are basis-independent. Extracted
-    from a sequence of states, every field has a leading axis, one row per
-    state.
+    from a stack of states, every field has a leading axis, one row per state.
     """
 
     output_dim: int
@@ -113,10 +112,11 @@ def extract_channel(rho) -> ChannelBloch:
     affine (L, l) data is then read off in the Pauli frame that maps |phi_i>
     to |i>. A rank-1 rho_B (smaller eigenvalue at most 1e-10) leaves the
     channel undefined off the support: one state raises DegenerateMarginal
-    (callers should use the zero shortcut instead), and in a sequence of
-    states with equal dims such a member gets a NaN linear_part and offset.
+    (callers should use the zero shortcut instead), and in a stack such a
+    member gets a NaN linear_part and offset.
     """
-    matrices, (d_a, d_b), single = stack_states(rho)
+    stack, single = stack_states(rho)
+    matrices, (d_a, d_b) = stack.matrix, stack.dims
     lam, vecs = np.linalg.eigh(partial_trace(matrices, (d_a, d_b), "B"))
     lam, vecs = lam[:, ::-1].copy(), vecs[:, :, ::-1].copy()
     pure = lam[:, 1] <= _MARGINAL_RANK_TOL
@@ -157,7 +157,7 @@ def apply_channel(ch: ChannelBloch, qubit_operator) -> np.ndarray:
     """Linear extension of the affine Bloch action to 2x2 operators.
 
     The leading axes of a (..., 2, 2) operator stack broadcast against the
-    batch axis of a channel extracted from a sequence of states.
+    batch axis of a channel extracted from a stack of states.
     """
     x = np.asarray(qubit_operator, dtype=complex)
     if x.shape[-2:] != (2, 2):
@@ -193,28 +193,30 @@ def singular_values(ch: ChannelBloch) -> np.ndarray:
     return np.linalg.svd(ch.linear_part, compute_uv=False)
 
 
-def stack_states(rho):
-    """(matrices, dims, single) for one DensityMatrix or a sequence with equal
-    dims, of a shape the closed forms support: (dA, 2) with dA in {2, 3, 4}."""
-    matrices, (d_a, d_b), single = stack_matrices(rho)
+def stack_states(rho: DensityMatrix):
+    """(rho as a stack, whether it is one state) for a state or stack of a shape
+    the closed forms support: (dA, 2) with dA in {2, 3, 4}."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    d_a, d_b = rho.dims
     if d_b != 2 or d_a not in (2, 3, 4):
         raise DimensionMismatch(
             f"supported shapes are (dA, 2) with dA in {{2, 3, 4}}, got dims {(d_a, d_b)}"
         )
-    return matrices, (d_a, d_b), single
+    return rho[:], rho.matrix.ndim == 2
 
 
-def in_blocks(stack_function, states, *args) -> np.ndarray:
-    """``stack_function`` over blocks of at most 128 states (stack rows or list
-    items), joined on the last axis; temporaries stay at tens of kB."""
-    blocks = range(0, len(states), _BLOCK)
-    return np.concatenate(
-        [stack_function(states[i : i + _BLOCK], *args) for i in blocks], axis=-1
-    )
+def in_blocks(stack_function, *batches) -> np.ndarray:
+    """``stack_function`` over blocks of at most 128 rows of every batch (arrays,
+    lists or stacks of states, of one length), joined on the last axis;
+    temporaries stay at tens of kB."""
+    blocks = range(0, len(batches[0]), _BLOCK)
+    parts = [stack_function(*(batch[i : i + _BLOCK] for batch in batches)) for i in blocks]
+    return np.concatenate(parts, axis=-1)
 
 
-def linear_cc_batch(matrices: np.ndarray, d_a: int) -> np.ndarray:
-    """Frame-free I2_cc of an (N, 2dA, 2dA) stack of dA x 2 states.
+def linear_cc_batch(rho: DensityMatrix) -> np.ndarray:
+    """Frame-free I2_cc of a stack of dA x 2 states.
 
     T[m, k] = Tr(g_m Tr_B[rho (I x K_k)]) = (4/d) L[m, k], so I2_cc reads
     lam_max(T^T T) S2(rho_B) / 4. A rank-1 rho_B (smaller eigenvalue at most
@@ -223,6 +225,7 @@ def linear_cc_batch(matrices: np.ndarray, d_a: int) -> np.ndarray:
     so I2_cc <= (2(d-1)/d) S2(rho_B), and S2(rho_B) = 4 eps (1 - eps) for the
     smaller eigenvalue eps; at most 4e-10 for two qubits, 6e-10 at dA=4.
     """
+    matrices, d_a = rho.matrix, rho.dim_a
     rho_b = partial_trace(matrices, (d_a, 2), "B")
     lam, vecs = np.linalg.eigh(rho_b)
     pure = lam[:, 0] <= _MARGINAL_RANK_TOL
@@ -235,9 +238,9 @@ def linear_cc_batch(matrices: np.ndarray, d_a: int) -> np.ndarray:
     return np.where(pure, 0.0, 0.25 * lam_max * linear_entropy(rho_b))
 
 
-def linear_classical_correlation(rho):
+def linear_classical_correlation(rho: DensityMatrix):
     """Linear-entropy classical correlation of a dx2 state of any rank; a float
-    for one DensityMatrix, an array for a sequence of them with equal dims."""
-    matrices, dims, single = stack_states(rho)
-    values = in_blocks(linear_cc_batch, matrices, dims[0])
+    for one state, an array for a stack."""
+    stack, single = stack_states(rho)
+    values = in_blocks(linear_cc_batch, stack)
     return values[0].item() if single else values

@@ -10,40 +10,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import (
-    extract_channel,
-    in_blocks,
-    linear_classical_correlation,
-    reassemble_state,
-)
-from .discord import (
-    correlation_report,
-    discord_rank2,
-    discord_rho2_closed_form,
-    identity_residuals,
-)
+from .channel import extract_channel, in_blocks, linear_classical_correlation, reassemble_state
+from .discord import (correlation_report, discord_rank2, discord_rho2_closed_form,
+                      identity_residuals)
 from .errors import DegenerateMarginal, QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
-from .states import (
-    DensityMatrix,
-    dump_state,
-    load_state,
-    make_bell_diagonal,
-    make_example1,
-    make_horodecki,
-    make_random_rank2,
-    make_rho2,
-    random_unitary,
-    stack_matrices,
-    trial_seed,
-)
+from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
+                     make_horodecki, make_random_rank2, make_rho2, random_unitary, trial_seed)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -80,10 +61,11 @@ def _fmt_json(value) -> str:
 
 
 def _parse_c_triple(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("--c expects three comma-separated reals")
-    return tuple(float(p) for p in parts)
+    try:
+        c1, c2, c3 = (float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("--c expects three comma-separated reals") from None
+    return c1, c2, c3
 
 
 def _parse_seed(text: str) -> int:
@@ -106,15 +88,14 @@ def _example1_columns(grid, states, parameters):
     return ["I2_cc", "I2_cc_closed"], [linear_classical_correlation(states), closed]
 
 
-def _horodecki_columns(grid, states, parameters):
-    p = np.array(grid)
+def _horodecki_columns(p, states, parameters):
     closed = binary_entropy(p / 2.0) - binary_entropy(p) + f_map(2.0 * p * (1.0 - p))
     return _report_columns(discord_rank2(states), closed)
 
 
 def _rho2_columns(grid, states, parameters):
     report = discord_rank2(states)
-    closed = discord_rho2_closed_form(np.array(grid), parameters["theta"], parameters["eta"])
+    closed = discord_rho2_closed_form(grid, parameters["theta"], parameters["eta"])
     return _report_columns(report, np.where(np.isnan(closed), report.Q_discord, closed))
 
 
@@ -122,7 +103,8 @@ class _Family(NamedTuple):
     """A state family as the CLI sees it: the builder, the flags it takes
     positionally (in payload order), and for a sweepable family the swept
     flag and a ``(grid, states, parameters) -> (header, columns)`` function
-    giving the measured and closed-form columns."""
+    giving the measured and closed-form columns of the grid array and its
+    stack of states."""
 
     build: Callable
     flags: tuple
@@ -176,14 +158,13 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _sweep_grid(start: float, stop: float, steps: int):
-    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-
-
 def cmd_sweep(args) -> int:
-    """Write the CSV of one sweep; all grid states go through one batched call."""
+    """Write the CSV of one sweep; the grid is one stack of states."""
     if args.steps < 2:
         raise QDiscordError(f"--steps must be at least 2, got {args.steps}")
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(value):
+            raise QDiscordError(f"{flag} must be a finite number, got {value}")
     if not args.start < args.stop:
         raise QDiscordError(f"--from {args.start} must be below --to {args.stop}")
     family = _FAMILIES[args.family]
@@ -192,8 +173,8 @@ def cmd_sweep(args) -> int:
     if args.param != family.sweep:
         raise QDiscordError(f"{args.family} sweeps over --param {family.sweep}")
     parameters = _family_parameters(args, swept=family.sweep)
-    grid = _sweep_grid(args.start, args.stop, args.steps)
-    states = [family.build(*{**parameters, family.sweep: v}.values()) for v in grid]
+    grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
+    states = family.build(*{**parameters, family.sweep: grid}.values())
     header, columns = family.columns(grid, states, parameters)
     rows = (",".join(repr(float(v)) for v in row) for row in zip(grid, *columns))
     text = "\n".join([",".join([family.sweep, *header]), *rows]) + "\n"
@@ -213,30 +194,33 @@ def _parse_tolerance_overrides(pairs):
         if key not in tolerances or not value:
             known = ", ".join(sorted(tolerances))
             raise QDiscordError(f"--tol expects NAME=VALUE with NAME in {{{known}}}")
-        tolerances[key] = float(value)
+        try:
+            tolerances[key] = float(value)
+        except ValueError:
+            tolerances[key] = math.nan
+        if not (math.isfinite(tolerances[key]) and tolerances[key] >= 0.0):
+            raise QDiscordError(f"--tol {key} expects a finite non-negative number, "
+                                f"got {value!r}")
     return tolerances
 
 
-def _twin_correlations(draws) -> np.ndarray:
-    """(I_cc, Q_discord) rows for the local-unitary twins of (trial seed, state)
-    pairs: (U_A x U_B) rho (U_A x U_B)^dagger, with U_A and U_B drawn from the
-    trial seed's substreams 101 and 102."""
-    seeds, states = zip(*draws)
+def _twin_correlations(seeds, rho: DensityMatrix) -> np.ndarray:
+    """(I_cc, Q_discord) rows for the local-unitary twins of a stack of states,
+    one trial seed per state: (U_A x U_B) rho (U_A x U_B)^dagger, with U_A and
+    U_B drawn from the trial seed's substreams 101 and 102."""
     u_a = random_unitary([trial_seed(s, 101) for s in seeds], 2)
     u_b = random_unitary([trial_seed(s, 102) for s in seeds], 2)
     u = np.einsum("nac,nbd->nabcd", u_a, u_b).reshape(-1, 4, 4)
-    matrices, dims, _ = stack_matrices(states)
-    rotated = np.einsum("nij,njk,nlk->nil", u, matrices, u.conj())
-    report = discord_rank2([DensityMatrix(dims, m) for m in rotated])
+    rotated = np.einsum("nij,njk,nlk->nil", u, rho.matrix, u.conj())
+    report = discord_rank2(DensityMatrix(rho.dims, rotated))
     return np.stack([report.I_cc, report.Q_discord])
 
 
-def _roundtrip_residuals(states) -> np.ndarray:
-    """max|reassemble_state(extract_channel(rho)) - rho| per state; NaN where
-    rho_B is rank-1 and the channel is undefined."""
-    matrices = stack_matrices(states)[0]
-    rebuilt = reassemble_state(extract_channel(states))
-    return np.max(np.abs(rebuilt - matrices), axis=(1, 2))
+def _roundtrip_residuals(rho: DensityMatrix) -> np.ndarray:
+    """max|reassemble_state(extract_channel(rho)) - rho| per state of a stack;
+    NaN where rho_B is rank-1 and the channel is undefined."""
+    rebuilt = reassemble_state(extract_channel(rho))
+    return np.max(np.abs(rebuilt - rho.matrix), axis=(1, 2))
 
 
 def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: int) -> dict:
@@ -258,22 +242,23 @@ def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: 
 def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) -> dict:
     """Run every identity and oracle check on seeded random rank-2 states.
 
-    Trial t draws ``make_random_rank2(trial_seed(seed, t))``. The closed-form
-    checks, the local-unitary twins and the channel round trip each make one
-    batched call per block of 128 trials; the oracle-backed checks run on the
-    first 25 trials. Each check reports the trials it evaluated, those it
-    skipped because rho_B is rank-1, the trial of its largest residual and
-    that trial's seed. A dict passed as ``stage_seconds`` receives the wall
-    time of each stage and the total.
+    Trial t is the state of seed ``trial_seed(seed, t)``, drawn with all
+    the others as one ``make_random_rank2`` stack. The closed-form checks,
+    the local-unitary twins and the channel round trip each make one batched
+    call per block of 128 trials; the oracle-backed checks run on the first
+    25 trials. Each check reports the trials it evaluated, those it skipped
+    because rho_B is rank-1, the trial of its largest residual and that
+    trial's seed. A dict passed as ``stage_seconds`` receives the wall time
+    of each stage and the total.
     """
     tolerances = tolerances or dict(_CHECK_TOLERANCES)
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     laps = [time.perf_counter()]
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    states = [make_random_rank2(s) for s in seeds]
+    states = make_random_rank2(seeds)
     laps.append(time.perf_counter())
-    twin_i_cc, twin_q = in_blocks(_twin_correlations, list(zip(seeds, states)))
+    twin_i_cc, twin_q = in_blocks(_twin_correlations, seeds, states)
     laps.append(time.perf_counter())
     report, kw, monogamy = identity_residuals(states)
     residuals["kw"], residuals["monogamy"] = np.abs(kw), np.abs(monogamy)

@@ -21,24 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .channel import in_blocks, linear_cc_batch, stack_states
-from .errors import (
-    ConsistencyError,
-    DegenerateDenominator,
-    DimensionMismatch,
-    OutOfDomain,
-    RankTooHigh,
-)
+from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
-from .measures import (
-    binary_entropy,
-    f_map,
-    linear_entropy,
-    spectral_entropy,
-    tangle_two_qubit,
-    unit_interval,
-    von_neumann_entropy,
-)
-from .states import RANK_TOL, DensityMatrix, purify, traced_over_b
+from .measures import (binary_entropy, f_map, linear_entropy, spectral_entropy, tangle_two_qubit,
+                       unit_interval, von_neumann_entropy)
+from .states import RANK_TOL, DensityMatrix, purify, rho2_domain, traced_over_b
 
 _CLAMP_WINDOW = 1e-9
 _FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
@@ -73,8 +60,9 @@ def _clamp_unit_interval(value):
     return unit_interval(value, "f argument", _CLAMP_WINDOW, ConsistencyError)
 
 
-def _report_rows(matrices: np.ndarray, dims) -> np.ndarray:
+def _report_rows(rho: DensityMatrix) -> np.ndarray:
     """One row per report field, then the third-largest eigenvalues, for a stack."""
+    matrices, dims = rho.matrix, rho.dims
     rho_a = partial_trace(matrices, dims, "A")
     rho_b = partial_trace(matrices, dims, "B")
     spectrum = np.linalg.eigvalsh(matrices)
@@ -82,7 +70,7 @@ def _report_rows(matrices: np.ndarray, dims) -> np.ndarray:
     applies = (rank <= 2) & (dims == (2, 2))
     s_a, s_b, s_ab = (von_neumann_entropy(rho_a), von_neumann_entropy(rho_b),
                       spectral_entropy(spectrum))
-    s2_a, i2_cc = linear_entropy(rho_a), linear_cc_batch(matrices, dims[0])
+    s2_a, i2_cc = linear_entropy(rho_a), linear_cc_batch(rho)
     f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
@@ -102,10 +90,10 @@ def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
 
 def _assess(rho):
     """``correlation_report(rho)`` and each state's exclusion error or None."""
-    matrices, dims, single = stack_states(rho)
-    *rows, third = in_blocks(_report_rows, matrices, dims)
+    stack, single = stack_states(rho)
+    *rows, third = in_blocks(_report_rows, stack)
     fields = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
-    errors = [_exclusion(dims, r, t) for r, t in zip(fields["rank"], third)]
+    errors = [_exclusion(stack.dims, r, t) for r, t in zip(fields["rank"], third)]
     reasons = [error and f"rank-2 two-qubit closed form not applicable: {error}"
                for error in errors]
     if single:
@@ -116,8 +104,8 @@ def _assess(rho):
     return CorrelationReport(**fields, reason=reason), errors
 
 
-def correlation_report(rho) -> CorrelationReport:
-    """Every correlation quantity of a dA x 2 state, or of a sequence of them.
+def correlation_report(rho: DensityMatrix) -> CorrelationReport:
+    """Every correlation quantity of a dA x 2 state, or of a stack of them.
 
     Never raises for a supported shape; ``reason`` says where the rank-2
     two-qubit closed form does not apply and ``I_cc``/``Q_discord`` are unset.
@@ -125,15 +113,13 @@ def correlation_report(rho) -> CorrelationReport:
     return _assess(rho)[0]
 
 
-def discord_rank2(rho) -> CorrelationReport:
+def discord_rank2(rho: DensityMatrix) -> CorrelationReport:
     """``correlation_report`` for rank-<=2 two-qubit states; raises DimensionMismatch
-    or RankTooHigh elsewhere, naming the first offending state of a batch."""
+    or RankTooHigh elsewhere, naming the first offending state of a stack."""
     report, errors = _assess(rho)
     for index, error in enumerate(errors):
         if error is not None:
-            raise error if isinstance(rho, DensityMatrix) else type(error)(
-                f"state {index}: {error}"
-            )
+            raise error if rho.matrix.ndim == 2 else type(error)(f"state {index}: {error}")
     return report
 
 
@@ -146,11 +132,7 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
     call gives NaN there, and the caller should fall back to the pipeline on
     the built state.
     """
-    x = unit_interval(x, "x", slack=0.0)
-    if not 0.0 <= theta <= 2.0 * math.pi:
-        raise OutOfDomain(f"theta={theta} outside [0, 2*pi]")
-    if not 0.0 <= eta <= 2.0 * math.pi:
-        raise OutOfDomain(f"eta={eta} outside [0, 2*pi]")
+    x = rho2_domain(x, theta, eta)
     st, ct = math.sin(theta), math.cos(theta)
     se, ce = math.sin(eta), math.cos(eta)
     d1 = x * ct * ct + (1.0 - x) * se * se
@@ -179,22 +161,21 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
     return float(q) if x.ndim == 0 else np.where(degenerate, np.nan, q)
 
 
-def _purified_tangle(states) -> np.ndarray:
-    """tau(rho_AC) across one purification of each state in a list; a rank-1
+def _purified_tangle(rho: DensityMatrix) -> np.ndarray:
+    """tau(rho_AC) across one purification of each state of a stack; a rank-1
     state gets a trivial C, so its rho_AC is a product with tangle 0."""
-    pur = purify(states)
+    pur = purify(rho)
     if pur.dims[2] == 1:
-        return np.zeros(len(states))
+        return np.zeros(len(rho))
     return tangle_two_qubit(traced_over_b(pur))
 
 
-def identity_residuals(rho):
-    """``(report, kw, monogamy)`` for one state or a batch, from one report and
+def identity_residuals(rho: DensityMatrix):
+    """``(report, kw, monogamy)`` for one state or a stack, from one report and
     one purification: the two residuals below, with E_f(rho_AC) = f(tau)."""
     report = discord_rank2(rho)
-    single = isinstance(rho, DensityMatrix)
-    tau = in_blocks(_purified_tangle, [rho] if single else list(rho))
-    if single:
+    tau = in_blocks(_purified_tangle, rho)
+    if rho.matrix.ndim == 2:
         tau = tau[0].item()
     return report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A
 

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import ChannelBloch, bloch_state, extract_channel, gell_mann_basis
 from .linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
 from .measures import linear_entropy, mutual_information
-from .states import DensityMatrix, trial_seed
+from .states import DensityMatrix, one_state, trial_seed
 
 _log = logging.getLogger(__name__)
 
@@ -161,7 +161,7 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None) 
     cut. Each left-out eigenvalue lam moves the value by at most about
     -lam log2 lam, 4e-11 at lam = 1e-12.
     """
-    if rho.dim_b != 2:
+    if one_state(rho, "the projective oracle").dim_b != 2:
         raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
     grid = grid or GridSpec()
     t_unit, t_pauli = _measurement_response(rho)
@@ -292,7 +292,7 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200, seed: int = 0
     decompositions are drawn from per-size streams (see
     ``_sampled_decompositions``), so larger trial counts extend smaller ones.
     """
-    ch = extract_channel(rho)
+    ch = extract_channel(one_state(rho, "the decomposition oracle"))
     lam = ch.marginal_eigenvalues
     r_b = np.array([0.0, 0.0, float(lam[0] - lam[1])])
     aligned = float(_decomposition_objectives(ch, r_b, *aligned_decomposition(ch))[0])

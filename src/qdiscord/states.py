@@ -13,33 +13,25 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotFinite,
-    NotHermitian,
-    NotPositive,
-    OutOfDomain,
-    StateFormatError,
-)
-from .linalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    partial_trace,
-    tensor,
-)
+from .errors import (DimensionMismatch, NotFinite, NotHermitian, NotPositive, OutOfDomain,
+                     StateFormatError)
+from .linalg import HERMITIAN_TOL, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, tensor
 
 RANK_TOL = 1e-10
+DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
 _JSON_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A bipartite density matrix with an explicit (dA, dB) split.
+    """A bipartite density matrix with an explicit (dA, dB) split, or an
+    (N, n, n) stack of them with one split.
 
-    The stored matrix is canonicalized on construction: it is symmetrized to
-    be exactly Hermitian and rescaled to unit trace, after the raw input has
-    been validated against the 1e-10 construction tolerances.
+    The input is validated in one pass (finite entries, Hermiticity within
+    HERMITIAN_TOL, trace and smallest eigenvalue within DENSITY_TOL; in a
+    stack an error names its first offending member), then symmetrized and
+    rescaled to unit trace. Indexing and slicing give members without
+    validating them again; one state indexes as a stack of one.
     """
 
     dims: tuple
@@ -47,30 +39,52 @@ class DensityMatrix:
 
     def __post_init__(self):
         d_a, d_b = int(self.dims[0]), int(self.dims[1])
-        if d_a < 1 or d_b < 1:
-            raise DimensionMismatch(f"invalid dims ({d_a}, {d_b})")
         m = np.asarray(self.matrix, dtype=complex)
-        n = d_a * d_b
-        if m.shape != (n, n):
-            raise DimensionMismatch(
-                f"matrix shape {m.shape} does not match dims ({d_a}, {d_b})"
-            )
-        if not np.isfinite(m).all():
-            raise NotFinite("matrix has a NaN or infinite entry")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > 1e-10:
-            raise NotHermitian(f"matrix deviates from Hermiticity by {herm_dev:.3e}")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"matrix trace {trace} is not 1 within 1e-10")
-        canonical = (m + m.conj().T) / 2.0
-        canonical = canonical / float(np.trace(canonical).real)
-        smallest = float(np.linalg.eigvalsh(canonical)[0])
-        if smallest < -1e-10:
-            raise NotPositive(f"smallest eigenvalue {smallest:.3e} is negative")
+        if min(d_a, d_b) < 1 or m.ndim not in (2, 3) or m.shape[-2:] != (d_a * d_b,) * 2:
+            raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({d_a}, {d_b})")
+        if m.size == 0:
+            raise DimensionMismatch("a stack of states must not be empty")
+        stack = m.reshape(-1, d_a * d_b, d_a * d_b)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            stack = np.where(finite[:, None, None], stack, 0.0)
+        adjoint = stack.conj().swapaxes(1, 2)
+        herm_dev = np.max(np.abs(stack - adjoint), axis=(1, 2))
+        trace = np.trace(stack, axis1=1, axis2=2)
+        bad_trace = np.abs(trace - 1.0) > DENSITY_TOL
+        canonical = (stack + adjoint) / 2.0
+        scale = np.trace(canonical, axis1=1, axis2=2).real
+        scale[bad_trace] = 1.0
+        canonical /= scale[:, None, None]
+        smallest = np.linalg.eigvalsh(canonical)[:, 0]
+        checks = (~finite, herm_dev > HERMITIAN_TOL, bad_trace, smallest < -DENSITY_TOL)
+        failing = checks[0] | checks[1] | checks[2] | checks[3]
+        if failing.any():
+            i = int(np.argmax(failing))
+            error = [
+                NotFinite("matrix has a NaN or infinite entry"),
+                NotHermitian(f"matrix deviates from Hermiticity by {herm_dev[i]:.3e}"),
+                ValueError(f"matrix trace {complex(trace[i])} is not 1 within {DENSITY_TOL}"),
+                NotPositive(f"smallest eigenvalue {smallest[i]:.3e} is negative"),
+            ][next(k for k, check in enumerate(checks) if check[i])]
+            raise type(error)(f"state {i}: {error}") if m.ndim == 3 else error
+        canonical = canonical.reshape(m.shape)
         canonical.flags.writeable = False
         object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "matrix", canonical)
+
+    def __len__(self) -> int:
+        return 1 if self.matrix.ndim == 2 else len(self.matrix)
+
+    def __getitem__(self, index) -> DensityMatrix:
+        matrix = self.matrix.reshape(-1, *self.matrix.shape[-2:])[index]
+        if matrix.ndim not in (2, 3):
+            raise IndexError(f"index {index!r} does not select states")
+        matrix.flags.writeable = False
+        member = object.__new__(DensityMatrix)
+        object.__setattr__(member, "dims", self.dims)
+        object.__setattr__(member, "matrix", matrix)
+        return member
 
     @property
     def dim_a(self) -> int:
@@ -80,9 +94,12 @@ class DensityMatrix:
     def dim_b(self) -> int:
         return self.dims[1]
 
-    @property
-    def dim(self) -> int:
-        return self.dims[0] * self.dims[1]
+
+def one_state(rho: DensityMatrix, user: str) -> DensityMatrix:
+    """``rho`` if it is one state; DimensionMismatch naming ``user`` for a stack."""
+    if rho.matrix.ndim != 2:
+        raise DimensionMismatch(f"{user} takes one state, got a stack of {len(rho)}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -107,7 +124,7 @@ def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
         (1 - c1 - c2 - c3) / 4.0,
     )
     smallest = min(weights)
-    if smallest < -1e-10:
+    if smallest < -DENSITY_TOL:
         raise NotPositive(
             f"(c1, c2, c3)=({c1}, {c2}, {c3}) gives Bell weight {smallest:.3e}"
         )
@@ -120,35 +137,54 @@ def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
     return DensityMatrix((2, 2), m)
 
 
-def make_horodecki(p: float) -> DensityMatrix:
-    """Mixture p |psi+><psi+| + (1-p) |00><00| with |psi+> = (|01>+|10>)/sqrt2."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfDomain(f"p={p} outside [0, 1]")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0 - p
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = p / 2.0
+def _in_domain(name: str, value, high: float, interval: str) -> np.ndarray:
+    """``value`` as a float array; OutOfDomain naming its first entry outside [0, high]."""
+    v = np.asarray(value, dtype=float)
+    outside = ~((v >= 0.0) & (v <= high))
+    if outside.any():
+        raise OutOfDomain(f"{name}={v[outside].flat[0]} outside {interval}")
+    return v
+
+
+def make_horodecki(p) -> DensityMatrix:
+    """Mixture p |psi+><psi+| + (1-p) |00><00| with |psi+> = (|01>+|10>)/sqrt2.
+
+    An array of weights gives a stack, one state per weight.
+    """
+    p = _in_domain("p", p, 1.0, "[0, 1]")
+    m = np.zeros((*p.shape, 4, 4), dtype=complex)
+    m[..., 0, 0] = 1.0 - p
+    m[..., 1, 1] = m[..., 2, 2] = m[..., 1, 2] = m[..., 2, 1] = p / 2.0
     return DensityMatrix((2, 2), m)
 
 
-def make_example1(x: float) -> DensityMatrix:
-    """Two-qubit family with spectrum {(2-x)/6, (2-x)/6, (2+x)/6, x/6} on x in [0, 2]."""
-    if not 0.0 <= x <= 2.0:
-        raise OutOfDomain(f"x={x} outside [0, 2]")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = (2.0 - x) / 6.0
-    m[1, 1] = m[2, 2] = (1.0 + x) / 6.0
-    m[1, 2] = m[2, 1] = 1.0 / 6.0
+def make_example1(x) -> DensityMatrix:
+    """Two-qubit family with spectrum {(2-x)/6, (2-x)/6, (2+x)/6, x/6} on x in [0, 2].
+
+    An array of x gives a stack, one state per value.
+    """
+    x = _in_domain("x", x, 2.0, "[0, 2]")
+    m = np.zeros((*x.shape, 4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = (2.0 - x) / 6.0
+    m[..., 1, 1] = m[..., 2, 2] = (1.0 + x) / 6.0
+    m[..., 1, 2] = m[..., 2, 1] = 1.0 / 6.0
     return DensityMatrix((2, 2), m)
 
 
-def make_rho2(x: float, theta: float, eta: float) -> DensityMatrix:
-    """Rank-<=2 mixture of sin(theta)|00>+cos(theta)|11> and sin(eta)|01>+cos(eta)|10>."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfDomain(f"x={x} outside [0, 1]")
-    if not 0.0 <= theta <= 2.0 * math.pi:
-        raise OutOfDomain(f"theta={theta} outside [0, 2*pi]")
-    if not 0.0 <= eta <= 2.0 * math.pi:
-        raise OutOfDomain(f"eta={eta} outside [0, 2*pi]")
+def rho2_domain(x, theta: float, eta: float) -> np.ndarray:
+    """The rho2 weights ``x`` as a float array, after checking x and both angles."""
+    x = _in_domain("x", x, 1.0, "[0, 1]")
+    for name, angle in (("theta", theta), ("eta", eta)):
+        _in_domain(name, angle, 2.0 * math.pi, "[0, 2*pi]")
+    return x
+
+
+def make_rho2(x, theta: float, eta: float) -> DensityMatrix:
+    """Rank-<=2 mixture of sin(theta)|00>+cos(theta)|11> and sin(eta)|01>+cos(eta)|10>.
+
+    An array of weights x gives a stack, one state per weight.
+    """
+    x = rho2_domain(x, theta, eta)[..., None, None]
     phi = np.zeros(4, dtype=complex)
     phi[0] = math.sin(theta)
     phi[3] = math.cos(theta)
@@ -165,26 +201,31 @@ def trial_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
-def make_random_rank2(seed: int, dim_a: int = 2) -> DensityMatrix:
+def make_random_rank2(seed, dim_a: int = 2) -> DensityMatrix:
     """Random rank-2 state on dA x 2, deterministic in the seed.
 
     The two eigenvectors are orthonormalized complex Gaussian vectors and the
-    top eigenvalue is drawn uniformly from [0.05, 0.95].
+    top eigenvalue is drawn uniformly from [0.05, 0.95]. A sequence of seeds
+    gives a stack: each seed draws from its own stream, as a single call
+    would, and the stack is validated once.
     """
     if dim_a not in (2, 3, 4):
         raise OutOfDomain(f"dim_a={dim_a} not in {{2, 3, 4}}")
-    rng = np.random.default_rng(seed)
-    lam = rng.uniform(0.05, 0.95)
-    n = dim_a * 2
-    re = rng.standard_normal((2, n))
-    im = rng.standard_normal((2, n))
-    v1 = re[0] + 1j * im[0]
-    v2 = re[1] + 1j * im[1]
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 - np.vdot(v1, v2) * v1
-    v2 = v2 / np.linalg.norm(v2)
-    m = lam * np.outer(v1, v1.conj()) + (1.0 - lam) * np.outer(v2, v2.conj())
-    return DensityMatrix((dim_a, 2), m)
+    single, n = np.ndim(seed) == 0, dim_a * 2
+    matrices = []
+    for s in [seed] if single else seed:
+        rng = np.random.default_rng(s)
+        lam = rng.uniform(0.05, 0.95)
+        re = rng.standard_normal((2, n))
+        im = rng.standard_normal((2, n))
+        v1 = re[0] + 1j * im[0]
+        v2 = re[1] + 1j * im[1]
+        v1 = v1 / np.linalg.norm(v1)
+        v2 = v2 - np.vdot(v1, v2) * v1
+        v2 = v2 / np.linalg.norm(v2)
+        matrices.append(lam * np.outer(v1, v1.conj()) + (1.0 - lam) * np.outer(v2, v2.conj()))
+    m = np.array(matrices).reshape(-1, n, n)
+    return DensityMatrix((dim_a, 2), m[0] if single else m)
 
 
 def random_unitary(seed, dim: int) -> np.ndarray:
@@ -207,22 +248,11 @@ def reduced(rho: DensityMatrix, side: str) -> np.ndarray:
     return partial_trace(rho.matrix, rho.dims, keep=side)
 
 
-def stack_matrices(rho):
-    """(matrices, dims, single) for one DensityMatrix or a sequence of them with
-    equal dims; one state is a stack of one."""
-    single = isinstance(rho, DensityMatrix)
-    states = [rho] if single else list(rho)
-    dims = {state.dims for state in states}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"a batch needs one shared dims, got {sorted(dims)}")
-    return np.stack([state.matrix for state in states]), dims.pop(), single
-
-
-def purify(rho) -> Purification:
-    """Attach an ancilla C of dimension rank(rho) (eigenvalues above 1e-10)
-    carrying the eigenbasis index. A sequence of states with equal dims gives
-    one row per state; C takes the batch's largest rank, extra levels weigh 0."""
-    matrices, (d_a, d_b), single = stack_matrices(rho)
+def purify(rho: DensityMatrix) -> Purification:
+    """Attach an ancilla C of dimension rank(rho) (eigenvalues above RANK_TOL)
+    carrying the eigenbasis index. A stack gives one row per state; C takes
+    the stack's largest rank, and extra levels weigh 0."""
+    matrices, (d_a, d_b) = rho[:].matrix, rho.dims
     values, vectors = np.linalg.eigh(matrices)
     values, vectors = values[:, ::-1], vectors[:, :, ::-1]
     kept = values > RANK_TOL
@@ -230,7 +260,7 @@ def purify(rho) -> Purification:
     lam = np.where(kept[:, :d_c], values[:, :d_c], 0.0)
     psi = (vectors[:, :, :d_c] * np.sqrt(lam)[:, None, :]).reshape(len(matrices), -1)
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-    if single:
+    if rho.matrix.ndim == 2:
         psi, lam = psi[0], lam[0]
     return Purification(state_vector=psi, dims=(d_a, d_b, d_c), eigenvalues=lam)
 
@@ -254,7 +284,8 @@ def traced_over_b(pur: Purification) -> np.ndarray:
 def state_to_json_dict(rho: DensityMatrix) -> dict:
     """Wire format: {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]}."""
     matrix = [
-        [[float(cell.real), float(cell.imag)] for cell in row] for row in rho.matrix
+        [[float(cell.real), float(cell.imag)] for cell in row]
+        for row in one_state(rho, "the JSON wire format").matrix
     ]
     return {"dims": [rho.dim_a, rho.dim_b], "matrix": matrix}
 

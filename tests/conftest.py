@@ -29,3 +29,11 @@ def haar_unitary(rng, dim):
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases.conj()
+
+
+def stack_of(*states):
+    """One stack of the members of ``states`` (states or stacks of one dims),
+    validated again as a whole."""
+    from qdiscord.states import DensityMatrix
+
+    return DensityMatrix(states[0].dims, np.concatenate([rho[:].matrix for rho in states]))

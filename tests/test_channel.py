@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density
+from conftest import haar_unitary, random_density, stack_of
 from qdiscord.channel import (
     apply_channel,
     bloch_of,
@@ -241,18 +241,18 @@ def eigenframe_i2_cc(rho):
 class TestFrameFreeCore:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_eigenframe_reference(self, d):
-        states = [make_random_rank2(seed, dim_a=d) for seed in range(500)]
+        states = make_random_rank2(range(500), dim_a=d)
         got = linear_classical_correlation(states)
         expected = [eigenframe_i2_cc(rho) for rho in states]
         assert got.shape == (500,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_batch_equals_batches_of_one(self):
-        states = [make_random_rank2(seed, dim_a=2 + seed % 3) for seed in range(60)]
         for d in (2, 3, 4):
-            same_dims = [rho for rho in states if rho.dim_a == d]
+            same_dims = make_random_rank2([s for s in range(60) if 2 + s % 3 == d], dim_a=d)
             batch = linear_classical_correlation(same_dims)
-            singles = [linear_classical_correlation([rho])[0] for rho in same_dims]
+            singles = [linear_classical_correlation(same_dims[i : i + 1])[0]
+                       for i in range(len(same_dims))]
             np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
             assert isinstance(linear_classical_correlation(same_dims[0]), float)
 
@@ -286,11 +286,15 @@ class TestFrameFreeCore:
             assert got == pytest.approx(4 * small * (1 - small), rel=1e-6)
 
     def test_mixed_dims_and_empty_batches_rejected(self):
-        states = [make_random_rank2(0), make_random_rank2(1, dim_a=3)]
-        with pytest.raises(DimensionMismatch, match=r"one shared dims, got \[\(2, 2\), \(3, 2\)\]"):
-            linear_classical_correlation(states)
-        with pytest.raises(DimensionMismatch, match="one shared dims"):
-            linear_classical_correlation([])
+        # A stack has one dims: matrices of another size are rejected when it
+        # is built, and an empty stack cannot be built at all.
+        wide = make_random_rank2([0, 1], dim_a=3)
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 6, 6\) does not match dims \(2, 2\)"):
+            DensityMatrix((2, 2), wide.matrix)
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            DensityMatrix((2, 2), np.zeros((0, 4, 4)))
+        with pytest.raises(TypeError, match="expected a DensityMatrix, got list"):
+            linear_classical_correlation([make_random_rank2(0)])
 
     @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 3), (5, 2)])
     def test_unsupported_shapes_rejected_at_entry(self, dims):
@@ -314,7 +318,7 @@ class TestFrameFreeCore:
 class TestBatchedChannel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batch_equals_batches_of_one(self, d):
-        states = [make_random_rank2(seed, dim_a=d) for seed in range(40)]
+        states = make_random_rank2(range(40), dim_a=d)
         batch = extract_channel(states)
         rebuilt = reassemble_state(batch)
         assert batch.linear_part.shape == (40, d * d - 1, 3)
@@ -329,7 +333,7 @@ class TestBatchedChannel:
             np.testing.assert_allclose(
                 images[n], apply_channel(one, qubit_in), rtol=0, atol=1e-15
             )
-        assert np.max(np.abs(rebuilt - [rho.matrix for rho in states])) < 1e-9
+        assert np.max(np.abs(rebuilt - states.matrix)) < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rank_one_marginal_member_is_nan_in_a_batch(self, d):
@@ -337,7 +341,7 @@ class TestBatchedChannel:
         product = DensityMatrix(
             (d, 2), np.kron(random_density(rng, d), np.diag([1.0, 0.0]))
         )
-        states = [make_random_rank2(0, dim_a=d), product, make_random_rank2(1, dim_a=d)]
+        states = stack_of(make_random_rank2(0, dim_a=d), product, make_random_rank2(1, dim_a=d))
         batch = extract_channel(states)
         assert np.isnan(batch.linear_part[1]).all() and np.isnan(batch.offset[1]).all()
         assert not np.isnan(batch.linear_part[[0, 2]]).any()
@@ -349,7 +353,7 @@ class TestBatchedChannel:
             )
         with pytest.raises(DegenerateMarginal):
             extract_channel(product)
-        assert np.isnan(extract_channel([product]).linear_part).all()
+        assert np.isnan(extract_channel(product[:]).linear_part).all()
 
 
 class TestRankOneMarginalContinuity:

@@ -156,6 +156,13 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err == "error: matrix has a NaN or infinite entry\n"
 
+    @pytest.mark.parametrize("c", ["a,b,c", "1,x,3", "1,2", "1,2,3,4"])
+    def test_malformed_c_triple_is_named(self, capsys, c):
+        code, out, err = run(capsys, "compute", "--family", "bell_diagonal", "--c", c)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --c: --c expects three comma-separated reals\n")
+        assert "_parse_c_triple" not in err
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_state_file_exit_2(self, capsys, tmp_path, literal):
         path = tmp_path / "state.json"
@@ -293,6 +300,18 @@ class TestSweep:
                          "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--from", "nan"), ("--from", "inf"), ("--to", "nan"), ("--to", "inf"),
+    ])
+    def test_non_finite_range_end_is_named(self, capsys, tmp_path, flag, value):
+        ends = {"--from": "0", "--to": "1", flag: value}
+        code, out, err = run(capsys, "sweep", "--family", "horodecki", "--param", "p",
+                             "--from", ends["--from"], "--to", ends["--to"], "--steps", "3",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be a finite number, got {value}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_swept_flag_is_not_required(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--family", "rho2", "--param", "x",
                            "--from", "0", "--to", "1", "--steps", "5", "--theta", "1",
@@ -373,7 +392,7 @@ class TestValidate:
         checks = json.loads(out)["checks"]
 
         def local_unitary(rho, trial):
-            twin_i_cc, twin_q = cli._twin_correlations([(trial, rho)])[:, 0]
+            twin_i_cc, twin_q = cli._twin_correlations([trial], rho[:])[:, 0]
             report = discord_rank2(rho)
             return max(abs(report.Q_discord - twin_q), abs(report.I_cc - twin_i_cc))
 
@@ -401,8 +420,8 @@ class TestValidate:
     def test_twins_match_the_per_state_reference(self):
         # The batched twin draw against U = U_A x U_B built one trial at a time.
         seeds = [trial_seed(9, t) for t in range(150)]
-        states = [make_random_rank2(s) for s in seeds]
-        batch = cli.in_blocks(cli._twin_correlations, list(zip(seeds, states)))
+        states = make_random_rank2(seeds)
+        batch = cli.in_blocks(cli._twin_correlations, seeds, states)
         for n, (s, rho) in enumerate(zip(seeds, states)):
             u = tensor(random_unitary(trial_seed(s, 101), 2),
                        random_unitary(trial_seed(s, 102), 2))
@@ -411,10 +430,14 @@ class TestValidate:
 
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3
-        product = make_horodecki(0.0)
         draw = cli.make_random_rank2
-        monkeypatch.setattr(cli, "make_random_rank2", lambda s: (
-            product if s == trial_seed(seed, degenerate_trial) else draw(s)))
+
+        def with_product_state(seeds):
+            matrices = draw(seeds).matrix.copy()
+            matrices[degenerate_trial] = make_horodecki(0.0).matrix
+            return DensityMatrix((2, 2), matrices)
+
+        monkeypatch.setattr(cli, "make_random_rank2", with_product_state)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
         assert code == 0
         checks = json.loads(out)["checks"]
@@ -463,6 +486,13 @@ class TestValidate:
                            "--tol", "nope=1e-3")
         assert code == 2
         assert "NAME" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+    def test_bad_tolerance_value_is_named(self, capsys, value):
+        code, out, err = run(capsys, "validate", "--trials", "5", "--seed", "1",
+                             "--tol", f"kw={value}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --tol kw expects a finite non-negative number, got '{value}'\n"
 
     def test_zero_trials_exit_2(self, capsys):
         code, _, _ = run(capsys, "validate", "--trials", "0", "--seed", "1")

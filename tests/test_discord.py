@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_pure_density
+from conftest import haar_unitary, random_pure_density, stack_of
 from qdiscord.discord import (
     CorrelationReport,
     correlation_report,
@@ -267,20 +267,17 @@ class TestIdentityResiduals:
     def test_third_eigenvalue_below_rank_tol_keeps_qubit_ancilla(self):
         # 5e-11 outside the support still counts as rank 2; the purification
         # must then keep a qubit C, or E_f(rho_AC) and the tangle read 0.
-        states = []
-        for seed in range(5):
-            rho = make_random_rank2(seed)
-            outside = np.linalg.eigh(rho.matrix)[1][:, 0]
-            m = (1 - 5e-11) * rho.matrix + 5e-11 * np.outer(outside, outside.conj())
-            states.append(DensityMatrix((2, 2), m))
-        states.append(make_horodecki(0.0))
+        base = make_random_rank2(range(5)).matrix
+        outside = np.linalg.eigh(base)[1][:, :, 0]
+        m = (1 - 5e-11) * base + 5e-11 * outside[:, :, None] * outside[:, None, :].conj()
+        states = stack_of(DensityMatrix((2, 2), m), make_horodecki(0.0))
         report, kw, monogamy = identity_residuals(states)
         assert list(report.rank) == [2] * 5 + [1]
         assert np.max(np.abs(kw)) <= 1e-8 and np.max(np.abs(monogamy)) <= 1e-8
         assert koashi_winter_residual(states[0]) == pytest.approx(kw[0], abs=1e-14)
 
     def test_identity_residuals_report_is_discord_rank2(self):
-        states = [make_random_rank2(seed) for seed in range(20)]
+        states = make_random_rank2(range(20))
         report, kw, monogamy = identity_residuals(states)
         reference = discord_rank2(states)
         for name in FIELDS:
@@ -294,17 +291,36 @@ class TestIdentityResiduals:
             monogamy_residual(make_example1(0.5))
 
 
+class TestRankCut:
+    """example1 near x = 2 has two eigenvalues lam = (2 - x)/6 outside its
+    rank-2 support: rank 4 above RANK_TOL, rank 2 at or below it."""
+
+    def test_both_sides_of_the_cut(self):
+        grid = np.array([2 - 1e-9, 2 - 1e-11, 2.0])
+        report = correlation_report(make_example1(grid))
+        assert list(report.rank) == [4, 2, 2]
+        assert np.isnan(report.I_cc[0]) and np.isfinite(report.I_cc[1:]).all()
+        assert "rank 4" in report.reason[0] and report.reason[1:] == (None, None)
+        for i, x in enumerate(grid[:2]):
+            # The two small eigenvalues add -lam log2 lam each; taking lam from
+            # the two large ones moves their terms by at most lam log2 e each.
+            lam = (2 - x) / 6
+            bound = 2 * (-lam * math.log2(lam)) + 2 * lam * math.log2(math.e)
+            for name in ("S_AB", "I_mutual"):
+                move = abs(getattr(report, name)[i] - getattr(report, name)[2])
+                assert 0 < move <= bound
+
+
 FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
           "Q_discord", "rank")
 
 
 class TestBatchedReport:
     def test_batch_equals_batches_of_one(self):
-        states = [make_random_rank2(seed) for seed in range(200)]
-        states += [make_horodecki(p) for p in (0.0, 0.3, 1.0)]
+        states = stack_of(make_random_rank2(range(200)), make_horodecki(np.array([0.0, 0.3, 1.0])))
         batch = discord_rank2(states)
-        for i, rho in enumerate(states):
-            one = discord_rank2([rho])
+        for i in range(len(states)):
+            one = discord_rank2(states[i : i + 1])
             for name in FIELDS:
                 assert getattr(batch, name)[i] == pytest.approx(
                     getattr(one, name)[0], abs=1e-14
@@ -320,15 +336,15 @@ class TestBatchedReport:
     def test_two_bell_mixtures_in_a_batch(self, lam):
         # rho_B = I/2 is degenerate, so no eigenframe is preferred.
         rho = make_bell_diagonal(1.0, 1 - 2 * lam, 2 * lam - 1)
-        report = discord_rank2([rho, make_horodecki(0.5), rho])
+        report = discord_rank2(stack_of(rho, make_horodecki(0.5), rho))
         np.testing.assert_allclose(report.I_cc[[0, 2]], 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             report.Q_discord[[0, 2]], 1 - reference_h(lam), rtol=0, atol=1e-12
         )
 
     def test_mixed_ranks_give_reasons_only_on_high_rank_members(self):
-        states = [make_random_rank2(1), make_bell_diagonal(0.2, -0.3, 0.1),
-                  make_horodecki(0.5), make_example1(1.0)]
+        states = stack_of(make_random_rank2(1), make_bell_diagonal(0.2, -0.3, 0.1),
+                          make_horodecki(0.5), make_example1(1.0))
         report = correlation_report(states)
         assert list(report.rank) == [2, 4, 2, 4]
         assert report.reason[0] is None and report.reason[2] is None
@@ -341,8 +357,8 @@ class TestBatchedReport:
         assert report.Q_discord[2] == pytest.approx(single.Q_discord, abs=1e-14)
 
     def test_batch_raise_names_first_offending_state(self):
-        states = [make_random_rank2(1), make_horodecki(0.5), make_example1(1.0),
-                  make_example1(0.5)]
+        states = stack_of(make_random_rank2(1), make_horodecki(0.5),
+                          make_example1(np.array([1.0, 0.5])))
         with pytest.raises(RankTooHigh, match="state 2: state has rank 4"):
             discord_rank2(states)
         with pytest.raises(RankTooHigh, match="state 2"):
@@ -355,7 +371,7 @@ class TestBatchedReport:
         assert "2x2" in report.reason and report.rank == 2
         assert report.I2_cc > 0.0
         with pytest.raises(DimensionMismatch, match="2x2"):
-            discord_rank2([make_random_rank2(3, dim_a=3)])
+            discord_rank2(make_random_rank2([3], dim_a=3))
 
     def test_report_of_rank_two_state_equals_discord_rank2(self):
         rho = make_random_rank2(5)
@@ -363,7 +379,7 @@ class TestBatchedReport:
 
     def test_residual_batches_equal_batches_of_one(self):
         # 201 states span two blocks of 128; the pure last one has a trivial C.
-        states = [make_random_rank2(seed) for seed in range(200)] + [make_horodecki(0.0)]
+        states = stack_of(make_random_rank2(range(200)), make_horodecki(0.0))
         for residual in (koashi_winter_residual, monogamy_residual):
             batch = residual(states)
             singles = [residual(rho) for rho in states]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stack_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from qdiscord.errors import (
     StateFormatError,
 )
 from qdiscord.measures import von_neumann_entropy
+from qdiscord.oracles import decomposition_linear_cc, projective_classical_correlation
 from qdiscord.states import (
     DensityMatrix,
     dump_state,
@@ -226,11 +228,8 @@ def _with_third_eigenvalue(rho, eps):
 
 
 class TestBatchedPurify:
-    STATES = [make_random_rank2(s) for s in range(6)] + [
-        make_horodecki(0.3),
-        make_example1(2.0),
-        make_rho2(1.0, 0.4, 0.0),
-    ]
+    STATES = stack_of(make_random_rank2(range(6)), make_horodecki(0.3), make_example1(2.0),
+                      make_rho2(1.0, 0.4, 0.0))
 
     def test_batch_reproduces_every_state(self):
         pur = purify(self.STATES)
@@ -265,11 +264,12 @@ class TestBatchedPurify:
         assert correlation_report(_with_third_eigenvalue(base, 5e-11)).rank == 2
 
     def test_wide_states_and_unequal_dims(self):
-        wide = [make_random_rank2(s, dim_a=3) for s in range(3)]
+        wide = make_random_rank2(range(3), dim_a=3)
         pur = purify(wide)
         assert pur.dims == (3, 2, 2) and traced_over_b(pur).shape == (3, 6, 6)
+        # A stack has one dims, so unequal ones are rejected when it is built.
         with pytest.raises(DimensionMismatch):
-            purify([wide[0], make_horodecki(0.5)])
+            DensityMatrix(make_horodecki(0.5).dims, wide.matrix)
 
 
 class TestReduced:
@@ -319,6 +319,103 @@ class TestDensityMatrixValidation:
         m[entry] = value
         with pytest.raises(NotFinite, match="NaN or infinite"):
             DensityMatrix((2, 2), m)
+
+
+def _bad_member(kind):
+    """A 4x4 matrix that fails one construction check."""
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "non_finite":
+        m[1, 2] = math.nan
+    elif kind == "non_hermitian":
+        m[0, 1] = 0.1
+    elif kind == "bad_trace":
+        m = 4 * m
+    else:
+        m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+    return m
+
+
+class TestDensityMatrixStack:
+    @pytest.mark.parametrize("kind", ["non_finite", "non_hermitian", "bad_trace", "negative"])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_bad_member_raises_its_own_error_named(self, kind, index):
+        bad = _bad_member(kind)
+        with pytest.raises(Exception) as alone:
+            DensityMatrix((2, 2), bad)
+        matrices = np.stack([make_horodecki(0.3).matrix] * 3)
+        matrices[index] = bad
+        with pytest.raises(type(alone.value)) as in_stack:
+            DensityMatrix((2, 2), matrices)
+        assert type(in_stack.value) is type(alone.value)
+        assert str(in_stack.value) == f"state {index}: {alone.value}"
+
+    def test_first_offending_member_is_named(self):
+        # Member 0 fails a later check than member 1; the first member wins.
+        members = np.stack([_bad_member("negative"), _bad_member("non_finite")])
+        with pytest.raises(NotPositive, match="^state 0: smallest eigenvalue"):
+            DensityMatrix((2, 2), members)
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            DensityMatrix((2, 2), np.zeros((0, 4, 4), dtype=complex))
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            make_random_rank2([])
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 4])
+    def test_seed_sequence_members_equal_single_draws(self, dim_a):
+        seeds = [trial_seed(3, t) for t in range(40)]
+        stack = make_random_rank2(seeds, dim_a)
+        assert stack.matrix.shape == (40, 2 * dim_a, 2 * dim_a) and len(stack) == 40
+        for i, seed in enumerate(seeds):
+            np.testing.assert_array_equal(stack[i].matrix, make_random_rank2(seed, dim_a).matrix)
+
+    @pytest.mark.parametrize("build, grid", [
+        (make_horodecki, np.linspace(0.0, 1.0, 41)),
+        (make_example1, np.linspace(0.0, 2.0, 41)),
+        (lambda x: make_rho2(x, 0.7, 2.1), np.linspace(0.0, 1.0, 41)),
+    ], ids=["horodecki", "example1", "rho2"])
+    def test_array_call_equals_per_value_calls(self, build, grid):
+        stack = build(grid)
+        assert stack.matrix.shape == (41, 4, 4)
+        for i, value in enumerate(grid.tolist()):
+            np.testing.assert_array_equal(stack.matrix[i], build(value).matrix)
+
+    def test_domain_error_names_first_value_outside(self):
+        with pytest.raises(OutOfDomain, match=r"^p=1.5 outside \[0, 1\]$"):
+            make_horodecki(np.array([0.2, 1.5, -1.0]))
+        with pytest.raises(OutOfDomain, match=r"^x=nan outside \[0, 2\]$"):
+            make_example1(np.array([0.2, math.nan]))
+
+    def test_members_are_read_only_views_not_validated_again(self):
+        stack = make_random_rank2(range(5))
+        block = stack[1:4]
+        assert isinstance(block, DensityMatrix) and block.dims == stack.dims
+        assert np.shares_memory(block.matrix, stack.matrix)
+        np.testing.assert_array_equal(block.matrix, stack.matrix[1:4])
+        member = stack[2]
+        assert member.matrix.shape == (4, 4) and not member.matrix.flags.writeable
+        picked = stack[[0, 4]]
+        assert picked.matrix.shape == (2, 4, 4) and not picked.matrix.flags.writeable
+        assert [rho.matrix.shape for rho in stack] == [(4, 4)] * 5
+
+    def test_one_state_indexes_as_a_stack_of_one(self):
+        rho = make_horodecki(0.4)
+        assert len(rho) == 1 and rho[:].matrix.shape == (1, 4, 4)
+        np.testing.assert_array_equal(rho[0].matrix, rho.matrix)
+        with pytest.raises(IndexError):
+            rho[1]
+
+    def test_one_state_consumers_reject_a_stack(self):
+        stack = make_random_rank2([1, 2])
+        with pytest.raises(DimensionMismatch, match="projective oracle takes one state, got a stack of 2"):
+            projective_classical_correlation(stack)
+        with pytest.raises(DimensionMismatch, match="decomposition oracle takes one state, got a stack of 2"):
+            decomposition_linear_cc(stack, trials=4)
+        with pytest.raises(DimensionMismatch, match="JSON wire format takes one state, got a stack of 2"):
+            dump_state(stack)
+        doc = {"dims": [2, 2], "matrix": [state_to_json_dict(rho)["matrix"] for rho in stack]}
+        with pytest.raises(StateFormatError, match=r"entries must be \[re, im\] pairs"):
+            state_from_json_dict(doc)
 
 
 class TestJsonFormat:
