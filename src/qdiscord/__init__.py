@@ -11,7 +11,6 @@ from .channel import (
     gell_mann_basis,
     linear_classical_correlation,
     reassemble_state,
-    singular_values,
 )
 from .discord import (
     CorrelationReport,
@@ -63,7 +62,6 @@ from .states import (
     make_random_rank2,
     make_rho2,
     purify,
-    reduced,
     trial_seed,
 )
 

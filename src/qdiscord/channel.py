@@ -6,8 +6,10 @@ of rho_B, for a unique channel Lambda from the purifying qubit B' into A.
 On Bloch vectors Lambda acts affinely, r -> L r + l, and the linear-entropy
 classical correlation of rho_AB is (4/d^2) * lam_max(L^T L) * S2(rho_B).
 
-Only the singular values of L enter, so ``linear_cc_batch`` uses the frame-free
-L[m, k] = (d/4) Tr(g_m Tr_B[rho (I x K_k)]), K_k = rho_B^{-1/2} sigma_k rho_B^{-1/2}.
+Both paths start from the images R_mu = Lambda(sigma_mu) (sigma_0 = I) in
+the eigenframe of rho_B, read off the state by ``_marginal_images``.
+``extract_channel`` gives (l, L) = bloch_of(R)/2; ``linear_cc_batch`` needs
+only Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, so it uses no generator basis.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
-from .linalg import PAULIS, partial_trace
-from .measures import linear_entropy
-from .states import DensityMatrix
+from .linalg import SIGMAS, partial_trace
+from .states import MARGINAL_RANK_TOL, DensityMatrix
 
-_MARGINAL_RANK_TOL = 1e-10
 _BLOCK = 128
 
 
@@ -104,46 +104,47 @@ def bloch_state(r, basis: GeneratorBasis) -> np.ndarray:
     return (np.eye(d, dtype=complex) + np.tensordot(coeffs, basis.matrices, axes=1)) / d
 
 
-def extract_channel(rho) -> ChannelBloch:
-    """Recover the channel of a dx2 state from its action on the B eigenbasis.
+def _marginal_images(matrices: np.ndarray, d_a: int):
+    """rho_B's descending eigenvalues and eigenvectors, the rank-1 mask
+    (smaller eigenvalue at most MARGINAL_RANK_TOL) and the (N, 4, dA, dA)
+    images R_mu = Lambda(sigma_mu) = Tr_B[rho (I x W sigma_mu^T W^dagger)],
+    W = V lam^{-1/2}, of an (N, 2dA, 2dA) stack. Rank-1 members get W = V.
 
-    The images Lambda(|phi_i><phi_j|) = Tr_B[rho (I x |phi_j><phi_i|)] /
-    sqrt(lam_i lam_j) determine the channel on the B' operator basis; the
-    affine (L, l) data is then read off in the Pauli frame that maps |phi_i>
-    to |i>. A rank-1 rho_B (smaller eigenvalue at most 1e-10) leaves the
+    By cyclicity on B, R_mu[a, c] = sum_ji F[aj, ci] sigma_mu[j, i] with
+    F = (I x W)^dagger rho (I x W): batched 2x2 products, then one GEMM.
+    """
+    n = len(matrices)
+    lam, vecs = np.linalg.eigh(partial_trace(matrices, (d_a, 2), "B"))
+    lam, vecs = lam[:, ::-1].copy(), vecs[:, :, ::-1].copy()
+    pure = lam[:, 1] <= MARGINAL_RANK_TOL
+    w = vecs / np.sqrt(np.where(pure[:, None], 1.0, lam))[:, None, :]
+    right = (matrices.reshape(n, -1, 2) @ w).reshape(n, d_a, 2, 2 * d_a)
+    framed = (w.conj().swapaxes(1, 2)[:, None] @ right).reshape(n, d_a, 2, d_a, 2)
+    pairs = framed.transpose(0, 1, 3, 2, 4).reshape(-1, 4)
+    images = (pairs @ SIGMAS.reshape(4, 4).T).reshape(n, d_a, d_a, 4)
+    return lam, vecs, pure, images.transpose(0, 3, 1, 2)
+
+
+def extract_channel(rho) -> ChannelBloch:
+    """Recover the channel of a dx2 state from the images Lambda(sigma_mu).
+
+    The channel takes the eigenbasis |phi_i> of rho_B to |i>, so the images
+    of the B' Paulis fix its affine (L, l) data in that frame. A rank-1
+    rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL, 1e-10) leaves the
     channel undefined off the support: one state raises DegenerateMarginal
     (callers should use the zero shortcut instead), and in a stack such a
     member gets a NaN linear_part and offset.
     """
     stack, single = stack_states(rho)
-    matrices, (d_a, d_b) = stack.matrix, stack.dims
-    lam, vecs = np.linalg.eigh(partial_trace(matrices, (d_a, d_b), "B"))
-    lam, vecs = lam[:, ::-1].copy(), vecs[:, :, ::-1].copy()
-    pure = lam[:, 1] <= _MARGINAL_RANK_TOL
+    d_a = stack.dim_a
+    lam, vecs, pure, images = _marginal_images(stack.matrix, d_a)
     if single and pure[0]:
         raise DegenerateMarginal(
-            f"rho_B eigenvalues {lam[0]} are rank-1 within {_MARGINAL_RANK_TOL}"
+            f"rho_B eigenvalues {lam[0]} are rank-1 within {MARGINAL_RANK_TOL}"
         )
-    r = matrices.reshape(-1, d_a, 2, d_a, 2)
-    safe = np.where(pure[:, None], 1.0, lam)
-    images = {}
-    # One contraction per (i, j): a single einsum over all four sums in another
-    # order and moves the last digits the decomposition oracle reports.
-    for i in range(2):
-        for j in range(2):
-            unit = vecs[:, :, j, None] * vecs[:, None, :, i].conj()
-            norm = np.sqrt(safe[:, i] * safe[:, j])[:, None, None]
-            images[i, j] = np.einsum("nabcd,ndb->nac", r, unit) / norm
-    basis = gell_mann_basis(d_a)
-    unit_image = (images[0, 0] + images[1, 1]) / 2.0
-    offset = bloch_of(unit_image, basis)
-    pauli_images = np.stack([
-        images[0, 1] + images[1, 0],
-        1.0j * (images[1, 0] - images[0, 1]),
-        images[0, 0] - images[1, 1],
-    ], axis=1)
-    columns = bloch_of(unit_image[:, None] + pauli_images / 2.0, basis) - offset[:, None]
-    linear_part = np.swapaxes(columns, 1, 2).copy()
+    coefficients = bloch_of(images, gell_mann_basis(d_a)) / 2.0
+    offset = coefficients[:, 0]
+    linear_part = np.swapaxes(coefficients[:, 1:], 1, 2).copy()
     linear_part[pure], offset[pure] = np.nan, np.nan
     fields = (linear_part, offset, lam, vecs)
     if single:
@@ -164,7 +165,7 @@ def apply_channel(ch: ChannelBloch, qubit_operator) -> np.ndarray:
         raise DimensionMismatch(f"channel input must be 2x2, got {x.shape}")
     d = ch.output_dim
     trace = np.einsum("...ii->...", x)[..., None]
-    pauli_weights = np.einsum("...ij,kji->...k", x, np.stack(PAULIS))
+    pauli_weights = np.einsum("...ij,kji->...k", x, SIGMAS[1:])
     bloch = trace * ch.offset + np.einsum("...mk,...k->...m", ch.linear_part, pauli_weights)
     gamma = gell_mann_basis(d).matrices
     return (trace[..., None] * np.eye(d) + np.tensordot(bloch, gamma, axes=1)) / d
@@ -186,11 +187,6 @@ def reassemble_state(ch: ChannelBloch) -> np.ndarray:
     weights = np.sqrt(lam[..., :, None] * lam[..., None, :])
     out = np.einsum("...ij,ij...ac,...pi,...qj->...apcq", weights, images, vecs, vecs.conj())
     return out.reshape(*lead, 2 * d_a, 2 * d_a)
-
-
-def singular_values(ch: ChannelBloch) -> np.ndarray:
-    """Descending singular values of the linear part (the basis-free content)."""
-    return np.linalg.svd(ch.linear_part, compute_uv=False)
 
 
 def stack_states(rho: DensityMatrix):
@@ -216,26 +212,20 @@ def in_blocks(stack_function, *batches) -> np.ndarray:
 
 
 def linear_cc_batch(rho: DensityMatrix) -> np.ndarray:
-    """Frame-free I2_cc of a stack of dA x 2 states.
+    """I2_cc of a stack of dA x 2 states, with no generator basis.
 
-    T[m, k] = Tr(g_m Tr_B[rho (I x K_k)]) = (4/d) L[m, k], so I2_cc reads
-    lam_max(T^T T) S2(rho_B) / 4. A rank-1 rho_B (smaller eigenvalue at most
-    1e-10) gives 0, since S2(rho_B) = 0 and the channel is undefined there.
+    With G_kl = Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, I2_cc reads
+    lam_max(G) S2(rho_B) / 2, and S2(rho_B) = 4 lam_0 lam_1. A rank-1 rho_B
+    (smaller eigenvalue at most 1e-10) gives 0, since S2(rho_B) = 0 and the
+    channel is undefined there.
     The jump there is small: d-level Bloch vectors have |r|^2 <= d(d-1)/2,
     so I2_cc <= (2(d-1)/d) S2(rho_B), and S2(rho_B) = 4 eps (1 - eps) for the
     smaller eigenvalue eps; at most 4e-10 for two qubits, 6e-10 at dA=4.
     """
-    matrices, d_a = rho.matrix, rho.dim_a
-    rho_b = partial_trace(matrices, (d_a, 2), "B")
-    lam, vecs = np.linalg.eigh(rho_b)
-    pure = lam[:, 0] <= _MARGINAL_RANK_TOL
-    scale = 1.0 / np.sqrt(np.where(pure[:, None], 1.0, lam))
-    inv_root = np.einsum("nij,nj,nkj->nik", vecs, scale, vecs.conj())
-    k_ops = np.einsum("nhe,keb,nbf->nkhf", inv_root, np.stack(PAULIS), inv_root)
-    r = matrices.reshape(-1, d_a, 2, d_a, 2)
-    t = np.einsum("nafch,mca,nkhf->nmk", r, gell_mann_basis(d_a).matrices, k_ops).real
-    lam_max = np.linalg.eigvalsh(np.einsum("nmk,nml->nkl", t, t))[:, -1]
-    return np.where(pure, 0.0, 0.25 * lam_max * linear_entropy(rho_b))
+    lam, _, pure, images = _marginal_images(rho.matrix, rho.dim_a)
+    gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
+    lam_max = np.linalg.eigvalsh(gram)[:, -1]
+    return np.where(pure, 0.0, 2.0 * lam_max * lam[:, 0] * lam[:, 1])
 
 
 def linear_classical_correlation(rho: DensityMatrix):

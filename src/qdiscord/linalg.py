@@ -17,6 +17,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+SIGMAS = np.stack([np.eye(2, dtype=complex), *PAULIS])  # sigma_0 = I, then the Paulis
 
 
 def checked_hermitian(m) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Brute-force reference values, independent of the closed forms.
 
-Two oracles live here. The projective oracle maximizes the entropy drop of A
-over two-outcome projective measurements on the qubit B, a lower bound on the
-POVM-defined classical correlation. The decomposition oracle maximizes the
-linear-entropy objective over sampled pure-state decompositions of rho_B
-pushed through the extracted channel, a lower bound that the aligned
-two-point decomposition brings up to the closed-form value.
+Two oracles live here; neither imports the closed forms or the channel
+extraction, and both read the conditional states of A as Tr_B[rho (I x O)].
+The projective oracle maximizes the entropy drop of A over two-outcome
+projective measurements on the qubit B, a lower bound on the POVM-defined
+classical correlation. The decomposition oracle maximizes the linear-entropy
+drop of A over the rank-1 POVMs on B of sampled pure-state decompositions of
+rho_B, a lower bound that the aligned two-point decomposition brings up to
+the closed-form value.
 
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger.
 """
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelBloch, bloch_state, extract_channel, gell_mann_basis
-from .linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
+from .errors import DegenerateMarginal
+from .linalg import EIGENVALUE_CLAMP, PAULIS, SIGMAS, partial_trace
 from .measures import linear_entropy, mutual_information
-from .states import DensityMatrix, one_state, trial_seed
+from .states import MARGINAL_RANK_TOL, DensityMatrix, one_state, trial_seed
 
 _log = logging.getLogger(__name__)
 
@@ -94,6 +96,12 @@ def _batched_entropy(matrices: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.where(probs > 1e-15, ent, 0.0)
 
 
+def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
+    """Tr_B[rho (I x O_k)] for a (K, 2, 2) stack of operators O_k on B."""
+    r = rho.matrix.reshape(rho.dim_a, 2, rho.dim_a, 2)
+    return np.einsum("abcd,kdb->kac", r, operators)
+
+
 def _measurement_response(rho: DensityMatrix):
     """Operators T_0, T_k whose sums (T_0 +- n.T)/2 have the conditional spectra.
 
@@ -112,13 +120,10 @@ def _measurement_response(rho: DensityMatrix):
     kept = lam > EIGENVALUE_CLAMP
     if np.count_nonzero(kept) < d_a:
         g = (vectors[:, kept] * np.sqrt(lam[kept])).reshape(d_a, 2, -1)
-        t_unit = np.einsum("abi,abj->ij", g.conj(), g)
-        t_pauli = np.einsum("abi,kbc,acj->kij", g.conj(), np.stack(PAULIS), g)
-        return t_unit, t_pauli
-    r = rho.matrix.reshape(d_a, 2, d_a, 2)
-    t_unit = np.einsum("abcb->ac", r)
-    t_pauli = np.stack([np.einsum("abcd,db->ac", r, s) for s in PAULIS])
-    return t_unit, t_pauli
+        t = np.einsum("abi,kbc,acj->kij", g.conj(), SIGMAS, g)
+    else:
+        t = _conditionals(rho, SIGMAS)
+    return t[0], t[1:]
 
 
 def _entropy_drop_batch(t_unit, t_pauli, s_a, directions: np.ndarray) -> np.ndarray:
@@ -127,13 +132,10 @@ def _entropy_drop_batch(t_unit, t_pauli, s_a, directions: np.ndarray) -> np.ndar
         t_unit[None, :, :] + np.einsum("nk,kij->nij", directions, t_pauli)
     )
     p_plus = np.einsum("naa->n", cond_plus).real
-    cond_minus = t_unit[None, :, :] - cond_plus
-    p_minus = 1.0 - p_plus
-    return (
-        s_a
-        - p_plus * _batched_entropy(cond_plus, p_plus)
-        - p_minus * _batched_entropy(cond_minus, p_minus)
-    )
+    probs = np.stack([p_plus, 1.0 - p_plus])
+    conditionals = np.concatenate([cond_plus, t_unit[None, :, :] - cond_plus])
+    entropies = _batched_entropy(conditionals, probs.ravel()).reshape(probs.shape)
+    return s_a - probs[0] * entropies[0] - probs[1] * entropies[1]
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
@@ -257,47 +259,51 @@ def _sampled_decompositions(r_b: np.ndarray, trials: int, seed: int):
     return [pair, triple, quad]
 
 
-def aligned_decomposition(ch: ChannelBloch):
-    """Chord along the top eigenvector of L^T L, which attains the closed form.
-
-    Returns (1, 2) probabilities and (1, 2, 3) Bloch vectors, a batch of one.
+def _marginal_images(rho: DensityMatrix):
+    """rho_B's Bloch vector (0, 0, lam_0 - lam_1) in its descending eigenframe,
+    and R_mu = Tr_B[rho (I x W sigma_mu^T W^dagger)], W = V lam^{-1/2}, for
+    sigma_0 = I and the Paulis. A decomposition {p_i, r_i} of rho_B is the
+    rank-1 POVM M_i = p_i W ((I + r_i.sigma)/2)^T W^dagger on B; outcome i has
+    probability p_i and leaves A in (R_0 + r_i.R)/2.
     """
-    gram = ch.linear_part.T @ ch.linear_part
-    _, vectors = np.linalg.eigh(gram)
-    lam = ch.marginal_eigenvalues
+    lam, vecs = np.linalg.eigh(partial_trace(rho.matrix, rho.dims, "B"))
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    if lam[1] <= MARGINAL_RANK_TOL:
+        raise DegenerateMarginal(f"rho_B eigenvalues {lam} are rank-1 within {MARGINAL_RANK_TOL}")
+    w = vecs / np.sqrt(lam)
     r_b = np.array([0.0, 0.0, float(lam[0] - lam[1])])
-    return _chords(r_b, vectors[None, :, -1])
+    return r_b, _conditionals(rho, w @ np.swapaxes(SIGMAS, 1, 2) @ w.conj().T)
 
 
-def _decomposition_objectives(ch: ChannelBloch, r_b: np.ndarray, probabilities, vectors):
-    """S2 of the mixed output minus the average S2 of the pure-input outputs,
-    one value per decomposition of an (N, size) / (N, size, 3) batch.
+def _aligned_chord(images: np.ndarray, r_b: np.ndarray):
+    """The chord through r_b along the top eigenvector of Re Tr(R_k R_l); a batch of one."""
+    gram = np.einsum("kij,lji->kl", images[1:], images[1:]).real
+    return _chords(r_b, np.linalg.eigh(gram)[1][None, :, -1])
 
-    Outputs of every decomposition element are reconstructed together as an
-    (N * size, d, d) stack of density matrices and fed to the linear-entropy
-    function, rather than using the Bloch-norm shortcut.
-    """
-    basis = gell_mann_basis(ch.output_dim)
-    mixed = linear_entropy(bloch_state(ch.linear_part @ r_b + ch.offset, basis))
-    outputs = vectors.reshape(-1, 3) @ ch.linear_part.T + ch.offset
-    pure = linear_entropy(bloch_state(outputs, basis))
-    return mixed - np.sum(probabilities * pure.reshape(probabilities.shape), axis=1)
+
+def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, vectors):
+    """S2(rho_A) minus the average S2 of A over the outcomes of each
+    decomposition's POVM, for an (N, size) / (N, size, 3) batch; every
+    conditional state goes to the linear entropy in one stack."""
+    rows = np.concatenate([r_b[None, :], vectors.reshape(-1, 3)])
+    s2 = linear_entropy((images[0] + np.tensordot(rows, images[1:], axes=1)) / 2.0)
+    return s2[0] - np.sum(probabilities * s2[1:].reshape(probabilities.shape), axis=1)
 
 
 def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200, seed: int = 0) -> float:
     """Supremum of the linear-entropy objective over sampled decompositions.
 
-    Includes the deterministic aligned chord, so the value matches the closed
-    form to within rounding; ``trials`` random 2-, 3- and 4-element
-    decompositions are drawn from per-size streams (see
+    Includes the deterministic aligned chord (``_aligned_chord``), so the
+    value matches the closed form to within rounding; ``trials`` random 2-,
+    3- and 4-element decompositions are drawn from per-size streams (see
     ``_sampled_decompositions``), so larger trial counts extend smaller ones.
+    A rank-1 rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL) raises
+    DegenerateMarginal.
     """
-    ch = extract_channel(one_state(rho, "the decomposition oracle"))
-    lam = ch.marginal_eigenvalues
-    r_b = np.array([0.0, 0.0, float(lam[0] - lam[1])])
-    aligned = float(_decomposition_objectives(ch, r_b, *aligned_decomposition(ch))[0])
+    r_b, images = _marginal_images(one_state(rho, "the decomposition oracle"))
+    aligned = float(_linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[0])
     sampled = max(
-        float(np.max(_decomposition_objectives(ch, r_b, *dec), initial=-math.inf))
+        float(np.max(_linear_entropy_drops(images, r_b, *dec), initial=-math.inf))
         for dec in _sampled_decompositions(r_b, trials, seed)
     )
     if _log.isEnabledFor(logging.DEBUG):

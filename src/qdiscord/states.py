@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotFinite, NotHermitian, NotPositive, OutOfDomain,
                      StateFormatError)
-from .linalg import HERMITIAN_TOL, PAULI_X, PAULI_Y, PAULI_Z, partial_trace, tensor
+from .linalg import HERMITIAN_TOL, PAULI_X, PAULI_Y, PAULI_Z, tensor
 
 RANK_TOL = 1e-10
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
+MARGINAL_RANK_TOL = 1e-10  # rho_B is rank-1 when its smaller eigenvalue is at most this
 _JSON_TOL = 1e-8
 
 
@@ -85,6 +86,10 @@ class DensityMatrix:
         object.__setattr__(member, "dims", self.dims)
         object.__setattr__(member, "matrix", matrix)
         return member
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The matrix or stack, so numpy reads a state as an array, not a sequence."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @property
     def dim_a(self) -> int:
@@ -241,11 +246,6 @@ def random_unitary(seed, dim: int) -> np.ndarray:
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
     return u[0] if single else u
-
-
-def reduced(rho: DensityMatrix, side: str) -> np.ndarray:
-    """Reduced density matrix of subsystem "A" or "B"."""
-    return partial_trace(rho.matrix, rho.dims, keep=side)
 
 
 def purify(rho: DensityMatrix) -> Purification:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density, random_pure_density
 from qdiscord.errors import DimensionMismatch, NotHermitian, OutOfDomain
-from qdiscord.linalg import PAULI_Y, tensor
+from qdiscord.linalg import PAULI_Y, partial_trace, tensor
 from qdiscord.measures import (
     binary_entropy,
     eof_two_qubit,
@@ -25,7 +25,6 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     purify,
-    reduced,
     traced_over_b,
 )
 
@@ -108,7 +107,7 @@ class TestLinearEntropy:
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
     def test_horodecki_marginal(self, p):
-        got = linear_entropy(reduced(make_horodecki(p), "B"))
+        got = linear_entropy(partial_trace(make_horodecki(p).matrix, (2, 2), "B"))
         assert got == pytest.approx(p * (2 - p), abs=1e-12)
 
     def test_qudit_range(self):

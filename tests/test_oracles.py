@@ -1,5 +1,7 @@
+import ast
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +20,20 @@ from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
 from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.oracles import (
     GridSpec,
+    _aligned_chord,
     _batched_entropy,
-    _decomposition_objectives,
+    _chords,
+    _linear_entropy_drops,
+    _marginal_images,
     _measurement_response,
     _sampled_decompositions,
-    aligned_decomposition,
     decomposition_linear_cc,
     measurement_projectors,
     projective_classical_correlation,
     projective_discord,
 )
 from qdiscord.states import (
+    MARGINAL_RANK_TOL,
     DensityMatrix,
     make_bell_diagonal,
     make_example1,
@@ -284,6 +289,25 @@ class TestDecompositionOracle:
         with pytest.raises(DegenerateMarginal):
             decomposition_linear_cc(make_horodecki(0.0), trials=4, seed=0)
 
+    @pytest.mark.parametrize("small,rank_one", [(5e-11, True), (2e-10, False)])
+    def test_marginal_cut_matches_extract_channel(self, small, rank_one):
+        # sqrt(1-e)|00> + sqrt(e)|11> has rho_B = diag(1-e, e): the oracle and
+        # extract_channel share MARGINAL_RANK_TOL, so both raise below it and
+        # both return above it.
+        assert (small <= MARGINAL_RANK_TOL) == rank_one
+        psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
+        rho = DensityMatrix((2, 2), np.outer(psi, psi.conj()))
+        if rank_one:
+            with pytest.raises(DegenerateMarginal):
+                decomposition_linear_cc(rho, trials=4, seed=0)
+            with pytest.raises(DegenerateMarginal):
+                extract_channel(rho)
+        else:
+            got = decomposition_linear_cc(rho, trials=4, seed=0)
+            assert got == pytest.approx(4 * small * (1 - small), rel=1e-6)
+            assert got == pytest.approx(linear_classical_correlation(rho), rel=1e-6)
+            assert np.isfinite(extract_channel(rho).linear_part).all()
+
 
 class TestBatchedPaths:
     def test_qubit_entropy_formula_matches_eigvalsh(self):
@@ -299,7 +323,10 @@ class TestBatchedPaths:
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_objectives_match_one_at_a_time(self, dim_a):
-        ch = extract_channel(make_random_rank2(7, dim_a=dim_a))
+        # Reference: each decomposition pushed through the extracted channel,
+        # one element at a time, in Bloch coordinates.
+        rho = make_random_rank2(7, dim_a=dim_a)
+        ch = extract_channel(rho)
         lam = ch.marginal_eigenvalues
         r_b = np.array([0.0, 0.0, lam[0] - lam[1]])
         basis = gell_mann_basis(dim_a)
@@ -307,27 +334,39 @@ class TestBatchedPaths:
         def s2_out(r):
             return linear_entropy(bloch_state(ch.linear_part @ r + ch.offset, basis))
 
-        for probs, vectors in [aligned_decomposition(ch), *_sampled_decompositions(r_b, 6, 45)]:
+        oracle_r_b, images = _marginal_images(rho)
+        np.testing.assert_array_equal(oracle_r_b, r_b)
+        top = np.linalg.eigh(ch.linear_part.T @ ch.linear_part)[1][None, :, -1]
+        for probs, vectors in [_chords(r_b, top), *_sampled_decompositions(r_b, 6, 45)]:
             reference = [
                 s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(row_p, row_v))
                 for row_p, row_v in zip(probs, vectors)
             ]
             np.testing.assert_allclose(
-                _decomposition_objectives(ch, r_b, probs, vectors), reference, rtol=0, atol=1e-14
+                _linear_entropy_drops(images, r_b, probs, vectors), reference, rtol=0, atol=1e-14
             )
+
+    def test_oracles_import_nothing_from_the_closed_forms(self):
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert imported, "no imports found"
+        assert not imported & {"channel", "discord"}
 
 
 class TestDecompositionSampling:
     @staticmethod
     def _marginal(seed):
-        ch = extract_channel(make_random_rank2(seed))
-        lam = ch.marginal_eigenvalues
-        return ch, np.array([0.0, 0.0, lam[0] - lam[1]])
+        return _marginal_images(make_random_rank2(seed))[0]
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_constraints_hold(self, size):
         for seed in range(20):
-            _, r_b = self._marginal(seed)
+            r_b = self._marginal(seed)
             probs, vectors = _sampled_decompositions(r_b, 16, seed)[size - 2]
             assert probs.shape == (16, size) and vectors.shape == (16, size, 3)
             assert np.all(probs >= -1e-12)
@@ -337,7 +376,7 @@ class TestDecompositionSampling:
             np.testing.assert_allclose(np.linalg.norm(vectors, axis=2), 1.0, atol=1e-10)
 
     def test_smaller_sample_is_a_prefix_of_a_larger_one(self):
-        _, r_b = self._marginal(5)
+        r_b = self._marginal(5)
         small = _sampled_decompositions(r_b, 16, 11)
         large = _sampled_decompositions(r_b, 32, 11)
         for (p16, v16), (p32, v32) in zip(small, large):
@@ -345,12 +384,22 @@ class TestDecompositionSampling:
             np.testing.assert_array_equal(v16, v32[:16])
 
     def test_aligned_candidate_constraints(self):
-        for seed in range(20):
-            ch, r_b = self._marginal(seed)
-            probs, vectors = aligned_decomposition(ch)
+        # The oracle's chord decomposes rho_B, runs along the top eigenvector
+        # of the extracted channel's L^T L, and attains the closed form.
+        for seed in range(30):
+            rho = make_random_rank2(seed, dim_a=2 + seed % 3)
+            ch = extract_channel(rho)
+            r_b, images = _marginal_images(rho)
+            probs, vectors = _aligned_chord(images, r_b)
             assert probs.shape == (1, 2) and vectors.shape == (1, 2, 3)
+            assert np.all(probs >= 0.0)
             np.testing.assert_allclose(probs[0] @ vectors[0], r_b, atol=1e-10)
             np.testing.assert_allclose(np.linalg.norm(vectors[0], axis=1), 1.0, atol=1e-10)
+            chord = vectors[0, 0] - vectors[0, 1]
+            top = np.linalg.eigh(ch.linear_part.T @ ch.linear_part)[1][:, -1]
+            assert abs(chord @ top) == pytest.approx(np.linalg.norm(chord), abs=1e-10)
+            value = _linear_entropy_drops(images, r_b, probs, vectors)[0]
+            assert value == pytest.approx(linear_classical_correlation(rho), abs=1e-14)
 
 
 class TestOracleSandwich:

@@ -14,6 +14,7 @@ from qdiscord.errors import (
     OutOfDomain,
     StateFormatError,
 )
+from qdiscord.linalg import partial_trace
 from qdiscord.measures import von_neumann_entropy
 from qdiscord.oracles import decomposition_linear_cc, projective_classical_correlation
 from qdiscord.states import (
@@ -27,7 +28,6 @@ from qdiscord.states import (
     make_rho2,
     purify,
     random_unitary,
-    reduced,
     state_from_json_dict,
     state_to_json_dict,
     traced_over_b,
@@ -63,8 +63,10 @@ class TestBellDiagonal:
 
     def test_maximally_mixed_marginals(self):
         rho = make_bell_diagonal(0.2, -0.4, 0.1)
-        np.testing.assert_allclose(reduced(rho, "A"), np.eye(2) / 2, atol=1e-14)
-        np.testing.assert_allclose(reduced(rho, "B"), np.eye(2) / 2, atol=1e-14)
+        for side in ("A", "B"):
+            np.testing.assert_allclose(
+                partial_trace(rho.matrix, rho.dims, side), np.eye(2) / 2, atol=1e-14
+            )
 
 
 class TestHorodecki:
@@ -81,9 +83,8 @@ class TestHorodecki:
     def test_marginal_linear_entropy_midpoint(self):
         from qdiscord.measures import linear_entropy
 
-        assert linear_entropy(reduced(make_horodecki(0.5), "A")) == pytest.approx(
-            0.75, abs=1e-12
-        )
+        rho_a = partial_trace(make_horodecki(0.5).matrix, (2, 2), "A")
+        assert linear_entropy(rho_a) == pytest.approx(0.75, abs=1e-12)
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
@@ -109,7 +110,7 @@ class TestExample1:
     def test_marginal_b_maximally_mixed(self):
         for x in (0.0, 0.7, 2.0):
             np.testing.assert_allclose(
-                reduced(make_example1(x), "B"), np.eye(2) / 2, atol=1e-14
+                partial_trace(make_example1(x).matrix, (2, 2), "B"), np.eye(2) / 2, atol=1e-14
             )
 
     def test_out_of_domain(self):
@@ -246,7 +247,8 @@ class TestBatchedPurify:
         assert np.all(pur.eigenvalues[:-1, 1] > 1e-10)
         rho_ac = traced_over_b(pur)[-1]
         # a pure source leaves C unentangled: rho_AC = rho_A x |0><0|
-        expected = np.kron(reduced(self.STATES[-1], "A"), np.diag([1.0, 0.0]))
+        rho_a = partial_trace(self.STATES[-1].matrix, self.STATES[-1].dims, "A")
+        expected = np.kron(rho_a, np.diag([1.0, 0.0]))
         np.testing.assert_allclose(rho_ac, expected, atol=1e-12)
 
     def test_batch_rho_ac_spectra_match_single_purifications(self):
@@ -275,12 +277,14 @@ class TestBatchedPurify:
 class TestReduced:
     def test_bell_state(self):
         rho = make_bell_diagonal(1, -1, 1)
-        np.testing.assert_allclose(reduced(rho, "A"), np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(
+            partial_trace(rho.matrix, rho.dims, "A"), np.eye(2) / 2, atol=1e-14
+        )
 
     @pytest.mark.parametrize("p", [0.1, 0.6, 1.0])
     def test_horodecki_side_a(self, p):
         np.testing.assert_allclose(
-            reduced(make_horodecki(p), "A"),
+            partial_trace(make_horodecki(p).matrix, (2, 2), "A"),
             np.diag([1 - p / 2, p / 2]),
             atol=1e-14,
         )
@@ -404,6 +408,17 @@ class TestDensityMatrixStack:
         np.testing.assert_array_equal(rho[0].matrix, rho.matrix)
         with pytest.raises(IndexError):
             rho[1]
+
+    def test_numpy_reads_a_state_or_a_stack_as_its_matrix(self):
+        for rho in (make_horodecki(0.3), make_random_rank2(range(3), dim_a=3)):
+            array = np.asarray(rho)
+            assert array.shape == rho.matrix.shape and array.dtype == complex
+            np.testing.assert_array_equal(array, rho.matrix)
+            assert np.shares_memory(array, rho.matrix)
+            copied = np.array(rho)
+            assert not np.shares_memory(copied, rho.matrix) and copied.flags.writeable
+            narrow = np.asarray(rho, dtype=np.complex64)
+            np.testing.assert_array_equal(narrow, rho.matrix.astype(np.complex64))
 
     def test_one_state_consumers_reject_a_stack(self):
         stack = make_random_rank2([1, 2])
