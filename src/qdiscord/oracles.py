@@ -2,12 +2,12 @@
 
 Two oracles live here; neither imports the closed forms or the channel
 extraction, and both read the conditional states of A as Tr_B[rho (I x O)].
-The projective oracle maximizes the entropy drop of A over two-outcome
-projective measurements on the qubit B, a lower bound on the POVM-defined
-classical correlation. The decomposition oracle maximizes the linear-entropy
-drop of A over the rank-1 POVMs on B of sampled pure-state decompositions of
-rho_B, a lower bound that the aligned two-point decomposition brings up to
-the closed-form value.
+The projective oracle, which takes one state or a stack, maximizes the
+entropy drop of A over two-outcome projective measurements on the qubit B, a
+lower bound on the POVM-defined classical correlation. The decomposition
+oracle maximizes the linear-entropy drop of A over the rank-1 POVMs on B of
+sampled pure-state decompositions of rho_B, a lower bound that the aligned
+two-point decomposition brings up to the closed-form value.
 
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMarginal
 from .linalg import EIGENVALUE_CLAMP, PAULIS, SIGMAS, partial_trace
-from .measures import linear_entropy, mutual_information
+from .measures import linear_entropy, mutual_information, spectral_entropy
 from .states import MARGINAL_RANK_TOL, DensityMatrix, one_state, trial_seed
 
 _log = logging.getLogger(__name__)
@@ -35,6 +35,11 @@ _WINDOW = np.array(sorted(
     key=lambda step: max(abs(step[0]), abs(step[1])),
 ))
 _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
+
+# Conditional probabilities at or below this count as outcomes that never
+# occur: their entropy is zero rather than that of a state normalized by a
+# vanishing trace, whose spectrum is rounding noise.
+_PROB_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -75,27 +80,6 @@ def measurement_projectors(theta: float, phi: float):
     return plus, np.eye(2, dtype=complex) - plus
 
 
-def _batched_entropy(matrices: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Entropies of unnormalized conditional states, zero where prob vanishes.
-
-    2x2 conditionals take their eigenvalues from trace and determinant,
-    tr/2 +- sqrt(tr^2/4 - det) written as mean +- sqrt(((a-d)/2)^2 + |b|^2);
-    larger ones go through eigvalsh.
-    """
-    safe = np.where(probs > 1e-15, probs, 1.0)
-    normalized = matrices / safe[:, None, None]
-    if normalized.shape[-1] == 2:
-        a, d = normalized[:, 0, 0].real, normalized[:, 1, 1].real
-        mean = 0.5 * (a + d)
-        radius = np.sqrt(0.25 * (a - d) ** 2 + np.abs(normalized[:, 1, 0]) ** 2)
-        lam = np.column_stack([mean - radius, mean + radius])
-    else:
-        lam = np.linalg.eigvalsh(normalized)
-    lam = np.where(lam > EIGENVALUE_CLAMP, lam, 1.0)
-    ent = -np.sum(lam * np.log2(lam), axis=1)
-    return np.where(probs > 1e-15, ent, 0.0)
-
-
 def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
     """Tr_B[rho (I x O_k)] for a (K, 2, 2) stack of operators O_k on B."""
     r = rho.matrix.reshape(rho.dim_a, 2, rho.dim_a, 2)
@@ -126,34 +110,118 @@ def _measurement_response(rho: DensityMatrix):
     return t[0], t[1:]
 
 
-def _entropy_drop_batch(t_unit, t_pauli, s_a, directions: np.ndarray) -> np.ndarray:
-    """Objective S(rho_A) - sum_i p_i S(rho_A^i) for a batch of directions."""
-    cond_plus = 0.5 * (
-        t_unit[None, :, :] + np.einsum("nk,kij->nij", directions, t_pauli)
-    )
-    p_plus = np.einsum("naa->n", cond_plus).real
-    probs = np.stack([p_plus, 1.0 - p_plus])
-    conditionals = np.concatenate([cond_plus, t_unit[None, :, :] - cond_plus])
-    entropies = _batched_entropy(conditionals, probs.ravel()).reshape(probs.shape)
-    return s_a - probs[0] * entropies[0] - probs[1] * entropies[1]
+def _coefficients(t_unit: np.ndarray, t_pauli: np.ndarray) -> np.ndarray:
+    """Real coordinates of T_0 and T_1..3, one row each: the plus conditional
+    (T_0 + n.T)/2 has coordinates ([1, n] @ coefficients)/2 and the minus one
+    row 0 minus those. Column 0 is the trace. In a 2x2 frame the other three are
+    (a - d)/2, Re b and Im b of [[a, b*], [b, d]], which fix its spectrum; in a
+    k x k frame they are the 2k^2 entries of the matrix's real view.
+    """
+    t = np.concatenate([t_unit[None], t_pauli])
+    trace = np.einsum("kaa->k", t).real
+    if t.shape[-1] == 2:
+        return np.column_stack([trace, 0.5 * (t[:, 0, 0] - t[:, 1, 1]).real, t[:, 1, 0].real,
+                                t[:, 1, 0].imag])
+    return np.column_stack([trace, t.reshape(4, -1).view(float)])
+
+
+def _outcome_entropies(coords: np.ndarray, probs: np.ndarray, frame: int) -> np.ndarray:
+    """Entropies of conditional states given as ``_coefficients`` coordinates
+    in a ``frame`` x ``frame`` frame, each normalized by its probability; zero
+    where the probability is at or below _PROB_FLOOR.
+
+    A 2x2 conditional of trace p has eigenvalues 1/2 +- r with radius
+    r = sqrt(((a - d)/2)^2 + |b|^2) / p; larger and 1x1 ones go through
+    eigvalsh.
+    """
+    occurs = probs > _PROB_FLOOR
+    safe = np.where(occurs, probs, 1.0)
+    if frame == 2:
+        radius = np.sqrt(np.einsum("...i,...i->...", coords[..., 1:], coords[..., 1:])) / safe
+        lam = (0.5 - radius, 0.5 + radius)
+    else:
+        normalized = coords[..., 1:] / safe[..., None]
+        lam = np.linalg.eigvalsh(normalized.view(complex).reshape(*probs.shape, frame, frame))
+        lam = np.moveaxis(lam, -1, 0)
+    kept = [np.where(v > EIGENVALUE_CLAMP, v, 1.0) for v in lam]
+    return np.where(occurs, -sum(v * np.log2(v) for v in kept), 0.0)
+
+
+def _entropy_drops(coefficients: np.ndarray, frame: int, s_a: np.ndarray, directions):
+    """S(rho_A) - sum_i p_i S(rho_A^i) for the (G, 4, m) ``_coefficients`` of G
+    states of one frame size and a (G, M, 3) batch of directions, M per state."""
+    unit = coefficients[:, None, 0]
+    plus = 0.5 * (unit + directions @ coefficients[:, 1:])
+    probs = np.concatenate([plus[..., 0], 1.0 - plus[..., 0]])
+    entropies = _outcome_entropies(np.concatenate([plus, unit - plus]), probs, frame)
+    n = len(coefficients)
+    return s_a[:, None] - probs[:n] * entropies[:n] - probs[n:] * entropies[n:]
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors for an (M, 2) array of (theta, phi) rows."""
-    st = np.sin(angles[:, 0])
-    return np.column_stack(
-        [st * np.cos(angles[:, 1]), st * np.sin(angles[:, 1]), np.cos(angles[:, 0])]
-    )
+    """Unit vectors for an (..., 2) array of (theta, phi) rows."""
+    theta, phi = angles[..., :1], angles[..., 1:]
+    st = np.sin(theta)
+    return np.concatenate([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None) -> float:
+def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray, grid: GridSpec):
+    """The projective search for the (G, 4, m) ``_coefficients`` of G states of
+    one frame size: each state's coarse scan, then one lockstep refinement of
+    all their starts. Returns each state's best value and, when DEBUG is on,
+    the arguments of each state's DEBUG line."""
+    thetas = (np.arange(grid.n_theta) + 0.5) * math.pi / grid.n_theta
+    phis = (np.arange(grid.n_phi) + 0.5) * 2.0 * math.pi / grid.n_phi
+    points = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+    coarse = _directions(points)[None]
+    n, starts = len(coefficients), min(grid.refine_starts, len(points))
+    best, centres = np.empty(n), np.empty((n, starts, 2))
+    for i in range(n):
+        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], coarse)[0]
+        best[i] = np.max(values)
+        centres[i] = points[np.argsort(values)[::-1][:starts]]
+
+    # The live states, compacted only on a round where one of them leaves.
+    live, live_coefficients, live_s_a, top = np.arange(n), coefficients, s_a, best.copy()
+    width = np.tile([math.pi / grid.n_theta, 2.0 * math.pi / grid.n_phi], (n, starts, 1))
+    ends, rounds = np.empty_like(centres), np.zeros(n, dtype=int)
+    for step in itertools.count():
+        leaving = (width.max(axis=(1, 2)) < grid.angle_tol) | (step >= grid.max_rounds)
+        if leaving.any():
+            done, keep = live[leaving], ~leaving
+            ends[done], rounds[done], best[done] = centres[leaving], step, top[leaving]
+            if not keep.any():
+                break
+            live, live_coefficients, live_s_a, centres, width, top = (
+                a[keep] for a in (live, live_coefficients, live_s_a, centres, width, top))
+        local = centres[:, :, None, :] + _WINDOW * width[:, :, None, :]
+        values = _entropy_drops(live_coefficients, frame, live_s_a,
+                                _directions(local.reshape(len(live), -1, 2)))
+        pick = np.argmax(values.reshape(*centres.shape[:2], len(_WINDOW)), axis=2)
+        centres = centres + _WINDOW[pick] * width
+        top = np.maximum(top, np.max(values, axis=1))
+        width = np.where(_ON_BORDER[pick][..., None], width, width / 2.0)
+    if not _log.isEnabledFor(logging.DEBUG):
+        return best, []
+    # The value at a start never falls, so the best one ends at a centre.
+    at_ends = _entropy_drops(coefficients, frame, s_a, _directions(ends))
+    theta, phi = ends[np.arange(n), np.argmax(at_ends, axis=1)].T
+    directions = len(points) + rounds * starts * len(_WINDOW)
+    return best, list(zip(rounds, directions, itertools.repeat(frame), best, theta, phi))
+
+
+def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None):
     """Best entropy drop of A over two-outcome projective measurements on B.
 
-    A coarse grid scan picks the best cells. All of them are then refined in
-    lockstep: each round evaluates a 5x5 (theta, phi) window around every
-    start in one batch and re-centres each start on its best point. A start
-    whose best point lies inside its window halves the window; one whose
-    best point lies on the border moves on at the same width. Every
+    One state gives a float and a stack one value per state; one state is a
+    batch of one. Each state's coarse grid scan picks its best cells. All of
+    them, for every state of one frame size, are then refined in lockstep:
+    each round evaluates a 5x5 (theta, phi) window around every start in one
+    batch and re-centres each start on its best point. A start whose best
+    point lies inside its window halves the window; one whose best point
+    lies on the border moves on at the same width. A state leaves the batch
+    when all its windows are below ``angle_tol`` or after ``max_rounds``
+    rounds, so its value and rounds are those of its batch of one. Every
     evaluated value is the entropy drop of a real measurement, so the
     maximum over all of them, coarse grid included, is a lower bound on the
     POVM maximum up to the mass below EIGENVALUE_CLAMP: conditional
@@ -163,45 +231,34 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None) 
     cut. Each left-out eigenvalue lam moves the value by at most about
     -lam log2 lam, 4e-11 at lam = 1e-12.
     """
-    if one_state(rho, "the projective oracle").dim_b != 2:
+    if rho.dim_b != 2:
         raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
     grid = grid or GridSpec()
-    t_unit, t_pauli = _measurement_response(rho)
-    lam_a = np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, "A"))
-    lam_a = lam_a[lam_a > EIGENVALUE_CLAMP]
-    s_a = float(-np.sum(lam_a * np.log2(lam_a))) + 0.0
-
-    thetas = (np.arange(grid.n_theta) + 0.5) * math.pi / grid.n_theta
-    phis = (np.arange(grid.n_phi) + 0.5) * 2.0 * math.pi / grid.n_phi
-    points = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-    values = _entropy_drop_batch(t_unit, t_pauli, s_a, _directions(points))
-    best = float(np.max(values))
-
-    centres = points[np.argsort(values)[::-1][: grid.refine_starts]]
-    width = np.tile([math.pi / grid.n_theta, 2.0 * math.pi / grid.n_phi], (len(centres), 1))
-    rounds = 0
-    while rounds < grid.max_rounds and width.max() >= grid.angle_tol:
-        local = centres[:, None, :] + _WINDOW * width[:, None, :]
-        values = _entropy_drop_batch(t_unit, t_pauli, s_a, _directions(local.reshape(-1, 2)))
-        pick = np.argmax(values.reshape(len(centres), len(_WINDOW)), axis=1)
-        centres = local[np.arange(len(centres)), pick]
-        best = max(best, float(np.max(values)))
-        width = np.where(_ON_BORDER[pick, None], width, width / 2.0)
-        rounds += 1
+    stack = rho[:]
+    responses = [_measurement_response(member) for member in stack]
+    frames = np.array([t_unit.shape[0] for t_unit, _ in responses])
+    coefficients = [_coefficients(*response) for response in responses]
+    s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, rho.dims, "A")))
+    best, lines = np.empty(len(stack)), [None] * len(stack)
+    for frame in sorted(set(frames.tolist())):
+        members = np.flatnonzero(frames == frame)
+        group = np.stack([coefficients[i] for i in members])
+        best[members], group_lines = _search(group, frame, s_a[members], grid)
+        for i, line in zip(members, group_lines):
+            lines[i] = line
     if _log.isEnabledFor(logging.DEBUG):
-        # The value at a start never falls, so the best one ends at a centre.
-        at_centres = _entropy_drop_batch(t_unit, t_pauli, s_a, _directions(centres))
-        theta, phi = centres[np.argmax(at_centres)]
-        _log.debug(
-            "projective: rounds=%d directions=%d frame=%d best=%.17g theta=%.17g phi=%.17g",
-            rounds, len(points) + rounds * len(centres) * len(_WINDOW),
-            t_unit.shape[0], best, theta, phi,
-        )
-    return best
+        for line in lines:
+            _log.debug(
+                "projective: rounds=%d directions=%d frame=%d best=%.17g theta=%.17g phi=%.17g",
+                *line,
+            )
+    return float(best[0]) if rho.matrix.ndim == 2 else best
 
 
-def projective_discord(rho: DensityMatrix, grid: GridSpec = None) -> float:
-    """Mutual information minus the projective oracle; upper-bounds the discord."""
+def projective_discord(rho: DensityMatrix, grid: GridSpec = None):
+    """Mutual information minus the projective oracle; upper-bounds the discord.
+
+    One state gives a float, a stack one value per state."""
     return mutual_information(rho) - projective_classical_correlation(rho, grid)
 
 

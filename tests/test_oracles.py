@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure_density
+from conftest import random_density, random_pure_density, stack_of
 from qdiscord import oracles
 from qdiscord.channel import (
     bloch_state,
@@ -17,15 +17,16 @@ from qdiscord.channel import (
 from qdiscord.discord import discord_rank2
 from qdiscord.errors import DegenerateMarginal
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
-from qdiscord.measures import linear_entropy, von_neumann_entropy
+from qdiscord.measures import linear_entropy, mutual_information, von_neumann_entropy
 from qdiscord.oracles import (
     GridSpec,
     _aligned_chord,
-    _batched_entropy,
     _chords,
+    _coefficients,
     _linear_entropy_drops,
     _marginal_images,
     _measurement_response,
+    _outcome_entropies,
     _sampled_decompositions,
     decomposition_linear_cc,
     measurement_projectors,
@@ -227,6 +228,49 @@ class TestOracleLogging:
         assert caplog.records == []
 
 
+def _stack_with_mixed_frames():
+    """Members of rank 1, 2, 3 and 6 at dims (3, 2): frames 1, 2, 3 and 3."""
+    rng = np.random.default_rng(77)
+    return stack_of(*(_random_rank(rng, 3, rank) for rank in (1, 2, 3, 6)))
+
+
+def _stack_of_qubit_pairs():
+    """A Bell state (frame 1), a full-rank product state and random rank-2 states."""
+    product = DensityMatrix((2, 2), np.diag([0.35, 0.35, 0.15, 0.15]).astype(complex))
+    return stack_of(make_bell_diagonal(1, -1, 1), product, make_random_rank2([11, 12, 13]))
+
+
+class TestProjectiveStack:
+    @pytest.mark.parametrize("build,frames", [
+        (_stack_with_mixed_frames, [1, 2, 3, 3]),
+        (_stack_of_qubit_pairs, [1, 2, 2, 2, 2]),
+    ])
+    def test_stack_equals_its_batches_of_one(self, caplog, build, frames):
+        stack = build()
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
+        values = projective_classical_correlation(stack)
+        stacked = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        singles = [projective_classical_correlation(rho) for rho in stack]
+        assert all(isinstance(value, float) for value in singles)
+        assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+        np.testing.assert_array_equal(values, singles)
+        assert stacked == [record.getMessage() for record in caplog.records]
+        fields = [dict(part.split("=") for part in line.split()[1:]) for line in stacked]
+        assert [int(f["frame"]) for f in fields] == frames
+        assert [float(f["best"]) for f in fields] == singles
+        # Members leave the lockstep refinement on different rounds.
+        assert len({f["rounds"] for f in fields}) > 1
+
+    def test_projective_discord_of_a_stack(self):
+        stack = _stack_of_qubit_pairs()
+        got = projective_discord(stack)
+        assert got.shape == (len(stack),)
+        for rho, value in zip(stack, got):
+            assert value == mutual_information(rho) - projective_classical_correlation(rho)
+            assert value == projective_discord(rho)
+
+
 class TestProjectiveDiscord:
     def test_bell_state(self):
         assert projective_discord(make_bell_diagonal(1, -1, 1)) == pytest.approx(
@@ -310,16 +354,30 @@ class TestDecompositionOracle:
 
 
 class TestBatchedPaths:
-    def test_qubit_entropy_formula_matches_eigvalsh(self):
+    @staticmethod
+    def _entropies_against_eigvalsh(frame):
+        # Both sides of the probability floor: 1e-16 and 1e-15 count as no
+        # outcome, 2e-15 does not.
         rng = np.random.default_rng(44)
         probs = np.concatenate([[0.0, 1e-16, 1e-15, 2e-15, 1e-9], rng.uniform(0, 1, 40)])
-        mats = np.stack([p * random_density(rng, 2) for p in probs])
+        mats = np.stack([p * random_density(rng, frame) for p in probs])
         reference = []
         for m, p in zip(mats, probs):
-            lam = np.linalg.eigvalsh(m / p) if p > 1e-15 else np.ones(2)
+            lam = np.linalg.eigvalsh(m / p) if p > 1e-15 else np.ones(frame)
             lam = lam[lam > 1e-12]
             reference.append(float(-np.sum(lam * np.log2(lam))) if p > 1e-15 else 0.0)
-        np.testing.assert_allclose(_batched_entropy(mats, probs), reference, rtol=0, atol=1e-13)
+        coords = np.stack([_coefficients(m, np.stack([m] * 3))[0] for m in mats])
+        np.testing.assert_allclose(coords[:, 0], probs, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            _outcome_entropies(coords, probs, frame), reference, rtol=0, atol=1e-13
+        )
+
+    def test_qubit_entropy_formula_matches_eigvalsh(self):
+        # The 2x2 invariants: trace, (a - d)/2, Re b and Im b.
+        self._entropies_against_eigvalsh(2)
+
+    def test_larger_frames_keep_eigvalsh_and_the_same_floor(self):
+        self._entropies_against_eigvalsh(3)
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_objectives_match_one_at_a_time(self, dim_a):

@@ -16,7 +16,7 @@ from qdiscord.errors import (
 )
 from qdiscord.linalg import partial_trace
 from qdiscord.measures import von_neumann_entropy
-from qdiscord.oracles import decomposition_linear_cc, projective_classical_correlation
+from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
     DensityMatrix,
     dump_state,
@@ -422,8 +422,6 @@ class TestDensityMatrixStack:
 
     def test_one_state_consumers_reject_a_stack(self):
         stack = make_random_rank2([1, 2])
-        with pytest.raises(DimensionMismatch, match="projective oracle takes one state, got a stack of 2"):
-            projective_classical_correlation(stack)
         with pytest.raises(DimensionMismatch, match="decomposition oracle takes one state, got a stack of 2"):
             decomposition_linear_cc(stack, trials=4)
         with pytest.raises(DimensionMismatch, match="JSON wire format takes one state, got a stack of 2"):
