@@ -9,6 +9,7 @@ stdout bytes are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -333,7 +334,11 @@ def _add_family_arguments(parser, include_state=False):
                             help="path to a state JSON file instead of --family")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one, so
+    callers must not change it. Each subcommand names its handler, which
+    ``main`` looks up when it runs, so a replaced ``cmd_*`` is the one called."""
     parser = argparse.ArgumentParser(
         prog="qdiscord",
         description="Closed-form quantum discord for rank-2 two-qubit states, "
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="report all correlations of one state")
     _add_family_arguments(compute, include_state=True)
-    compute.set_defaults(handler=cmd_compute)
+    compute.set_defaults(handler="cmd_compute")
 
     sweep = sub.add_parser("sweep", help="write a CSV parameter sweep")
     _add_family_arguments(sweep)
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.set_defaults(handler=cmd_sweep)
+    sweep.set_defaults(handler="cmd_sweep")
 
     validate = sub.add_parser("validate", help="run the randomized identity suite")
     validate.add_argument("--trials", type=int, required=True)
@@ -360,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--tol", action="append", default=None,
                           metavar="NAME=VALUE",
                           help="override a check tolerance, e.g. kw=1e-6")
-    validate.set_defaults(handler=cmd_validate)
+    validate.set_defaults(handler="cmd_validate")
 
     state = sub.add_parser("state", help="state utilities")
     state_sub = state.add_subparsers(dest="state_command", required=True)
     show = state_sub.add_parser("show", help="print a family state as JSON")
     _add_family_arguments(show)
-    show.set_defaults(handler=cmd_state_show)
+    show.set_defaults(handler="cmd_state_show")
 
     return parser
 
@@ -378,7 +383,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (QDiscordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

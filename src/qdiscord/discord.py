@@ -28,6 +28,10 @@ from .measures import (binary_entropy, f_map, linear_entropy, spectral_entropy, 
 from .states import RANK_TOL, DensityMatrix, purify, rho2_domain, traced_over_b
 
 _CLAMP_WINDOW = 1e-9
+# rho2's closed form divides by d1 * d2, the product of rho_B's diagonal
+# weights; at or below this the formula is undefined (rho_B is numerically
+# pure) and the caller falls back to the pipeline on the built state.
+_MARGINAL_PRODUCT_FLOOR = 1e-12
 _FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
            "Q_discord", "rank")
 
@@ -137,7 +141,7 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
     se, ce = math.sin(eta), math.cos(eta)
     d1 = x * ct * ct + (1.0 - x) * se * se
     d2 = x * st * st + (1.0 - x) * ce * ce
-    degenerate = d1 * d2 <= 1e-12
+    degenerate = d1 * d2 <= _MARGINAL_PRODUCT_FLOOR
     if x.ndim == 0 and degenerate:
         raise DegenerateDenominator(f"marginal weight product {d1 * d2:.3e} vanishes")
     den = np.where(degenerate, 1.0, d1 * d2)

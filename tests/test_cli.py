@@ -530,6 +530,66 @@ class TestStateShow:
         assert "the following arguments are required: --family" in err
 
 
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; no call may see
+    another's arguments, and each runs the ``cmd_*`` function current then."""
+
+    @staticmethod
+    def run_alone(capsys, monkeypatch, *argv):
+        """``run`` on a parser built for this call only."""
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            return run(capsys, *argv)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_tolerance_overrides_do_not_leak(self, capsys):
+        code, out, _ = run(capsys, "validate", "--trials", "2", "--seed", "3",
+                           "--tol", "kw=1e-6")
+        assert code == 0
+        assert json.loads(out)["checks"]["kw"]["tolerance"] == 1e-6
+        code, out, _ = run(capsys, "validate", "--trials", "2", "--seed", "3")
+        assert code == 0
+        assert json.loads(out)["checks"]["kw"]["tolerance"] == 1e-8
+
+    @pytest.mark.parametrize("error", [
+        ["compute", "--family", "ghz"],
+        ["compute", "--family", "horodecki", "--p"],
+        ["compute", "--family", "horodecki", "--p", "0.2", "--bogus"],
+        ["validate", "--trials", "3", "--seed", "-5"],
+        ["state"],
+        ["nope"],
+    ])
+    def test_usage_error_leaves_nothing_behind(self, capsys, monkeypatch, error):
+        argv = ["compute", "--family", "horodecki", "--p", "0.37"]
+        alone = self.run_alone(capsys, monkeypatch, *argv)
+        assert run(capsys, *error)[0] == 2
+        assert run(capsys, *argv) == alone
+        assert alone[0] == 0 and alone[2] == ""
+
+    def test_calls_in_sequence_match_calls_alone(self, capsys, monkeypatch):
+        calls = [
+            ["compute", "--family", "random_rank2", "--seed", "11", "--da", "3"],
+            ["compute", "--family", "rho2", "--x", "0.3", "--theta", "1.0", "--eta", "2.0"],
+            ["state", "show", "--family", "random_rank2", "--seed", "11"],
+            ["state", "show", "--family", "example1"],
+        ]
+        alone = [self.run_alone(capsys, monkeypatch, *argv) for argv in calls]
+        assert [run(capsys, *argv) for argv in calls] == alone
+        assert [code for code, _, _ in alone] == [0, 0, 0, 2]
+        assert json.loads(alone[2][1])["dims"] == [2, 2]
+        assert alone[3][2] == "error: family example1 requires --x\n"
+
+    def test_handlers_are_looked_up_when_they_run(self, capsys, monkeypatch):
+        argv = ["compute", "--family", "horodecki", "--p", "0.5"]
+        assert run(capsys, *argv)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_compute", lambda args: seen.append(args) or 7)
+        assert run(capsys, *argv) == (7, "", "")
+        assert [(args.family, args.p) for args in seen] == [("horodecki", 0.5)]
+
+
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert run(capsys, )[0] == 2

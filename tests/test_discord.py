@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_pure_density, stack_of
+from qdiscord import discord as discord_module
 from qdiscord.discord import (
     CorrelationReport,
     correlation_report,
@@ -228,6 +229,27 @@ class TestRho2ClosedForm:
     def test_degenerate_denominator_signals_fallback(self):
         with pytest.raises(DegenerateDenominator):
             discord_rho2_closed_form(1.0, math.pi / 2, math.pi / 4)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_degenerate_denominator_cut_on_both_sides(self, side):
+        # At theta = pi/2, eta = pi/4 the marginal weights are (1 - x)/2 and
+        # (1 + x)/2, so x = sqrt(1 - 4c) puts their product at c.
+        floor = discord_module._MARGINAL_PRODUCT_FLOOR
+        assert floor == 1e-12
+        theta, eta = math.pi / 2, math.pi / 4
+        x = math.sqrt(1.0 - 4.0 * floor * (1.0 + side * 1e-3))
+        d1 = x * math.cos(theta) ** 2 + (1.0 - x) * math.sin(eta) ** 2
+        d2 = x * math.sin(theta) ** 2 + (1.0 - x) * math.cos(eta) ** 2
+        assert (d1 * d2 > floor) == (side > 0)
+        if side < 0:
+            with pytest.raises(DegenerateDenominator):
+                discord_rho2_closed_form(x, theta, eta)
+            assert np.isnan(discord_rho2_closed_form(np.array([x]), theta, eta)).all()
+        else:
+            got = discord_rho2_closed_form(x, theta, eta)
+            assert math.isfinite(got)
+            np.testing.assert_array_equal(discord_rho2_closed_form(np.array([x]), theta, eta),
+                                          [got])
 
     def test_domain_checks(self):
         with pytest.raises(OutOfDomain):
