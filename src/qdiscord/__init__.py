@@ -2,16 +2,7 @@
 linear-entropy classical correlation for dx2 states, and independent
 brute-force oracles for both."""
 
-from .channel import (
-    ChannelBloch,
-    GeneratorBasis,
-    bloch_of,
-    bloch_state,
-    extract_channel,
-    gell_mann_basis,
-    linear_classical_correlation,
-    reassemble_state,
-)
+from .channel import linear_classical_correlation
 from .discord import (
     CorrelationReport,
     correlation_report,

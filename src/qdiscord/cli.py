@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import extract_channel, in_blocks, linear_classical_correlation, reassemble_state
+from .channel import _rebuilt_states, in_blocks, linear_classical_correlation
 from .discord import (correlation_report, discord_rank2, discord_rho2_closed_form,
                       identity_residuals)
 from .errors import DegenerateMarginal, QDiscordError
@@ -218,10 +218,10 @@ def _twin_correlations(seeds, rho: DensityMatrix) -> np.ndarray:
 
 
 def _roundtrip_residuals(rho: DensityMatrix) -> np.ndarray:
-    """max|reassemble_state(extract_channel(rho)) - rho| per state of a stack;
-    NaN where rho_B is rank-1 and the channel is undefined."""
-    rebuilt = reassemble_state(extract_channel(rho))
-    return np.max(np.abs(rebuilt - rho.matrix), axis=(1, 2))
+    """max|rebuilt - rho| per state of a stack, each state rebuilt from the
+    channel images that I2_cc reads; NaN where rho_B is rank-1 and the
+    channel is undefined."""
+    return np.max(np.abs(_rebuilt_states(rho) - rho.matrix), axis=(1, 2))
 
 
 def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: int) -> dict:
@@ -245,8 +245,9 @@ def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) 
 
     Trial t is the state of seed ``trial_seed(seed, t)``, drawn with all
     the others as one ``make_random_rank2`` stack. The closed-form checks,
-    the local-unitary twins and the channel round trip each make one batched
-    call per block of 128 trials. The oracle-backed checks run on the first
+    the local-unitary twins and the round trip each make one batched call
+    per block of 128 trials; the round trip rebuilds each state from the
+    channel images that I2_cc reads. The oracle-backed checks run on the first
     25 trials: the projective oracle in one call on their stack, the
     decomposition oracle once per trial. Each check reports the trials it
     evaluated, those it skipped because rho_B is rank-1, the trial of its

@@ -65,20 +65,21 @@ def _clamp_unit_interval(value):
 
 
 def _report_rows(rho: DensityMatrix) -> np.ndarray:
-    """One row per report field, then the third-largest eigenvalues, for a stack."""
+    """One row per report field, then the third-largest eigenvalues, for a stack;
+    rho_B is diagonalized once, by ``linear_cc_batch``."""
     matrices, dims = rho.matrix, rho.dims
     rho_a = partial_trace(matrices, dims, "A")
-    rho_b = partial_trace(matrices, dims, "B")
     spectrum = np.linalg.eigvalsh(matrices)
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
     applies = (rank <= 2) & (dims == (2, 2))
-    s_a, s_b, s_ab = (von_neumann_entropy(rho_a), von_neumann_entropy(rho_b),
+    i2_cc, lam_b = linear_cc_batch(rho)
+    s_a, s_b, s_ab = (von_neumann_entropy(rho_a), spectral_entropy(lam_b),
                       spectral_entropy(spectrum))
-    s2_a, i2_cc = linear_entropy(rho_a), linear_cc_batch(rho)
+    s2_a = linear_entropy(rho_a)
     f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
-    return np.stack([s_a, s_b, s_ab, s2_a, linear_entropy(rho_b), i_mutual, i2_cc,
+    return np.stack([s_a, s_b, s_ab, s2_a, 4.0 * lam_b[:, 0] * lam_b[:, 1], i_mutual, i2_cc,
                      i_cc, i_mutual - i_cc, rank, spectrum[:, -3]])
 
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 import sys
 
@@ -37,3 +39,81 @@ def stack_of(*states):
     from qdiscord.states import DensityMatrix
 
     return DensityMatrix(states[0].dims, np.concatenate([rho[:].matrix for rho in states]))
+
+
+# A Gell-Mann basis and Bloch-channel reference built from the paper's
+# definition of the hidden channel, independent of the package's reading of it.
+
+
+@functools.cache
+def gell_mann(d):
+    """Generalized Gell-Mann generators of SU(d), Tr(g_a g_b) = 2 delta_ab: the
+    symmetric, then the antisymmetric off-diagonal ones, then the diagonal
+    ones; (sigma_x, sigma_y, sigma_z) at d=2."""
+    mats = []
+    for j, k in itertools.combinations(range(d), 2):
+        sym = np.zeros((d, d), dtype=complex)
+        sym[j, k] = sym[k, j] = 1.0
+        mats.append(sym)
+    for j, k in itertools.combinations(range(d), 2):
+        anti = np.zeros((d, d), dtype=complex)
+        anti[j, k], anti[k, j] = -1.0j, 1.0j
+        mats.append(anti)
+    for level in range(1, d):
+        diag = np.concatenate([np.ones(level), [-level], np.zeros(d - level - 1)])
+        mats.append(np.sqrt(2.0 / (level * (level + 1))) * np.diag(diag).astype(complex))
+    return np.stack(mats)
+
+
+def bloch(matrix):
+    """Coefficients r with matrix = (Tr(matrix) I + r . gamma)/d, r_m = d/2 Tr(matrix g_m),
+    over the last two axes of a (..., d, d) array."""
+    m = np.asarray(matrix, dtype=complex)
+    d = m.shape[-1]
+    return 0.5 * d * np.einsum("...ij,mji->...m", m, gell_mann(d)).real
+
+
+def from_bloch(r, d):
+    """(I + r . gamma)/d, the inverse of ``bloch`` on unit-trace matrices."""
+    return (np.eye(d) + np.tensordot(r, gell_mann(d), axes=1)) / d
+
+
+def bloch_channel(rho):
+    """(L, l) of the channel of a dA x 2 state, from the paper's definition
+    Lambda(X) = Tr_B[rho (I x rho_B^{-1/2} X^T rho_B^{-1/2})] in the
+    computational frame of B: Lambda((I + r . sigma)/2) = (I + (L r + l) . gamma)/d.
+    Frame-free readings (singular values of L, the offset l) match any other
+    frame's. rho_B must have full rank."""
+    from qdiscord.linalg import SIGMAS
+
+    d_a = rho.dims[0]
+    m = rho.matrix.reshape(d_a, 2, d_a, 2)
+    lam, v = np.linalg.eigh(np.einsum("abad->bd", m))
+    root = (v / np.sqrt(lam)) @ v.conj().T
+    images = [np.einsum("abcd,db->ac", m, root @ s.T @ root) for s in SIGMAS]
+    coefficients = np.stack([bloch(image) / 2.0 for image in images])
+    return coefficients[1:].T, coefficients[0]
+
+
+def bloch_i2_cc(rho):
+    """The paper's I2_cc = (4/d^2) lam_max(L^T L) S2(rho_B), from ``bloch_channel``."""
+    from qdiscord.measures import linear_entropy
+
+    d = rho.dims[0]
+    linear_part, _ = bloch_channel(rho)
+    lam_max = np.linalg.eigvalsh(linear_part.T @ linear_part)[-1]
+    rho_b = np.einsum("abad->bd", rho.matrix.reshape(d, 2, d, 2))
+    return 4.0 / (d * d) * lam_max * linear_entropy(rho_b)
+
+
+def marginal_eigenframe(rho):
+    """rho_B's descending eigenvalues, and rho with B written in the basis of its
+    eigenvectors, taken as the package takes them; its computational frame is
+    the eigenframe the package and the oracles read the channel in."""
+    from qdiscord.linalg import partial_trace
+    from qdiscord.states import DensityMatrix
+
+    lam, vecs = np.linalg.eigh(partial_trace(rho.matrix, rho.dims, "B"))
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    frame = np.kron(np.eye(rho.dims[0]), vecs)
+    return lam, DensityMatrix(rho.dims, frame.conj().T @ rho.matrix @ frame)

@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, stack_of
-from qdiscord.channel import (
-    apply_channel,
-    bloch_of,
-    bloch_state,
-    extract_channel,
-    gell_mann_basis,
-    linear_classical_correlation,
-    reassemble_state,
-)
-from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
+from conftest import (bloch, bloch_channel, bloch_i2_cc, from_bloch, gell_mann, haar_unitary,
+                      random_density, stack_of)
+from qdiscord.channel import _rebuilt_states, linear_classical_correlation
+from qdiscord.discord import correlation_report
+from qdiscord.errors import DimensionMismatch
 from qdiscord.linalg import PAULIS, partial_trace, tensor
 from qdiscord.measures import linear_entropy
 from qdiscord.states import (
@@ -26,17 +20,23 @@ from qdiscord.states import (
 )
 
 
+def rebuilt(rho):
+    """The rebuild of one state, through a stack of one."""
+    return _rebuilt_states(rho[:])[0]
+
+
 class TestGellMannBasis:
+    """The test reference basis that the paper's Bloch checks are read in."""
+
     def test_qubit_basis_is_pauli_ordered(self):
-        basis = gell_mann_basis(2)
-        assert basis.dimension == 2
-        for got, expected in zip(basis.matrices, PAULIS):
+        basis = gell_mann(2)
+        assert len(basis) == 3
+        for got, expected in zip(basis, PAULIS):
             np.testing.assert_allclose(got, expected)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthogonality_and_tracelessness(self, d):
-        basis = gell_mann_basis(d)
-        mats = basis.matrices
+        mats = gell_mann(d)
         assert mats.shape == (d * d - 1, d, d)
         for a in range(len(mats)):
             assert abs(np.trace(mats[a])) < 1e-12
@@ -46,100 +46,89 @@ class TestGellMannBasis:
                 expected = 2.0 if a == b else 0.0
                 assert overlap == pytest.approx(expected, abs=1e-12)
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(OutOfDomain):
-            gell_mann_basis(5)
-
 
 class TestBlochCoefficients:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_maximally_mixed_is_origin(self, d):
-        basis = gell_mann_basis(d)
-        np.testing.assert_allclose(
-            bloch_of(np.eye(d) / d, basis), np.zeros(d * d - 1), atol=1e-14
-        )
+        np.testing.assert_allclose(bloch(np.eye(d) / d), np.zeros(d * d - 1), atol=1e-14)
 
     def test_computational_zero_points_up(self):
-        basis = gell_mann_basis(2)
-        np.testing.assert_allclose(
-            bloch_of(np.diag([1.0, 0.0]), basis), [0.0, 0.0, 1.0], atol=1e-14
-        )
+        np.testing.assert_allclose(bloch(np.diag([1.0, 0.0])), [0.0, 0.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_roundtrip_random_states(self, d):
         rng = np.random.default_rng(d)
-        basis = gell_mann_basis(d)
         rhos = [random_density(rng, d) for _ in range(25)]
-        rs = [bloch_of(rho, basis) for rho in rhos]
+        rs = [bloch(rho) for rho in rhos]
         for rho, r in zip(rhos, rs):
-            np.testing.assert_allclose(bloch_state(r, basis), rho, atol=1e-12)
-        np.testing.assert_allclose(bloch_state(np.stack(rs), basis), rhos, atol=1e-12)
+            np.testing.assert_allclose(from_bloch(r, d), rho, atol=1e-12)
+        np.testing.assert_allclose(bloch(np.stack(rhos)), rs, atol=1e-12)
 
     def test_qubit_bloch_norm_within_ball(self):
         rng = np.random.default_rng(21)
-        basis = gell_mann_basis(2)
         for _ in range(50):
-            r = bloch_of(random_density(rng, 2), basis)
-            assert np.linalg.norm(r) <= 1.0 + 1e-10
+            assert np.linalg.norm(bloch(random_density(rng, 2))) <= 1.0 + 1e-10
 
     def test_bloch_linear_entropy_identity(self):
         # S2((I + r.gamma)/d) = (2d^2 - 2d - 4|r|^2)/d^2 for qubits and qutrits
         rng = np.random.default_rng(22)
         for d in (2, 3):
-            basis = gell_mann_basis(d)
             for _ in range(25):
                 rho = random_density(rng, d)
-                r = bloch_of(rho, basis)
+                r = bloch(rho)
                 expected = (2 * d * d - 2 * d - 4 * np.dot(r, r)) / (d * d)
                 assert linear_entropy(rho) == pytest.approx(expected, abs=1e-10)
 
 
 class TestExtractChannel:
+    """The channel of the paper's definition, through the test reference, and
+    the package's rebuild of the state from its images."""
+
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
     def test_horodecki_singular_values(self, p):
-        ch = extract_channel(make_horodecki(p))
+        linear_part, _ = bloch_channel(make_horodecki(p))
         s = math.sqrt(p / (2 - p))
         expected = sorted([s, s, p / (2 - p)], reverse=True)
-        singular_values = np.linalg.svd(ch.linear_part, compute_uv=False)
+        singular_values = np.linalg.svd(linear_part, compute_uv=False)
         np.testing.assert_allclose(singular_values, expected, atol=1e-12)
 
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0, 1.7, 2.0])
     def test_example1_singular_values(self, x):
-        ch = extract_channel(make_example1(x))
+        linear_part, _ = bloch_channel(make_example1(x))
         expected = sorted([1 / 3, 1 / 3, abs(1 - 2 * x) / 3], reverse=True)
-        singular_values = np.linalg.svd(ch.linear_part, compute_uv=False)
+        singular_values = np.linalg.svd(linear_part, compute_uv=False)
         np.testing.assert_allclose(singular_values, expected, atol=1e-12)
 
     def test_constant_channel_for_product_state(self):
         rho = DensityMatrix((2, 2), np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
-        ch = extract_channel(rho)
-        assert np.max(np.abs(ch.linear_part)) < 1e-12
-
-    def test_rank_one_marginal_raises(self):
-        with pytest.raises(DegenerateMarginal):
-            extract_channel(make_horodecki(0.0))
+        linear_part, _ = bloch_channel(rho)
+        assert np.max(np.abs(linear_part)) < 1e-12
+        assert np.max(np.abs(rebuilt(rho) - rho.matrix)) < 1e-15
 
     def test_needs_qubit_on_b(self):
         rng = np.random.default_rng(23)
         rho = DensityMatrix((2, 3), random_density(rng, 6))
-        with pytest.raises(DimensionMismatch):
-            extract_channel(rho)
+        for read in (linear_classical_correlation, correlation_report):
+            with pytest.raises(DimensionMismatch, match=r"\(dA, 2\)"):
+                read(rho)
 
     def test_affine_consistency(self):
-        # L r + l must reproduce the coefficients of directly computed outputs
-        basis2 = gell_mann_basis(2)
+        # The reference's L r + l are the Bloch coefficients of the outputs of
+        # Lambda(X) = Tr_B[rho (I x rho_B^{-1/2} X^T rho_B^{-1/2})] itself.
         for seed in range(10):
-            rho = make_random_rank2(seed)
-            ch = extract_channel(rho)
-            basis_out = gell_mann_basis(ch.output_dim)
+            rho = make_random_rank2(seed, dim_a=2 + seed % 3)
+            d_a = rho.dims[0]
+            linear_part, offset = bloch_channel(rho)
+            m = rho.matrix.reshape(d_a, 2, d_a, 2)
+            lam, v = np.linalg.eigh(np.einsum("abad->bd", m))
+            root = (v / np.sqrt(lam)) @ v.conj().T
             rng = np.random.default_rng(seed)
             for _ in range(5):
                 qubit_in = random_density(rng, 2)
-                r_in = bloch_of(qubit_in, basis2)
-                image = apply_channel(ch, qubit_in)
-                predicted = ch.linear_part @ r_in + ch.offset
+                image = np.einsum("abcd,db->ac", m, root @ qubit_in.T @ root)
+                assert np.trace(image).real == pytest.approx(1.0, abs=1e-12)
                 np.testing.assert_allclose(
-                    bloch_of(image, basis_out), predicted, atol=1e-10
+                    bloch(image), linear_part @ bloch(qubit_in) + offset, atol=1e-10
                 )
 
     def test_reassembly_roundtrip_families_and_random(self):
@@ -151,14 +140,12 @@ class TestExtractChannel:
             make_bell_diagonal(0.5, -0.2, 0.1),
         ] + [make_random_rank2(seed) for seed in range(20)]
         for rho in states:
-            ch = extract_channel(rho)
-            assert np.max(np.abs(reassemble_state(ch) - rho.matrix)) < 1e-9
+            assert np.max(np.abs(rebuilt(rho) - rho.matrix)) < 1e-9
 
     def test_reassembly_roundtrip_qutrit_output(self):
         for seed in range(10):
             rho = make_random_rank2(seed, dim_a=3)
-            ch = extract_channel(rho)
-            assert np.max(np.abs(reassemble_state(ch) - rho.matrix)) < 1e-9
+            assert np.max(np.abs(rebuilt(rho) - rho.matrix)) < 1e-9
 
 
 class TestLinearClassicalCorrelation:
@@ -210,11 +197,11 @@ class TestLinearClassicalCorrelation:
         rho = make_bell_diagonal(0.3, -0.5, 0.1)
         rho_b = partial_trace(rho.matrix, rho.dims, "B")
         shifted = DensityMatrix((2, 2), rho.matrix + 0.05 * tensor(PAULIS[2], rho_b))
-        base, moved = extract_channel(rho), extract_channel(shifted)
-        assert np.max(np.abs(moved.offset - base.offset)) > 0.05
+        (base_part, base_offset), (moved_part, moved_offset) = map(bloch_channel, (rho, shifted))
+        assert np.max(np.abs(moved_offset - base_offset)) > 0.05
         np.testing.assert_allclose(
-            np.linalg.svd(moved.linear_part, compute_uv=False),
-            np.linalg.svd(base.linear_part, compute_uv=False),
+            np.linalg.svd(moved_part, compute_uv=False),
+            np.linalg.svd(base_part, compute_uv=False),
             atol=1e-12,
         )
         assert linear_classical_correlation(shifted) == pytest.approx(
@@ -224,20 +211,12 @@ class TestLinearClassicalCorrelation:
     def test_qutrit_output_prefactor(self):
         # at d=3 the 4/d^2 prefactor is 4/9; check the formula wiring directly
         rho = make_random_rank2(3, dim_a=3)
-        ch = extract_channel(rho)
+        linear_part, _ = bloch_channel(rho)
         s2_b = linear_entropy(partial_trace(rho.matrix, rho.dims, "B"))
-        gram = ch.linear_part.T @ ch.linear_part
-        lam_max = float(np.linalg.eigvalsh(gram)[-1])
+        lam_max = float(np.linalg.eigvalsh(linear_part.T @ linear_part)[-1])
         assert linear_classical_correlation(rho) == pytest.approx(
             4.0 / 9.0 * lam_max * s2_b, abs=1e-12
         )
-
-
-def eigenframe_i2_cc(rho):
-    """Reference I2_cc from the eigenframe channel: (4/d^2) s_max(L)^2 S2(rho_B)."""
-    d = rho.dim_a
-    s_max = np.linalg.svd(extract_channel(rho).linear_part, compute_uv=False)[0]
-    return 4.0 / (d * d) * s_max * s_max * linear_entropy(partial_trace(rho.matrix, rho.dims, "B"))
 
 
 class TestFrameFreeCore:
@@ -245,7 +224,7 @@ class TestFrameFreeCore:
     def test_matches_eigenframe_reference(self, d):
         states = make_random_rank2(range(500), dim_a=d)
         got = linear_classical_correlation(states)
-        expected = [eigenframe_i2_cc(rho) for rho in states]
+        expected = [bloch_i2_cc(rho) for rho in states]
         assert got.shape == (500,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
@@ -261,7 +240,8 @@ class TestFrameFreeCore:
     def test_degenerate_marginal_frame_free_matches_any_eigenframe(self):
         # rho_B = I/2 for Bell-diagonal states, so every basis diagonalizes it
         # and the eigenframe channel is a genuine choice. The frame-free value
-        # must agree with the singular values read in any of those frames.
+        # must agree with the singular values read in any of those frames, the
+        # reference's computational frame among them.
         rho = make_bell_diagonal(0.7, -0.4, 0.2)
         got = linear_classical_correlation(rho)
         assert got == pytest.approx(0.49, abs=1e-12)
@@ -270,7 +250,7 @@ class TestFrameFreeCore:
             w = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
             rotated = DensityMatrix((2, 2), w @ rho.matrix @ w.conj().T)
             assert linear_classical_correlation(rotated) == pytest.approx(got, abs=1e-12)
-            assert eigenframe_i2_cc(rotated) == pytest.approx(got, abs=1e-12)
+            assert bloch_i2_cc(rotated) == pytest.approx(got, abs=1e-12)
 
     @pytest.mark.parametrize("small,expected_zero", [
         (5e-11, True), (2e-10, False), (1.01e-10, False), (1e-9, False), (1e-8, False),
@@ -313,7 +293,7 @@ class TestFrameFreeCore:
             if min(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, "B"))) <= 1e-10:
                 continue
             assert linear_classical_correlation(rho) == pytest.approx(
-                eigenframe_i2_cc(rho), abs=1e-13
+                bloch_i2_cc(rho), abs=1e-13
             )
 
 
@@ -321,21 +301,11 @@ class TestBatchedChannel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batch_equals_batches_of_one(self, d):
         states = make_random_rank2(range(40), dim_a=d)
-        batch = extract_channel(states)
-        rebuilt = reassemble_state(batch)
-        assert batch.linear_part.shape == (40, d * d - 1, 3)
-        assert rebuilt.shape == (40, 2 * d, 2 * d)
-        qubit_in = random_density(np.random.default_rng(d), 2)
-        images = apply_channel(batch, qubit_in)
-        for n, rho in enumerate(states):
-            one = extract_channel(rho)
-            for field in ("linear_part", "offset", "marginal_eigenvalues", "marginal_basis"):
-                np.testing.assert_array_equal(getattr(batch, field)[n], getattr(one, field))
-            np.testing.assert_allclose(rebuilt[n], reassemble_state(one), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(
-                images[n], apply_channel(one, qubit_in), rtol=0, atol=1e-15
-            )
-        assert np.max(np.abs(rebuilt - states.matrix)) < 1e-9
+        batch = _rebuilt_states(states)
+        assert batch.shape == (40, 2 * d, 2 * d)
+        for n in range(len(states)):
+            np.testing.assert_array_equal(batch[n], _rebuilt_states(states[n : n + 1])[0])
+        assert np.max(np.abs(batch - states.matrix)) < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rank_one_marginal_member_is_nan_in_a_batch(self, d):
@@ -344,18 +314,12 @@ class TestBatchedChannel:
             (d, 2), np.kron(random_density(rng, d), np.diag([1.0, 0.0]))
         )
         states = stack_of(make_random_rank2(0, dim_a=d), product, make_random_rank2(1, dim_a=d))
-        batch = extract_channel(states)
-        assert np.isnan(batch.linear_part[1]).all() and np.isnan(batch.offset[1]).all()
-        assert not np.isnan(batch.linear_part[[0, 2]]).any()
-        rebuilt = reassemble_state(batch)
-        assert np.isnan(rebuilt[1]).all()
+        batch = _rebuilt_states(states)
+        assert np.isnan(batch[1]).all()
+        assert not np.isnan(batch[[0, 2]]).any()
         for n in (0, 2):
-            np.testing.assert_allclose(
-                rebuilt[n], reassemble_state(extract_channel(states[n])), rtol=0, atol=1e-15
-            )
-        with pytest.raises(DegenerateMarginal):
-            extract_channel(product)
-        assert np.isnan(extract_channel(product[:]).linear_part).all()
+            np.testing.assert_array_equal(batch[n], rebuilt(states[n]))
+        assert np.isnan(rebuilt(product)).all()
 
 
 class TestRankOneMarginalContinuity:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qdiscord import cli
+from qdiscord import channel, cli
+from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
 from qdiscord.discord import discord_rank2, koashi_winter_residual, monogamy_residual
-from qdiscord.channel import extract_channel, reassemble_state
 from qdiscord.errors import DegenerateMarginal
 from qdiscord.linalg import tensor
 from qdiscord.states import (
@@ -403,7 +403,7 @@ class TestValidate:
                 cli.projective_classical_correlation(rho) - discord_rank2(rho).I_cc
             ),
             "roundtrip": lambda rho, trial: np.max(
-                np.abs(reassemble_state(extract_channel(rho)) - rho.matrix)
+                np.abs(_rebuilt_states(rho[:])[0] - rho.matrix)
             ),
             "local_unitary": local_unitary,
         }
@@ -444,6 +444,55 @@ class TestValidate:
         assert (checks["roundtrip"]["evaluated"], checks["roundtrip"]["skipped"]) == (29, 1)
         assert checks["decomposition_bound"]["skipped"] == 1
         assert checks["kw"]["evaluated"] == checks["local_unitary"]["evaluated"] == 30
+
+    @pytest.mark.parametrize("small,rank_one", [(5e-11, True), (2e-10, False)])
+    def test_roundtrip_rank_one_cut(self, capsys, monkeypatch, small, rank_one):
+        # Trial 27, past the oracle trials, is sqrt(1-e)|00> + sqrt(e)|11>, whose
+        # rho_B = diag(1-e, e) sits on one side of MARGINAL_RANK_TOL.
+        seed, trial = 6, 27
+        draw = cli.make_random_rank2
+        psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
+        near = DensityMatrix((2, 2), np.outer(psi, psi.conj()))
+
+        def with_near_pure_marginal(seeds):
+            matrices = draw(seeds).matrix.copy()
+            matrices[trial] = near.matrix
+            return DensityMatrix((2, 2), matrices)
+
+        monkeypatch.setattr(cli, "make_random_rank2", with_near_pure_marginal)
+        code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
+        assert code == 0
+        check = json.loads(out)["checks"]["roundtrip"]
+        assert (check["evaluated"], check["skipped"]) == ((29, 1) if rank_one else (30, 0))
+        residual = cli._roundtrip_residuals(near[:])[0]
+        if rank_one:
+            assert np.isnan(residual)
+        else:
+            assert residual <= 1e-9
+
+    def test_roundtrip_fails_on_a_perturbed_image(self, capsys, monkeypatch):
+        # The identity image R_0 of trial 41 moved by 1e-6: I2_cc reads only
+        # the Pauli images, so every check but roundtrip still passes.
+        seed, trial = 11, 41
+        target = make_random_rank2(trial_seed(seed, trial)).matrix
+        exact = channel._marginal_images
+
+        def perturbed(matrices, d_a):
+            lam, vecs, pure, images = exact(matrices, d_a)
+            hit = np.all(matrices == target, axis=(1, 2))
+            images = np.copy(images)
+            images[hit, 0, 0, 0] += 1e-6
+            return lam, vecs, pure, images
+
+        monkeypatch.setattr(channel, "_marginal_images", perturbed)
+        code, out, _ = run(capsys, "validate", "--trials", "300", "--seed", str(seed))
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == ["roundtrip"]
+        check = checks["roundtrip"]
+        assert check["max_residual"] > 1e-8
+        assert (check["worst_trial"], check["worst_seed"]) == (trial, trial_seed(seed, trial))
+        assert (check["evaluated"], check["skipped"]) == (300, 0)
 
     def test_worst_trial_names_the_largest_of_distinct_residuals(self, capsys, monkeypatch):
         # Offset the decomposition oracle by a state-dependent amount so every

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_pure_density, stack_of
+from conftest import haar_unitary, random_density, random_pure_density, stack_of
 from qdiscord import discord as discord_module
 from qdiscord.discord import (
     CorrelationReport,
@@ -21,8 +21,8 @@ from qdiscord.errors import (
     OutOfDomain,
     RankTooHigh,
 )
-from qdiscord.linalg import tensor
-from qdiscord.measures import von_neumann_entropy
+from qdiscord.linalg import partial_trace, tensor
+from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.states import (
     DensityMatrix,
     make_bell_diagonal,
@@ -394,6 +394,19 @@ class TestBatchedReport:
         assert report.I2_cc > 0.0
         with pytest.raises(DimensionMismatch, match="2x2"):
             discord_rank2(make_random_rank2([3], dim_a=3))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_marginal_entropies_match_the_partial_trace(self, d):
+        # S_B and S2_B come from the rho_B eigenvalues that I2_cc reads; a
+        # product member has a pure rho_B.
+        rng = np.random.default_rng(50 + d)
+        product = DensityMatrix((d, 2), np.kron(random_density(rng, d), np.diag([1.0, 0.0])))
+        states = stack_of(make_random_rank2(range(40), dim_a=d), product)
+        report = correlation_report(states)
+        rho_b = partial_trace(states.matrix, states.dims, "B")
+        np.testing.assert_allclose(report.S_B, von_neumann_entropy(rho_b), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(report.S2_B, linear_entropy(rho_b), rtol=0, atol=1e-14)
+        assert abs(report.S2_B[-1]) < 1e-15
 
     def test_report_of_rank_two_state_equals_discord_rank2(self):
         rho = make_random_rank2(5)

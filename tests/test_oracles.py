@@ -6,14 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure_density, stack_of
+from conftest import (bloch_channel, from_bloch, marginal_eigenframe, random_density,
+                      random_pure_density, stack_of)
 from qdiscord import oracles
-from qdiscord.channel import (
-    bloch_state,
-    extract_channel,
-    gell_mann_basis,
-    linear_classical_correlation,
-)
+from qdiscord.channel import _rebuilt_states, linear_classical_correlation
 from qdiscord.discord import discord_rank2
 from qdiscord.errors import DegenerateMarginal
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
@@ -334,23 +330,25 @@ class TestDecompositionOracle:
             decomposition_linear_cc(make_horodecki(0.0), trials=4, seed=0)
 
     @pytest.mark.parametrize("small,rank_one", [(5e-11, True), (2e-10, False)])
-    def test_marginal_cut_matches_extract_channel(self, small, rank_one):
-        # sqrt(1-e)|00> + sqrt(e)|11> has rho_B = diag(1-e, e): the oracle and
-        # extract_channel share MARGINAL_RANK_TOL, so both raise below it and
-        # both return above it.
+    def test_marginal_cut_matches_the_rebuild(self, small, rank_one):
+        # sqrt(1-e)|00> + sqrt(e)|11> has rho_B = diag(1-e, e): the oracle, the
+        # closed form and the rebuild of the roundtrip check share
+        # MARGINAL_RANK_TOL. Below it the oracle raises, the closed form reads
+        # 0 and the rebuild is NaN; above it all three read the state.
         assert (small <= MARGINAL_RANK_TOL) == rank_one
         psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
         rho = DensityMatrix((2, 2), np.outer(psi, psi.conj()))
+        rebuilt = _rebuilt_states(rho[:])[0]
         if rank_one:
             with pytest.raises(DegenerateMarginal):
                 decomposition_linear_cc(rho, trials=4, seed=0)
-            with pytest.raises(DegenerateMarginal):
-                extract_channel(rho)
+            assert linear_classical_correlation(rho) == 0.0
+            assert np.isnan(rebuilt).all()
         else:
             got = decomposition_linear_cc(rho, trials=4, seed=0)
             assert got == pytest.approx(4 * small * (1 - small), rel=1e-6)
             assert got == pytest.approx(linear_classical_correlation(rho), rel=1e-6)
-            assert np.isfinite(extract_channel(rho).linear_part).all()
+            assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-9
 
 
 class TestBatchedPaths:
@@ -381,20 +379,20 @@ class TestBatchedPaths:
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_objectives_match_one_at_a_time(self, dim_a):
-        # Reference: each decomposition pushed through the extracted channel,
-        # one element at a time, in Bloch coordinates.
+        # Reference: each decomposition pushed through the test reference's
+        # channel of the state written in rho_B's eigenframe, one element at a
+        # time, in Bloch coordinates.
         rho = make_random_rank2(7, dim_a=dim_a)
-        ch = extract_channel(rho)
-        lam = ch.marginal_eigenvalues
+        lam, framed = marginal_eigenframe(rho)
+        linear_part, offset = bloch_channel(framed)
         r_b = np.array([0.0, 0.0, lam[0] - lam[1]])
-        basis = gell_mann_basis(dim_a)
 
         def s2_out(r):
-            return linear_entropy(bloch_state(ch.linear_part @ r + ch.offset, basis))
+            return linear_entropy(from_bloch(linear_part @ r + offset, dim_a))
 
         oracle_r_b, images = _marginal_images(rho)
         np.testing.assert_array_equal(oracle_r_b, r_b)
-        top = np.linalg.eigh(ch.linear_part.T @ ch.linear_part)[1][None, :, -1]
+        top = np.linalg.eigh(linear_part.T @ linear_part)[1][None, :, -1]
         for probs, vectors in [_chords(r_b, top), *_sampled_decompositions(r_b, 6, 45)]:
             reference = [
                 s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(row_p, row_v))
@@ -443,10 +441,11 @@ class TestDecompositionSampling:
 
     def test_aligned_candidate_constraints(self):
         # The oracle's chord decomposes rho_B, runs along the top eigenvector
-        # of the extracted channel's L^T L, and attains the closed form.
+        # of L^T L of the channel read in rho_B's eigenframe, and attains the
+        # closed form.
         for seed in range(30):
             rho = make_random_rank2(seed, dim_a=2 + seed % 3)
-            ch = extract_channel(rho)
+            linear_part, _ = bloch_channel(marginal_eigenframe(rho)[1])
             r_b, images = _marginal_images(rho)
             probs, vectors = _aligned_chord(images, r_b)
             assert probs.shape == (1, 2) and vectors.shape == (1, 2, 3)
@@ -454,7 +453,7 @@ class TestDecompositionSampling:
             np.testing.assert_allclose(probs[0] @ vectors[0], r_b, atol=1e-10)
             np.testing.assert_allclose(np.linalg.norm(vectors[0], axis=1), 1.0, atol=1e-10)
             chord = vectors[0, 0] - vectors[0, 1]
-            top = np.linalg.eigh(ch.linear_part.T @ ch.linear_part)[1][:, -1]
+            top = np.linalg.eigh(linear_part.T @ linear_part)[1][:, -1]
             assert abs(chord @ top) == pytest.approx(np.linalg.norm(chord), abs=1e-10)
             value = _linear_entropy_drops(images, r_b, probs, vectors)[0]
             assert value == pytest.approx(linear_classical_correlation(rho), abs=1e-14)
