@@ -18,14 +18,15 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import _rebuilt_states, in_blocks, linear_classical_correlation
+from .channel import _BLOCK, _rebuilt_states, in_blocks, linear_classical_correlation
 from .discord import (correlation_report, discord_rank2, discord_rho2_closed_form,
                       identity_residuals)
 from .errors import DegenerateMarginal, QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
-from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
-                     make_horodecki, make_random_rank2, make_rho2, random_unitary, trial_seed)
+from .states import (DensityMatrix, dump_state, join_states, load_state, make_bell_diagonal,
+                     make_example1, make_horodecki, make_random_rank2, make_rho2, random_unitary,
+                     trial_seed)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -205,13 +206,18 @@ def _parse_tolerance_overrides(pairs):
     return tolerances
 
 
-def _twin_correlations(seeds, rho: DensityMatrix) -> np.ndarray:
-    """(I_cc, Q_discord) rows for the local-unitary twins of a stack of states,
-    one trial seed per state: (U_A x U_B) rho (U_A x U_B)^dagger, with U_A and
-    U_B drawn from the trial seed's substreams 101 and 102."""
-    u_a = random_unitary([trial_seed(s, 101) for s in seeds], 2)
-    u_b = random_unitary([trial_seed(s, 102) for s in seeds], 2)
-    u = np.einsum("nac,nbd->nabcd", u_a, u_b).reshape(-1, 4, 4)
+def _draw_trials(seeds):
+    """(states, U_A, U_B) of a block of trials: each trial draws its state,
+    then the two unitaries of its local-unitary twin, from one stream,
+    ``np.random.default_rng`` of its trial seed."""
+    streams = [np.random.default_rng(s) for s in seeds]
+    return make_random_rank2(streams), random_unitary(streams, 2), random_unitary(streams, 2)
+
+
+def _twin_correlations(u_a: np.ndarray, u_b: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """(I_cc, Q_discord) rows for the local-unitary twins U rho U^dagger of a
+    stack of states, U = U_A x U_B (as ``linalg.tensor`` builds it) per state."""
+    u = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, 4, 4)
     rotated = np.einsum("nij,njk,nlk->nil", u, rho.matrix, u.conj())
     report = discord_rank2(DensityMatrix(rho.dims, rotated))
     return np.stack([report.I_cc, report.Q_discord])
@@ -243,25 +249,31 @@ def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: 
 def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) -> dict:
     """Run every identity and oracle check on seeded random rank-2 states.
 
-    Trial t is the state of seed ``trial_seed(seed, t)``, drawn with all
-    the others as one ``make_random_rank2`` stack. The closed-form checks,
-    the local-unitary twins and the round trip each make one batched call
-    per block of 128 trials; the round trip rebuilds each state from the
-    channel images that I2_cc reads. The oracle-backed checks run on the first
-    25 trials: the projective oracle in one call on their stack, the
-    decomposition oracle once per trial. Each check reports the trials it
-    evaluated, those it skipped because rho_B is rank-1, the trial of its
-    largest residual and that trial's seed. A dict passed as
-    ``stage_seconds`` receives the wall time of each stage and the total.
+    Trial t draws from one stream, ``np.random.default_rng(trial_seed(seed,
+    t))``: its state (as ``make_random_rank2`` of that seed), then U_A, then
+    U_B of its local-unitary twin. The streams are built and drawn in blocks
+    of 128 trials, each block's states one ``make_random_rank2`` stack, so
+    every state is validated once. The closed-form checks, the twins and the
+    round trip each make one batched call per block of 128 trials; the round
+    trip rebuilds each state from the channel images that I2_cc reads. The
+    oracle-backed checks run on the first 25 trials: the projective oracle in
+    one call on their stack, the decomposition oracle once per trial. Each
+    check reports the trials it evaluated, those it skipped because rho_B is
+    rank-1, the trial of its largest residual and that trial's seed. A dict
+    passed as ``stage_seconds`` receives the wall time of each stage (the
+    twin unitaries are drawn in ``draw_states``) and the total.
     """
     tolerances = tolerances or dict(_CHECK_TOLERANCES)
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     laps = [time.perf_counter()]
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    states = make_random_rank2(seeds)
+    states, u_a, u_b = zip(*(_draw_trials(seeds[i : i + _BLOCK])
+                             for i in range(0, trials, _BLOCK)))
+    states, u_a, u_b = join_states(states), np.concatenate(u_a), np.concatenate(u_b)
     laps.append(time.perf_counter())
-    twin_i_cc, twin_q = in_blocks(_twin_correlations, seeds, states)
+    twin_i_cc, twin_q = in_blocks(_twin_correlations, u_a, u_b, states)
+    del u_a, u_b  # 128 kB per 1000 trials that would otherwise outlive the twins
     laps.append(time.perf_counter())
     report, kw, monogamy = identity_residuals(states)
     residuals["kw"], residuals["monogamy"] = np.abs(kw), np.abs(monogamy)

@@ -81,11 +81,7 @@ class DensityMatrix:
         matrix = self.matrix.reshape(-1, *self.matrix.shape[-2:])[index]
         if matrix.ndim not in (2, 3):
             raise IndexError(f"index {index!r} does not select states")
-        matrix.flags.writeable = False
-        member = object.__new__(DensityMatrix)
-        object.__setattr__(member, "dims", self.dims)
-        object.__setattr__(member, "matrix", matrix)
-        return member
+        return _validated(self.dims, matrix)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The matrix or stack, so numpy reads a state as an array, not a sequence."""
@@ -98,6 +94,25 @@ class DensityMatrix:
     @property
     def dim_b(self) -> int:
         return self.dims[1]
+
+
+def _validated(dims: tuple, matrix: np.ndarray) -> DensityMatrix:
+    """A read-only DensityMatrix of states that were validated as members of one."""
+    matrix.flags.writeable = False
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "dims", dims)
+    object.__setattr__(rho, "matrix", matrix)
+    return rho
+
+
+def join_states(stacks) -> DensityMatrix:
+    """One stack of the members of ``stacks`` (states or stacks of one dims),
+    which were validated when they were built and are not validated again."""
+    stacks = list(stacks)
+    dims = {rho.dims for rho in stacks}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"join_states takes states of one dims, got {sorted(dims)}")
+    return _validated(stacks[0].dims, np.concatenate([rho[:].matrix for rho in stacks]))
 
 
 def one_state(rho: DensityMatrix, user: str) -> DensityMatrix:
@@ -206,38 +221,53 @@ def trial_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex stack, summed as ``np.linalg.norm``
+    sums one vector (real, then imaginary dot products), so the bits match."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def make_random_rank2(seed, dim_a: int = 2) -> DensityMatrix:
     """Random rank-2 state on dA x 2, deterministic in the seed.
 
     The two eigenvectors are orthonormalized complex Gaussian vectors and the
-    top eigenvalue is drawn uniformly from [0.05, 0.95]. A sequence of seeds
-    gives a stack: each seed draws from its own stream, as a single call
-    would, and the stack is validated once.
+    top eigenvalue is drawn uniformly from [0.05, 0.95]. ``seed`` is a seed or
+    a ``np.random.Generator``; the state takes a uniform, then the real and
+    the imaginary parts of both vectors as one (2, 2, 2dA) normal draw from
+    its stream, and a Generator is left just after them. A sequence of seeds
+    or Generators gives a stack: each member draws from its own stream, as a
+    single call would, and one pass of stacked algebra and validation serves
+    them all, bit for bit equal to the per-seed loop of 1-D algebra.
     """
     if dim_a not in (2, 3, 4):
         raise OutOfDomain(f"dim_a={dim_a} not in {{2, 3, 4}}")
     single, n = np.ndim(seed) == 0, dim_a * 2
-    matrices = []
-    for s in [seed] if single else seed:
-        rng = np.random.default_rng(s)
-        lam = rng.uniform(0.05, 0.95)
-        re = rng.standard_normal((2, n))
-        im = rng.standard_normal((2, n))
-        v1 = re[0] + 1j * im[0]
-        v2 = re[1] + 1j * im[1]
-        v1 = v1 / np.linalg.norm(v1)
-        v2 = v2 - np.vdot(v1, v2) * v1
-        v2 = v2 / np.linalg.norm(v2)
-        matrices.append(lam * np.outer(v1, v1.conj()) + (1.0 - lam) * np.outer(v2, v2.conj()))
-    m = np.array(matrices).reshape(-1, n, n)
+    lam, draws = [], []
+    for rng in map(np.random.default_rng, [seed] if single else seed):
+        lam.append(rng.uniform(0.05, 0.95))
+        draws.append(rng.standard_normal((2, 2, n)))
+    lam = np.array(lam)[:, None, None]
+    draws = np.array(draws).reshape(-1, 2, 2, n)
+    v = draws[:, 0] + 1j * draws[:, 1]
+    v1 = v[:, 0] / _norms(v[:, 0])[:, None]
+    overlap = (v1.conj()[:, None, :] @ v[:, 1, :, None])[:, 0]
+    v2 = v[:, 1] - overlap * v1
+    v2 = v2 / _norms(v2)[:, None]
+    m = (lam * (v1[:, :, None] * v1.conj()[:, None, :])
+         + (1.0 - lam) * (v2[:, :, None] * v2.conj()[:, None, :]))
     return DensityMatrix((dim_a, 2), m[0] if single else m)
 
 
 def random_unitary(seed, dim: int) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian, deterministic in seed.
+    """Haar-distributed random unitary, deterministic in the seed: Q of the QR
+    of a complex Gaussian, its columns rephased so that R has a positive
+    diagonal (without that step Q is not Haar-distributed).
 
-    A sequence of seeds gives an (N, dim, dim) stack: each seed draws from its
-    own stream, as a single call would, and one batched QR serves them all.
+    ``seed`` is a seed or a ``np.random.Generator``, from which this takes
+    one (2, dim, dim) normal draw. A sequence of them gives an (N, dim, dim)
+    stack: each draws from its own stream, as a single call would, and one
+    batched QR serves them all.
     """
     single = np.ndim(seed) == 0
     draws = np.stack([np.random.default_rng(s).standard_normal((2, dim, dim))
@@ -302,7 +332,7 @@ def state_from_json_dict(obj) -> DensityMatrix:
     if (
         not isinstance(dims, (list, tuple))
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise StateFormatError(f"dims must be two positive integers, got {dims!r}")
     try:

@@ -214,6 +214,16 @@ class TestCompute:
         assert "(dA, 2) with dA in {2, 3, 4}" in err
         assert f"got dims {tuple(dims)}" in err
 
+    @pytest.mark.parametrize("dims", [[True, 4], [2, True]], ids=["true_4", "2_true"])
+    def test_boolean_dims_are_rejected(self, capsys, tmp_path, dims):
+        # JSON true is a Python bool, which is an int: it must not read as 1.
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": rows}), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: dims must be two positive integers, got {dims!r}\n"
+
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run(capsys, "compute", "--family", "rho2", "--x", "0.3",
                           "--theta", "1.0", "--eta", "2.0")
@@ -391,8 +401,13 @@ class TestValidate:
         assert code == 0
         checks = json.loads(out)["checks"]
 
-        def local_unitary(rho, trial):
-            twin_i_cc, twin_q = cli._twin_correlations([trial], rho[:])[:, 0]
+        def local_unitary(rho, worst_seed):
+            # One stream replays the trial: the state, then U_A, then U_B.
+            stream = np.random.default_rng(worst_seed)
+            replayed = make_random_rank2(stream)
+            np.testing.assert_array_equal(replayed.matrix, rho.matrix)
+            u_a, u_b = random_unitary(stream, 2), random_unitary(stream, 2)
+            twin_i_cc, twin_q = cli._twin_correlations(u_a[None], u_b[None], rho[:])[:, 0]
             report = discord_rank2(rho)
             return max(abs(report.Q_discord - twin_q), abs(report.I_cc - twin_i_cc))
 
@@ -418,15 +433,62 @@ class TestValidate:
         assert all(isinstance(c["worst_trial"], int) for c in checks.values())
 
     def test_twins_match_the_per_state_reference(self):
-        # The batched twin draw against U = U_A x U_B built one trial at a time.
+        # The batched twin draw against U = U_A x U_B built one trial at a time,
+        # U_A and U_B drawn after the state from the trial's one stream.
         seeds = [trial_seed(9, t) for t in range(150)]
-        states = make_random_rank2(seeds)
-        batch = cli.in_blocks(cli._twin_correlations, seeds, states)
+        states, u_a, u_b = cli._draw_trials(seeds)
+        batch = cli.in_blocks(cli._twin_correlations, u_a, u_b, states)
         for n, (s, rho) in enumerate(zip(seeds, states)):
-            u = tensor(random_unitary(trial_seed(s, 101), 2),
-                       random_unitary(trial_seed(s, 102), 2))
+            stream = np.random.default_rng(s)
+            make_random_rank2(stream)
+            u = tensor(random_unitary(stream, 2), random_unitary(stream, 2))
             twin = discord_rank2(DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T))
             assert batch[:, n] == pytest.approx([twin.I_cc, twin.Q_discord], abs=1e-13)
+
+    def test_trials_do_not_depend_on_the_block_they_fall_in(self, monkeypatch):
+        # Blocks hold 128 trials: trials 0-129 span a block boundary in both
+        # runs, and the 300-trial run draws a third block after them.
+        summary = cli._check_summary
+
+        def per_trial_residuals(trials):
+            captured = []
+            monkeypatch.setattr(cli, "_check_summary", lambda residuals, *rest: (
+                captured.append(residuals[:130]) or summary(residuals, *rest)))
+            assert cli.run_validation(trials, 13)["pass"]
+            return dict(zip(cli._CHECK_TOLERANCES, captured))
+
+        short, long = per_trial_residuals(130), per_trial_residuals(300)
+        assert set(short) == set(long) == set(cli._CHECK_TOLERANCES)
+        for name in cli._CHECK_TOLERANCES:
+            np.testing.assert_array_equal(short[name], long[name], err_msg=name)
+        assert np.count_nonzero(short["local_unitary"]) > 0
+
+    @pytest.mark.parametrize("trials", [1, 130, 300])
+    def test_each_trial_builds_one_generator(self, monkeypatch, trials):
+        # The decomposition oracle draws from its own generators; without it,
+        # validate builds one per trial, and builds them a block of 128 at a
+        # time, just before the block's states are drawn.
+        built, built_at_draw = [], []
+        default_rng, draw = np.random.default_rng, cli.make_random_rank2
+
+        def counting(seed=None):
+            if not isinstance(seed, np.random.Generator):
+                built.append(seed)
+            return default_rng(seed)
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateMarginal("rank-1 marginal")
+
+        def drawing(streams):
+            built_at_draw.append(len(built))
+            return draw(streams)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(cli, "decomposition_linear_cc", degenerate)
+        monkeypatch.setattr(cli, "make_random_rank2", drawing)
+        cli.run_validation(trials, 21)
+        assert built == [trial_seed(21, t) for t in range(trials)]
+        assert built_at_draw == [min(end, trials) for end in range(128, trials + 128, 128)]
 
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3

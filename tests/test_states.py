@@ -20,6 +20,7 @@ from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
     DensityMatrix,
     dump_state,
+    join_states,
     load_state,
     make_bell_diagonal,
     make_example1,
@@ -141,7 +142,33 @@ class TestRho2:
             make_rho2(0.5, 7.0, 0.0)
 
 
+def scalar_rank2_reference(seed, dim_a):
+    """The per-seed draw as one loop of 1-D algebra, frozen: the stacked
+    ``make_random_rank2`` must give these matrices bit for bit."""
+    n = 2 * dim_a
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.05, 0.95)
+    re = rng.standard_normal((2, n))
+    im = rng.standard_normal((2, n))
+    v1 = re[0] + 1j * im[0]
+    v2 = re[1] + 1j * im[1]
+    v1 = v1 / np.linalg.norm(v1)
+    v2 = v2 - np.vdot(v1, v2) * v1
+    v2 = v2 / np.linalg.norm(v2)
+    return lam * np.outer(v1, v1.conj()) + (1.0 - lam) * np.outer(v2, v2.conj())
+
+
 class TestRandomRank2:
+    def test_generator_is_left_just_after_the_state(self):
+        # The state takes a uniform and (2, 2, 2dA) normals; the next draw
+        # from the same Generator continues the stream after them.
+        for dim_a in (2, 3, 4):
+            stream, replay = np.random.default_rng(8), np.random.default_rng(8)
+            make_random_rank2(stream, dim_a)
+            replay.uniform(0.05, 0.95)
+            replay.standard_normal((2, 2, 2 * dim_a))
+            assert stream.standard_normal() == replay.standard_normal()
+
     def test_deterministic_in_seed(self):
         a = make_random_rank2(123)
         b = make_random_rank2(123)
@@ -178,6 +205,17 @@ class TestRandomUnitary:
         assert stack.shape == (200, dim, dim)
         assert singles[0].shape == (dim, dim)
         np.testing.assert_allclose(stack, singles, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_generators_continue_their_streams(self, dim):
+        seeds = [trial_seed(12, t) for t in range(20)]
+        streams = [np.random.default_rng(seed) for seed in seeds]
+        first, second = random_unitary(streams, dim), random_unitary(streams, dim)
+        np.testing.assert_array_equal(first, random_unitary(seeds, dim))
+        for seed, u in zip(seeds, second):
+            stream = np.random.default_rng(seed)
+            stream.standard_normal((2, dim, dim))
+            np.testing.assert_array_equal(u, random_unitary(stream, dim))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_unitary_and_deterministic(self, dim):
@@ -367,11 +405,21 @@ class TestDensityMatrixStack:
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_seed_sequence_members_equal_single_draws(self, dim_a):
-        seeds = [trial_seed(3, t) for t in range(40)]
+        # Against the frozen per-seed loop, not against another call of the
+        # stacked code: a stack of seeds or of Generators, one seed, one Generator.
+        seeds = [trial_seed(3, t) for t in range(300)]
+        reference = DensityMatrix((dim_a, 2), np.stack(
+            [scalar_rank2_reference(seed, dim_a) for seed in seeds])).matrix
         stack = make_random_rank2(seeds, dim_a)
-        assert stack.matrix.shape == (40, 2 * dim_a, 2 * dim_a) and len(stack) == 40
+        assert stack.matrix.shape == (300, 2 * dim_a, 2 * dim_a) and len(stack) == 300
+        np.testing.assert_array_equal(stack.matrix, reference)
+        streams = [np.random.default_rng(seed) for seed in seeds]
+        np.testing.assert_array_equal(make_random_rank2(streams, dim_a).matrix, reference)
         for i, seed in enumerate(seeds):
-            np.testing.assert_array_equal(stack[i].matrix, make_random_rank2(seed, dim_a).matrix)
+            single = DensityMatrix((dim_a, 2), scalar_rank2_reference(seed, dim_a)).matrix
+            np.testing.assert_array_equal(make_random_rank2(seed, dim_a).matrix, single)
+            stream = np.random.default_rng(seed)
+            np.testing.assert_array_equal(make_random_rank2(stream, dim_a).matrix, single)
 
     @pytest.mark.parametrize("build, grid", [
         (make_horodecki, np.linspace(0.0, 1.0, 41)),
@@ -389,6 +437,23 @@ class TestDensityMatrixStack:
             make_horodecki(np.array([0.2, 1.5, -1.0]))
         with pytest.raises(OutOfDomain, match=r"^x=nan outside \[0, 2\]$"):
             make_example1(np.array([0.2, math.nan]))
+
+    def test_join_keeps_the_members_bits_and_validates_nothing_again(self):
+        seeds = [trial_seed(4, t) for t in range(300)]
+        blocks = [make_random_rank2(seeds[i : i + 128]) for i in range(0, 300, 128)]
+        joined = join_states([blocks[0], make_random_rank2(seeds[128]), *blocks[1:]])
+        expected = np.concatenate([blocks[0].matrix, make_random_rank2(seeds[128:129]).matrix,
+                                   *(b.matrix for b in blocks[1:])])
+        np.testing.assert_array_equal(joined.matrix, expected)
+        np.testing.assert_array_equal(join_states(blocks).matrix,
+                                      make_random_rank2(seeds).matrix)
+        assert joined.dims == (2, 2) and not joined.matrix.flags.writeable
+
+    def test_join_rejects_mixed_dims_and_nothing(self):
+        with pytest.raises(DimensionMismatch, match="one dims"):
+            join_states([make_random_rank2(1), make_random_rank2(1, dim_a=3)])
+        with pytest.raises(DimensionMismatch, match="one dims"):
+            join_states([])
 
     def test_members_are_read_only_views_not_validated_again(self):
         stack = make_random_rank2(range(5))
