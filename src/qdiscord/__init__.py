@@ -37,7 +37,6 @@ from .measures import (
     wootters_concurrence,
 )
 from .oracles import (
-    GridSpec,
     decomposition_linear_cc,
     projective_classical_correlation,
     projective_discord,

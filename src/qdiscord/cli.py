@@ -189,23 +189,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_tolerance_overrides(pairs):
-    tolerances = dict(_CHECK_TOLERANCES)
-    for item in pairs or []:
-        key, _, value = item.partition("=")
-        if key not in tolerances or not value:
-            known = ", ".join(sorted(tolerances))
-            raise QDiscordError(f"--tol expects NAME=VALUE with NAME in {{{known}}}")
-        try:
-            tolerances[key] = float(value)
-        except ValueError:
-            tolerances[key] = math.nan
-        if not (math.isfinite(tolerances[key]) and tolerances[key] >= 0.0):
-            raise QDiscordError(f"--tol {key} expects a finite non-negative number, "
-                                f"got {value!r}")
-    return tolerances
-
-
 def _draw_trials(seeds):
     """(states, U_A, U_B) of a block of trials: each trial draws its state,
     then the two unitaries of its local-unitary twin, from one stream,
@@ -246,7 +229,7 @@ def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: 
     }
 
 
-def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) -> dict:
+def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     """Run every identity and oracle check on seeded random rank-2 states.
 
     Trial t draws from one stream, ``np.random.default_rng(trial_seed(seed,
@@ -263,7 +246,6 @@ def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) 
     passed as ``stage_seconds`` receives the wall time of each stage (the
     twin unitaries are drawn in ``draw_states``) and the total.
     """
-    tolerances = tolerances or dict(_CHECK_TOLERANCES)
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     laps = [time.perf_counter()]
@@ -301,7 +283,7 @@ def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) 
     if stage_seconds is not None:
         stage_seconds.update(zip(_STAGES, np.diff(laps).tolist()), total=laps[-1] - laps[0])
     checks = {
-        name: _check_summary(residuals[name], tolerances[name], skipped[name], seed)
+        name: _check_summary(residuals[name], _CHECK_TOLERANCES[name], skipped[name], seed)
         for name in _CHECK_TOLERANCES
     }
     return {
@@ -315,9 +297,8 @@ def run_validation(trials: int, seed: int, tolerances=None, stage_seconds=None) 
 def cmd_validate(args) -> int:
     if args.trials < 1:
         raise QDiscordError(f"--trials must be at least 1, got {args.trials}")
-    tolerances = _parse_tolerance_overrides(args.tol)
     stage_seconds = {}
-    summary = run_validation(args.trials, args.seed, tolerances, stage_seconds)
+    summary = run_validation(args.trials, args.seed, stage_seconds)
     print(_fmt_json(summary))
     print(_fmt_json({name: round(t, 6) for name, t in stage_seconds.items()}),
           file=sys.stderr)
@@ -375,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="run the randomized identity suite")
     validate.add_argument("--trials", type=int, required=True)
     validate.add_argument("--seed", type=_parse_seed, default=0)
-    validate.add_argument("--tol", action="append", default=None,
-                          metavar="NAME=VALUE",
-                          help="override a check tolerance, e.g. kw=1e-6")
     validate.set_defaults(handler="cmd_validate")
 
     state = sub.add_parser("state", help="state utilities")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,35 +35,19 @@ _WINDOW = np.array(sorted(
 ))
 _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 
+# The projective search schedule: the best _REFINE_STARTS cells of a
+# _N_THETA x _N_PHI (theta, phi) coarse grid are refined in lockstep until
+# every window is below _ANGLE_TOL radians, or for at most _MAX_ROUNDS rounds.
+_N_THETA = 64
+_N_PHI = 32
+_REFINE_STARTS = 5
+_MAX_ROUNDS = 60
+_ANGLE_TOL = 1e-10
+
 # Conditional probabilities at or below this count as outcomes that never
 # occur: their entropy is zero rather than that of a state normalized by a
 # vanishing trace, whose spectrum is rounding noise.
 _PROB_FLOOR = 1e-15
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search schedule for the projective oracle.
-
-    The coarse grid must be at least 64 x 32 in (theta, phi); its best
-    ``refine_starts`` cells are refined in lockstep until every search
-    window is below ``angle_tol`` radians, or for at most ``max_rounds``
-    rounds.
-    """
-
-    n_theta: int = 64
-    n_phi: int = 32
-    refine_starts: int = 5
-    max_rounds: int = 60
-    angle_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_theta < 64 or self.n_phi < 32:
-            raise ValueError(f"grid {self.n_theta}x{self.n_phi} below the 64x32 floor")
-        if self.refine_starts < 1:
-            raise ValueError(f"refine_starts must be at least 1, got {self.refine_starts}")
-        if not (math.isfinite(self.angle_tol) and self.angle_tol > 0.0):
-            raise ValueError(f"angle_tol must be positive and finite, got {self.angle_tol}")
 
 
 def measurement_projectors(theta: float, phi: float):
@@ -165,28 +148,31 @@ def _directions(angles: np.ndarray) -> np.ndarray:
     return np.concatenate([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray, grid: GridSpec):
+# The coarse grid's cell centres and their directions, shared by every search.
+_COARSE_POINTS = np.stack(np.meshgrid((np.arange(_N_THETA) + 0.5) * math.pi / _N_THETA,
+                                      (np.arange(_N_PHI) + 0.5) * 2.0 * math.pi / _N_PHI,
+                                      indexing="ij"), axis=-1).reshape(-1, 2)
+_COARSE_DIRECTIONS = _directions(_COARSE_POINTS)[None]
+
+
+def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     """The projective search for the (G, 4, m) ``_coefficients`` of G states of
     one frame size: each state's coarse scan, then one lockstep refinement of
     all their starts. Returns each state's best value and, when DEBUG is on,
     the arguments of each state's DEBUG line."""
-    thetas = (np.arange(grid.n_theta) + 0.5) * math.pi / grid.n_theta
-    phis = (np.arange(grid.n_phi) + 0.5) * 2.0 * math.pi / grid.n_phi
-    points = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-    coarse = _directions(points)[None]
-    n, starts = len(coefficients), min(grid.refine_starts, len(points))
-    best, centres = np.empty(n), np.empty((n, starts, 2))
+    n = len(coefficients)
+    best, centres = np.empty(n), np.empty((n, _REFINE_STARTS, 2))
     for i in range(n):
-        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], coarse)[0]
+        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
         best[i] = np.max(values)
-        centres[i] = points[np.argsort(values)[::-1][:starts]]
+        centres[i] = _COARSE_POINTS[np.argsort(values)[::-1][:_REFINE_STARTS]]
 
     # The live states, compacted only on a round where one of them leaves.
     live, live_coefficients, live_s_a, top = np.arange(n), coefficients, s_a, best.copy()
-    width = np.tile([math.pi / grid.n_theta, 2.0 * math.pi / grid.n_phi], (n, starts, 1))
+    width = np.tile([math.pi / _N_THETA, 2.0 * math.pi / _N_PHI], (n, _REFINE_STARTS, 1))
     ends, rounds = np.empty_like(centres), np.zeros(n, dtype=int)
     for step in itertools.count():
-        leaving = (width.max(axis=(1, 2)) < grid.angle_tol) | (step >= grid.max_rounds)
+        leaving = (width.max(axis=(1, 2)) < _ANGLE_TOL) | (step >= _MAX_ROUNDS)
         if leaving.any():
             done, keep = live[leaving], ~leaving
             ends[done], rounds[done], best[done] = centres[leaving], step, top[leaving]
@@ -206,11 +192,11 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray, grid: GridSpe
     # The value at a start never falls, so the best one ends at a centre.
     at_ends = _entropy_drops(coefficients, frame, s_a, _directions(ends))
     theta, phi = ends[np.arange(n), np.argmax(at_ends, axis=1)].T
-    directions = len(points) + rounds * starts * len(_WINDOW)
+    directions = len(_COARSE_POINTS) + rounds * _REFINE_STARTS * len(_WINDOW)
     return best, list(zip(rounds, directions, itertools.repeat(frame), best, theta, phi))
 
 
-def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None):
+def projective_classical_correlation(rho: DensityMatrix):
     """Best entropy drop of A over two-outcome projective measurements on B.
 
     One state gives a float and a stack one value per state; one state is a
@@ -220,8 +206,8 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None):
     batch and re-centres each start on its best point. A start whose best
     point lies inside its window halves the window; one whose best point
     lies on the border moves on at the same width. A state leaves the batch
-    when all its windows are below ``angle_tol`` or after ``max_rounds``
-    rounds, so its value and rounds are those of its batch of one. Every
+    when all its windows are below _ANGLE_TOL or after _MAX_ROUNDS rounds,
+    so its value and rounds are those of its batch of one. Every
     evaluated value is the entropy drop of a real measurement, so the
     maximum over all of them, coarse grid included, is a lower bound on the
     POVM maximum up to the mass below EIGENVALUE_CLAMP: conditional
@@ -233,7 +219,6 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None):
     """
     if rho.dim_b != 2:
         raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
-    grid = grid or GridSpec()
     stack = rho[:]
     responses = [_measurement_response(member) for member in stack]
     frames = np.array([t_unit.shape[0] for t_unit, _ in responses])
@@ -243,7 +228,7 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None):
     for frame in sorted(set(frames.tolist())):
         members = np.flatnonzero(frames == frame)
         group = np.stack([coefficients[i] for i in members])
-        best[members], group_lines = _search(group, frame, s_a[members], grid)
+        best[members], group_lines = _search(group, frame, s_a[members])
         for i, line in zip(members, group_lines):
             lines[i] = line
     if _log.isEnabledFor(logging.DEBUG):
@@ -255,11 +240,11 @@ def projective_classical_correlation(rho: DensityMatrix, grid: GridSpec = None):
     return float(best[0]) if rho.matrix.ndim == 2 else best
 
 
-def projective_discord(rho: DensityMatrix, grid: GridSpec = None):
+def projective_discord(rho: DensityMatrix):
     """Mutual information minus the projective oracle; upper-bounds the discord.
 
     One state gives a float, a stack one value per state."""
-    return mutual_information(rho) - projective_classical_correlation(rho, grid)
+    return mutual_information(rho) - projective_classical_correlation(rho)
 
 
 def _chords(r_b: np.ndarray, directions: np.ndarray):

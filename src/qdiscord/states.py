@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -270,8 +269,10 @@ def random_unitary(seed, dim: int) -> np.ndarray:
     batched QR serves them all.
     """
     single = np.ndim(seed) == 0
-    draws = np.stack([np.random.default_rng(s).standard_normal((2, dim, dim))
-                      for s in ([seed] if single else seed)])
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise DimensionMismatch("a stack of unitaries must not be empty")
+    draws = np.stack([np.random.default_rng(s).standard_normal((2, dim, dim)) for s in seeds])
     q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
@@ -336,6 +337,8 @@ def state_from_json_dict(obj) -> DensityMatrix:
     ):
         raise StateFormatError(f"dims must be two positive integers, got {dims!r}")
     try:
+        if any(isinstance(part, bool) for row in rows for cell in row for part in cell[:2]):
+            raise TypeError("true and false are not numbers")
         m = np.array(
             [[complex(cell[0], cell[1]) for cell in row] for row in rows],
             dtype=complex,
@@ -353,7 +356,7 @@ def state_from_json_dict(obj) -> DensityMatrix:
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     if herm_dev > _JSON_TOL:
         raise StateFormatError(
-            f"matrix is not Hermitian: deviation {herm_dev:.3e} exceeds 1e-08"
+            f"matrix is not Hermitian: deviation {herm_dev:.3e} exceeds {_JSON_TOL:g}"
         )
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > _JSON_TOL:
@@ -363,9 +366,9 @@ def state_from_json_dict(obj) -> DensityMatrix:
     return DensityMatrix((dims[0], dims[1]), canonical)
 
 
-def dump_state(rho: DensityMatrix, indent: Optional[int] = 2) -> str:
+def dump_state(rho: DensityMatrix) -> str:
     """Serialize with shortest round-trip floats so reparsing is bit-exact."""
-    return json.dumps(state_to_json_dict(rho), indent=indent)
+    return json.dumps(state_to_json_dict(rho), indent=2)
 
 
 def load_state(text: str) -> DensityMatrix:

@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     "discord_rho2_closed_form", "identity_residuals", "koashi_winter_residual",
     "monogamy_residual",
     # oracles
-    "GridSpec", "decomposition_linear_cc", "projective_classical_correlation",
+    "decomposition_linear_cc", "projective_classical_correlation",
     "projective_discord",
     # errors
     "ConsistencyError", "DegenerateDenominator", "DegenerateMarginal", "DimensionMismatch",

@@ -95,6 +95,17 @@ class TestClassicalCorrelation:
         with pytest.raises(ConsistencyError):
             _clamp_unit_interval(1.01)
 
+    @pytest.mark.parametrize("overshoot", [0.9e-9, 1.1e-9])
+    def test_clamp_window_seam(self, overshoot):
+        from qdiscord.discord import _clamp_unit_interval
+
+        for value, clipped in ((-overshoot, 0.0), (1.0 + overshoot, 1.0)):
+            if overshoot > 1e-9:
+                with pytest.raises(ConsistencyError, match="by more than 1e-09"):
+                    _clamp_unit_interval(value)
+            else:
+                assert _clamp_unit_interval(value) == clipped
+
 
 class TestDiscordRank2:
     def test_example1_endpoint_value(self):

@@ -15,7 +15,6 @@ from qdiscord.errors import DegenerateMarginal
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
 from qdiscord.measures import linear_entropy, mutual_information, von_neumann_entropy
 from qdiscord.oracles import (
-    GridSpec,
     _aligned_chord,
     _chords,
     _coefficients,
@@ -69,25 +68,11 @@ class TestProjectiveOracle:
             theorem, abs=1e-4
         )
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ValueError):
-            GridSpec(n_theta=32, n_phi=32)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [{"angle_tol": 0.0}, {"angle_tol": -1.0}, {"angle_tol": math.nan},
-         {"angle_tol": math.inf}, {"refine_starts": 0}, {"refine_starts": -2}],
-    )
-    def test_schedule_that_cannot_converge_rejected(self, fields):
-        with pytest.raises(ValueError):
-            GridSpec(**fields)
-
     @pytest.mark.parametrize("dim_a", [2, 3])
     def test_never_below_own_coarse_grid(self, dim_a):
         # The coarse grid's entropy drops, recomputed from explicit projectors.
-        grid = GridSpec()
-        thetas = (np.arange(grid.n_theta) + 0.5) * math.pi / grid.n_theta
-        phis = (np.arange(grid.n_phi) + 0.5) * 2.0 * math.pi / grid.n_phi
+        thetas = (np.arange(oracles._N_THETA) + 0.5) * math.pi / oracles._N_THETA
+        phis = (np.arange(oracles._N_PHI) + 0.5) * 2.0 * math.pi / oracles._N_PHI
         for seed in (3, 4):
             rho = make_random_rank2(seed, dim_a=dim_a)
             r = rho.matrix.reshape(dim_a, 2, dim_a, 2)
@@ -101,20 +86,12 @@ class TestProjectiveOracle:
                         p = np.trace(cond).real
                         drop -= p * von_neumann_entropy(cond / p)
                     coarse = max(coarse, drop)
-            assert projective_classical_correlation(rho, grid) >= coarse - 1e-12
+            assert projective_classical_correlation(rho) >= coarse - 1e-12
 
     def test_repeated_calls_identical(self):
         for rho in (make_random_rank2(6), make_random_rank2(6, dim_a=3)):
             first = projective_classical_correlation(rho)
             assert all(projective_classical_correlation(rho) == first for _ in range(3))
-
-    def test_monotone_under_grid_doubling(self):
-        coarse = GridSpec(n_theta=64, n_phi=32)
-        fine = GridSpec(n_theta=128, n_phi=64)
-        for rho in (make_horodecki(0.35), make_random_rank2(5), make_example1(2.0)):
-            lo = projective_classical_correlation(rho, coarse)
-            hi = projective_classical_correlation(rho, fine)
-            assert hi >= lo - 1e-12
 
     def test_qutrit_side_a(self):
         rho = make_random_rank2(2, dim_a=3)
@@ -187,16 +164,15 @@ class TestRankFrame:
 class TestOracleLogging:
     def test_projective_search_logs_its_convergence(self, caplog):
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
-        grid = GridSpec()
         for rho in (make_random_rank2(3), make_random_rank2(3, dim_a=3), make_example1(0.5)):
             caplog.clear()
-            value = projective_classical_correlation(rho, grid)
+            value = projective_classical_correlation(rho)
             (record,) = caplog.records
             fields = dict(part.split("=") for part in record.getMessage().split()[1:])
             rounds = int(fields["rounds"])
-            assert 0 < rounds <= grid.max_rounds
+            assert 0 < rounds <= oracles._MAX_ROUNDS
             assert int(fields["directions"]) == (
-                grid.n_theta * grid.n_phi + rounds * grid.refine_starts * 25
+                oracles._N_THETA * oracles._N_PHI + rounds * oracles._REFINE_STARTS * 25
             )
             assert int(fields["frame"]) == 2
             assert float(fields["best"]) == value

@@ -217,6 +217,11 @@ class TestRandomUnitary:
             stream.standard_normal((2, dim, dim))
             np.testing.assert_array_equal(u, random_unitary(stream, dim))
 
+    def test_empty_stack_is_rejected_as_for_states(self):
+        for build in (make_random_rank2, lambda seeds: random_unitary(seeds, 2)):
+            with pytest.raises(DimensionMismatch, match="must not be empty"):
+                build([])
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_unitary_and_deterministic(self, dim):
         u = random_unitary(7, dim)
@@ -551,6 +556,35 @@ class TestJsonFormat:
         doc["matrix"][0][1] = [doc["matrix"][0][1][0] + 5e-9, doc["matrix"][0][1][1]]
         rho = state_from_json_dict(doc)
         assert abs(rho.matrix[0, 1] - rho.matrix[1, 0].conjugate()) == 0.0
+
+    # The parser's 1e-8 cut, on both sides, for the Hermiticity deviation and the trace.
+    @pytest.mark.parametrize("excess", [0.9e-8, 1.1e-8])
+    def test_hermiticity_seam(self, excess):
+        rho = make_bell_diagonal(0.2, -0.3, 0.1)
+        doc = state_to_json_dict(rho)
+        doc["matrix"][0][1][0] += excess
+        if excess > 1e-8:
+            with pytest.raises(StateFormatError, match="deviation 1.100e-08 exceeds 1e-08$"):
+                state_from_json_dict(doc)
+            return
+        got = state_from_json_dict(doc).matrix
+        np.testing.assert_array_equal(got, got.conj().T)
+        assert got[0, 1] == pytest.approx(excess / 2.0, rel=1e-6)
+        np.testing.assert_allclose(got, rho.matrix, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("excess", [0.9e-8, 1.1e-8])
+    def test_trace_seam(self, excess):
+        rho = make_bell_diagonal(0.2, -0.3, 0.1)
+        doc = state_to_json_dict(rho)
+        doc["matrix"] = [[[(1.0 + excess) * part for part in cell] for cell in row]
+                         for row in doc["matrix"]]
+        if excess > 1e-8:
+            with pytest.raises(StateFormatError, match="trace is not 1"):
+                state_from_json_dict(doc)
+            return
+        got = state_from_json_dict(doc).matrix
+        assert np.trace(got).real == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(got, rho.matrix, rtol=0, atol=1e-15)
 
 
 @settings(deadline=None, max_examples=60)
