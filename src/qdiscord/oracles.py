@@ -2,14 +2,17 @@
 
 Two oracles live here; neither imports the closed forms or the channel
 extraction, and both read the conditional states of A as Tr_B[rho (I x O)].
-The projective oracle, which takes one state or a stack, maximizes the
-entropy drop of A over two-outcome projective measurements on the qubit B, a
-lower bound on the POVM-defined classical correlation. The decomposition
-oracle maximizes the linear-entropy drop of A over the rank-1 POVMs on B of
-sampled pure-state decompositions of rho_B, a lower bound that the aligned
-two-point decomposition brings up to the closed-form value.
+Both take one state or a stack, and one state is a batch of one, so a member
+of a stack gets the value of its batch of one. The projective oracle
+maximizes the entropy drop of A over two-outcome projective measurements on
+the qubit B, a lower bound on the POVM-defined classical correlation. The
+decomposition oracle maximizes the linear-entropy drop of A over the rank-1
+POVMs on B of sampled pure-state decompositions of rho_B, a lower bound that
+the aligned two-point decomposition brings up to the closed-form value; each
+member of a stack draws its samples from its own seed.
 
-Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger.
+Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger,
+one line per member.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DegenerateMarginal
+from .errors import DegenerateMarginal, DimensionMismatch
 from .linalg import EIGENVALUE_CLAMP, PAULIS, SIGMAS, partial_trace
 from .measures import linear_entropy, mutual_information, spectral_entropy
-from .states import MARGINAL_RANK_TOL, DensityMatrix, one_state, trial_seed
+from .states import MARGINAL_RANK_TOL, DensityMatrix, trial_seed
 
 _log = logging.getLogger(__name__)
 
@@ -64,9 +68,10 @@ def measurement_projectors(theta: float, phi: float):
 
 
 def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
-    """Tr_B[rho (I x O_k)] for a (K, 2, 2) stack of operators O_k on B."""
-    r = rho.matrix.reshape(rho.dim_a, 2, rho.dim_a, 2)
-    return np.einsum("abcd,kdb->kac", r, operators)
+    """Tr_B[rho (I x O_k)] for a (K, 2, 2) stack of operators O_k on B; a stack
+    of N states takes an (N, K, 2, 2) stack, K operators per member."""
+    r = rho.matrix.reshape(*rho.matrix.shape[:-2], rho.dim_a, 2, rho.dim_a, 2)
+    return np.einsum("...abcd,...kdb->...kac", r, operators)
 
 
 def _measurement_response(rho: DensityMatrix):
@@ -250,107 +255,162 @@ def projective_discord(rho: DensityMatrix):
 def _chords(r_b: np.ndarray, directions: np.ndarray):
     """Two-point decompositions along chords of the Bloch sphere through r_b.
 
-    ``r_b`` is one point (3,) or one point per chord (N, 3); ``directions``
-    is (N, 3), of any nonzero length. Returns the (N, 2) probabilities and
-    the (N, 2, 3) unit Bloch vectors where each chord meets the sphere.
+    ``r_b`` (..., 3) broadcasts against the (..., 3) ``directions``, of any
+    nonzero length. Returns the (..., 2) probabilities and the (..., 2, 3)
+    unit Bloch vectors where each chord meets the sphere.
     """
     e = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
     b = np.sum(r_b * e, axis=-1)
     disc = np.sqrt(np.maximum(b * b + 1.0 - np.sum(r_b * r_b, axis=-1), 0.0))
     t = np.stack([-b + disc, -b - disc], axis=-1)
-    p_plus = -t[:, 1] / (t[:, 0] - t[:, 1])
+    p_plus = -t[..., 1] / (t[..., 0] - t[..., 1])
     probabilities = np.stack([p_plus, 1.0 - p_plus], axis=-1)
-    return probabilities, r_b[..., None, :] + t[..., None] * e[:, None, :]
+    return probabilities, r_b[..., None, :] + t[..., None] * e[..., None, :]
 
 
-def _sampled_decompositions(r_b: np.ndarray, trials: int, seed: int):
-    """Random pure-state decompositions of the marginal, ``trials`` per size.
+def _sampled_decompositions(r_b: np.ndarray, trials: int, seeds):
+    """Random pure-state decompositions of each marginal, ``trials`` per size.
 
-    Returns one (probabilities, bloch_vectors) pair per size 2, 3 and 4, of
-    shapes (trials, size) and (trials, size, 3). Each size draws its chord
-    directions from the normal stream ``trial_seed(seed, size, 0)`` and, for
-    sizes 3 and 4, its weights from the uniform stream
-    ``trial_seed(seed, size, 1)``, one row per trial, so the first n rows do
-    not depend on ``trials``. Size 2 is a chord through r_b; size 3 puts
-    weight p1 in [0, (1 - |r_b|)/2) on a random pure state and splits the
-    rest along a chord; size 4 mixes two chords with a weight in [0.2, 0.8).
+    ``r_b`` is (N, 3), one marginal per seed of ``seeds``. Returns one
+    (probabilities, bloch_vectors) pair per size 2, 3 and 4, of shapes
+    (N, trials, size) and (N, trials, size, 3). Member i draws its chord
+    directions for each size from the normal stream
+    ``trial_seed(seeds[i], size, 0)`` and, for sizes 3 and 4, its weights
+    from the uniform stream ``trial_seed(seeds[i], size, 1)``, one row per
+    trial, so its first n rows depend neither on ``trials`` nor on the other
+    members. Size 2 is a chord through r_b; size 3 puts weight p1 in
+    [0, (1 - |r_b|)/2) on a random pure state and splits the rest along a
+    chord; size 4 mixes two chords with a weight in [0.2, 0.8).
     """
+    n = len(seeds)
+
     def normal(size, count):
-        return np.random.default_rng(trial_seed(seed, size, 0)).standard_normal((trials, count, 3))
+        out = np.empty((n, trials, count, 3))
+        for row, seed in zip(out, seeds):
+            np.random.default_rng(trial_seed(seed, size, 0)).standard_normal(out=row)
+        return out
 
     def uniform(size):
-        return np.random.default_rng(trial_seed(seed, size, 1)).uniform(size=trials)
+        # random() draws the same doubles as uniform(0, 1) and fills in place.
+        out = np.empty((n, trials))
+        for row, seed in zip(out, seeds):
+            np.random.default_rng(trial_seed(seed, size, 1)).random(out=row)
+        return out
 
-    pair = _chords(r_b, normal(2, 1)[:, 0])
+    centre = r_b[:, None, :]
+    # Sizes 2 and 4 draw chords through r_b: one _chords call serves both.
+    probs, vectors = _chords(centre, np.concatenate(
+        [normal(2, 1)[:, :, 0], normal(4, 2).reshape(n, 2 * trials, 3)], axis=1))
+    pair = probs[:, :trials], vectors[:, :trials]
 
     n3 = normal(3, 2)
-    u = n3[:, 0] / np.linalg.norm(n3[:, 0], axis=1, keepdims=True)
-    p1 = uniform(3) * (1.0 - float(np.linalg.norm(r_b))) / 2.0
-    rest_p, rest_v = _chords((r_b - p1[:, None] * u) / (1.0 - p1[:, None]), n3[:, 1])
+    u = n3[:, :, 0] / np.linalg.norm(n3[:, :, 0], axis=-1, keepdims=True)
+    p1 = uniform(3)[..., None] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
+    rest_p, rest_v = _chords((centre - p1 * u) / (1.0 - p1), n3[:, :, 1])
     triple = (
-        np.column_stack([p1, (1.0 - p1[:, None]) * rest_p]),
-        np.concatenate([u[:, None, :], rest_v], axis=1),
+        np.concatenate([p1, (1.0 - p1) * rest_p], axis=-1),
+        np.concatenate([u[:, :, None, :], rest_v], axis=2),
     )
 
-    probs, vectors = _chords(r_b, normal(4, 2).reshape(-1, 3))
     weight = 0.2 + 0.6 * uniform(4)
     quad = (
-        probs.reshape(trials, 4) * np.repeat(np.column_stack([weight, 1.0 - weight]), 2, axis=1),
-        vectors.reshape(trials, 4, 3),
+        probs[:, trials:].reshape(n, trials, 4)
+        * np.repeat(np.stack([weight, 1.0 - weight], axis=-1), 2, axis=-1),
+        vectors[:, trials:].reshape(n, trials, 4, 3),
     )
     return [pair, triple, quad]
 
 
 def _marginal_images(rho: DensityMatrix):
-    """rho_B's Bloch vector (0, 0, lam_0 - lam_1) in its descending eigenframe,
-    and R_mu = Tr_B[rho (I x W sigma_mu^T W^dagger)], W = V lam^{-1/2}, for
-    sigma_0 = I and the Paulis. A decomposition {p_i, r_i} of rho_B is the
-    rank-1 POVM M_i = p_i W ((I + r_i.sigma)/2)^T W^dagger on B; outcome i has
-    probability p_i and leaves A in (R_0 + r_i.R)/2.
+    """For each state of a stack: rho_B's descending eigenvalues, whether rho_B
+    is rank-1 (smaller eigenvalue at most MARGINAL_RANK_TOL), its Bloch vector
+    (0, 0, lam_0 - lam_1) in its eigenframe, and the images
+    R_mu = Tr_B[rho (I x W sigma_mu^T W^dagger)], W = V lam^{-1/2}, for
+    sigma_0 = I and the Paulis; rank-1 members get W = V. A decomposition
+    {p_i, r_i} of rho_B is the rank-1 POVM M_i = p_i W ((I + r_i.sigma)/2)^T
+    W^dagger on B; outcome i has probability p_i and leaves A in
+    (R_0 + r_i.R)/2.
     """
     lam, vecs = np.linalg.eigh(partial_trace(rho.matrix, rho.dims, "B"))
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    if lam[1] <= MARGINAL_RANK_TOL:
-        raise DegenerateMarginal(f"rho_B eigenvalues {lam} are rank-1 within {MARGINAL_RANK_TOL}")
-    w = vecs / np.sqrt(lam)
-    r_b = np.array([0.0, 0.0, float(lam[0] - lam[1])])
-    return r_b, _conditionals(rho, w @ np.swapaxes(SIGMAS, 1, 2) @ w.conj().T)
+    lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
+    rank_one = lam[:, 1] <= MARGINAL_RANK_TOL
+    w = vecs / np.sqrt(np.where(rank_one[:, None], 1.0, lam))[:, None, :]
+    r_b = np.zeros((len(lam), 3))
+    r_b[:, 2] = lam[:, 0] - lam[:, 1]
+    operators = w[:, None] @ np.swapaxes(SIGMAS, 1, 2) @ w.conj().swapaxes(1, 2)[:, None]
+    return lam, rank_one, r_b, _conditionals(rho, operators)
 
 
 def _aligned_chord(images: np.ndarray, r_b: np.ndarray):
-    """The chord through r_b along the top eigenvector of Re Tr(R_k R_l); a batch of one."""
-    gram = np.einsum("kij,lji->kl", images[1:], images[1:]).real
-    return _chords(r_b, np.linalg.eigh(gram)[1][None, :, -1])
+    """Per member, the chord through r_b along the top eigenvector of
+    Re Tr(R_k R_l): (N, 1, 2) probabilities and (N, 1, 2, 3) vectors."""
+    gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
+    return _chords(r_b[:, None], np.linalg.eigh(gram)[1][:, None, :, -1])
 
 
 def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, vectors):
     """S2(rho_A) minus the average S2 of A over the outcomes of each
-    decomposition's POVM, for an (N, size) / (N, size, 3) batch; every
-    conditional state goes to the linear entropy in one stack."""
-    rows = np.concatenate([r_b[None, :], vectors.reshape(-1, 3)])
-    s2 = linear_entropy((images[0] + np.tensordot(rows, images[1:], axes=1)) / 2.0)
-    return s2[0] - np.sum(probabilities * s2[1:].reshape(probabilities.shape), axis=1)
+    decomposition's POVM, for (N, M, size) / (N, M, size, 3) decompositions,
+    M per member; every conditional state of every member goes to the linear
+    entropy in one stack. Returns (N, M) values."""
+    n, count, d_a = len(r_b), math.prod(probabilities.shape[1:]), images.shape[-1]
+    rows = np.concatenate([r_b[:, None], vectors.reshape(n, count, 3)], axis=1)
+    # (R_0 + r.R)/2, built in place: a stack's conditionals are its largest arrays.
+    conditionals = (rows @ images[:, 1:].reshape(n, 3, d_a * d_a)).reshape(n, count + 1, d_a, d_a)
+    conditionals += images[:, None, 0]
+    conditionals /= 2.0
+    s2 = linear_entropy(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)
+    return s2[:, :1] - np.sum(probabilities * s2[:, 1:].reshape(probabilities.shape), axis=-1)
 
 
-def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200, seed: int = 0) -> float:
+def _member_seeds(rho: DensityMatrix, seed):
+    """``[seed]`` for one state; for a stack, ``seed`` as a list with one
+    seed per member, or DimensionMismatch."""
+    if rho.matrix.ndim == 2:
+        return [seed]
+    if np.ndim(seed) != 1 or len(seed) != len(rho):
+        raise DimensionMismatch(
+            f"the decomposition oracle takes one seed per member of a stack of {len(rho)}, "
+            f"got seed of shape {np.shape(seed)}"
+        )
+    return list(seed)
+
+
+def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
+                            seed: int | Sequence[int] = 0):
     """Supremum of the linear-entropy objective over sampled decompositions.
 
-    Includes the deterministic aligned chord (``_aligned_chord``), so the
-    value matches the closed form to within rounding; ``trials`` random 2-,
-    3- and 4-element decompositions are drawn from per-size streams (see
-    ``_sampled_decompositions``), so larger trial counts extend smaller ones.
-    A rank-1 rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL) raises
-    DegenerateMarginal.
+    One state, with one int ``seed``, gives a float; a stack, with a
+    sequence of one seed per member, gives one value per member, and one
+    state is a batch of one, so a member's value is that of its batch of
+    one. Includes the deterministic aligned chord (``_aligned_chord``), so
+    the value matches the closed form to within rounding; ``trials`` random
+    2-, 3- and 4-element decompositions are drawn from each member's
+    per-size streams (see ``_sampled_decompositions``), so larger trial
+    counts extend smaller ones. A rank-1 rho_B (smaller eigenvalue at most
+    MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives
+    NaN for a member of a stack.
     """
-    r_b, images = _marginal_images(one_state(rho, "the decomposition oracle"))
-    aligned = float(_linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[0])
-    sampled = max(
-        float(np.max(_linear_entropy_drops(images, r_b, *dec), initial=-math.inf))
-        for dec in _sampled_decompositions(r_b, trials, seed)
+    seeds = _member_seeds(rho, seed)
+    stack = rho[:]
+    lam, rank_one, r_b, images = _marginal_images(stack)
+    if rho.matrix.ndim == 2 and rank_one[0]:
+        raise DegenerateMarginal(
+            f"rho_B eigenvalues {lam[0]} are rank-1 within {MARGINAL_RANK_TOL}")
+    kept = np.flatnonzero(~rank_one)
+    r_b, images = r_b[kept], images[kept]
+    aligned = _linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[:, 0]
+    sampled = np.max(
+        [np.max(_linear_entropy_drops(images, r_b, *dec), axis=1, initial=-math.inf)
+         for dec in _sampled_decompositions(r_b, trials, [seeds[i] for i in kept])],
+        axis=0,
     )
+    best = np.full(len(stack), np.nan)
+    best[kept] = np.maximum(aligned, sampled)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "decomposition: candidates=%d aligned_won=%s best=%.17g",
-            1 + 3 * trials, aligned >= sampled, max(aligned, sampled),
-        )
-    return max(aligned, sampled)
+        for a, s in zip(aligned, sampled):
+            _log.debug(
+                "decomposition: candidates=%d aligned_won=%s best=%.17g",
+                1 + 3 * trials, a >= s, max(a, s),
+            )
+    return float(best[0]) if rho.matrix.ndim == 2 else best

@@ -339,11 +339,9 @@ def state_from_json_dict(obj) -> DensityMatrix:
     try:
         if any(isinstance(part, bool) for row in rows for cell in row for part in cell[:2]):
             raise TypeError("true and false are not numbers")
-        m = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        # Unpacking each entry rejects one of any length but 2.
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise StateFormatError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     if not np.isfinite(m).all():
         raise StateFormatError("matrix entries must be finite, got NaN or Infinity")

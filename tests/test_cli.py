@@ -9,7 +9,6 @@ from qdiscord import channel, cli
 from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
 from qdiscord.discord import discord_rank2, koashi_winter_residual, monogamy_residual
-from qdiscord.errors import DegenerateMarginal
 from qdiscord.linalg import tensor
 from qdiscord.states import (
     DensityMatrix,
@@ -239,6 +238,19 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err == f"error: matrix entries must be [re, im] pairs: {reason}\n"
 
+    @pytest.mark.parametrize("cell", [[1.0, 0.0, 7.5], [1.0]], ids=["three_parts", "one_part"])
+    def test_entries_of_other_lengths_are_rejected(self, capsys, tmp_path, cell):
+        # [1.0, 0.0, 7.5] would read as 1+0j, and the state as |00><00|, if
+        # only the first two parts were read.
+        rows = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+        rows[0][0] = cell
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: matrix entries must be [re, im] pairs: ")
+        assert err.count("\n") == 1
+
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run(capsys, "compute", "--family", "rho2", "--x", "0.3",
                           "--theta", "1.0", "--eta", "2.0")
@@ -375,7 +387,8 @@ class TestValidate:
         for check in doc["checks"].values():
             assert check["worst_seed"] == trial_seed(42, check["worst_trial"])
         assert list(json.loads(err)) == [
-            "draw_states", "twins", "residuals", "roundtrip", "oracles", "total",
+            "draw_states", "twins", "residuals", "roundtrip", "projective", "decomposition",
+            "total",
         ]
 
     def test_stage_times_go_to_stderr_and_stdout_stays_identical(self, capsys, caplog):
@@ -393,12 +406,17 @@ class TestValidate:
             assert parts == pytest.approx(stages["total"], abs=1e-5)
 
     def test_projective_checks_run_when_decomposition_skips(self, capsys, monkeypatch):
-        def degenerate(*args, **kwargs):
-            raise DegenerateMarginal("rank-1 marginal")
+        calls = []
+
+        def degenerate(rho, **kwargs):
+            calls.append((len(rho), kwargs))
+            return np.full(len(rho), np.nan)  # every member's rho_B rank-1
 
         monkeypatch.setattr(cli, "decomposition_linear_cc", degenerate)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", "3")
         assert code == 1
+        # One call on the stack of the 25 oracle trials, one seed per trial.
+        assert calls == [(25, {"trials": 32, "seed": [trial_seed(3, t, 7) for t in range(25)]})]
         checks = json.loads(out)["checks"]
         counts = {name: (c["evaluated"], c["skipped"]) for name, c in checks.items()}
         assert counts["projective_bound"] == counts["projective_attain"] == (25, 0)
@@ -491,8 +509,8 @@ class TestValidate:
                 built.append(seed)
             return default_rng(seed)
 
-        def degenerate(*args, **kwargs):
-            raise DegenerateMarginal("rank-1 marginal")
+        def degenerate(rho, **kwargs):
+            return np.full(len(rho), np.nan)
 
         def drawing(streams):
             built_at_draw.append(len(built))
@@ -576,7 +594,7 @@ class TestValidate:
         # trial has a clearly different residual.
         exact = cli.decomposition_linear_cc
         monkeypatch.setattr(cli, "decomposition_linear_cc", lambda rho, **kw: (
-            exact(rho, **kw) + 1e-3 * rho.matrix[0, 0].real))
+            exact(rho, **kw) + 1e-3 * rho.matrix[:, 0, 0].real))
         seed = 5
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
         assert code == 1

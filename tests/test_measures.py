@@ -9,12 +9,14 @@ from conftest import haar_unitary, random_density, random_pure_density
 from qdiscord.errors import DimensionMismatch, NotHermitian, OutOfDomain
 from qdiscord.linalg import PAULI_Y, partial_trace, tensor
 from qdiscord.measures import (
+    _DOMAIN_SLACK,
     binary_entropy,
     eof_two_qubit,
     f_map,
     linear_entropy,
     mutual_information,
     tangle_two_qubit,
+    unit_interval,
     von_neumann_entropy,
     wootters_concurrence,
 )
@@ -149,6 +151,23 @@ class TestBinaryEntropy:
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_symmetric(self, x):
         assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
+
+
+class TestUnitInterval:
+    # measures._DOMAIN_SLACK (1e-12) on both sides, below 0 and above 1:
+    # inside it a value snaps to the end, outside it raises.
+    @pytest.mark.parametrize("slack", [0.9e-12, 1.1e-12])
+    def test_domain_slack_seam(self, slack):
+        assert _DOMAIN_SLACK == 1e-12
+        for x, end in ((-slack, 0.0), (1.0 + slack, 1.0)):
+            if slack > 1e-12:
+                with pytest.raises(OutOfDomain, match=r"outside \[0, 1\] by more than 1e-12$"):
+                    unit_interval(x, "x")
+                with pytest.raises(OutOfDomain):
+                    binary_entropy(x)
+            else:
+                assert unit_interval(x, "x") == end
+                assert binary_entropy(x) == 0.0
 
 
 class TestFMap:

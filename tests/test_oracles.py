@@ -11,7 +11,7 @@ from conftest import (bloch_channel, from_bloch, marginal_eigenframe, random_den
 from qdiscord import oracles
 from qdiscord.channel import _rebuilt_states, linear_classical_correlation
 from qdiscord.discord import discord_rank2
-from qdiscord.errors import DegenerateMarginal
+from qdiscord.errors import DegenerateMarginal, DimensionMismatch
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
 from qdiscord.measures import linear_entropy, mutual_information, von_neumann_entropy
 from qdiscord.oracles import (
@@ -35,6 +35,7 @@ from qdiscord.states import (
     make_example1,
     make_horodecki,
     make_random_rank2,
+    trial_seed,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -327,6 +328,94 @@ class TestDecompositionOracle:
             assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-9
 
 
+def _stack_with_rank_one_marginal(dim_a):
+    """Random rank-2 states with a product state, whose rho_B is rank-1, as member 2."""
+    product = np.zeros((2 * dim_a, 2 * dim_a), dtype=complex)
+    product[0, 0] = 1.0
+    members = make_random_rank2([trial_seed(31, t) for t in range(5)], dim_a=dim_a)
+    return stack_of(members[:2], DensityMatrix((dim_a, 2), product), members[2:])
+
+
+def _x_axis_chord(images, r_b):
+    """A chord through r_b along x in place of the aligned chord, so that the
+    sampled decompositions, and so each member's seeds, decide the value."""
+    return _chords(r_b[:, None], np.tile([1.0, 0.0, 0.0], (len(r_b), 1, 1)))
+
+
+class TestDecompositionStack:
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "samples_decide"])
+    def test_stack_equals_its_batches_of_one(self, caplog, monkeypatch, dim_a, aligned):
+        if not aligned:
+            monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        stack = make_random_rank2([trial_seed(dim_a, t) for t in range(12)], dim_a=dim_a)
+        seeds = [trial_seed(dim_a, t, 7) for t in range(12)]
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
+        values = decomposition_linear_cc(stack, trials=16, seed=seeds)
+        stacked = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        singles = [decomposition_linear_cc(rho, trials=16, seed=s) for rho, s in zip(stack, seeds)]
+        assert all(isinstance(value, float) for value in singles)
+        assert isinstance(values, np.ndarray) and values.shape == (12,)
+        np.testing.assert_array_equal(values, singles)
+        assert stacked == [record.getMessage() for record in caplog.records]
+        assert len(stacked) == 12
+        won = [line.split()[2] for line in stacked]
+        if aligned:
+            assert set(won) == {"aligned_won=True"}
+        else:
+            assert won.count("aligned_won=False") >= 10
+
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_rank_one_marginal_member_is_nan_in_a_stack(self, caplog, monkeypatch, dim_a):
+        # With the samples deciding, each later member must still get its own seed.
+        monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        stack = _stack_with_rank_one_marginal(dim_a)
+        seeds = [trial_seed(dim_a, t, 3) for t in range(len(stack))]
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
+        values = decomposition_linear_cc(stack, trials=8, seed=seeds)
+        assert np.isnan(values).tolist() == [False, False, True, False, False, False]
+        # The rank-1 member logs nothing, as its batch of one raises first.
+        assert len(caplog.records) == 5
+        with pytest.raises(DegenerateMarginal, match="rank-1"):
+            decomposition_linear_cc(stack[2], trials=8, seed=seeds[2])
+        for i in (0, 1, 3, 4, 5):
+            assert values[i] == decomposition_linear_cc(stack[i], trials=8, seed=seeds[i])
+
+    def test_all_members_rank_one(self):
+        stack = _stack_with_rank_one_marginal(2)[[2, 2]]
+        assert np.isnan(decomposition_linear_cc(stack, trials=4, seed=[0, 1])).all()
+
+    @pytest.mark.parametrize("seed", [0, [1, 2], [1, 2, 3, 4], [[1, 2, 3]]])
+    def test_a_stack_takes_one_seed_per_member(self, seed):
+        stack = make_random_rank2([1, 2, 3])
+        with pytest.raises(DimensionMismatch, match="one seed per member of a stack of 3"):
+            decomposition_linear_cc(stack, trials=4, seed=seed)
+
+    def test_a_stack_of_one_gives_an_array(self):
+        rho = make_random_rank2(9)
+        value = decomposition_linear_cc(rho[:], trials=8, seed=[4])
+        assert value.shape == (1,)
+        assert value[0] == decomposition_linear_cc(rho, trials=8, seed=4)
+
+    def test_more_trials_extend_each_member(self, monkeypatch):
+        # Each member's first 16 samples are those of its 16-trial run, so with
+        # the samples deciding, its 32-trial value is at least its 16-trial one.
+        monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        stack = make_random_rank2(range(8), dim_a=3)
+        seeds = [trial_seed(5, t) for t in range(8)]
+        _, _, r_b, images = _marginal_images(stack)
+        small = _sampled_decompositions(r_b, 16, seeds)
+        large = _sampled_decompositions(r_b, 32, seeds)
+        for (p16, v16), (p32, v32) in zip(small, large):
+            drops16 = _linear_entropy_drops(images, r_b, p16, v16)
+            drops32 = _linear_entropy_drops(images, r_b, p32, v32)
+            np.testing.assert_array_equal(drops16, drops32[:, :16])
+        lo = decomposition_linear_cc(stack, trials=16, seed=seeds)
+        hi = decomposition_linear_cc(stack, trials=32, seed=seeds)
+        assert np.all(hi >= lo) and np.any(hi > lo)
+
+
 class TestBatchedPaths:
     @staticmethod
     def _entropies_against_eigvalsh(frame):
@@ -366,17 +455,17 @@ class TestBatchedPaths:
         def s2_out(r):
             return linear_entropy(from_bloch(linear_part @ r + offset, dim_a))
 
-        oracle_r_b, images = _marginal_images(rho)
-        np.testing.assert_array_equal(oracle_r_b, r_b)
-        top = np.linalg.eigh(linear_part.T @ linear_part)[1][None, :, -1]
-        for probs, vectors in [_chords(r_b, top), *_sampled_decompositions(r_b, 6, 45)]:
+        _, _, oracle_r_b, images = _marginal_images(rho[:])
+        np.testing.assert_array_equal(oracle_r_b[0], r_b)
+        top = np.linalg.eigh(linear_part.T @ linear_part)[1][None, None, :, -1]
+        chord = _chords(r_b[None, None], top)
+        for probs, vectors in [chord, *_sampled_decompositions(oracle_r_b, 6, [45])]:
             reference = [
                 s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(row_p, row_v))
-                for row_p, row_v in zip(probs, vectors)
+                for row_p, row_v in zip(probs[0], vectors[0])
             ]
-            np.testing.assert_allclose(
-                _linear_entropy_drops(images, r_b, probs, vectors), reference, rtol=0, atol=1e-14
-            )
+            got = _linear_entropy_drops(images, oracle_r_b, probs, vectors)
+            np.testing.assert_allclose(got[0], reference, rtol=0, atol=1e-14)
 
     def test_oracles_import_nothing_from_the_closed_forms(self):
         tree = ast.parse(Path(oracles.__file__).read_text())
@@ -392,47 +481,59 @@ class TestBatchedPaths:
 
 class TestDecompositionSampling:
     @staticmethod
-    def _marginal(seed):
-        return _marginal_images(make_random_rank2(seed))[0]
+    def _marginals(seeds):
+        return _marginal_images(make_random_rank2(seeds))[2]
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_constraints_hold(self, size):
-        for seed in range(20):
-            r_b = self._marginal(seed)
-            probs, vectors = _sampled_decompositions(r_b, 16, seed)[size - 2]
-            assert probs.shape == (16, size) and vectors.shape == (16, size, 3)
-            assert np.all(probs >= -1e-12)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-10)
-            recon = np.einsum("ns,nsk->nk", probs, vectors)
-            np.testing.assert_allclose(recon, np.broadcast_to(r_b, recon.shape), atol=1e-10)
-            np.testing.assert_allclose(np.linalg.norm(vectors, axis=2), 1.0, atol=1e-10)
+        seeds = list(range(20))
+        r_b = self._marginals(seeds)
+        probs, vectors = _sampled_decompositions(r_b, 16, seeds)[size - 2]
+        assert probs.shape == (20, 16, size) and vectors.shape == (20, 16, size, 3)
+        assert np.all(probs >= -1e-12)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
+        recon = np.einsum("mts,mtsk->mtk", probs, vectors)
+        np.testing.assert_allclose(recon, np.broadcast_to(r_b[:, None], recon.shape), atol=1e-10)
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=-1), 1.0, atol=1e-10)
 
     def test_smaller_sample_is_a_prefix_of_a_larger_one(self):
-        r_b = self._marginal(5)
-        small = _sampled_decompositions(r_b, 16, 11)
-        large = _sampled_decompositions(r_b, 32, 11)
+        r_b = self._marginals([5, 6, 7])
+        small = _sampled_decompositions(r_b, 16, [11, 12, 13])
+        large = _sampled_decompositions(r_b, 32, [11, 12, 13])
         for (p16, v16), (p32, v32) in zip(small, large):
-            np.testing.assert_array_equal(p16, p32[:16])
-            np.testing.assert_array_equal(v16, v32[:16])
+            np.testing.assert_array_equal(p16, p32[:, :16])
+            np.testing.assert_array_equal(v16, v32[:, :16])
+
+    def test_members_draw_their_own_streams(self):
+        # Member i of a stack draws what a stack of one with its seed draws,
+        # whatever the other members and their seeds are.
+        r_b = self._marginals([5, 6, 7])
+        together = _sampled_decompositions(r_b, 8, [11, 12, 13])
+        for i, seed in enumerate([11, 12, 13]):
+            alone = _sampled_decompositions(r_b[i : i + 1], 8, [seed])
+            for (p_all, v_all), (p_one, v_one) in zip(together, alone):
+                np.testing.assert_array_equal(p_all[i], p_one[0])
+                np.testing.assert_array_equal(v_all[i], v_one[0])
 
     def test_aligned_candidate_constraints(self):
         # The oracle's chord decomposes rho_B, runs along the top eigenvector
         # of L^T L of the channel read in rho_B's eigenframe, and attains the
         # closed form.
-        for seed in range(30):
-            rho = make_random_rank2(seed, dim_a=2 + seed % 3)
-            linear_part, _ = bloch_channel(marginal_eigenframe(rho)[1])
-            r_b, images = _marginal_images(rho)
+        for dim_a in (2, 3, 4):
+            stack = make_random_rank2(range(10), dim_a=dim_a)
+            _, _, r_b, images = _marginal_images(stack)
             probs, vectors = _aligned_chord(images, r_b)
-            assert probs.shape == (1, 2) and vectors.shape == (1, 2, 3)
+            assert probs.shape == (10, 1, 2) and vectors.shape == (10, 1, 2, 3)
             assert np.all(probs >= 0.0)
-            np.testing.assert_allclose(probs[0] @ vectors[0], r_b, atol=1e-10)
-            np.testing.assert_allclose(np.linalg.norm(vectors[0], axis=1), 1.0, atol=1e-10)
-            chord = vectors[0, 0] - vectors[0, 1]
-            top = np.linalg.eigh(linear_part.T @ linear_part)[1][:, -1]
-            assert abs(chord @ top) == pytest.approx(np.linalg.norm(chord), abs=1e-10)
-            value = _linear_entropy_drops(images, r_b, probs, vectors)[0]
-            assert value == pytest.approx(linear_classical_correlation(rho), abs=1e-14)
+            values = _linear_entropy_drops(images, r_b, probs, vectors)[:, 0]
+            for rho, p, v, point, value in zip(stack, probs[:, 0], vectors[:, 0], r_b, values):
+                linear_part, _ = bloch_channel(marginal_eigenframe(rho)[1])
+                np.testing.assert_allclose(p @ v, point, atol=1e-10)
+                np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-10)
+                chord = v[0] - v[1]
+                top = np.linalg.eigh(linear_part.T @ linear_part)[1][:, -1]
+                assert abs(chord @ top) == pytest.approx(np.linalg.norm(chord), abs=1e-10)
+                assert value == pytest.approx(linear_classical_correlation(rho), abs=1e-14)
 
 
 class TestOracleSandwich:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import stack_of
+from conftest import haar_unitary, stack_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,14 +10,15 @@ from qdiscord.discord import correlation_report
 from qdiscord.errors import (
     DimensionMismatch,
     NotFinite,
+    NotHermitian,
     NotPositive,
     OutOfDomain,
     StateFormatError,
 )
-from qdiscord.linalg import partial_trace
+from qdiscord.linalg import HERMITIAN_TOL, partial_trace
 from qdiscord.measures import von_neumann_entropy
-from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
+    DENSITY_TOL,
     DensityMatrix,
     dump_state,
     join_states,
@@ -337,8 +338,6 @@ class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
-        from qdiscord.errors import NotHermitian
-
         with pytest.raises(NotHermitian):
             DensityMatrix((2, 2), m)
 
@@ -367,6 +366,45 @@ class TestDensityMatrixValidation:
         with pytest.raises(NotFinite, match="NaN or infinite"):
             DensityMatrix((2, 2), m)
 
+    # The constructor's 1e-10 cuts, on both sides: HERMITIAN_TOL on the
+    # Hermiticity deviation, DENSITY_TOL on the trace and on the smallest
+    # eigenvalue.
+    @pytest.mark.parametrize("excess", [0.9e-10, 1.1e-10])
+    def test_hermiticity_seam(self, excess):
+        assert HERMITIAN_TOL == 1e-10
+        rho = make_bell_diagonal(0.2, -0.3, 0.1)
+        m = rho.matrix.copy()
+        m[0, 1] += excess
+        if excess > 1e-10:
+            with pytest.raises(NotHermitian, match="deviates from Hermiticity by 1.100e-10$"):
+                DensityMatrix((2, 2), m)
+            return
+        got = DensityMatrix((2, 2), m).matrix
+        np.testing.assert_array_equal(got, got.conj().T)
+        assert got[0, 1] - rho.matrix[0, 1] == pytest.approx(excess / 2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("excess", [0.9e-10, 1.1e-10])
+    def test_trace_seam(self, excess):
+        assert DENSITY_TOL == 1e-10
+        rho = make_bell_diagonal(0.2, -0.3, 0.1)
+        if excess > 1e-10:
+            with pytest.raises(ValueError, match="is not 1 within 1e-10$"):
+                DensityMatrix((2, 2), (1.0 + excess) * rho.matrix)
+            return
+        got = DensityMatrix((2, 2), (1.0 + excess) * rho.matrix).matrix
+        assert np.trace(got).real == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(got, rho.matrix, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dip", [0.9e-10, 1.1e-10])
+    def test_smallest_eigenvalue_seam(self, dip):
+        u = haar_unitary(np.random.default_rng(62), 4)
+        m = u @ np.diag([0.5 + dip, 0.5, 0.0, -dip]) @ u.conj().T
+        if dip > 1e-10:
+            with pytest.raises(NotPositive, match="smallest eigenvalue -1.100e-10 is negative"):
+                DensityMatrix((2, 2), m)
+            return
+        got = DensityMatrix((2, 2), m).matrix
+        assert np.linalg.eigvalsh(got)[0] == pytest.approx(-dip, rel=1e-4)
 
 def _bad_member(kind):
     """A 4x4 matrix that fails one construction check."""
@@ -492,8 +530,6 @@ class TestDensityMatrixStack:
 
     def test_one_state_consumers_reject_a_stack(self):
         stack = make_random_rank2([1, 2])
-        with pytest.raises(DimensionMismatch, match="decomposition oracle takes one state, got a stack of 2"):
-            decomposition_linear_cc(stack, trials=4)
         with pytest.raises(DimensionMismatch, match="JSON wire format takes one state, got a stack of 2"):
             dump_state(stack)
         doc = {"dims": [2, 2], "matrix": [state_to_json_dict(rho)["matrix"] for rho in stack]}
