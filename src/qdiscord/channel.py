@@ -10,7 +10,8 @@ The channel is read off the state as its images R_mu = Lambda(sigma_mu)
 generator basis is needed. ``linear_cc_batch`` uses only
 Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, and ``_rebuilt_states`` pushes the
 purification of rho_B back through the same images, which the ``roundtrip``
-check of ``validate`` compares with the state.
+check of ``validate`` compares with the state. Each function makes one pass
+over the whole stack it is given, so its temporaries grow with the stack.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import SIGMAS, partial_trace
 from .states import MARGINAL_RANK_TOL, DensityMatrix
-
-_BLOCK = 128
 
 
 def _marginal_images(matrices: np.ndarray, d_a: int):
@@ -58,15 +57,6 @@ def stack_states(rho: DensityMatrix):
     return rho[:], rho.matrix.ndim == 2
 
 
-def in_blocks(stack_function, *batches) -> np.ndarray:
-    """``stack_function`` over blocks of at most 128 rows of every batch (arrays,
-    lists or stacks of states, of one length), joined on the last axis;
-    temporaries stay at tens of kB."""
-    blocks = range(0, len(batches[0]), _BLOCK)
-    parts = [stack_function(*(batch[i : i + _BLOCK] for batch in batches)) for i in blocks]
-    return np.concatenate(parts, axis=-1)
-
-
 def _rebuilt_states(rho: DensityMatrix) -> np.ndarray:
     """Each state of a stack rebuilt from the images that I2_cc reads:
     Lambda(|i><j|) = sum_mu <j|sigma_mu|i>/2 R_mu, and
@@ -86,8 +76,8 @@ def linear_cc_batch(rho: DensityMatrix):
 
     With G_kl = Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, I2_cc reads
     lam_max(G) S2(rho_B) / 2, and S2(rho_B) = 4 lam_0 lam_1. A rank-1 rho_B
-    (smaller eigenvalue at most 1e-10) gives 0, since S2(rho_B) = 0 and the
-    channel is undefined there.
+    (smaller eigenvalue at most MARGINAL_RANK_TOL) gives 0, since
+    S2(rho_B) = 0 and the channel is undefined there.
     The jump there is small: d-level Bloch vectors have |r|^2 <= d(d-1)/2,
     so I2_cc <= (2(d-1)/d) S2(rho_B), and S2(rho_B) = 4 eps (1 - eps) for the
     smaller eigenvalue eps; at most 4e-10 for two qubits, 6e-10 at dA=4.
@@ -102,5 +92,5 @@ def linear_classical_correlation(rho: DensityMatrix):
     """Linear-entropy classical correlation of a dx2 state of any rank; a float
     for one state, an array for a stack."""
     stack, single = stack_states(rho)
-    values = in_blocks(lambda block: linear_cc_batch(block)[0], stack)
+    values = linear_cc_batch(stack)[0]
     return values[0].item() if single else values

@@ -18,15 +18,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import _BLOCK, _rebuilt_states, in_blocks, linear_classical_correlation
+from .channel import _rebuilt_states, linear_classical_correlation
 from .discord import (correlation_report, discord_rank2, discord_rho2_closed_form,
                       identity_residuals)
 from .errors import QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
-from .states import (DensityMatrix, dump_state, join_states, load_state, make_bell_diagonal,
-                     make_example1, make_horodecki, make_random_rank2, make_rho2, random_unitary,
-                     trial_seed)
+from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
+                     make_horodecki, make_random_rank2, make_rho2, random_unitary, trial_seed)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -190,7 +189,7 @@ def cmd_sweep(args) -> int:
 
 
 def _draw_trials(seeds):
-    """(states, U_A, U_B) of a block of trials: each trial draws its state,
+    """(states, U_A, U_B) of the trials with these seeds: each draws its state,
     then the two unitaries of its local-unitary twin, from one stream,
     ``np.random.default_rng`` of its trial seed."""
     streams = [np.random.default_rng(s) for s in seeds]
@@ -234,13 +233,13 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
 
     Trial t draws from one stream, ``np.random.default_rng(trial_seed(seed,
     t))``: its state (as ``make_random_rank2`` of that seed), then U_A, then
-    U_B of its local-unitary twin. The streams are built and drawn in blocks
-    of 128 trials, each block's states one ``make_random_rank2`` stack, so
-    every state is validated once. The closed-form checks, the twins and the
-    round trip each make one batched call per block of 128 trials; the round
-    trip rebuilds each state from the channel images that I2_cc reads. The
-    oracle-backed checks run on the first 25 trials, each oracle in one call
-    on their stack; the decomposition oracle gives trial t the seed
+    U_B of its local-unitary twin. All the trials' states are one
+    ``make_random_rank2`` stack, so every state is validated once. The
+    closed-form checks, the twins and the round trip each make one batched
+    call on the whole stack, so their temporaries grow with ``trials``; the
+    round trip rebuilds each state from the channel images that I2_cc reads.
+    The oracle-backed checks run on the first 25 trials, each oracle in one
+    call on their stack; the decomposition oracle gives trial t the seed
     ``trial_seed(seed, t, 7)`` and NaN where rho_B is rank-1. Each check
     reports the trials it evaluated, those it skipped because rho_B is
     rank-1, the trial of its largest residual and that trial's seed. A dict
@@ -251,12 +250,9 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     laps = [time.perf_counter()]
-    seeds = [trial_seed(seed, t) for t in range(trials)]
-    states, u_a, u_b = zip(*(_draw_trials(seeds[i : i + _BLOCK])
-                             for i in range(0, trials, _BLOCK)))
-    states, u_a, u_b = join_states(states), np.concatenate(u_a), np.concatenate(u_b)
+    states, u_a, u_b = _draw_trials([trial_seed(seed, t) for t in range(trials)])
     laps.append(time.perf_counter())
-    twin_i_cc, twin_q = in_blocks(_twin_correlations, u_a, u_b, states)
+    twin_i_cc, twin_q = _twin_correlations(u_a, u_b, states)
     del u_a, u_b  # 128 kB per 1000 trials that would otherwise outlive the twins
     laps.append(time.perf_counter())
     report, kw, monogamy = identity_residuals(states)
@@ -265,7 +261,7 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
         np.abs(report.Q_discord - twin_q), np.abs(report.I_cc - twin_i_cc)
     )
     laps.append(time.perf_counter())
-    residuals["roundtrip"] = in_blocks(_roundtrip_residuals, states)
+    residuals["roundtrip"] = _roundtrip_residuals(states)
     skipped["roundtrip"] = int(np.count_nonzero(np.isnan(residuals["roundtrip"])))
     laps.append(time.perf_counter())
     oracle_trials = slice(_ORACLE_TRIAL_CAP)

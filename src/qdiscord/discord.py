@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import in_blocks, linear_cc_batch, stack_states
+from .channel import linear_cc_batch, stack_states
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
 from .measures import (binary_entropy, f_map, linear_entropy, spectral_entropy, tangle_two_qubit,
@@ -96,7 +96,7 @@ def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
 def _assess(rho):
     """``correlation_report(rho)`` and each state's exclusion error or None."""
     stack, single = stack_states(rho)
-    *rows, third = in_blocks(_report_rows, stack)
+    *rows, third = _report_rows(stack)
     fields = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
     errors = [_exclusion(stack.dims, r, t) for r, t in zip(fields["rank"], third)]
     reasons = [error and f"rank-2 two-qubit closed form not applicable: {error}"
@@ -179,7 +179,7 @@ def identity_residuals(rho: DensityMatrix):
     """``(report, kw, monogamy)`` for one state or a stack, from one report and
     one purification: the two residuals below, with E_f(rho_AC) = f(tau)."""
     report = discord_rank2(rho)
-    tau = in_blocks(_purified_tangle, rho)
+    tau = _purified_tangle(rho[:])
     if rho.matrix.ndim == 2:
         tau = tau[0].item()
     return report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A

@@ -22,7 +22,7 @@ SIGMAS = np.stack([np.eye(2, dtype=complex), *PAULIS])  # sigma_0 = I, then the 
 
 def checked_hermitian(m) -> np.ndarray:
     """``m`` as a complex square matrix or (N, n, n) stack; DimensionMismatch for
-    other shapes, NotHermitian when max|m - m^H| exceeds 1e-10 entrywise."""
+    other shapes, NotHermitian when max|m - m^H| exceeds HERMITIAN_TOL entrywise."""
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix or a stack, got shape {a.shape}")

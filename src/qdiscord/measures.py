@@ -1,8 +1,8 @@
 """Entropies and two-qubit entanglement measures.
 
 All logarithms are base 2, so entropic quantities are in bits. The convention
-0*log(0) = 0 applies everywhere; eigenvalues below 1e-12 are dropped before
-entropy sums.
+0*log(0) = 0 applies everywhere; eigenvalues at or below EIGENVALUE_CLAMP are
+dropped before entropy sums.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ def _scalar_or_array(values: np.ndarray):
 
 
 def spectral_entropy(values):
-    """-sum of lam*log2(lam) over the last axis, for eigenvalues above 1e-12."""
+    """-sum of lam*log2(lam) over the last axis, for eigenvalues above EIGENVALUE_CLAMP."""
     v = np.asarray(values, dtype=float)
     kept = np.where(v > EIGENVALUE_CLAMP, v, 1.0)
     return _scalar_or_array(-np.sum(kept * np.log2(kept), axis=-1) + 0.0)
 
 
 def von_neumann_entropy(rho):
-    """S(rho) over eigenvalues above 1e-12; an (N, d, d) stack gives N values."""
+    """S(rho) over eigenvalues above EIGENVALUE_CLAMP; an (N, d, d) stack gives N
+    values."""
     return spectral_entropy(np.linalg.eigvalsh(_matrix_of(rho)))
 
 

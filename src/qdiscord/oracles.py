@@ -74,8 +74,9 @@ def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
     return np.einsum("...abcd,...kdb->...kac", r, operators)
 
 
-def _measurement_response(rho: DensityMatrix):
-    """Operators T_0, T_k whose sums (T_0 +- n.T)/2 have the conditional spectra.
+def _measurement_response(rho: DensityMatrix) -> np.ndarray:
+    """The (4, k, k) stack T_0..3 whose sums (T_0 +- n.T)/2 have the
+    conditional spectra.
 
     Without a frame, T_0 = Tr_B[rho] and T_k = Tr_B[rho (I x sigma_k)], so
     (T_0 +- n.T)/2 is the conditional state Tr_B[rho (I x (I +- n.sigma)/2)].
@@ -92,20 +93,18 @@ def _measurement_response(rho: DensityMatrix):
     kept = lam > EIGENVALUE_CLAMP
     if np.count_nonzero(kept) < d_a:
         g = (vectors[:, kept] * np.sqrt(lam[kept])).reshape(d_a, 2, -1)
-        t = np.einsum("abi,kbc,acj->kij", g.conj(), SIGMAS, g)
-    else:
-        t = _conditionals(rho, SIGMAS)
-    return t[0], t[1:]
+        return np.einsum("abi,kbc,acj->kij", g.conj(), SIGMAS, g)
+    return _conditionals(rho, SIGMAS)
 
 
-def _coefficients(t_unit: np.ndarray, t_pauli: np.ndarray) -> np.ndarray:
-    """Real coordinates of T_0 and T_1..3, one row each: the plus conditional
-    (T_0 + n.T)/2 has coordinates ([1, n] @ coefficients)/2 and the minus one
-    row 0 minus those. Column 0 is the trace. In a 2x2 frame the other three are
-    (a - d)/2, Re b and Im b of [[a, b*], [b, d]], which fix its spectrum; in a
-    k x k frame they are the 2k^2 entries of the matrix's real view.
+def _coefficients(t: np.ndarray) -> np.ndarray:
+    """Real coordinates of the (4, k, k) stack T_0..3, one row each: the plus
+    conditional (T_0 + n.T)/2 has coordinates ([1, n] @ coefficients)/2 and
+    the minus one row 0 minus those. Column 0 is the trace. In a 2x2 frame the
+    other three are (a - d)/2, Re b and Im b of [[a, b*], [b, d]], which fix
+    its spectrum; in a k x k frame they are the 2k^2 entries of the matrix's
+    real view.
     """
-    t = np.concatenate([t_unit[None], t_pauli])
     trace = np.einsum("kaa->k", t).real
     if t.shape[-1] == 2:
         return np.column_stack([trace, 0.5 * (t[:, 0, 0] - t[:, 1, 1]).real, t[:, 1, 0].real,
@@ -226,8 +225,8 @@ def projective_classical_correlation(rho: DensityMatrix):
         raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
     stack = rho[:]
     responses = [_measurement_response(member) for member in stack]
-    frames = np.array([t_unit.shape[0] for t_unit, _ in responses])
-    coefficients = [_coefficients(*response) for response in responses]
+    frames = np.array([t.shape[-1] for t in responses])
+    coefficients = [_coefficients(t) for t in responses]
     s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, rho.dims, "A")))
     best, lines = np.empty(len(stack)), [None] * len(stack)
     for frame in sorted(set(frames.tolist())):

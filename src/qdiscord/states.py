@@ -104,16 +104,6 @@ def _validated(dims: tuple, matrix: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def join_states(stacks) -> DensityMatrix:
-    """One stack of the members of ``stacks`` (states or stacks of one dims),
-    which were validated when they were built and are not validated again."""
-    stacks = list(stacks)
-    dims = {rho.dims for rho in stacks}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"join_states takes states of one dims, got {sorted(dims)}")
-    return _validated(stacks[0].dims, np.concatenate([rho[:].matrix for rho in stacks]))
-
-
 def one_state(rho: DensityMatrix, user: str) -> DensityMatrix:
     """``rho`` if it is one state; DimensionMismatch naming ``user`` for a stack."""
     if rho.matrix.ndim != 2:

@@ -470,7 +470,7 @@ class TestValidate:
         # U_A and U_B drawn after the state from the trial's one stream.
         seeds = [trial_seed(9, t) for t in range(150)]
         states, u_a, u_b = cli._draw_trials(seeds)
-        batch = cli.in_blocks(cli._twin_correlations, u_a, u_b, states)
+        batch = cli._twin_correlations(u_a, u_b, states)
         for n, (s, rho) in enumerate(zip(seeds, states)):
             stream = np.random.default_rng(s)
             make_random_rank2(stream)
@@ -479,8 +479,8 @@ class TestValidate:
             assert batch[:, n] == pytest.approx([twin.I_cc, twin.Q_discord], abs=1e-13)
 
     def test_trials_do_not_depend_on_the_block_they_fall_in(self, monkeypatch):
-        # Blocks hold 128 trials: trials 0-129 span a block boundary in both
-        # runs, and the 300-trial run draws a third block after them.
+        # A trial's residuals are its own: the first 130 trials read the same
+        # whether they are the whole run or the start of a 300-trial one.
         summary = cli._check_summary
 
         def per_trial_residuals(trials):
@@ -499,8 +499,8 @@ class TestValidate:
     @pytest.mark.parametrize("trials", [1, 130, 300])
     def test_each_trial_builds_one_generator(self, monkeypatch, trials):
         # The decomposition oracle draws from its own generators; without it,
-        # validate builds one per trial, and builds them a block of 128 at a
-        # time, just before the block's states are drawn.
+        # validate builds one per trial, in order, and draws every state in
+        # one make_random_rank2 call after building them all.
         built, built_at_draw = [], []
         default_rng, draw = np.random.default_rng, cli.make_random_rank2
 
@@ -521,7 +521,7 @@ class TestValidate:
         monkeypatch.setattr(cli, "make_random_rank2", drawing)
         cli.run_validation(trials, 21)
         assert built == [trial_seed(21, t) for t in range(trials)]
-        assert built_at_draw == [min(end, trials) for end in range(128, trials + 128, 128)]
+        assert built_at_draw == [trials]
 
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3

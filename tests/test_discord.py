@@ -424,7 +424,8 @@ class TestBatchedReport:
         assert correlation_report(rho) == discord_rank2(rho)
 
     def test_residual_batches_equal_batches_of_one(self):
-        # 201 states span two blocks of 128; the pure last one has a trivial C.
+        # In one call on 201 states the pure last one shares the stack's qubit C;
+        # alone it has a trivial C.
         states = stack_of(make_random_rank2(range(200)), make_horodecki(0.0))
         for residual in (koashi_winter_residual, monogamy_residual):
             batch = residual(states)

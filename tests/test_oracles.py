@@ -104,7 +104,7 @@ def _partial_trace_response(rho):
     """The dA x dA frame: Tr_B[rho] and Tr_B[rho (I x sigma_k)], for any rank."""
     d_a = rho.dim_a
     r = rho.matrix.reshape(d_a, 2, d_a, 2)
-    return np.einsum("abcb->ac", r), np.stack([np.einsum("abcd,db->ac", r, s) for s in PAULIS])
+    return np.stack([np.einsum("abcb->ac", r), *(np.einsum("abcd,db->ac", r, s) for s in PAULIS)])
 
 
 def _in_partial_trace_frame(monkeypatch, rho):
@@ -429,7 +429,7 @@ class TestBatchedPaths:
             lam = np.linalg.eigvalsh(m / p) if p > 1e-15 else np.ones(frame)
             lam = lam[lam > 1e-12]
             reference.append(float(-np.sum(lam * np.log2(lam))) if p > 1e-15 else 0.0)
-        coords = np.stack([_coefficients(m, np.stack([m] * 3))[0] for m in mats])
+        coords = np.stack([_coefficients(np.stack([m] * 4))[0] for m in mats])
         np.testing.assert_allclose(coords[:, 0], probs, rtol=1e-13, atol=0)
         np.testing.assert_allclose(
             _outcome_entropies(coords, probs, frame), reference, rtol=0, atol=1e-13

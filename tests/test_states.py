@@ -21,7 +21,6 @@ from qdiscord.states import (
     DENSITY_TOL,
     DensityMatrix,
     dump_state,
-    join_states,
     load_state,
     make_bell_diagonal,
     make_example1,
@@ -480,23 +479,6 @@ class TestDensityMatrixStack:
             make_horodecki(np.array([0.2, 1.5, -1.0]))
         with pytest.raises(OutOfDomain, match=r"^x=nan outside \[0, 2\]$"):
             make_example1(np.array([0.2, math.nan]))
-
-    def test_join_keeps_the_members_bits_and_validates_nothing_again(self):
-        seeds = [trial_seed(4, t) for t in range(300)]
-        blocks = [make_random_rank2(seeds[i : i + 128]) for i in range(0, 300, 128)]
-        joined = join_states([blocks[0], make_random_rank2(seeds[128]), *blocks[1:]])
-        expected = np.concatenate([blocks[0].matrix, make_random_rank2(seeds[128:129]).matrix,
-                                   *(b.matrix for b in blocks[1:])])
-        np.testing.assert_array_equal(joined.matrix, expected)
-        np.testing.assert_array_equal(join_states(blocks).matrix,
-                                      make_random_rank2(seeds).matrix)
-        assert joined.dims == (2, 2) and not joined.matrix.flags.writeable
-
-    def test_join_rejects_mixed_dims_and_nothing(self):
-        with pytest.raises(DimensionMismatch, match="one dims"):
-            join_states([make_random_rank2(1), make_random_rank2(1, dim_a=3)])
-        with pytest.raises(DimensionMismatch, match="one dims"):
-            join_states([])
 
     def test_members_are_read_only_views_not_validated_again(self):
         stack = make_random_rank2(range(5))
