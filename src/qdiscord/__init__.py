@@ -43,7 +43,6 @@ from .oracles import (
 )
 from .states import (
     DensityMatrix,
-    Purification,
     dump_state,
     load_state,
     make_bell_diagonal,
@@ -51,7 +50,6 @@ from .states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
-    purify,
     trial_seed,
 )
 

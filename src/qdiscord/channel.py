@@ -1,7 +1,7 @@
 """The qubit-to-qudit channel hiding inside any dx2 bipartite state.
 
 A dx2 state rho_AB equals (Lambda x I) applied to the symmetric purification
-of rho_B, for a unique channel Lambda from the purifying qubit B' into A.
+of rho_B, for a unique channel Lambda from its ancilla qubit B' into A.
 On Bloch vectors Lambda acts affinely, r -> L r + l, and the linear-entropy
 classical correlation of rho_AB is (4/d^2) * lam_max(L^T L) * S2(rho_B).
 

@@ -23,9 +23,9 @@ import numpy as np
 from .channel import linear_cc_batch, stack_states
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
-from .measures import (binary_entropy, f_map, linear_entropy, spectral_entropy, tangle_two_qubit,
-                       unit_interval, von_neumann_entropy)
-from .states import RANK_TOL, DensityMatrix, purify, rho2_domain, traced_over_b
+from .measures import (binary_entropy, f_map, factor_concurrence, linear_entropy,
+                       spectral_entropy, unit_interval, von_neumann_entropy)
+from .states import RANK_TOL, DensityMatrix, rho2_domain
 
 _CLAMP_WINDOW = 1e-9
 # rho2's closed form divides by d1 * d2, the product of rho_B's diagonal
@@ -167,12 +167,17 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
 
 
 def _purified_tangle(rho: DensityMatrix) -> np.ndarray:
-    """tau(rho_AC) across one purification of each state of a stack; a rank-1
-    state gets a trivial C, so its rho_AC is a product with tangle 0."""
-    pur = purify(rho)
-    if pur.dims[2] == 1:
-        return np.zeros(len(rho))
-    return tangle_two_qubit(traced_over_b(pur))
+    """tau(rho_AC) for a stack of rank-<=2 two-qubit states, across the
+    purification psi[a, b, c] = sqrt(lam_c) v_c[a, b] on the top two eigenpairs
+    (weight 0 at or below RANK_TOL). rho_AC = M M^dagger for M[(a, c), b] =
+    psi[a, b, c], so it is never built; a rank-1 state has M = 0 on the rows
+    c = 1, which makes its tangle exactly 0."""
+    values, vectors = np.linalg.eigh(rho.matrix)
+    lam = values[:, :-3:-1]
+    psi = vectors[:, :, :-3:-1] * np.sqrt(np.where(lam > RANK_TOL, lam, 0.0))[:, None, :]
+    psi = psi / np.linalg.norm(psi, axis=(1, 2))[:, None, None]
+    factor = psi.reshape(-1, 2, 2, 2).swapaxes(2, 3).reshape(-1, 4, 2)
+    return factor_concurrence(factor) ** 2
 
 
 def identity_residuals(rho: DensityMatrix):

@@ -85,20 +85,23 @@ def _two_qubit_matrix(rho) -> np.ndarray:
     return m
 
 
-def wootters_concurrence(rho):
-    """Concurrence of a two-qubit state from the spin-flip spectrum.
+def factor_concurrence(factor: np.ndarray) -> np.ndarray:
+    """Concurrence of each two-qubit rho = G G^dagger from a factor G of shape
+    (..., 4, k). The spin-flip values (square roots of the eigenvalues of
+    rho (YxY) rho* (YxY)) are the singular values of the k x k complex
+    symmetric matrix G^T (YxY) G."""
+    mu = np.linalg.svd(np.swapaxes(factor, -1, -2) @ _SPIN_FLIP @ factor, compute_uv=False)
+    return np.maximum(0.0, mu[..., 0] - np.sum(mu[..., 1:], axis=-1))
 
-    The spin-flip values (square roots of the eigenvalues of
-    rho (YxY) rho* (YxY)) are computed as the singular values of the complex
-    symmetric matrix sqrt(lam_i lam_j) <v_i| YxY |v_j*> on the support of rho.
-    Restricting to the support keeps rank-deficient states exact instead of
-    turning eigenvalue noise into sqrt-amplified error. Works on stacks too.
-    """
+
+def wootters_concurrence(rho):
+    """Concurrence of a two-qubit state, or a stack, from its factor
+    G = V sqrt(lam): see ``factor_concurrence``. Eigenvalues at or below
+    EIGENVALUE_CLAMP give zero columns, which keeps rank-deficient states
+    exact instead of turning eigenvalue noise into sqrt-amplified error."""
     lam, vecs = np.linalg.eigh(_two_qubit_matrix(rho))
     root = np.sqrt(np.where(lam > EIGENVALUE_CLAMP, lam, 0.0))
-    core = np.swapaxes(vecs.conj(), -1, -2) @ _SPIN_FLIP @ vecs.conj()
-    mu = np.linalg.svd(root[..., :, None] * core * root[..., None, :], compute_uv=False)
-    return _scalar_or_array(np.maximum(0.0, mu[..., 0] - np.sum(mu[..., 1:], axis=-1)))
+    return _scalar_or_array(factor_concurrence(vecs * root[..., None, :]))
 
 
 def tangle_two_qubit(rho):

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch
-from .linalg import EIGENVALUE_CLAMP, PAULIS, SIGMAS, partial_trace
+from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
 from .measures import linear_entropy, mutual_information, spectral_entropy
 from .states import MARGINAL_RANK_TOL, DensityMatrix, trial_seed
 
@@ -52,19 +52,6 @@ _ANGLE_TOL = 1e-10
 # occur: their entropy is zero rather than that of a state normalized by a
 # vanishing trace, whose spectrum is rounding noise.
 _PROB_FLOOR = 1e-15
-
-
-def measurement_projectors(theta: float, phi: float):
-    """Two-outcome projectors (I +- n.sigma)/2 along the (theta, phi) direction."""
-    n = np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
-    )
-    plus = (np.eye(2, dtype=complex) + sum(n[k] * PAULIS[k] for k in range(3))) / 2.0
-    return plus, np.eye(2, dtype=complex) - plus
 
 
 def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Bipartite density matrices: named families, random rank-2 states,
-purification, and the JSON wire format.
+"""Bipartite density matrices: named families, random rank-2 states and
+unitaries, and the JSON wire format.
 
 Basis ordering is computational throughout, with the bipartite index a*dB + b.
 """
@@ -109,19 +109,6 @@ def one_state(rho: DensityMatrix, user: str) -> DensityMatrix:
     if rho.matrix.ndim != 2:
         raise DimensionMismatch(f"{user} takes one state, got a stack of {len(rho)}")
     return rho
-
-
-@dataclass(frozen=True)
-class Purification:
-    """Pure |psi>_ABC with Tr_C recovering the source state (a row per state).
-
-    The C dimension equals the numerical rank of the source, so rank-1 inputs
-    get a trivial one-dimensional C and rank-2 inputs get a qubit C.
-    """
-
-    state_vector: np.ndarray
-    dims: tuple
-    eigenvalues: np.ndarray
 
 
 def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
@@ -267,39 +254,6 @@ def random_unitary(seed, dim: int) -> np.ndarray:
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
     return u[0] if single else u
-
-
-def purify(rho: DensityMatrix) -> Purification:
-    """Attach an ancilla C of dimension rank(rho) (eigenvalues above RANK_TOL)
-    carrying the eigenbasis index. A stack gives one row per state; C takes
-    the stack's largest rank, and extra levels weigh 0."""
-    matrices, (d_a, d_b) = rho[:].matrix, rho.dims
-    values, vectors = np.linalg.eigh(matrices)
-    values, vectors = values[:, ::-1], vectors[:, :, ::-1]
-    kept = values > RANK_TOL
-    d_c = int(kept.sum(axis=1).max())
-    lam = np.where(kept[:, :d_c], values[:, :d_c], 0.0)
-    psi = (vectors[:, :, :d_c] * np.sqrt(lam)[:, None, :]).reshape(len(matrices), -1)
-    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-    if rho.matrix.ndim == 2:
-        psi, lam = psi[0], lam[0]
-    return Purification(state_vector=psi, dims=(d_a, d_b, d_c), eigenvalues=lam)
-
-
-def traced_over_c(pur: Purification) -> np.ndarray:
-    """Tr_C |psi><psi|, which must reproduce the purified state (or stack)."""
-    d_a, d_b, d_c = pur.dims
-    t = pur.state_vector.reshape(*pur.state_vector.shape[:-1], d_a * d_b, d_c)
-    return t @ np.swapaxes(t, -1, -2).conj()
-
-
-def traced_over_b(pur: Purification) -> np.ndarray:
-    """Tr_B |psi><psi| as (dA*dC) x (dA*dC) matrices with index a*dC + c."""
-    d_a, d_b, d_c = pur.dims
-    lead = pur.state_vector.shape[:-1]
-    t = pur.state_vector.reshape(*lead, d_a, d_b, d_c)
-    rho_ac = np.einsum("...abc,...dbe->...acde", t, t.conj())
-    return rho_ac.reshape(*lead, d_a * d_c, d_a * d_c)
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:

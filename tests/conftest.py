@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import sys
 
@@ -31,6 +32,15 @@ def haar_unitary(rng, dim):
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases.conj()
+
+
+def measurement_projectors(theta, phi):
+    """Two-outcome projectors (I +- n.sigma)/2 along the (theta, phi) direction."""
+    from qdiscord.linalg import PAULIS
+
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    plus = (np.eye(2, dtype=complex) + sum(n_k * p for n_k, p in zip(n, PAULIS))) / 2.0
+    return plus, np.eye(2, dtype=complex) - plus
 
 
 def stack_of(*states):
@@ -117,3 +127,35 @@ def marginal_eigenframe(rho):
     lam, vecs = lam[::-1], vecs[:, ::-1]
     frame = np.kron(np.eye(rho.dims[0]), vecs)
     return lam, DensityMatrix(rho.dims, frame.conj().T @ rho.matrix @ frame)
+
+
+def purified_tangle_reference(rho):
+    """tau(rho_AC) of one rank-<=2 two-qubit state, from the textbook route: the
+    purification psi[a, b, c] = sqrt(lam_c) v_c[a, b] on the top two eigenpairs
+    (weight 0 at or below RANK_TOL), rho_AC = Tr_B |psi><psi|, and Wootters'
+    C = max(0, s_1 - s_2 - s_3 - s_4) with s_i the square roots of the
+    eigenvalues of rho_AC (YxY) rho_AC* (YxY), in descending order.
+
+    rho_AC has rank 2, and in double precision the square roots of its two
+    zero spin-flip eigenvalues read about 1e-8; so rho_AC and its spin-flip
+    spectrum are computed in 40-digit arithmetic from the double psi."""
+    import mpmath
+
+    from qdiscord.states import RANK_TOL
+
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    lam, vecs = lam[:-3:-1], vecs[:, :-3:-1]
+    lam = np.where(lam > RANK_TOL, lam, 0.0)
+    psi = (vecs * np.sqrt(lam)).reshape(2, 2, 2)
+    psi = psi / np.linalg.norm(psi)
+    with mpmath.workdps(40):
+        entries = [[sum(mpmath.mpc(psi[a, b, c]) * mpmath.conj(mpmath.mpc(psi[x, b, z]))
+                        for b in range(2))
+                    for x, z in itertools.product(range(2), repeat=2)]
+                   for a, c in itertools.product(range(2), repeat=2)]
+        rho_ac = mpmath.matrix(entries)
+        spin_flip = mpmath.matrix(np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).tolist())
+        product = rho_ac * spin_flip * rho_ac.conjugate() * spin_flip
+        eigenvalues = mpmath.eig(product, left=False, right=False)
+        s = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in eigenvalues), reverse=True)
+        return float(max(s[0] - s[1] - s[2] - s[3], 0) ** 2)

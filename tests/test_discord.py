@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import haar_unitary, random_density, random_pure_density, stack_of
+from conftest import (haar_unitary, purified_tangle_reference, random_density,
+                      random_pure_density, stack_of)
 from qdiscord import discord as discord_module
 from qdiscord.discord import (
     CorrelationReport,
@@ -24,6 +27,7 @@ from qdiscord.errors import (
 from qdiscord.linalg import partial_trace, tensor
 from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.states import (
+    RANK_TOL,
     DensityMatrix,
     make_bell_diagonal,
     make_example1,
@@ -324,6 +328,53 @@ class TestIdentityResiduals:
             monogamy_residual(make_example1(0.5))
 
 
+def _purified_tangles(states):
+    """tau(rho_AC) of each state, read back from ``monogamy_residual``."""
+    report = discord_rank2(states)
+    return monogamy_residual(states) - report.I2_cc + report.S2_A
+
+
+class TestPurifiedTangle:
+    # The last member is pure, so its purification has no weight on c = 1.
+    STATES = stack_of(make_random_rank2(range(6)), make_horodecki(0.3), make_example1(2.0),
+                      make_rho2(1.0, 0.4, 0.0))
+
+    @pytest.mark.parametrize("states", [STATES, make_random_rank2(range(100, 125))],
+                             ids=["families", "random"])
+    def test_matches_textbook_reference(self, states):
+        for tau, rho in zip(_purified_tangles(states), states):
+            assert tau == pytest.approx(purified_tangle_reference(rho), abs=1e-12)
+
+    def test_pure_member_has_exactly_zero_tangle(self):
+        tau = discord_module._purified_tangle(self.STATES)
+        assert tau[-1] == 0.0 and np.all(tau[:-1] > 0.0)
+
+    def test_horodecki_half(self):
+        # tau(rho_AC) + I2_cc = S2(rho_A): 0.75 - 0.25 leaves 0.5 at p = 1/2
+        rho = make_horodecki(0.5)
+        assert purified_tangle_reference(rho) == pytest.approx(0.5, abs=1e-12)
+        assert _purified_tangles(rho) == pytest.approx(0.5, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.one_of(st.floats(min_value=0.5, max_value=0.95),
+                 st.floats(min_value=1.05, max_value=2.0)))
+def test_rank_tol_seam_through_identity_residuals(seed, multiple):
+    # A third eigenvalue at `multiple` * RANK_TOL, outside a rank-2 support.
+    base = make_random_rank2(seed).matrix
+    outside = np.linalg.eigh(base)[1][:, 0]
+    eps = multiple * RANK_TOL
+    rho = DensityMatrix((2, 2), (1 - eps) * base + eps * np.outer(outside, outside.conj()))
+    if multiple < 1.0:
+        report, kw, monogamy = identity_residuals(rho)
+        assert report.rank == 2
+        assert abs(kw) <= 1e-8 and abs(monogamy) <= 1e-8
+    else:
+        with pytest.raises(RankTooHigh):
+            identity_residuals(rho)
+
+
 class TestRankCut:
     """example1 near x = 2 has two eigenvalues lam = (2 - x)/6 outside its
     rank-2 support: rank 4 above RANK_TOL, rank 2 at or below it."""
@@ -424,8 +475,7 @@ class TestBatchedReport:
         assert correlation_report(rho) == discord_rank2(rho)
 
     def test_residual_batches_equal_batches_of_one(self):
-        # In one call on 201 states the pure last one shares the stack's qubit C;
-        # alone it has a trivial C.
+        # The pure last one has no weight on c = 1, in the stack and alone.
         states = stack_of(make_random_rank2(range(200)), make_horodecki(0.0))
         for residual in (koashi_winter_residual, monogamy_residual):
             batch = residual(states)

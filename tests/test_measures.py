@@ -26,8 +26,6 @@ from qdiscord.states import (
     make_example1,
     make_horodecki,
     make_random_rank2,
-    purify,
-    traced_over_b,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -273,11 +271,6 @@ class TestTangleAndEof:
         rho = DensityMatrix((2, 2), np.diag([0.5, 0, 0, 0.5]).astype(complex))
         assert tangle_two_qubit(rho) == pytest.approx(0.0, abs=1e-12)
         assert eof_two_qubit(rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_tangle_of_purified_horodecki(self):
-        # tau(rho_AC) + I2_cc = S2(rho_A): 0.75 - 0.25 leaves 0.5 at p = 1/2
-        rho_ac = traced_over_b(purify(make_horodecki(0.5)))
-        assert tangle_two_qubit(rho_ac) == pytest.approx(0.5, abs=1e-8)
 
     def test_eof_at_concurrence_0p6(self):
         rho = make_horodecki(0.6)  # concurrence p = 0.6

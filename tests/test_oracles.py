@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (bloch_channel, from_bloch, marginal_eigenframe, random_density,
-                      random_pure_density, stack_of)
+from conftest import (bloch_channel, from_bloch, marginal_eigenframe, measurement_projectors,
+                      random_density, random_pure_density, stack_of)
 from qdiscord import oracles
 from qdiscord.channel import _rebuilt_states, linear_classical_correlation
 from qdiscord.discord import discord_rank2
@@ -24,7 +24,6 @@ from qdiscord.oracles import (
     _outcome_entropies,
     _sampled_decompositions,
     decomposition_linear_cc,
-    measurement_projectors,
     projective_classical_correlation,
     projective_discord,
 )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import haar_unitary, stack_of
+from conftest import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,12 +27,9 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
-    purify,
     random_unitary,
     state_from_json_dict,
     state_to_json_dict,
-    traced_over_b,
-    traced_over_c,
     trial_seed,
 )
 
@@ -230,93 +227,6 @@ class TestRandomUnitary:
         assert not np.allclose(u, random_unitary(8, dim))
 
 
-class TestPurify:
-    def test_pure_input_gets_trivial_ancilla(self):
-        pur = purify(make_rho2(1.0, 0.4, 0.0))
-        assert pur.dims == (2, 2, 1)
-        np.testing.assert_allclose(
-            traced_over_c(pur), make_rho2(1.0, 0.4, 0.0).matrix, atol=1e-10
-        )
-
-    def test_example1_roundtrip(self):
-        rho = make_example1(2.0)
-        pur = purify(rho)
-        assert pur.state_vector.size == 8
-        assert np.linalg.norm(pur.state_vector) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(traced_over_c(pur), rho.matrix, atol=1e-10)
-
-    def test_ancilla_entropy_matches_state_entropy(self):
-        rho = make_horodecki(0.5)
-        pur = purify(rho)
-        d_a, d_b, d_c = pur.dims
-        t = pur.state_vector.reshape(d_a * d_b, d_c)
-        rho_c = t.conj().T @ t
-        assert von_neumann_entropy(rho_c) == pytest.approx(1.0, abs=1e-12)
-        assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_roundtrip_families_and_random(self):
-        states = [
-            make_bell_diagonal(1, 0.2, -0.2),
-            make_horodecki(0.3),
-            make_example1(1.3),
-            make_rho2(0.4, 1.0, 2.0),
-        ] + [make_random_rank2(s) for s in range(25)]
-        for rho in states:
-            assert np.max(np.abs(traced_over_c(purify(rho)) - rho.matrix)) < 1e-10
-
-
-def _with_third_eigenvalue(rho, eps):
-    """rho with weight eps moved onto a vector outside its rank-2 support."""
-    outside = np.linalg.eigh(rho.matrix)[1][:, 0]
-    return DensityMatrix(rho.dims, (1 - eps) * rho.matrix + eps * np.outer(outside, outside.conj()))
-
-
-class TestBatchedPurify:
-    STATES = stack_of(make_random_rank2(range(6)), make_horodecki(0.3), make_example1(2.0),
-                      make_rho2(1.0, 0.4, 0.0))
-
-    def test_batch_reproduces_every_state(self):
-        pur = purify(self.STATES)
-        assert pur.dims == (2, 2, 2)
-        assert pur.state_vector.shape == (9, 8)
-        np.testing.assert_allclose(np.linalg.norm(pur.state_vector, axis=1), 1.0, atol=1e-12)
-        for rho, back in zip(self.STATES, traced_over_c(pur)):
-            assert np.max(np.abs(back - rho.matrix)) < 1e-10
-
-    def test_rank1_member_gets_zero_weight_on_its_extra_level(self):
-        pur = purify(self.STATES)
-        assert pur.eigenvalues.shape == (9, 2)
-        assert pur.eigenvalues[-1, 1] == 0.0
-        assert np.all(pur.eigenvalues[:-1, 1] > 1e-10)
-        rho_ac = traced_over_b(pur)[-1]
-        # a pure source leaves C unentangled: rho_AC = rho_A x |0><0|
-        rho_a = partial_trace(self.STATES[-1].matrix, self.STATES[-1].dims, "A")
-        expected = np.kron(rho_a, np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(rho_ac, expected, atol=1e-12)
-
-    def test_batch_rho_ac_spectra_match_single_purifications(self):
-        batch = traced_over_b(purify(self.STATES))
-        for rho, rho_ac in zip(self.STATES, batch):
-            single = traced_over_b(purify(rho))
-            want = np.sort(np.linalg.eigvalsh(single))
-            got = np.sort(np.linalg.eigvalsh(rho_ac))[-want.size:]
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_rank_counts_eigenvalues_above_rank_tol(self):
-        base = make_random_rank2(11)
-        assert purify(_with_third_eigenvalue(base, 5e-11)).dims == (2, 2, 2)
-        assert purify(_with_third_eigenvalue(base, 2e-10)).dims == (2, 2, 3)
-        assert correlation_report(_with_third_eigenvalue(base, 5e-11)).rank == 2
-
-    def test_wide_states_and_unequal_dims(self):
-        wide = make_random_rank2(range(3), dim_a=3)
-        pur = purify(wide)
-        assert pur.dims == (3, 2, 2) and traced_over_b(pur).shape == (3, 6, 6)
-        # A stack has one dims, so unequal ones are rejected when it is built.
-        with pytest.raises(DimensionMismatch):
-            DensityMatrix(make_horodecki(0.5).dims, wide.matrix)
-
-
 class TestReduced:
     def test_bell_state(self):
         rho = make_bell_diagonal(1, -1, 1)
@@ -349,8 +259,10 @@ class TestDensityMatrixValidation:
             DensityMatrix((2, 2), np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            DensityMatrix((2, 2), np.eye(2, dtype=complex) / 2)
+        # A stack has one dims, so a stack of 3x2 states is no stack of 2x2 ones.
+        for m in (np.eye(2, dtype=complex) / 2, make_random_rank2(range(3), dim_a=3).matrix):
+            with pytest.raises(DimensionMismatch):
+                DensityMatrix((2, 2), m)
 
     def test_matrix_is_immutable(self):
         rho = make_horodecki(0.5)
@@ -625,10 +537,3 @@ def test_bell_diagonal_constructor_total(c1, c2, c3):
     else:
         rho = make_bell_diagonal(c1, c2, c3)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(min_value=0, max_value=2**40))
-def test_random_rank2_purify_roundtrip(seed):
-    rho = make_random_rank2(seed)
-    assert np.max(np.abs(traced_over_c(purify(rho)) - rho.matrix)) < 1e-10
