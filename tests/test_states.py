@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import haar_unitary
+from conftest import haar_unitary, stack_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdiscord import discord as discord_module
 from qdiscord.discord import correlation_report
 from qdiscord.errors import (
     DimensionMismatch,
@@ -225,6 +226,34 @@ class TestRandomUnitary:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-14)
         np.testing.assert_array_equal(u, random_unitary(7, dim))
         assert not np.allclose(u, random_unitary(8, dim))
+
+
+class TestBatchedPurify:
+    """The purification each member's tau(rho_AC) is read across, taken over a
+    stack and over each member alone; the last member is pure."""
+
+    STATES = stack_of(make_random_rank2(range(6)), make_horodecki(0.3), make_example1(2.0),
+                      make_rho2(1.0, 0.4, 0.0))
+
+    def test_batch_rho_ac_spectra_match_single_purifications(self):
+        batch = discord_module._purified_tangle(self.STATES)
+        assert batch.shape == (9,)
+        for rho, tau in zip(self.STATES, batch):
+            single = discord_module._purified_tangle(rho[:])
+            np.testing.assert_allclose(tau, single[0], atol=1e-12)
+
+    def test_wide_states_and_unequal_dims(self):
+        wide = make_random_rank2(range(3), dim_a=3)
+        assert wide.dims == (3, 2) and wide.matrix.shape == (3, 6, 6)
+        report = correlation_report(wide)
+        for i, rho in enumerate(wide):
+            single = correlation_report(rho)
+            assert single.I_cc is None and report.reason[i] == single.reason
+            for name in ("S_A", "S_AB", "I_mutual", "I2_cc"):
+                assert getattr(report, name)[i] == pytest.approx(getattr(single, name), abs=1e-12)
+        # A stack has one dims, so unequal ones are rejected when it is built.
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(make_horodecki(0.5).dims, wide.matrix)
 
 
 class TestReduced:
