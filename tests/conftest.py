@@ -159,3 +159,19 @@ def purified_tangle_reference(rho):
         eigenvalues = mpmath.eig(product, left=False, right=False)
         s = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in eigenvalues), reverse=True)
         return float(max(s[0] - s[1] - s[2] - s[3], 0) ** 2)
+
+
+def luo_classical_correlation(c):
+    """Luo's classical correlation of the Bell-diagonal state
+    (I + sum_i c_i sigma_i x sigma_i)/4 (Phys. Rev. A 77, 042303, 2008):
+    ((1-c)/2) log2(1-c) + ((1+c)/2) log2(1+c) with c = max |c_i|, reached by
+    a projective measurement along the axis of the largest |c_i|."""
+    c = max(abs(float(v)) for v in c)
+    return sum(w * math.log2(2.0 * w) for w in ((1.0 - c) / 2.0, (1.0 + c) / 2.0) if w > 0.0)
+
+
+def bell_diagonal_c(weights):
+    """(c1, c2, c3) of the Bell-diagonal state with the Bell weights of
+    ``make_bell_diagonal``, in its order."""
+    w1, w2, w3, w4 = weights
+    return w1 - w2 + w3 - w4, -w1 + w2 + w3 - w4, w1 + w2 - w3 - w4

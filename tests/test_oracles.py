@@ -1,4 +1,5 @@
 import ast
+import itertools
 import logging
 import math
 from pathlib import Path
@@ -6,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (bloch_channel, from_bloch, marginal_eigenframe, measurement_projectors,
-                      random_density, random_pure_density, stack_of)
+from conftest import (bell_diagonal_c, bloch_channel, from_bloch, luo_classical_correlation,
+                      marginal_eigenframe, measurement_projectors, random_density,
+                      random_pure_density, stack_of)
 from qdiscord import oracles
+from qdiscord.cli import _CHECK_TOLERANCES
 from qdiscord.channel import _rebuilt_states, linear_classical_correlation
 from qdiscord.discord import discord_rank2
 from qdiscord.errors import DegenerateMarginal, DimensionMismatch
@@ -261,6 +264,63 @@ class TestProjectiveDiscord:
     def test_example1_endpoint(self):
         got = projective_discord(make_example1(2.0))
         assert got == pytest.approx(5.0 / 3.0 - LOG2_3, abs=1e-4)
+
+
+def _bell_weights(c):
+    c1, c2, c3 = c
+    return np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3]) / 4.0
+
+
+def _tied_bell_diagonal_cs():
+    """Full-rank (c1, c2, c3) whose two largest |c_i| tie, so the maximizing
+    axis is not unique, in every order and sign; then c = 0."""
+    ties = set()
+    for a, b in ((0.4, 0.1), (0.3, -0.25), (0.45, 0.0), (0.2, 0.05)):
+        for sign_a, sign_b in itertools.product((1.0, -1.0), repeat=2):
+            for c in itertools.permutations((a, sign_a * a, sign_b * b)):
+                if _bell_weights(c).min() > 0.0:
+                    ties.add(c)
+    return sorted(ties) + [(0.3, 0.3, 0.3), (-0.3, -0.3, -0.3), (0.0, 0.0, 0.0)]
+
+
+class TestLuoReference:
+    """Luo's closed form for Bell-diagonal states, an outside check of the
+    projective oracle on full-rank states, at the tolerances of `validate`'s
+    projective checks."""
+
+    @staticmethod
+    def _assert_within_check_tolerances(cs):
+        values = projective_classical_correlation(stack_of(*(make_bell_diagonal(*c) for c in cs)))
+        luo = np.array([luo_classical_correlation(c) for c in cs])
+        assert np.max(values - luo) <= _CHECK_TOLERANCES["projective_bound"]
+        assert np.max(luo - values) <= _CHECK_TOLERANCES["projective_attain"]
+        return values, luo
+
+    def test_random_full_rank_states(self):
+        rng = np.random.default_rng(2008)
+        cs = []
+        while len(cs) < 200:
+            c = rng.uniform(-1.0, 1.0, 3)
+            if _bell_weights(c).min() > 0.0:
+                cs.append(tuple(c))
+        self._assert_within_check_tolerances(cs)
+
+    def test_ties_and_the_maximally_mixed_state(self):
+        values, luo = self._assert_within_check_tolerances(_tied_bell_diagonal_cs())
+        assert luo[-1] == 0.0 and values[-1] == 0.0
+
+    def test_rank2_states_agree_three_ways(self):
+        cs = []
+        for j, k in itertools.combinations(range(4), 2):
+            for p in (0.1, 0.35, 0.5, 0.8):
+                weights = np.zeros(4)
+                weights[[j, k]] = p, 1.0 - p
+                cs.append(bell_diagonal_c(weights))
+        values, luo = self._assert_within_check_tolerances(cs)
+        theorem = discord_rank2(stack_of(*(make_bell_diagonal(*c) for c in cs))).I_cc
+        assert np.max(np.abs(theorem - luo)) <= _CHECK_TOLERANCES["projective_attain"]
+        assert np.max(values - theorem) <= _CHECK_TOLERANCES["projective_bound"]
+        assert np.max(theorem - values) <= _CHECK_TOLERANCES["projective_attain"]
 
 
 class TestDecompositionOracle:
