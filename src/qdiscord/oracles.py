@@ -225,12 +225,11 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     best value and, when DEBUG is on, the arguments of each state's DEBUG
     line."""
     n = len(coefficients)
-    coarse = np.empty((n, len(_COARSE_POINTS)))
+    centre_values, centres = np.empty((n, _REFINE_STARTS)), np.empty((n, _REFINE_STARTS, 2))
     for i in range(n):
-        coarse[i] = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1],
-                                   _COARSE_DIRECTIONS)[0]
-    starts = np.argsort(coarse, axis=1)[:, ::-1][:, :_REFINE_STARTS]
-    centre_values, centres = np.take_along_axis(coarse, starts, axis=1), _COARSE_POINTS[starts]
+        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
+        starts = np.argsort(values)[::-1][:_REFINE_STARTS]
+        centre_values[i], centres[i] = values[starts], _COARSE_POINTS[starts]
 
     # A window's best value becomes its centre's, so a centre's value never
     # falls and the best of them is the best point evaluated so far.
