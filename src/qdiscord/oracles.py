@@ -220,10 +220,10 @@ def _angles(directions: np.ndarray) -> np.ndarray:
 def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     """The projective search for the (G, 4, m) ``_coefficients`` of G states of
     one frame size: each state's coarse scan, then _ROUNDS lockstep rounds
-    over all their starts, then _NEWTON_STEPS Newton steps from each state's
-    best direction. Every state runs the same schedule. Returns each state's
-    best value and, when DEBUG is on, the arguments of each state's DEBUG
-    line."""
+    over all their starts, a ridge scan and _NEWTON_STEPS Newton steps from
+    each state's best direction. Every state runs the same schedule. Returns
+    each state's best value and, when DEBUG is on, the arguments of each
+    state's DEBUG line."""
     n = len(coefficients)
     centre_values, centres = np.empty((n, _REFINE_STARTS)), np.empty((n, _REFINE_STARTS, 2))
     for i in range(n):
@@ -243,17 +243,18 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
         centres = centres + _WINDOW[pick] * width
         width = np.where(_ON_BORDER[pick][..., None], width, width / 2.0)
 
+    rows = np.arange(n)
     start = np.argmax(centre_values, axis=1)
-    angles = centres[np.arange(n), start]
-    best, best_directions = centre_values[np.arange(n), start], _directions(angles)
+    angles = centres[rows, start]
+    best, best_directions = centre_values[rows, start], _directions(angles)
 
     def evaluate(points):
         nonlocal best, best_directions
         values = _entropy_drops(coefficients, frame, s_a, points)
         top = np.argmax(values, axis=1)
-        better = values[np.arange(n), top] > best
-        best = np.where(better, values[np.arange(n), top], best)
-        best_directions = np.where(better[:, None], points[np.arange(n), top], best_directions)
+        better = values[rows, top] > best
+        best = np.where(better, values[rows, top], best)
+        best_directions = np.where(better[:, None], points[rows, top], best_directions)
         return values
 
     def stencil(angles):
