@@ -50,6 +50,7 @@ from .states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
+    random_trials,
     trial_seed,
 )
 

@@ -25,7 +25,7 @@ from .errors import QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
 from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
-                     make_horodecki, make_random_rank2, make_rho2, random_unitary, trial_seed)
+                     make_horodecki, make_random_rank2, make_rho2, random_trials, trial_seed)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -188,14 +188,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _draw_trials(seeds):
-    """(states, U_A, U_B) of the trials with these seeds: each draws its state,
-    then the two unitaries of its local-unitary twin, from one stream,
-    ``np.random.default_rng`` of its trial seed."""
-    streams = [np.random.default_rng(s) for s in seeds]
-    return make_random_rank2(streams), random_unitary(streams, 2), random_unitary(streams, 2)
-
-
 def _twin_correlations(u_a: np.ndarray, u_b: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     """(I_cc, Q_discord) rows for the local-unitary twins U rho U^dagger of a
     stack of states, U = U_A x U_B (as ``linalg.tensor`` builds it) per state."""
@@ -212,7 +204,7 @@ def _roundtrip_residuals(rho: DensityMatrix) -> np.ndarray:
     return np.max(np.abs(_rebuilt_states(rho) - rho.matrix), axis=(1, 2))
 
 
-def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: int) -> dict:
+def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int) -> dict:
     """A check's verdict from its per-trial residuals (NaN: not run); no run, no pass."""
     evaluated = int(np.count_nonzero(~np.isnan(residuals)))
     worst = int(np.nanargmax(residuals)) if evaluated else None
@@ -224,33 +216,32 @@ def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int, seed: 
         "evaluated": evaluated,
         "skipped": skipped,
         "worst_trial": worst,
-        "worst_seed": None if worst is None else trial_seed(seed, worst),
     }
 
 
 def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     """Run every identity and oracle check on seeded random rank-2 states.
 
-    Trial t draws from one stream, ``np.random.default_rng(trial_seed(seed,
-    t))``: its state (as ``make_random_rank2`` of that seed), then U_A, then
-    U_B of its local-unitary twin. All the trials' states are one
-    ``make_random_rank2`` stack, so every state is validated once. The
-    closed-form checks, the twins and the round trip each make one batched
-    call on the whole stack, so their temporaries grow with ``trials``; the
-    round trip rebuilds each state from the channel images that I2_cc reads.
-    The oracle-backed checks run on the first 25 trials, each oracle in one
-    call on their stack; the decomposition oracle gives trial t the seed
-    ``trial_seed(seed, t, 7)`` and NaN where rho_B is rank-1. Each check
-    reports the trials it evaluated, those it skipped because rho_B is
-    rank-1, the trial of its largest residual and that trial's seed. A dict
-    passed as ``stage_seconds`` receives the wall time of each stage (the
-    twin unitaries are drawn in ``draw_states``, and each oracle is its own
-    stage) and the total.
+    The trials are ``random_trials(seed, range(trials))``: one Philox stream
+    keyed by ``seed``, in which trial t owns a fixed block holding its state
+    (trial 0's is ``make_random_rank2(seed)``), then U_A and U_B of its
+    local-unitary twin. So the states are one validated stack, and a trial
+    replays alone from ``(seed, t)``. The closed-form checks, the twins and
+    the round trip each make one batched call on the whole stack, so their
+    temporaries grow with ``trials``; the round trip rebuilds each state from
+    the channel images that I2_cc reads. The oracle-backed checks run on the
+    first 25 trials, each oracle in one call on their stack; the
+    decomposition oracle gives trial t the seed ``trial_seed(seed, t, 7)``
+    and NaN where rho_B is rank-1. Each check reports the trials it
+    evaluated, those it skipped because rho_B is rank-1, and the trial of
+    its largest residual. A dict passed as ``stage_seconds`` receives the
+    wall time of each stage (the twin unitaries are drawn in
+    ``draw_states``, and each oracle is its own stage) and the total.
     """
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     laps = [time.perf_counter()]
-    states, u_a, u_b = _draw_trials([trial_seed(seed, t) for t in range(trials)])
+    states, u_a, u_b = random_trials(seed, range(trials))
     laps.append(time.perf_counter())
     twin_i_cc, twin_q = _twin_correlations(u_a, u_b, states)
     del u_a, u_b  # 128 kB per 1000 trials that would otherwise outlive the twins
@@ -280,7 +271,7 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     if stage_seconds is not None:
         stage_seconds.update(zip(_STAGES, np.diff(laps).tolist()), total=laps[-1] - laps[0])
     checks = {
-        name: _check_summary(residuals[name], _CHECK_TOLERANCES[name], skipped[name], seed)
+        name: _check_summary(residuals[name], _CHECK_TOLERANCES[name], skipped[name])
         for name in _CHECK_TOLERANCES
     }
     return {

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateMarginal, DimensionMismatch
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
 from .measures import linear_entropy, mutual_information, spectral_entropy
-from .states import MARGINAL_RANK_TOL, DensityMatrix, trial_seed
+from .states import MARGINAL_RANK_TOL, DensityMatrix, box_muller, philox
 
 _log = logging.getLogger(__name__)
 
@@ -50,14 +50,21 @@ _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 # best direction so far. Five rounds leave the best centre mostly inside the
 # first step's clip (the Newton steps then move it by 1.4e-3 rad in the median
 # and 1.2e-2 rad at most, over 300 random rank-2 states), and from there the
-# quadratic convergence of Newton's method needs two or three steps.
+# quadratic convergence of Newton's method needs two or three steps. Newton
+# settles where the stencil's gradient reads 0, so the gradient's error,
+# h^2 / 6 times the third derivative, moves the result: at h = 1e-4 it left 3
+# of 1800 random rank-2 states, on flat ridges, short of the closed form by
+# over 3e-15 and up to 2.1e-14, and at h = 6e-5 one, by 3.3e-15. The Hessian's
+# rounding, about 1e-16 / h^2, grows as h shrinks and hides more of a near
+# tie's flat curvature: Bell-diagonal states whose two largest |c_i| differ
+# by 1e-7 read up to 4.8e-9 below Luo's value at h = 6e-5, 2.3e-9 at 1e-4.
 _N_THETA = 64
 _N_PHI = 32
 _REFINE_STARTS = 5
 _ROUNDS = 5
 _RIDGE_POINTS = 128
 _NEWTON_STEPS = 4
-_STENCIL_STEP = 1e-4
+_STENCIL_STEP = 6e-5
 _STEP_CLIP = 1e-2
 
 # The Newton stencil in tangent-plane coordinates, in units of _STENCIL_STEP:
@@ -359,51 +366,55 @@ def _chords(r_b: np.ndarray, directions: np.ndarray):
     return probabilities, r_b[..., None, :] + t[..., None] * e[..., None, :]
 
 
+# Doubles per trial in each of a member's five streams: the normals of the
+# size-2 chord (3 of 4 used), the size-3 pure state and chord, and the two
+# size-4 chords, then the size-3 and size-4 weights.
+_STREAM_WIDTHS = (4, 6, 6, 1, 1)
+
+
 def _sampled_decompositions(r_b: np.ndarray, trials: int, seeds):
     """Random pure-state decompositions of each marginal, ``trials`` per size.
 
     ``r_b`` is (N, 3), one marginal per seed of ``seeds``. Returns one
     (probabilities, bloch_vectors) pair per size 2, 3 and 4, of shapes
-    (N, trials, size) and (N, trials, size, 3). Member i draws its chord
-    directions for each size from the normal stream
-    ``trial_seed(seeds[i], size, 0)`` and, for sizes 3 and 4, its weights
-    from the uniform stream ``trial_seed(seeds[i], size, 1)``, one row per
-    trial, so its first n rows depend neither on ``trials`` nor on the other
+    (N, trials, size) and (N, trials, size, 3). Member i draws all it needs
+    from one Philox stream keyed by ``seeds[i]``, in five streams of
+    ``_STREAM_WIDTHS`` doubles per trial: per size, its chord directions
+    (normals made by ``box_muller``) and, for sizes 3 and 4, its weights.
+    Stream j starts where counter word 1 is j and reads one row per trial,
+    so a member's first n rows depend neither on ``trials`` nor on the other
     members. Size 2 is a chord through r_b; size 3 puts weight p1 in
     [0, (1 - |r_b|)/2) on a random pure state and splits the rest along a
     chord; size 4 mixes two chords with a weight in [0.2, 0.8).
     """
     n = len(seeds)
-
-    def normal(size, count):
-        out = np.empty((n, trials, count, 3))
-        for row, seed in zip(out, seeds):
-            np.random.default_rng(trial_seed(seed, size, 0)).standard_normal(out=row)
-        return out
-
-    def uniform(size):
-        # random() draws the same doubles as uniform(0, 1) and fills in place.
-        out = np.empty((n, trials))
-        for row, seed in zip(out, seeds):
-            np.random.default_rng(trial_seed(seed, size, 1)).random(out=row)
-        return out
+    streams = [np.empty((n, trials, width)) for width in _STREAM_WIDTHS]
+    for i, seed in enumerate(seeds):
+        bits = philox(seed)
+        draw = np.random.Generator(bits).random
+        for stream in streams:
+            draw(out=stream[i])
+            # Word 0 of the counter now counts the steps taken; wrapping it
+            # to 0 carries into word 1, the start of the next stream's block.
+            bits.advance(2**64 - -(-stream[i].size // 4))
+    n2 = box_muller(streams[0])[..., :3]
+    n3, n4 = (box_muller(stream).reshape(n, trials, 2, 3) for stream in streams[1:3])
 
     centre = r_b[:, None, :]
     # Sizes 2 and 4 draw chords through r_b: one _chords call serves both.
     probs, vectors = _chords(centre, np.concatenate(
-        [normal(2, 1)[:, :, 0], normal(4, 2).reshape(n, 2 * trials, 3)], axis=1))
+        [n2, n4.reshape(n, 2 * trials, 3)], axis=1))
     pair = probs[:, :trials], vectors[:, :trials]
 
-    n3 = normal(3, 2)
     u = n3[:, :, 0] / np.linalg.norm(n3[:, :, 0], axis=-1, keepdims=True)
-    p1 = uniform(3)[..., None] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
+    p1 = streams[3] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
     rest_p, rest_v = _chords((centre - p1 * u) / (1.0 - p1), n3[:, :, 1])
     triple = (
         np.concatenate([p1, (1.0 - p1) * rest_p], axis=-1),
         np.concatenate([u[:, :, None, :], rest_v], axis=2),
     )
 
-    weight = 0.2 + 0.6 * uniform(4)
+    weight = 0.2 + 0.6 * streams[4][..., 0]
     quad = (
         probs[:, trials:].reshape(n, trials, 4)
         * np.repeat(np.stack([weight, 1.0 - weight], axis=-1), 2, axis=-1),
@@ -476,9 +487,10 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     state is a batch of one, so a member's value is that of its batch of
     one. Includes the deterministic aligned chord (``_aligned_chord``), so
     the value matches the closed form to within rounding; ``trials`` random
-    2-, 3- and 4-element decompositions are drawn from each member's
-    per-size streams (see ``_sampled_decompositions``), so larger trial
-    counts extend smaller ones. A rank-1 rho_B (smaller eigenvalue at most
+    2-, 3- and 4-element decompositions are drawn from one Philox stream
+    per member, keyed by its seed, in one counter block per size and kind
+    (see ``_sampled_decompositions``), so larger trial counts extend
+    smaller ones. A rank-1 rho_B (smaller eigenvalue at most
     MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives
     NaN for a member of a stack.
     """

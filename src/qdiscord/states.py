@@ -1,5 +1,5 @@
 """Bipartite density matrices: named families, random rank-2 states and
-unitaries, and the JSON wire format.
+unitaries drawn from counter-based Philox streams, and the JSON wire format.
 
 Basis ordering is computational throughout, with the bipartite index a*dB + b.
 """
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,50 @@ def trial_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
+def philox(key: int) -> np.random.Philox:
+    """A fresh Philox4x64 bit generator keyed by ``key``, an integer in
+    [0, 2**128). Its counter starts at 0, and each counter step gives four
+    64-bit outputs, one double each as ``random()`` reads them, so
+    ``advance(m)`` skips exactly 4m doubles."""
+    key = operator.index(key)
+    if not 0 <= key < 2**128:
+        raise OutOfDomain(f"seed={key} outside [0, 2**128)")
+    return np.random.Philox(key=key)
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms in [0, 1), last axis of even length:
+    each adjacent pair (u0, u1) gives r cos(2 pi u1) and r sin(2 pi u1), with
+    r = sqrt(-2 log(1 - u0)), so u0 = 0 stays finite and normal k reads
+    uniforms k and k ^ 1 only. Unlike ``standard_normal``, whose ziggurat
+    takes a varying number of outputs, every normal has a fixed place in
+    its stream."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(u.shape)
+
+
+def _trial_width(dim_a: int) -> int:
+    """Doubles per trial block: the eigenvalue uniform, then the uniforms of
+    8 dA normals for the state, 2 dA^2 for U_A and 8 for U_B, padded to a
+    whole number of Philox counter steps (36 at dA = 2)."""
+    return -(-(9 + 8 * dim_a + 2 * dim_a**2) // 4) * 4
+
+
+def _trial_blocks(key: int, trials: range, dim_a: int) -> np.ndarray:
+    """The (len(trials), width) uniforms of trials ``range(start, stop)``:
+    trial t owns row t of the key's one Philox stream read as
+    ``random((N, width))``, reached by advancing t * width / 4 steps."""
+    if dim_a not in (2, 3, 4):
+        raise OutOfDomain(f"dim_a={dim_a} not in {{2, 3, 4}}")
+    if trials.start < 0 or trials.step != 1:
+        raise OutOfDomain(f"trials={trials} is not a range(start, stop) of trial indices")
+    width = _trial_width(dim_a)
+    bits = philox(key)
+    bits.advance(trials.start * width // 4)
+    return np.random.Generator(bits).random((len(trials), width))
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
     """The 2-norm of each row of a complex stack, summed as ``np.linalg.norm``
     sums one vector (real, then imaginary dot products), so the bits match."""
@@ -204,27 +249,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
-def make_random_rank2(seed, dim_a: int = 2) -> DensityMatrix:
-    """Random rank-2 state on dA x 2, deterministic in the seed.
-
-    The two eigenvectors are orthonormalized complex Gaussian vectors and the
-    top eigenvalue is drawn uniformly from [0.05, 0.95]. ``seed`` is a seed or
-    a ``np.random.Generator``; the state takes a uniform, then the real and
-    the imaginary parts of both vectors as one (2, 2, 2dA) normal draw from
-    its stream, and a Generator is left just after them. A sequence of seeds
-    or Generators gives a stack: each member draws from its own stream, as a
-    single call would, and one pass of stacked algebra and validation serves
-    them all, bit for bit equal to the per-seed loop of 1-D algebra.
-    """
-    if dim_a not in (2, 3, 4):
-        raise OutOfDomain(f"dim_a={dim_a} not in {{2, 3, 4}}")
-    single, n = np.ndim(seed) == 0, dim_a * 2
-    lam, draws = [], []
-    for rng in map(np.random.default_rng, [seed] if single else seed):
-        lam.append(rng.uniform(0.05, 0.95))
-        draws.append(rng.standard_normal((2, 2, n)))
-    lam = np.array(lam)[:, None, None]
-    draws = np.array(draws).reshape(-1, 2, 2, n)
+def _rank2_states(blocks: np.ndarray, dim_a: int) -> DensityMatrix:
+    """The rank-2 states of trial blocks: top eigenvalue 0.05 + 0.9 u from
+    column 0, eigenvectors the orthonormalized complex Gaussian vectors of
+    the next 8 dA columns' normals (real parts, then imaginary parts)."""
+    n = 2 * dim_a
+    lam = 0.05 + 0.9 * blocks[:, 0, None, None]
+    draws = box_muller(blocks[:, 1:1 + 4 * n]).reshape(-1, 2, 2, n)
     v = draws[:, 0] + 1j * draws[:, 1]
     v1 = v[:, 0] / _norms(v[:, 0])[:, None]
     overlap = (v1.conj()[:, None, :] @ v[:, 1, :, None])[:, 0]
@@ -232,28 +263,52 @@ def make_random_rank2(seed, dim_a: int = 2) -> DensityMatrix:
     v2 = v2 / _norms(v2)[:, None]
     m = (lam * (v1[:, :, None] * v1.conj()[:, None, :])
          + (1.0 - lam) * (v2[:, :, None] * v2.conj()[:, None, :]))
-    return DensityMatrix((dim_a, 2), m[0] if single else m)
+    return DensityMatrix((dim_a, 2), m)
 
 
-def random_unitary(seed, dim: int) -> np.ndarray:
-    """Haar-distributed random unitary, deterministic in the seed: Q of the QR
-    of a complex Gaussian, its columns rephased so that R has a positive
-    diagonal (without that step Q is not Haar-distributed).
-
-    ``seed`` is a seed or a ``np.random.Generator``, from which this takes
-    one (2, dim, dim) normal draw. A sequence of them gives an (N, dim, dim)
-    stack: each draws from its own stream, as a single call would, and one
-    batched QR serves them all.
-    """
-    single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
-    if not seeds:
-        raise DimensionMismatch("a stack of unitaries must not be empty")
-    draws = np.stack([np.random.default_rng(s).standard_normal((2, dim, dim)) for s in seeds])
+def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from (N, 2, d, d) normals (real parts, then
+    imaginary parts): Q of the batched QR of the complex Gaussians, its
+    columns rephased so that R has a positive diagonal (without that step Q
+    is not Haar-distributed)."""
     q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
-    return u[0] if single else u
+    return q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
+
+
+def random_trials(seed: int, trials: range, dim_a: int = 2):
+    """(states, U_A, U_B) of the random trials ``range(start, stop)`` of ``seed``.
+
+    Trial t owns a fixed block of the one counter-based Philox stream keyed
+    by ``seed`` (see ``_trial_blocks``): a uniform for the top eigenvalue,
+    normals for the state's two eigenvectors, then normals for the dA x dA
+    U_A and the 2 x 2 U_B of a local unitary U_A x U_B, normals made by
+    ``box_muller``. So a trial reads the same numbers whichever range it
+    is drawn in, and one stream serves the whole range: the states are one
+    validated stack, the unitaries two batched QRs. ``make_random_rank2(seed,
+    dim_a)`` is the state of trial 0.
+    """
+    blocks = _trial_blocks(seed, trials, dim_a)
+    states = _rank2_states(blocks, dim_a)
+    k, n_a = 1 + 8 * dim_a, 2 * dim_a**2
+    normals = box_muller(blocks[:, k:k + n_a + 8])
+    u_a = _haar_unitaries(normals[:, :n_a].reshape(-1, 2, dim_a, dim_a))
+    return states, u_a, _haar_unitaries(normals[:, n_a:].reshape(-1, 2, 2, 2))
+
+
+def make_random_rank2(seed, dim_a: int = 2) -> DensityMatrix:
+    """Random rank-2 state on dA x 2, deterministic in the seed: the state of
+    trial 0 of ``random_trials(seed, range(1), dim_a)``.
+
+    The two eigenvectors are orthonormalized complex Gaussian vectors and the
+    top eigenvalue is drawn uniformly from [0.05, 0.95]. A sequence of seeds
+    gives a stack whose member i is ``make_random_rank2(seeds[i], dim_a)`` bit
+    for bit, built by one pass of stacked algebra and validation.
+    """
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    blocks = np.array([_trial_blocks(s, range(1), dim_a)[0] for s in seeds])
+    rho = _rank2_states(blocks.reshape(-1, _trial_width(dim_a)), dim_a)
+    return rho[0] if np.ndim(seed) == 0 else rho
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:

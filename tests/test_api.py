@@ -10,7 +10,7 @@ PUBLIC_NAMES = {
     "channel", "discord", "errors", "linalg", "measures", "oracles", "states",
     # states
     "DensityMatrix", "dump_state", "load_state", "make_bell_diagonal", "make_example1",
-    "make_horodecki", "make_random_rank2", "make_rho2", "trial_seed",
+    "make_horodecki", "make_random_rank2", "make_rho2", "random_trials", "trial_seed",
     # linalg and measures
     "partial_trace", "tensor", "binary_entropy", "eof_two_qubit", "f_map", "linear_entropy",
     "mutual_information", "tangle_two_qubit", "von_neumann_entropy", "wootters_concurrence",

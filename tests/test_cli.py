@@ -8,8 +8,10 @@ import pytest
 from qdiscord import channel, cli
 from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
-from qdiscord.discord import discord_rank2, koashi_winter_residual, monogamy_residual
+from qdiscord.discord import (correlation_report, discord_rank2, koashi_winter_residual,
+                               monogamy_residual)
 from qdiscord.linalg import tensor
+from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
     DensityMatrix,
     dump_state,
@@ -18,7 +20,7 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
-    random_unitary,
+    random_trials,
     trial_seed,
 )
 
@@ -192,6 +194,19 @@ class TestCompute:
         assert code == 0
         assert doc["rank"] == 2
         assert doc["Q_discord"] >= -1e-9
+
+    def test_random_rank2_is_trial_zero_of_validate(self, capsys, monkeypatch):
+        # compute --seed s reports, bit for bit, the state validate --seed s
+        # draws as its trial 0.
+        drawn = []
+        monkeypatch.setattr(cli, "random_trials",
+                            lambda *args: drawn.append(random_trials(*args)) or drawn[-1])
+        assert run(capsys, "validate", "--trials", "30", "--seed", "17")[0] == 0
+        code, out, _ = run(capsys, "compute", "--family", "random_rank2", "--seed", "17")
+        assert code == 0
+        family = {"name": "random_rank2", "parameters": {"seed": 17, "da": 2}}
+        report = correlation_report(drawn[0][0][0])
+        assert out == cli._fmt_json({"family": family, **vars(report)}) + "\n"
 
     def test_wide_state_gets_linear_cc_only(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "random_rank2",
@@ -385,7 +400,8 @@ class TestValidate:
         counts = {name: (c["evaluated"], c["skipped"]) for name, c in doc["checks"].items()}
         assert set(counts.values()) == {(25, 0)}
         for check in doc["checks"].values():
-            assert check["worst_seed"] == trial_seed(42, check["worst_trial"])
+            assert list(check) == ["max_residual", "tolerance", "pass", "evaluated", "skipped",
+                                   "worst_trial"]
         assert list(json.loads(err)) == [
             "draw_states", "twins", "residuals", "roundtrip", "projective", "decomposition",
             "total",
@@ -429,53 +445,57 @@ class TestValidate:
         assert checks["projective_bound"]["pass"] is True
 
     def test_worst_trial_reproduces_its_residual(self, capsys):
-        seed = 42
-        code, out, _ = run(capsys, "validate", "--trials", "60", "--seed", str(seed))
+        # Every check's worst case replays from two numbers on stdout, the
+        # run's seed and the check's worst_trial: the trial drawn alone.
+        code, out, _ = run(capsys, "validate", "--trials", "60", "--seed", "42")
         assert code == 0
-        checks = json.loads(out)["checks"]
+        doc = json.loads(out)
+        seed, checks = doc["seed"], doc["checks"]
 
-        def local_unitary(rho, worst_seed):
-            # One stream replays the trial: the state, then U_A, then U_B.
-            stream = np.random.default_rng(worst_seed)
-            replayed = make_random_rank2(stream)
-            np.testing.assert_array_equal(replayed.matrix, rho.matrix)
-            u_a, u_b = random_unitary(stream, 2), random_unitary(stream, 2)
-            twin_i_cc, twin_q = cli._twin_correlations(u_a[None], u_b[None], rho[:])[:, 0]
+        def twin(rho, u_a, u_b):
+            twin_i_cc, twin_q = cli._twin_correlations(u_a, u_b, rho[:])[:, 0]
             report = discord_rank2(rho)
             return max(abs(report.Q_discord - twin_q), abs(report.I_cc - twin_i_cc))
 
+        def decomposition(rho, trial):
+            return decomposition_linear_cc(rho, trials=32, seed=trial_seed(seed, trial, 7))
+
         recompute = {
-            "kw": lambda rho, trial: abs(koashi_winter_residual(rho)),
-            "monogamy": lambda rho, trial: abs(monogamy_residual(rho)),
-            "projective_bound": lambda rho, trial: (
-                cli.projective_classical_correlation(rho) - discord_rank2(rho).I_cc
-            ),
-            "roundtrip": lambda rho, trial: np.max(
-                np.abs(_rebuilt_states(rho[:])[0] - rho.matrix)
-            ),
-            "local_unitary": local_unitary,
+            "kw": lambda rho, trial, *_: abs(koashi_winter_residual(rho)),
+            "monogamy": lambda rho, trial, *_: abs(monogamy_residual(rho)),
+            "decomposition_bound": lambda rho, trial, *_: (
+                decomposition(rho, trial) - channel.linear_classical_correlation(rho)),
+            "decomposition_attain": lambda rho, trial, *_: (
+                channel.linear_classical_correlation(rho) - decomposition(rho, trial)),
+            "projective_bound": lambda rho, trial, *_: (
+                cli.projective_classical_correlation(rho) - discord_rank2(rho).I_cc),
+            "projective_attain": lambda rho, trial, *_: (
+                discord_rank2(rho).I_cc - cli.projective_classical_correlation(rho)),
+            "local_unitary": lambda rho, trial, u_a, u_b: twin(rho, u_a, u_b),
+            "roundtrip": lambda rho, trial, *_: np.max(
+                np.abs(_rebuilt_states(rho[:])[0] - rho.matrix)),
         }
+        assert set(recompute) == set(checks)
         for name, residual in recompute.items():
-            worst_trial, worst_seed = checks[name]["worst_trial"], checks[name]["worst_seed"]
-            assert 0 <= worst_trial < (25 if name.startswith("projective") else 60)
-            assert worst_seed == trial_seed(seed, worst_trial)
-            rho = make_random_rank2(worst_seed)
-            assert residual(rho, worst_seed) == pytest.approx(
+            trial = checks[name]["worst_trial"]
+            assert 0 <= trial < (60 if name in ("kw", "monogamy", "local_unitary",
+                                                 "roundtrip") else 25)
+            states, u_a, u_b = random_trials(seed, range(trial, trial + 1))
+            assert residual(states[0], trial, u_a, u_b) == pytest.approx(
                 checks[name]["max_residual"], rel=1e-9, abs=1e-15
-            )
+            ), name
         assert all(isinstance(c["worst_trial"], int) for c in checks.values())
 
     def test_twins_match_the_per_state_reference(self):
-        # The batched twin draw against U = U_A x U_B built one trial at a time,
-        # U_A and U_B drawn after the state from the trial's one stream.
-        seeds = [trial_seed(9, t) for t in range(150)]
-        states, u_a, u_b = cli._draw_trials(seeds)
+        # The batched twin rotation against U = U_A x U_B applied one trial at
+        # a time, with each trial's state and unitaries drawn alone.
+        states, u_a, u_b = random_trials(9, range(150))
         batch = cli._twin_correlations(u_a, u_b, states)
-        for n, (s, rho) in enumerate(zip(seeds, states)):
-            stream = np.random.default_rng(s)
-            make_random_rank2(stream)
-            u = tensor(random_unitary(stream, 2), random_unitary(stream, 2))
-            twin = discord_rank2(DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T))
+        for n in range(150):
+            rho, one_a, one_b = random_trials(9, range(n, n + 1))
+            np.testing.assert_array_equal(rho.matrix[0], states.matrix[n])
+            u = tensor(one_a[0], one_b[0])
+            twin = discord_rank2(DensityMatrix((2, 2), u @ rho.matrix[0] @ u.conj().T))
             assert batch[:, n] == pytest.approx([twin.I_cc, twin.Q_discord], abs=1e-13)
 
     def test_trials_do_not_depend_on_the_block_they_fall_in(self, monkeypatch):
@@ -497,42 +517,36 @@ class TestValidate:
         assert np.count_nonzero(short["local_unitary"]) > 0
 
     @pytest.mark.parametrize("trials", [1, 130, 300])
-    def test_each_trial_builds_one_generator(self, monkeypatch, trials):
-        # The decomposition oracle draws from its own generators; without it,
-        # validate builds one per trial, in order, and draws every state in
-        # one make_random_rank2 call after building them all.
-        built, built_at_draw = [], []
-        default_rng, draw = np.random.default_rng, cli.make_random_rank2
+    def test_a_run_builds_one_bit_generator(self, monkeypatch, trials):
+        # Outside the decomposition oracle, which keys one Philox per oracle
+        # trial, a run builds one bit generator, keyed by its seed, and no
+        # Generator of its own.
+        built, philox = [], np.random.Philox
 
-        def counting(seed=None):
-            if not isinstance(seed, np.random.Generator):
-                built.append(seed)
-            return default_rng(seed)
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
 
-        def degenerate(rho, **kwargs):
-            return np.full(len(rho), np.nan)
+        def refused(*args, **kwargs):
+            raise AssertionError("validate built a default_rng")
 
-        def drawing(streams):
-            built_at_draw.append(len(built))
-            return draw(streams)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
-        monkeypatch.setattr(cli, "decomposition_linear_cc", degenerate)
-        monkeypatch.setattr(cli, "make_random_rank2", drawing)
+        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        monkeypatch.setattr(cli, "decomposition_linear_cc",
+                            lambda rho, **kwargs: np.full(len(rho), np.nan))
         cli.run_validation(trials, 21)
-        assert built == [trial_seed(21, t) for t in range(trials)]
-        assert built_at_draw == [trials]
+        assert built == [21]
 
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3
-        draw = cli.make_random_rank2
 
-        def with_product_state(seeds):
-            matrices = draw(seeds).matrix.copy()
+        def with_product_state(*args):
+            states, u_a, u_b = random_trials(*args)
+            matrices = states.matrix.copy()
             matrices[degenerate_trial] = make_horodecki(0.0).matrix
-            return DensityMatrix((2, 2), matrices)
+            return DensityMatrix((2, 2), matrices), u_a, u_b
 
-        monkeypatch.setattr(cli, "make_random_rank2", with_product_state)
+        monkeypatch.setattr(cli, "random_trials", with_product_state)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
         assert code == 0
         checks = json.loads(out)["checks"]
@@ -545,16 +559,16 @@ class TestValidate:
         # Trial 27, past the oracle trials, is sqrt(1-e)|00> + sqrt(e)|11>, whose
         # rho_B = diag(1-e, e) sits on one side of MARGINAL_RANK_TOL.
         seed, trial = 6, 27
-        draw = cli.make_random_rank2
         psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
         near = DensityMatrix((2, 2), np.outer(psi, psi.conj()))
 
-        def with_near_pure_marginal(seeds):
-            matrices = draw(seeds).matrix.copy()
+        def with_near_pure_marginal(*args):
+            states, u_a, u_b = random_trials(*args)
+            matrices = states.matrix.copy()
             matrices[trial] = near.matrix
-            return DensityMatrix((2, 2), matrices)
+            return DensityMatrix((2, 2), matrices), u_a, u_b
 
-        monkeypatch.setattr(cli, "make_random_rank2", with_near_pure_marginal)
+        monkeypatch.setattr(cli, "random_trials", with_near_pure_marginal)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
         assert code == 0
         check = json.loads(out)["checks"]["roundtrip"]
@@ -569,7 +583,7 @@ class TestValidate:
         # The identity image R_0 of trial 41 moved by 1e-6: I2_cc reads only
         # the Pauli images, so every check but roundtrip still passes.
         seed, trial = 11, 41
-        target = make_random_rank2(trial_seed(seed, trial)).matrix
+        target = random_trials(seed, range(trial, trial + 1))[0].matrix[0]
         exact = channel._marginal_images
 
         def perturbed(matrices, d_a):
@@ -586,7 +600,7 @@ class TestValidate:
         assert [name for name, c in checks.items() if not c["pass"]] == ["roundtrip"]
         check = checks["roundtrip"]
         assert check["max_residual"] > 1e-8
-        assert (check["worst_trial"], check["worst_seed"]) == (trial, trial_seed(seed, trial))
+        assert check["worst_trial"] == trial
         assert (check["evaluated"], check["skipped"]) == (300, 0)
 
     def test_worst_trial_names_the_largest_of_distinct_residuals(self, capsys, monkeypatch):
@@ -599,8 +613,7 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
         assert code == 1
         check = json.loads(out)["checks"]["decomposition_bound"]
-        offsets = [1e-3 * make_random_rank2(trial_seed(seed, t)).matrix[0, 0].real
-                   for t in range(25)]
+        offsets = 1e-3 * random_trials(seed, range(25))[0].matrix[:, 0, 0].real
         assert check["worst_trial"] == int(np.argmax(offsets))
         assert check["max_residual"] == pytest.approx(max(offsets), abs=1e-8)
 
@@ -645,6 +658,19 @@ def test_negative_seed_is_named(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith("error: argument --seed: expected a non-negative integer, got '-5'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--trials", "3"],
+    ["compute", "--family", "random_rank2"],
+    ["state", "show", "--family", "random_rank2"],
+])
+def test_seed_past_the_philox_keys_is_named(capsys, argv):
+    # A seed keys a 128-bit Philox stream: 2**128 - 1 is the last one.
+    assert run(capsys, *argv, "--seed", str(2**128 - 1))[0] == 0
+    code, out, err = run(capsys, *argv, "--seed", str(2**128))
+    assert (code, out) == (2, "")
+    assert err == f"error: seed={2**128} outside [0, 2**128)\n"
 
 
 class TestStateShow:

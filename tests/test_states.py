@@ -21,6 +21,8 @@ from qdiscord.measures import von_neumann_entropy
 from qdiscord.states import (
     DENSITY_TOL,
     DensityMatrix,
+    _trial_blocks,
+    box_muller,
     dump_state,
     load_state,
     make_bell_diagonal,
@@ -28,7 +30,7 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
-    random_unitary,
+    random_trials,
     state_from_json_dict,
     state_to_json_dict,
     trial_seed,
@@ -140,14 +142,33 @@ class TestRho2:
             make_rho2(0.5, 7.0, 0.0)
 
 
-def scalar_rank2_reference(seed, dim_a):
-    """The per-seed draw as one loop of 1-D algebra, frozen: the stacked
+# Doubles per trial block: the eigenvalue uniform and 8 dA uniforms for the
+# state, then 2 dA^2 for U_A and 8 for U_B, padded to a multiple of 4.
+TRIAL_WIDTHS = {2: 36, 3: 52, 4: 76}
+
+
+def scalar_normals(uniforms):
+    """Box-Muller one pair at a time on numpy scalars, frozen: each pair
+    (u0, u1) gives r cos(2 pi u1), r sin(2 pi u1), r = sqrt(-2 log1p(-u0))."""
+    normals = []
+    for u0, u1 in zip(uniforms[0::2], uniforms[1::2]):
+        r = np.sqrt(-2.0 * np.log1p(-u0))
+        normals += [r * np.cos(2.0 * np.pi * u1), r * np.sin(2.0 * np.pi * u1)]
+    return np.array(normals)
+
+
+def scalar_rank2_reference(seed, dim_a, row=None):
+    """Trial 0 of ``seed`` as one loop of 1-D algebra, frozen: the first
+    1 + 8 dA doubles of the fresh Philox stream keyed by the seed (or of a
+    given block ``row``) are the eigenvalue uniform and, by Box-Muller, the
+    real parts of both vectors and then their imaginary parts. The stacked
     ``make_random_rank2`` must give these matrices bit for bit."""
     n = 2 * dim_a
-    rng = np.random.default_rng(seed)
-    lam = rng.uniform(0.05, 0.95)
-    re = rng.standard_normal((2, n))
-    im = rng.standard_normal((2, n))
+    if row is None:
+        row = np.random.Generator(np.random.Philox(key=seed)).random(1 + 4 * n)
+    lam = 0.05 + 0.9 * row[0]
+    normals = scalar_normals(row[1:1 + 4 * n])
+    re, im = normals[:2 * n].reshape(2, n), normals[2 * n:].reshape(2, n)
     v1 = re[0] + 1j * im[0]
     v2 = re[1] + 1j * im[1]
     v1 = v1 / np.linalg.norm(v1)
@@ -156,16 +177,28 @@ def scalar_rank2_reference(seed, dim_a):
     return lam * np.outer(v1, v1.conj()) + (1.0 - lam) * np.outer(v2, v2.conj())
 
 
+def scalar_unitary_reference(normals, dim):
+    """Haar unitary from 2 dim^2 normals (real parts, then imaginary parts):
+    Q of the QR, its columns rephased so that R has a positive diagonal."""
+    z = normals[:dim * dim].reshape(dim, dim) + 1j * normals[dim * dim:].reshape(dim, dim)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
 class TestRandomRank2:
-    def test_generator_is_left_just_after_the_state(self):
-        # The state takes a uniform and (2, 2, 2dA) normals; the next draw
-        # from the same Generator continues the stream after them.
-        for dim_a in (2, 3, 4):
-            stream, replay = np.random.default_rng(8), np.random.default_rng(8)
-            make_random_rank2(stream, dim_a)
-            replay.uniform(0.05, 0.95)
-            replay.standard_normal((2, 2, 2 * dim_a))
-            assert stream.standard_normal() == replay.standard_normal()
+    def test_unitaries_follow_the_state_in_its_block(self):
+        for dim_a, width in TRIAL_WIDTHS.items():
+            row = np.random.Generator(np.random.Philox(key=8)).random((2, width))[1]
+            states, u_a, u_b = random_trials(8, range(1, 2), dim_a)
+            np.testing.assert_array_equal(
+                states.matrix[0],
+                DensityMatrix((dim_a, 2), scalar_rank2_reference(None, dim_a, row)).matrix)
+            k = 1 + 8 * dim_a
+            normals = scalar_normals(row[k:k + 2 * dim_a**2 + 8])
+            np.testing.assert_allclose(u_a[0], scalar_unitary_reference(
+                normals[:2 * dim_a**2], dim_a), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(u_b[0], scalar_unitary_reference(
+                normals[2 * dim_a**2:], 2), rtol=0, atol=1e-15)
 
     def test_deterministic_in_seed(self):
         a = make_random_rank2(123)
@@ -187,6 +220,20 @@ class TestRandomRank2:
     def test_bad_dimension(self):
         with pytest.raises(OutOfDomain):
             make_random_rank2(0, dim_a=5)
+        with pytest.raises(OutOfDomain):
+            random_trials(0, range(3), dim_a=5)
+
+    @pytest.mark.parametrize("build", [make_random_rank2, lambda seed: random_trials(seed, range(2))])
+    def test_seed_outside_the_philox_keys(self, build):
+        build(2**128 - 1)
+        for seed in (2**128, -1):
+            with pytest.raises(OutOfDomain, match=r"outside \[0, 2\*\*128\)"):
+                build(seed)
+
+    @pytest.mark.parametrize("trials", [range(-1, 3), range(0, 6, 2)])
+    def test_trials_are_a_contiguous_range_of_indices(self, trials):
+        with pytest.raises(OutOfDomain, match="not a range"):
+            random_trials(0, trials)
 
     def test_trial_seed_substreams_differ(self):
         assert trial_seed(1, 0) != trial_seed(1, 1)
@@ -195,37 +242,70 @@ class TestRandomRank2:
 
 
 class TestRandomUnitary:
+    """The trials' unitaries, and the counter-based stream they come from."""
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_seed_sequence_matches_per_seed_calls(self, dim):
-        seeds = [trial_seed(11, t, 101) for t in range(200)]
-        stack = random_unitary(seeds, dim)
-        singles = [random_unitary(seed, dim) for seed in seeds]
-        assert stack.shape == (200, dim, dim)
-        assert singles[0].shape == (dim, dim)
-        np.testing.assert_allclose(stack, singles, rtol=0, atol=1e-15)
+        # A trial drawn alone, by advancing a fresh Philox to its block, is
+        # its row of the whole draw, and so are its state and unitaries.
+        states, u_a, u_b = random_trials(11, range(1000), dim)
+        width = TRIAL_WIDTHS[dim]
+        whole = np.random.Generator(np.random.Philox(key=11)).random((1000, width))
+        for t in (0, 1, 999):
+            np.testing.assert_array_equal(_trial_blocks(11, range(t, t + 1), dim)[0], whole[t])
+            alone = random_trials(11, range(t, t + 1), dim)
+            np.testing.assert_array_equal(alone[0].matrix[0], states.matrix[t])
+            np.testing.assert_array_equal(alone[1][0], u_a[t])
+            np.testing.assert_array_equal(alone[2][0], u_b[t])
+        np.testing.assert_array_equal(states.matrix[0], make_random_rank2(11, dim).matrix)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_generators_continue_their_streams(self, dim):
-        seeds = [trial_seed(12, t) for t in range(20)]
-        streams = [np.random.default_rng(seed) for seed in seeds]
-        first, second = random_unitary(streams, dim), random_unitary(streams, dim)
-        np.testing.assert_array_equal(first, random_unitary(seeds, dim))
-        for seed, u in zip(seeds, second):
-            stream = np.random.default_rng(seed)
-            stream.standard_normal((2, dim, dim))
-            np.testing.assert_array_equal(u, random_unitary(stream, dim))
+        # One generator read block after block gives trials 0, 1, 2, ... as
+        # advancing to each does; a later range starts mid-stream.
+        width = TRIAL_WIDTHS[dim]
+        draw = np.random.Generator(np.random.Philox(key=12)).random
+        blocks = [draw(width) for _ in range(7)]
+        np.testing.assert_array_equal(_trial_blocks(12, range(7), dim), blocks)
+        np.testing.assert_array_equal(_trial_blocks(12, range(3, 7), dim), blocks[3:])
+        late = random_trials(12, range(3, 7), dim)
+        early = random_trials(12, range(7), dim)
+        for got, want in zip(late, early):
+            np.testing.assert_array_equal(np.asarray(got), np.asarray(want)[3:])
 
     def test_empty_stack_is_rejected_as_for_states(self):
-        for build in (make_random_rank2, lambda seeds: random_unitary(seeds, 2)):
+        for build in (make_random_rank2, lambda seeds: random_trials(4, range(3, 3))):
             with pytest.raises(DimensionMismatch, match="must not be empty"):
                 build([])
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_unitary_and_deterministic(self, dim):
-        u = random_unitary(7, dim)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-14)
-        np.testing.assert_array_equal(u, random_unitary(7, dim))
-        assert not np.allclose(u, random_unitary(8, dim))
+        _, u_a, u_b = random_trials(7, range(200), dim)
+        assert u_a.shape == (200, dim, dim) and u_b.shape == (200, 2, 2)
+        for u, d in ((u_a, dim), (u_b, 2)):
+            np.testing.assert_allclose(u @ u.conj().swapaxes(1, 2),
+                                       np.broadcast_to(np.eye(d), u.shape), rtol=0, atol=1e-14)
+        again = random_trials(7, range(200), dim)
+        np.testing.assert_array_equal(u_a, again[1])
+        np.testing.assert_array_equal(u_b, again[2])
+        assert not np.allclose(u_a, random_trials(8, range(200), dim)[1])
+
+
+class TestBoxMuller:
+    def test_extreme_uniforms_stay_finite(self):
+        # random() gives doubles k 2^-53 in [0, 1 - 2^-53]; RuntimeWarnings are
+        # errors under this suite's settings, so a log of 0 would fail here.
+        top = 1.0 - 2.0**-53
+        u = np.array([0.0, 0.0, top, top, 0.0, top, top, 0.0])
+        normals = box_muller(u)
+        assert np.isfinite(normals).all()
+        np.testing.assert_array_equal(normals[:2], [0.0, 0.0])
+        assert normals[2] == pytest.approx(math.sqrt(106.0 * math.log(2.0)), rel=1e-15)
+        np.testing.assert_array_equal(normals, scalar_normals(u))
+
+    def test_matches_the_scalar_reference(self):
+        u = np.random.Generator(np.random.Philox(key=5)).random((50, 36))
+        np.testing.assert_array_equal(box_muller(u), [scalar_normals(row) for row in u])
 
 
 class TestBatchedPurify:
@@ -346,6 +426,74 @@ class TestDensityMatrixValidation:
         got = DensityMatrix((2, 2), m).matrix
         assert np.linalg.eigvalsh(got)[0] == pytest.approx(-dip, rel=1e-4)
 
+# The constructor's cuts drawn by Hypothesis, as the RANK_TOL seam test in
+# test_discord.py: a random rank-2 state, a random perturbation direction
+# scaled to a drawn multiple of the cut, and which side the state lands on.
+_MULTIPLES = st.one_of(st.floats(min_value=0.5, max_value=0.95),
+                       st.floats(min_value=1.05, max_value=2.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _MULTIPLES)
+def test_hermiticity_seam_drawn(seed, multiple):
+    # An anti-Hermitian direction with a zero diagonal, so that only the
+    # Hermiticity deviation moves: m + s A deviates by s max|2 A|.
+    base = make_random_rank2(seed).matrix
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    direction = g - g.conj().T
+    np.fill_diagonal(direction, 0.0)
+    m = base + multiple * HERMITIAN_TOL / np.max(np.abs(2.0 * direction)) * direction
+    if multiple > 1.0:
+        with pytest.raises(NotHermitian, match="deviates from Hermiticity"):
+            DensityMatrix((2, 2), m)
+        return
+    got = DensityMatrix((2, 2), m).matrix
+    np.testing.assert_array_equal(got, got.conj().T)
+    np.testing.assert_allclose(got, base, rtol=0, atol=1e-15)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _MULTIPLES, st.sampled_from([1.0, -1.0]))
+def test_trace_seam_drawn(seed, multiple, sign):
+    # A positive semidefinite direction of trace 1 added with either sign:
+    # the trace moves by the multiple of DENSITY_TOL, and below the cut the
+    # spectrum moves by less than DENSITY_TOL.
+    base = make_random_rank2(seed).matrix
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    direction = g @ g.conj().T
+    direction = (direction + direction.conj().T) / (2.0 * np.trace(direction).real)
+    m = base + sign * multiple * DENSITY_TOL * direction
+    if multiple > 1.0:
+        with pytest.raises(ValueError, match="is not 1 within 1e-10$"):
+            DensityMatrix((2, 2), m)
+        return
+    got = DensityMatrix((2, 2), m).matrix
+    assert np.trace(got).real == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(got, m / np.trace(m).real, rtol=0, atol=1e-15)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _MULTIPLES,
+       st.floats(min_value=0.0, max_value=2.0 * math.pi))
+def test_smallest_eigenvalue_seam_drawn(seed, multiple, angle):
+    # Weight e moved from the top eigenvector onto a direction in the null
+    # space of the rank-2 state, with a minus sign: the trace stays 1 and the
+    # smallest eigenvalue is -e.
+    base = make_random_rank2(seed).matrix
+    vectors = np.linalg.eigh(base)[1]
+    null = math.cos(angle) * vectors[:, 0] + math.sin(angle) * vectors[:, 1]
+    dip = multiple * DENSITY_TOL
+    m = base + dip * (np.outer(vectors[:, 3], vectors[:, 3].conj()) - np.outer(null, null.conj()))
+    if multiple > 1.0:
+        with pytest.raises(NotPositive, match="is negative$"):
+            DensityMatrix((2, 2), m)
+        return
+    got = DensityMatrix((2, 2), m).matrix
+    assert np.linalg.eigvalsh(got)[0] == pytest.approx(-dip, rel=1e-4)
+
+
 def _bad_member(kind):
     """A 4x4 matrix that fails one construction check."""
     m = np.eye(4, dtype=complex) / 4
@@ -389,20 +537,16 @@ class TestDensityMatrixStack:
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_seed_sequence_members_equal_single_draws(self, dim_a):
         # Against the frozen per-seed loop, not against another call of the
-        # stacked code: a stack of seeds or of Generators, one seed, one Generator.
+        # stacked code: a stack of seeds, and each seed alone.
         seeds = [trial_seed(3, t) for t in range(300)]
         reference = DensityMatrix((dim_a, 2), np.stack(
             [scalar_rank2_reference(seed, dim_a) for seed in seeds])).matrix
         stack = make_random_rank2(seeds, dim_a)
         assert stack.matrix.shape == (300, 2 * dim_a, 2 * dim_a) and len(stack) == 300
         np.testing.assert_array_equal(stack.matrix, reference)
-        streams = [np.random.default_rng(seed) for seed in seeds]
-        np.testing.assert_array_equal(make_random_rank2(streams, dim_a).matrix, reference)
         for i, seed in enumerate(seeds):
             single = DensityMatrix((dim_a, 2), scalar_rank2_reference(seed, dim_a)).matrix
             np.testing.assert_array_equal(make_random_rank2(seed, dim_a).matrix, single)
-            stream = np.random.default_rng(seed)
-            np.testing.assert_array_equal(make_random_rank2(stream, dim_a).matrix, single)
 
     @pytest.mark.parametrize("build, grid", [
         (make_horodecki, np.linspace(0.0, 1.0, 41)),
