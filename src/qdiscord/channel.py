@@ -6,8 +6,10 @@ On Bloch vectors Lambda acts affinely, r -> L r + l, and the linear-entropy
 classical correlation of rho_AB is (4/d^2) * lam_max(L^T L) * S2(rho_B).
 
 The channel is read off the state as its images R_mu = Lambda(sigma_mu)
-(sigma_0 = I) in the eigenframe of rho_B, by ``_marginal_images``; no
-generator basis is needed. ``linear_cc_batch`` uses only
+(sigma_0 = I) in the eigenframe of rho_B, by ``_extract_images``; no
+generator basis is needed. ``_marginal_images`` extracts them once per
+stack object and keeps them, read-only, on the stack, whose matrix is
+read-only too. ``linear_cc_batch`` uses only
 Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, and ``_rebuilt_states`` pushes the
 purification of rho_B back through the same images, which the ``roundtrip``
 check of ``validate`` compares with the state. Each function makes one pass
@@ -23,7 +25,7 @@ from .linalg import SIGMAS, partial_trace
 from .states import MARGINAL_RANK_TOL, DensityMatrix
 
 
-def _marginal_images(matrices: np.ndarray, d_a: int):
+def _extract_images(matrices: np.ndarray, d_a: int):
     """rho_B's descending eigenvalues and eigenvectors, the rank-1 mask
     (smaller eigenvalue at most MARGINAL_RANK_TOL) and the (N, 4, dA, dA)
     images R_mu = Lambda(sigma_mu) = Tr_B[rho (I x W sigma_mu^T W^dagger)],
@@ -44,9 +46,23 @@ def _marginal_images(matrices: np.ndarray, d_a: int):
     return lam, vecs, pure, images.transpose(0, 3, 1, 2)
 
 
+def _marginal_images(rho: DensityMatrix):
+    """``_extract_images`` of a stack, computed on its first call and kept on
+    the stack, read-only: (lam, vecs, pure, images), about 0.34 MB per 1000
+    two-qubit states for as long as the stack lives."""
+    images = getattr(rho, "_images", None)
+    if images is None:
+        images = _extract_images(rho.matrix, rho.dim_a)
+        for array in images:
+            array.flags.writeable = False
+        object.__setattr__(rho, "_images", images)
+    return images
+
+
 def stack_states(rho: DensityMatrix):
     """(rho as a stack, whether it is one state) for a state or stack of a shape
-    the closed forms support: (dA, 2) with dA in {2, 3, 4}."""
+    the closed forms support: (dA, 2) with dA in {2, 3, 4}. A stack is passed
+    through as itself, so what is kept on it serves every later call."""
     if not isinstance(rho, DensityMatrix):
         raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
     d_a, d_b = rho.dims
@@ -54,7 +70,8 @@ def stack_states(rho: DensityMatrix):
         raise DimensionMismatch(
             f"supported shapes are (dA, 2) with dA in {{2, 3, 4}}, got dims {(d_a, d_b)}"
         )
-    return rho[:], rho.matrix.ndim == 2
+    single = rho.matrix.ndim == 2
+    return (rho[:] if single else rho), single
 
 
 def _rebuilt_states(rho: DensityMatrix) -> np.ndarray:
@@ -62,10 +79,12 @@ def _rebuilt_states(rho: DensityMatrix) -> np.ndarray:
     Lambda(|i><j|) = sum_mu <j|sigma_mu|i>/2 R_mu, and
     rho = sum_ij sqrt(lam_i lam_j) Lambda(|i><j|) x |phi_i><phi_j|.
     NaN where rho_B is rank-1 and the channel is undefined."""
-    lam, vecs, pure, images = _marginal_images(rho.matrix, rho.dim_a)
+    lam, vecs, pure, images = _marginal_images(rho)
+    n, d_a = images.shape[0], images.shape[-1]
     units = np.einsum("mji,nmac->nijac", SIGMAS, images) / 2.0
     frame = vecs * np.sqrt(np.where(pure[:, None], 1.0, lam))[:, None, :]
-    out = np.einsum("npi,nijac,nqj->napcq", frame, units, frame.conj())
+    left = (frame @ units.reshape(n, 2, -1)).reshape(n, 2, 2, d_a, d_a)
+    out = left.transpose(0, 3, 1, 4, 2).reshape(n, -1, 2) @ frame.conj().swapaxes(1, 2)
     out[pure] = np.nan
     return out.reshape(rho.matrix.shape)
 
@@ -82,7 +101,7 @@ def linear_cc_batch(rho: DensityMatrix):
     so I2_cc <= (2(d-1)/d) S2(rho_B), and S2(rho_B) = 4 eps (1 - eps) for the
     smaller eigenvalue eps; at most 4e-10 for two qubits, 6e-10 at dA=4.
     """
-    lam, _, pure, images = _marginal_images(rho.matrix, rho.dim_a)
+    lam, _, pure, images = _marginal_images(rho)
     gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
     lam_max = np.linalg.eigvalsh(gram)[:, -1]
     return np.where(pure, 0.0, 2.0 * lam_max * lam[:, 0] * lam[:, 1]), lam

@@ -192,7 +192,7 @@ def _twin_correlations(u_a: np.ndarray, u_b: np.ndarray, rho: DensityMatrix) -> 
     """(I_cc, Q_discord) rows for the local-unitary twins U rho U^dagger of a
     stack of states, U = U_A x U_B (as ``linalg.tensor`` builds it) per state."""
     u = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, 4, 4)
-    rotated = np.einsum("nij,njk,nlk->nil", u, rho.matrix, u.conj())
+    rotated = u @ rho.matrix @ u.conj().swapaxes(1, 2)
     report = discord_rank2(DensityMatrix(rho.dims, rotated))
     return np.stack([report.I_cc, report.Q_discord])
 
@@ -229,12 +229,12 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     replays alone from ``(seed, t)``. The closed-form checks, the twins and
     the round trip each make one batched call on the whole stack, so their
     temporaries grow with ``trials``; the round trip rebuilds each state from
-    the channel images that I2_cc reads. The oracle-backed checks run on the
-    first 25 trials, each oracle in one call on their stack; the
-    decomposition oracle gives trial t the seed ``trial_seed(seed, t, 7)``
-    and NaN where rho_B is rank-1. Each check reports the trials it
-    evaluated, those it skipped because rho_B is rank-1, and the trial of
-    its largest residual. A dict passed as ``stage_seconds`` receives the
+    the very channel images that I2_cc read, the stack's one extraction.
+    The oracle-backed checks run on the first 25 trials, each oracle in one
+    call on their stack; the decomposition oracle gives trial t the seed
+    ``trial_seed(seed, t, 7)`` and NaN where rho_B is rank-1. Each check
+    reports the trials it evaluated, those it skipped because rho_B is
+    rank-1, and the trial of its largest residual. A dict passed as ``stage_seconds`` receives the
     wall time of each stage (the twin unitaries are drawn in
     ``draw_states``, and each oracle is its own stage) and the total.
     """

@@ -23,8 +23,8 @@ import numpy as np
 from .channel import linear_cc_batch, stack_states
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
-from .measures import (binary_entropy, f_map, factor_concurrence, linear_entropy,
-                       spectral_entropy, unit_interval, von_neumann_entropy)
+from .measures import (_purity_loss, binary_entropy, f_map, factor_concurrence,
+                       spectral_entropy, unit_interval)
 from .states import RANK_TOL, DensityMatrix, rho2_domain
 
 _CLAMP_WINDOW = 1e-9
@@ -66,16 +66,16 @@ def _clamp_unit_interval(value):
 
 def _report_rows(rho: DensityMatrix) -> np.ndarray:
     """One row per report field, then the third-largest eigenvalues, for a stack;
-    rho_B is diagonalized once, by ``linear_cc_batch``."""
-    matrices, dims = rho.matrix, rho.dims
-    rho_a = partial_trace(matrices, dims, "A")
-    spectrum = np.linalg.eigvalsh(matrices)
+    the state's spectrum is the one its validation computed, and rho_B is
+    diagonalized once, by ``linear_cc_batch``."""
+    spectrum, dims = rho.spectrum, rho.dims
+    rho_a = partial_trace(rho.matrix, dims, "A")
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
     applies = (rank <= 2) & (dims == (2, 2))
     i2_cc, lam_b = linear_cc_batch(rho)
-    s_a, s_b, s_ab = (von_neumann_entropy(rho_a), spectral_entropy(lam_b),
+    s_a, s_b, s_ab = (spectral_entropy(np.linalg.eigvalsh(rho_a)), spectral_entropy(lam_b),
                       spectral_entropy(spectrum))
-    s2_a = linear_entropy(rho_a)
+    s2_a = _purity_loss(rho_a)
     f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
-from .measures import linear_entropy, mutual_information, spectral_entropy
+from .measures import _purity_loss, mutual_information, spectral_entropy
 from .states import MARGINAL_RANK_TOL, DensityMatrix, box_muller, philox
 
 _log = logging.getLogger(__name__)
@@ -166,11 +166,12 @@ def _directions(angles: np.ndarray) -> np.ndarray:
     return np.concatenate([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-# The coarse grid's cell centres and their directions, shared by every search.
+# The coarse grid's cell centres and their directions, in two halves, shared by
+# every search.
 _COARSE_POINTS = np.stack(np.meshgrid((np.arange(_N_THETA) + 0.5) * math.pi / _N_THETA,
                                       (np.arange(_N_PHI) + 0.5) * 2.0 * math.pi / _N_PHI,
                                       indexing="ij"), axis=-1).reshape(-1, 2)
-_COARSE_DIRECTIONS = _directions(_COARSE_POINTS)[None]
+_COARSE_HALVES = np.split(_directions(_COARSE_POINTS)[None], 2, axis=1)
 
 
 def _chart(angles: np.ndarray) -> np.ndarray:
@@ -234,7 +235,12 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     n = len(coefficients)
     centre_values, centres = np.empty((n, _REFINE_STARTS)), np.empty((n, _REFINE_STARTS, 2))
     for i in range(n):
-        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
+        # In a 2x2 frame, both outcomes of all 2048 directions at once fill a
+        # 128 KiB array, glibc's default mmap threshold, which each state
+        # would map and fault in afresh; half of them stay below it.
+        values = np.concatenate([
+            _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], half)[0]
+            for half in _COARSE_HALVES])
         starts = np.argsort(values)[::-1][:_REFINE_STARTS]
         centre_values[i], centres[i] = values[starts], _COARSE_POINTS[starts]
 
@@ -461,7 +467,7 @@ def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, ve
     conditionals = (rows @ images[:, 1:].reshape(n, 3, d_a * d_a)).reshape(n, count + 1, d_a, d_a)
     conditionals += images[:, None, 0]
     conditionals /= 2.0
-    s2 = linear_entropy(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)
+    s2 = _purity_loss(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)
     return s2[:, :1] - np.sum(probabilities * s2[:, 1:].reshape(probabilities.shape), axis=-1)
 
 

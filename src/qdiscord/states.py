@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,16 @@ class DensityMatrix:
     The input is validated in one pass (finite entries, Hermiticity within
     HERMITIAN_TOL, trace and smallest eigenvalue within DENSITY_TOL; in a
     stack an error names its first offending member), then symmetrized and
-    rescaled to unit trace. Indexing and slicing give members without
-    validating them again; one state indexes as a stack of one.
+    rescaled to unit trace. ``spectrum`` keeps the ascending eigenvalues
+    that validation computed, shaped (n,) or (N, n), read-only and bit for
+    bit ``np.linalg.eigvalsh(matrix)``. Indexing and slicing give members,
+    with their rows of ``spectrum``, without validating them again; one state
+    indexes as a stack of one.
     """
 
     dims: tuple
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d_a, d_b = int(self.dims[0]), int(self.dims[1])
@@ -57,7 +61,8 @@ class DensityMatrix:
         scale = np.trace(canonical, axis1=1, axis2=2).real
         scale[bad_trace] = 1.0
         canonical /= scale[:, None, None]
-        smallest = np.linalg.eigvalsh(canonical)[:, 0]
+        spectrum = np.linalg.eigvalsh(canonical)
+        smallest = spectrum[:, 0]
         checks = (~finite, herm_dev > HERMITIAN_TOL, bad_trace, smallest < -DENSITY_TOL)
         failing = checks[0] | checks[1] | checks[2] | checks[3]
         if failing.any():
@@ -69,19 +74,19 @@ class DensityMatrix:
                 NotPositive(f"smallest eigenvalue {smallest[i]:.3e} is negative"),
             ][next(k for k, check in enumerate(checks) if check[i])]
             raise type(error)(f"state {i}: {error}") if m.ndim == 3 else error
-        canonical = canonical.reshape(m.shape)
-        canonical.flags.writeable = False
-        object.__setattr__(self, "dims", (d_a, d_b))
-        object.__setattr__(self, "matrix", canonical)
+        _keep(self, (d_a, d_b), canonical.reshape(m.shape), spectrum.reshape(m.shape[:-1]))
 
     def __len__(self) -> int:
         return 1 if self.matrix.ndim == 2 else len(self.matrix)
 
     def __getitem__(self, index) -> DensityMatrix:
-        matrix = self.matrix.reshape(-1, *self.matrix.shape[-2:])[index]
+        n = self.matrix.shape[-1]
+        matrix = self.matrix.reshape(-1, n, n)[index]
         if matrix.ndim not in (2, 3):
             raise IndexError(f"index {index!r} does not select states")
-        return _validated(self.dims, matrix)
+        rho = object.__new__(DensityMatrix)
+        _keep(rho, self.dims, matrix, self.spectrum.reshape(-1, n)[index])
+        return rho
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The matrix or stack, so numpy reads a state as an array, not a sequence."""
@@ -96,13 +101,12 @@ class DensityMatrix:
         return self.dims[1]
 
 
-def _validated(dims: tuple, matrix: np.ndarray) -> DensityMatrix:
-    """A read-only DensityMatrix of states that were validated as members of one."""
-    matrix.flags.writeable = False
-    rho = object.__new__(DensityMatrix)
+def _keep(rho: DensityMatrix, dims: tuple, matrix: np.ndarray, spectrum: np.ndarray):
+    """Set the fields of ``rho`` to validated values; both arrays become read-only."""
+    matrix.flags.writeable = spectrum.flags.writeable = False
     object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "matrix", matrix)
-    return rho
+    object.__setattr__(rho, "spectrum", spectrum)
 
 
 def one_state(rho: DensityMatrix, user: str) -> DensityMatrix:

@@ -1,18 +1,22 @@
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiscord import channel, cli
 from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
 from qdiscord.discord import (correlation_report, discord_rank2, koashi_winter_residual,
                                monogamy_residual)
-from qdiscord.linalg import tensor
+from qdiscord.linalg import partial_trace, tensor
 from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
+    MARGINAL_RANK_TOL,
     DensityMatrix,
     dump_state,
     make_bell_diagonal,
@@ -537,6 +541,29 @@ class TestValidate:
         cli.run_validation(trials, 21)
         assert built == [21]
 
+    @pytest.mark.parametrize("trials", [1, 130])
+    def test_a_run_diagonalizes_each_stack_once(self, monkeypatch, trials):
+        # The run validates two stacks, its states and their twins. Each 4x4
+        # spectrum is the one validation computed, and each stack's channel
+        # images are extracted once, for the report and the round trip both;
+        # the oracles read neither.
+        spectra, extractions = [], []
+        eigvalsh, extract = np.linalg.eigvalsh, channel._extract_images
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (4, 4):
+                spectra.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def counting_extract(matrices, d_a):
+            extractions.append(matrices.shape)
+            return extract(matrices, d_a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(channel, "_extract_images", counting_extract)
+        assert cli.run_validation(trials, 21)["pass"]
+        assert spectra == extractions == [(trials, 4, 4)] * 2
+
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3
 
@@ -584,7 +611,7 @@ class TestValidate:
         # the Pauli images, so every check but roundtrip still passes.
         seed, trial = 11, 41
         target = random_trials(seed, range(trial, trial + 1))[0].matrix[0]
-        exact = channel._marginal_images
+        exact = channel._extract_images
 
         def perturbed(matrices, d_a):
             lam, vecs, pure, images = exact(matrices, d_a)
@@ -593,7 +620,7 @@ class TestValidate:
             images[hit, 0, 0, 0] += 1e-6
             return lam, vecs, pure, images
 
-        monkeypatch.setattr(channel, "_marginal_images", perturbed)
+        monkeypatch.setattr(channel, "_extract_images", perturbed)
         code, out, _ = run(capsys, "validate", "--trials", "300", "--seed", str(seed))
         assert code == 1
         checks = json.loads(out)["checks"]
@@ -602,6 +629,38 @@ class TestValidate:
         assert check["max_residual"] > 1e-8
         assert check["worst_trial"] == trial
         assert (check["evaluated"], check["skipped"]) == (300, 0)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.one_of(st.floats(min_value=0.5, max_value=0.95),
+                     st.floats(min_value=1.05, max_value=2.0)))
+    def test_marginal_rank_tol_seam_through_the_shared_extraction(self, seed, multiple):
+        # A local filter F on B of trial 1 sets rho_B's eigenvalues to
+        # (multiple * MARGINAL_RANK_TOL, 1 - that) and keeps the state's rank.
+        states, u_a, u_b = random_trials(seed, range(3))
+        matrices = states.matrix.copy()
+        lam, vecs = np.linalg.eigh(partial_trace(matrices[1], (2, 2), "B"))
+        eps = multiple * MARGINAL_RANK_TOL
+        f = vecs @ np.diag(np.sqrt(np.array([eps, 1.0 - eps]) / lam)) @ vecs.conj().T
+        local = np.kron(np.eye(2), f)
+        matrices[1] = local @ matrices[1] @ local.conj().T
+        stack = DensityMatrix((2, 2), matrices)
+        def no_oracle(rho, **kwargs):
+            return np.full(len(rho), np.nan)
+
+        with mock.patch.multiple(cli, random_trials=lambda *args: (stack, u_a, u_b),
+                                 projective_classical_correlation=no_oracle,
+                                 decomposition_linear_cc=no_oracle):
+            check = cli.run_validation(3, seed)["checks"]["roundtrip"]
+        i2_cc = correlation_report(stack).I2_cc[1]
+        residual = cli._roundtrip_residuals(stack)[1]
+        if multiple < 1.0:
+            assert i2_cc == 0.0 and np.isnan(residual)
+            assert (check["evaluated"], check["skipped"]) == (2, 1)
+        else:
+            assert i2_cc > 0.0 and residual <= 1e-9
+            assert (check["evaluated"], check["skipped"]) == (3, 0)
+        assert check["pass"]
 
     def test_worst_trial_names_the_largest_of_distinct_residuals(self, capsys, monkeypatch):
         # Offset the decomposition oracle by a state-dependent amount so every

@@ -508,6 +508,12 @@ def _bad_member(kind):
     return m
 
 
+def assert_spectrum_kept(rho):
+    """``rho.spectrum`` is read-only and bit for bit the spectrum of its matrix."""
+    assert rho.spectrum.shape == rho.matrix.shape[:-1] and not rho.spectrum.flags.writeable
+    np.testing.assert_array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+
+
 class TestDensityMatrixStack:
     @pytest.mark.parametrize("kind", ["non_finite", "non_hermitian", "bad_trace", "negative"])
     @pytest.mark.parametrize("index", [0, 2])
@@ -576,11 +582,15 @@ class TestDensityMatrixStack:
         picked = stack[[0, 4]]
         assert picked.matrix.shape == (2, 4, 4) and not picked.matrix.flags.writeable
         assert [rho.matrix.shape for rho in stack] == [(4, 4)] * 5
+        for rho in (stack, block, member, picked, *stack):
+            assert_spectrum_kept(rho)
 
     def test_one_state_indexes_as_a_stack_of_one(self):
         rho = make_horodecki(0.4)
         assert len(rho) == 1 and rho[:].matrix.shape == (1, 4, 4)
         np.testing.assert_array_equal(rho[0].matrix, rho.matrix)
+        for state in (rho, rho[:], rho[0]):
+            assert_spectrum_kept(state)
         with pytest.raises(IndexError):
             rho[1]
 
