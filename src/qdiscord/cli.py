@@ -38,6 +38,11 @@ _CHECK_TOLERANCES = {
     "roundtrip": 1e-9,
 }
 _ORACLE_TRIAL_CAP = 25
+# Upper bounds on the counts, checked before anything is allocated: a run
+# holds about 2.5 kB per validate trial and 1.5 kB per sweep step at its peak
+# (tracemalloc), so either bound keeps a run near 1 GB.
+_MAX_TRIALS = 400_000
+_MAX_STEPS = 600_000
 _STAGES = ("draw_states", "twins", "residuals", "roundtrip", "projective", "decomposition")
 
 
@@ -163,6 +168,8 @@ def cmd_sweep(args) -> int:
     """Write the CSV of one sweep; the grid is one stack of states."""
     if args.steps < 2:
         raise QDiscordError(f"--steps must be at least 2, got {args.steps}")
+    if args.steps > _MAX_STEPS:
+        raise QDiscordError(f"--steps must be at most {_MAX_STEPS}, got {args.steps}")
     for flag, value in (("--from", args.start), ("--to", args.stop)):
         if not math.isfinite(value):
             raise QDiscordError(f"{flag} must be a finite number, got {value}")
@@ -285,6 +292,8 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
 def cmd_validate(args) -> int:
     if args.trials < 1:
         raise QDiscordError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > _MAX_TRIALS:
+        raise QDiscordError(f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
     stage_seconds = {}
     summary = run_validation(args.trials, args.seed, stage_seconds)
     print(_fmt_json(summary))

@@ -6,12 +6,13 @@ Both take one state or a stack, and one state is a batch of one, so a member
 of a stack gets the value of its batch of one. The projective oracle
 maximizes the entropy drop of A over two-outcome projective measurements on
 the qubit B, a lower bound on the POVM-defined classical correlation, on a
-fixed schedule: a coarse grid, a few window rounds, a ridge scan and a few
-Newton steps. The decomposition oracle maximizes the linear-entropy drop of
-A over the rank-1 POVMs on B of sampled pure-state decompositions of rho_B,
-a lower bound that the aligned two-point decomposition brings up to the
-closed-form value; each member of a stack draws its samples from its own
-seed.
+fixed schedule: a coarse grid over the half sphere, since the measurement
+along -n is the one along n with its outcomes swapped, a few window rounds
+from its three best cells, a ridge scan and a few Newton steps. The
+decomposition oracle maximizes the linear-entropy drop of A over the rank-1
+POVMs on B of sampled pure-state decompositions of rho_B, a lower bound that
+the aligned two-point decomposition brings up to the closed-form value; each
+member of a stack draws its samples from its own seed.
 
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger,
 one line per member.
@@ -42,12 +43,12 @@ _WINDOW = np.array(sorted(
 _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 
 # The projective search schedule, the same for every state: the best
-# _REFINE_STARTS cells of a _N_THETA x _N_PHI (theta, phi) coarse grid are
-# refined in lockstep for _ROUNDS rounds; a ridge scan of _RIDGE_POINTS - 1
-# directions follows the great circle through the best centre along its
-# flattest direction; then _NEWTON_STEPS Newton steps, each on a stencil of
-# spacing _STENCIL_STEP rad and at most _STEP_CLIP rad long, start from the
-# best direction so far. Five rounds leave the best centre mostly inside the
+# _REFINE_STARTS cells of the theta < pi/2 half of a _N_THETA x _N_PHI
+# (theta, phi) coarse grid are refined in lockstep for _ROUNDS rounds; a
+# ridge scan of _RIDGE_POINTS - 1 directions follows the great circle
+# through the best centre along its flattest direction; then _NEWTON_STEPS
+# Newton steps, each on a stencil of spacing _STENCIL_STEP rad and at most
+# _STEP_CLIP rad long, start from the best direction so far. Five rounds leave the best centre mostly inside the
 # first step's clip (the Newton steps then move it by 1.4e-3 rad in the median
 # and 1.2e-2 rad at most, over 300 random rank-2 states), and from there the
 # quadratic convergence of Newton's method needs two or three steps. Newton
@@ -60,7 +61,7 @@ _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 # by 1e-7 read up to 4.8e-9 below Luo's value at h = 6e-5, 2.3e-9 at 1e-4.
 _N_THETA = 64
 _N_PHI = 32
-_REFINE_STARTS = 5
+_REFINE_STARTS = 3
 _ROUNDS = 5
 _RIDGE_POINTS = 128
 _NEWTON_STEPS = 4
@@ -88,42 +89,51 @@ def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
     return np.einsum("...abcd,...kdb->...kac", r, operators)
 
 
-def _measurement_response(rho: DensityMatrix) -> np.ndarray:
-    """The (4, k, k) stack T_0..3 whose sums (T_0 +- n.T)/2 have the
-    conditional spectra.
+def _measurement_response(stack: DensityMatrix):
+    """The members of a stack grouped by frame size k, in increasing k, as
+    (members, T) pairs: T is the (M, 4, k, k) stack of each member's T_0..3,
+    whose sums (T_0 +- n.T)/2 have the conditional spectra.
 
-    Without a frame, T_0 = Tr_B[rho] and T_k = Tr_B[rho (I x sigma_k)], so
-    (T_0 +- n.T)/2 is the conditional state Tr_B[rho (I x (I +- n.sigma)/2)].
-    When rho has k < dA eigenvalues above EIGENVALUE_CLAMP, rho is written as
-    G G^dagger with G = V sqrt(Lambda) (2dA x k) and T_0 = G^dagger G,
-    T_k = G^dagger (I x sigma_k) G: the k x k matrix G^dagger (I x Pi) G has
-    the trace and the nonzero spectrum of the conditional state
-    (I x <n|) G G^dagger (I x |n>), so every entropy is unchanged while a
-    rank-2 state at any dA gets 2x2 conditionals. Eigenvalues at or below
-    the cut are left out of G.
+    One batched eigh of the stack counts each member's eigenvalues above
+    EIGENVALUE_CLAMP. Without a frame, T_0 = Tr_B[rho] and
+    T_k = Tr_B[rho (I x sigma_k)], so (T_0 +- n.T)/2 is the conditional state
+    Tr_B[rho (I x (I +- n.sigma)/2)]. A member with k < dA eigenvalues above
+    the cut is written as G G^dagger with G = V sqrt(Lambda) (2dA x k) and
+    T_0 = G^dagger G, T_k = G^dagger (I x sigma_k) G: the k x k matrix
+    G^dagger (I x Pi) G has the trace and the nonzero spectrum of the
+    conditional state (I x <n|) G G^dagger (I x |n>), so every entropy is
+    unchanged while a rank-2 state at any dA gets 2x2 conditionals.
+    Eigenvalues at or below the cut are left out of G.
     """
-    d_a = rho.dim_a
-    lam, vectors = np.linalg.eigh(rho.matrix)
-    kept = lam > EIGENVALUE_CLAMP
-    if np.count_nonzero(kept) < d_a:
-        g = (vectors[:, kept] * np.sqrt(lam[kept])).reshape(d_a, 2, -1)
-        return np.einsum("abi,kbc,acj->kij", g.conj(), SIGMAS, g)
-    return _conditionals(rho, SIGMAS)
+    d_a = stack.dim_a
+    lam, vectors = np.linalg.eigh(stack.matrix)
+    ranks = np.count_nonzero(lam > EIGENVALUE_CLAMP, axis=1)
+    groups = []
+    for k in sorted(set(ranks[ranks < d_a].tolist())):
+        members = np.flatnonzero(ranks == k)
+        # eigh sorts ascending, so the eigenvalues above the cut are the last k.
+        g = vectors[members, :, -k:] * np.sqrt(lam[members, -k:])[:, None, :]
+        g = g.reshape(len(members), d_a, 2, k)
+        groups.append((members, np.einsum("nabi,kbc,nacj->nkij", g.conj(), SIGMAS, g)))
+    full = np.flatnonzero(ranks >= d_a)
+    if len(full):
+        groups.append((full, _conditionals(stack[full], SIGMAS)))
+    return groups
 
 
 def _coefficients(t: np.ndarray) -> np.ndarray:
-    """Real coordinates of the (4, k, k) stack T_0..3, one row each: the plus
-    conditional (T_0 + n.T)/2 has coordinates ([1, n] @ coefficients)/2 and
-    the minus one row 0 minus those. Column 0 is the trace. In a 2x2 frame the
-    other three are (a - d)/2, Re b and Im b of [[a, b*], [b, d]], which fix
-    its spectrum; in a k x k frame they are the 2k^2 entries of the matrix's
-    real view.
+    """Real coordinates of the (G, 4, k, k) stacks T_0..3 of G states, one
+    (G, 4, m) block of rows: the plus conditional (T_0 + n.T)/2 has
+    coordinates ([1, n] @ coefficients)/2 and the minus one row 0 minus
+    those. Column 0 is the trace. In a 2x2 frame the other three are
+    (a - d)/2, Re b and Im b of [[a, b*], [b, d]], which fix its spectrum;
+    in a k x k frame they are the 2k^2 entries of the matrix's real view.
     """
-    trace = np.einsum("kaa->k", t).real
+    trace = np.einsum("...kaa->...k", t).real
     if t.shape[-1] == 2:
-        return np.column_stack([trace, 0.5 * (t[:, 0, 0] - t[:, 1, 1]).real, t[:, 1, 0].real,
-                                t[:, 1, 0].imag])
-    return np.column_stack([trace, t.reshape(4, -1).view(float)])
+        return np.stack([trace, 0.5 * (t[..., 0, 0] - t[..., 1, 1]).real, t[..., 1, 0].real,
+                         t[..., 1, 0].imag], axis=-1)
+    return np.concatenate([trace[..., None], t.reshape(*t.shape[:-2], -1).view(float)], axis=-1)
 
 
 def _outcome_entropies(coords: np.ndarray, probs: np.ndarray, frame: int) -> np.ndarray:
@@ -166,12 +176,13 @@ def _directions(angles: np.ndarray) -> np.ndarray:
     return np.concatenate([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-# The coarse grid's cell centres and their directions, in two halves, shared by
-# every search.
-_COARSE_POINTS = np.stack(np.meshgrid((np.arange(_N_THETA) + 0.5) * math.pi / _N_THETA,
+# The coarse grid's cell centres with theta < pi/2 and their directions,
+# shared by every search. The other half's cells are their antipodes, the
+# same measurements with the outcomes swapped.
+_COARSE_POINTS = np.stack(np.meshgrid((np.arange(_N_THETA // 2) + 0.5) * math.pi / _N_THETA,
                                       (np.arange(_N_PHI) + 0.5) * 2.0 * math.pi / _N_PHI,
                                       indexing="ij"), axis=-1).reshape(-1, 2)
-_COARSE_HALVES = np.split(_directions(_COARSE_POINTS)[None], 2, axis=1)
+_COARSE_DIRECTIONS = _directions(_COARSE_POINTS)[None]
 
 
 def _chart(angles: np.ndarray) -> np.ndarray:
@@ -227,21 +238,21 @@ def _angles(directions: np.ndarray) -> np.ndarray:
 
 def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     """The projective search for the (G, 4, m) ``_coefficients`` of G states of
-    one frame size: each state's coarse scan, then _ROUNDS lockstep rounds
-    over all their starts, a ridge scan and _NEWTON_STEPS Newton steps from
+    one frame size: each state's coarse scan of the half grid, in one call
+    per state, then _ROUNDS lockstep rounds over the _REFINE_STARTS best
+    cells of every state, a ridge scan and _NEWTON_STEPS Newton steps from
     each state's best direction. Every state runs the same schedule. Returns
     each state's best value and, when DEBUG is on, the arguments of each
     state's DEBUG line."""
     n = len(coefficients)
     centre_values, centres = np.empty((n, _REFINE_STARTS)), np.empty((n, _REFINE_STARTS, 2))
     for i in range(n):
-        # In a 2x2 frame, both outcomes of all 2048 directions at once fill a
-        # 128 KiB array, glibc's default mmap threshold, which each state
-        # would map and fault in afresh; half of them stay below it.
-        values = np.concatenate([
-            _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], half)[0]
-            for half in _COARSE_HALVES])
-        starts = np.argsort(values)[::-1][:_REFINE_STARTS]
+        # One state per call: in a 2x2 frame its 1024 directions fill a 64 KiB
+        # array, below glibc's 128 KiB mmap threshold, so the scan's
+        # temporaries come from the heap, not from freshly faulted pages.
+        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
+        top = np.argpartition(values, -_REFINE_STARTS)[-_REFINE_STARTS:]
+        starts = top[np.argsort(values[top])[::-1]]
         centre_values[i], centres[i] = values[starts], _COARSE_POINTS[starts]
 
     # A window's best value becomes its centre's, so a centre's value never
@@ -301,43 +312,42 @@ def projective_classical_correlation(rho: DensityMatrix):
     """Best entropy drop of A over two-outcome projective measurements on B.
 
     One state gives a float and a stack one value per state; one state is a
-    batch of one. Each state's coarse grid scan picks its best cells. All of
-    them, for every state of one frame size, are then refined in lockstep
-    for _ROUNDS rounds: each round evaluates a 5x5 (theta, phi) window
-    around every start in one batch and re-centres each start on its best
-    point. A start whose best point lies inside its window halves the
-    window; one whose best point lies on the border moves on at the same
-    width. A ridge scan then evaluates the great circle through each state's
-    best centre along the direction in which its value curves least, which
-    reaches a peak at the far end of a nearly flat ridge. Last, each state
-    takes _NEWTON_STEPS Newton steps from its best direction so far, in the
-    tangent plane at that direction, with the gradient and Hessian from
-    central differences on a 9-point stencil; a state whose Hessian is not
-    negative definite takes a zero step. Every state runs this same
-    schedule, so a member's value is that of its batch of one. Every
-    evaluated value is the entropy drop of a real measurement, so the
-    maximum over all of them, coarse grid included, is a lower bound on the
-    POVM maximum up to the mass below EIGENVALUE_CLAMP: conditional
+    batch of one. One batched eigh of the stack sorts its members by frame
+    (see ``_measurement_response``). Each state's coarse scan covers the
+    theta < pi/2 half of a 64x32 (theta, phi) grid, 1024 cells: the other
+    half's cells are their antipodes, and the measurement along -n is the
+    one along n with its outcomes swapped, so the full grid scores every
+    measurement twice and its 5 best cells hold the 3 measurements of the
+    half grid's 3 best. Those _REFINE_STARTS cells, for every state of one
+    frame size, are then refined in lockstep for _ROUNDS rounds: each round
+    evaluates a 5x5 (theta, phi) window around every start in one batch and
+    re-centres each start on its best point. A start whose best point lies
+    inside its window halves the window; one whose best point lies on the
+    border moves on at the same width. A ridge scan then evaluates the great
+    circle through each state's best centre along the direction in which its
+    value curves least, which reaches a peak at the far end of a nearly flat
+    ridge. Last, each state takes _NEWTON_STEPS Newton steps from its best
+    direction so far, in the tangent plane at that direction, with the
+    gradient and Hessian from central differences on a 9-point stencil; a
+    state whose Hessian is not negative definite takes a zero step. Every
+    state runs this same schedule, so a member's value is that of its batch
+    of one. Every evaluated value is the entropy drop of a real measurement,
+    so the maximum over all of them, coarse grid included, is a lower bound
+    on the POVM maximum up to the mass below EIGENVALUE_CLAMP: conditional
     eigenvalues at or below the cut count as zero, and a state with fewer
-    than dA eigenvalues above it is searched in its rank-k frame (see
-    ``_measurement_response``), which leaves out its eigenvalues below the
-    cut. Each left-out eigenvalue lam moves the value by at most about
-    -lam log2 lam, 4e-11 at lam = 1e-12: mixing weight lam into a state
-    outside its support moves its value by at most
-    lam (log2(1/lam) + 1/ln 2 + log2 dA), on either side of the cut.
+    than dA eigenvalues above it is searched in its rank-k frame, which
+    leaves out its eigenvalues below the cut. Each left-out eigenvalue lam
+    moves the value by at most about -lam log2 lam, 4e-11 at lam = 1e-12:
+    mixing weight lam into a state outside its support moves its value by at
+    most lam (log2(1/lam) + 1/ln 2 + log2 dA), on either side of the cut.
     """
     if rho.dim_b != 2:
         raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
     stack = rho[:]
-    responses = [_measurement_response(member) for member in stack]
-    frames = np.array([t.shape[-1] for t in responses])
-    coefficients = [_coefficients(t) for t in responses]
     s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, rho.dims, "A")))
     best, lines = np.empty(len(stack)), [None] * len(stack)
-    for frame in sorted(set(frames.tolist())):
-        members = np.flatnonzero(frames == frame)
-        group = np.stack([coefficients[i] for i in members])
-        best[members], group_lines = _search(group, frame, s_a[members])
+    for members, t in _measurement_response(stack):
+        best[members], group_lines = _search(_coefficients(t), t.shape[-1], s_a[members])
         for i, line in zip(members, group_lines):
             lines[i] = line
     if _log.isEnabledFor(logging.DEBUG):

@@ -13,6 +13,7 @@ from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
 from qdiscord.discord import (correlation_report, discord_rank2, koashi_winter_residual,
                                monogamy_residual)
+from qdiscord.errors import QDiscordError
 from qdiscord.linalg import partial_trace, tensor
 from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
@@ -350,6 +351,24 @@ class TestSweep:
         assert code == 2
         assert "steps" in err
 
+    @pytest.mark.parametrize("steps", [cli._MAX_STEPS, cli._MAX_STEPS + 1, 10**13])
+    def test_step_count_bound(self, capsys, monkeypatch, tmp_path, steps):
+        # The count is checked before the grid is built: past the bound the
+        # sweep stops at once, at the bound it goes on to the family's flags.
+        def past_the_count(*args, **kwargs):
+            raise QDiscordError("past the count check")
+
+        monkeypatch.setattr(cli, "_family_parameters", past_the_count)
+        code, _, err = run(capsys, "sweep", "--family", "horodecki", "--param", "p",
+                           "--from", "0", "--to", "1", "--steps", str(steps),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        if steps > cli._MAX_STEPS:
+            assert err == f"error: --steps must be at most {cli._MAX_STEPS}, got {steps}\n"
+        else:
+            assert err == "error: past the count check\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_reversed_range_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--family", "horodecki", "--param", "p",
                          "--from", "1", "--to", "0", "--steps", "11",
@@ -564,6 +583,24 @@ class TestValidate:
         assert cli.run_validation(trials, 21)["pass"]
         assert spectra == extractions == [(trials, 4, 4)] * 2
 
+    def test_a_run_makes_one_eigh_per_stack(self, monkeypatch):
+        # Every eigh of a run is batched over its stack: rho_B of the states
+        # and of their twins in the two channel extractions, the tangle's
+        # eigen-factors, and on the 25 oracle states the projective oracle's
+        # frames (one (25, 4, 4) call, not one per state), then rho_B and the
+        # aligned chord's Gram matrix in the decomposition oracle.
+        shapes, eigh = [], np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert cli.run_validation(1000, 42)["pass"]
+        assert len(shapes) == 6
+        assert sorted(shapes) == sorted([(1000, 2, 2), (1000, 2, 2), (1000, 4, 4),
+                                         (25, 4, 4), (25, 2, 2), (25, 3, 3)])
+
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3
 
@@ -675,6 +712,24 @@ class TestValidate:
         offsets = 1e-3 * random_trials(seed, range(25))[0].matrix[:, 0, 0].real
         assert check["worst_trial"] == int(np.argmax(offsets))
         assert check["max_residual"] == pytest.approx(max(offsets), abs=1e-8)
+
+    @pytest.mark.parametrize("trials", [cli._MAX_TRIALS, cli._MAX_TRIALS + 1, 10**13])
+    def test_trial_count_bound(self, capsys, monkeypatch, trials):
+        # The count is checked before any trial is drawn; the run itself is
+        # replaced, so the test allocates nothing at any count.
+        calls = []
+
+        def no_run(count, seed, stage_seconds):
+            calls.append(count)
+            return {"trials": count, "seed": seed, "checks": {}, "pass": True}
+
+        monkeypatch.setattr(cli, "run_validation", no_run)
+        code, out, err = run(capsys, "validate", "--trials", str(trials))
+        if trials > cli._MAX_TRIALS:
+            assert (code, out, calls) == (2, "", [])
+            assert err == f"error: --trials must be at most {cli._MAX_TRIALS}, got {trials}\n"
+        else:
+            assert (code, calls) == (0, [trials])
 
     def test_unreachable_tolerance_fails(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._CHECK_TOLERANCES, "kw", 1e-17)

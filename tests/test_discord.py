@@ -111,6 +111,30 @@ class TestClassicalCorrelation:
                 assert _clamp_unit_interval(value) == clipped
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.floats(min_value=0.5, max_value=0.95),
+                 st.floats(min_value=1.05, max_value=2.0)),
+       st.sampled_from([0.0, 1.0]),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=7))
+def test_clamp_window_seam_drawn(multiple, end, inside, position):
+    # Values in [0, 1], one of them pushed past an end of the interval by a
+    # drawn multiple of _CLAMP_WINDOW: below the cut it snaps to that end and
+    # the others stay as they are, above it the clamp raises.
+    from qdiscord.discord import _CLAMP_WINDOW, _clamp_unit_interval
+
+    values = np.array(inside)
+    position %= len(values)
+    values[position] = end + (1.0 if end else -1.0) * multiple * _CLAMP_WINDOW
+    if multiple > 1.0:
+        with pytest.raises(ConsistencyError, match="by more than 1e-09$"):
+            _clamp_unit_interval(values)
+        return
+    expected = np.array(inside)
+    expected[position] = end
+    np.testing.assert_array_equal(_clamp_unit_interval(values), expected)
+
+
 class TestDiscordRank2:
     def test_example1_endpoint_value(self):
         report = discord_rank2(make_example1(2.0))

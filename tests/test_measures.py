@@ -168,6 +168,28 @@ class TestUnitInterval:
                 assert binary_entropy(x) == 0.0
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.floats(min_value=0.5, max_value=0.95),
+                 st.floats(min_value=1.05, max_value=2.0)),
+       st.sampled_from([0.0, 1.0]),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=7))
+def test_domain_slack_seam_drawn(multiple, end, inside, position):
+    # Values in [0, 1], one of them pushed past an end of the interval by a
+    # drawn multiple of _DOMAIN_SLACK: below the cut it snaps to that end and
+    # the others stay as they are, above it unit_interval raises.
+    values = np.array(inside)
+    position %= len(values)
+    values[position] = end + (1.0 if end else -1.0) * multiple * _DOMAIN_SLACK
+    if multiple > 1.0:
+        with pytest.raises(OutOfDomain, match=r"outside \[0, 1\] by more than 1e-12$"):
+            unit_interval(values, "x")
+        return
+    expected = np.array(inside)
+    expected[position] = end
+    np.testing.assert_array_equal(unit_interval(values, "x"), expected)
+
+
 class TestFMap:
     def test_endpoints(self):
         assert f_map(0.0) == 0.0

@@ -40,6 +40,7 @@ from qdiscord.states import (
     make_example1,
     make_horodecki,
     make_random_rank2,
+    random_trials,
     trial_seed,
 )
 
@@ -105,11 +106,21 @@ class TestProjectiveOracle:
         assert value >= -1e-10
 
 
-def _partial_trace_response(rho):
-    """The dA x dA frame: Tr_B[rho] and Tr_B[rho (I x sigma_k)], for any rank."""
-    d_a = rho.dim_a
-    r = rho.matrix.reshape(d_a, 2, d_a, 2)
-    return np.stack([np.einsum("abcb->ac", r), *(np.einsum("abcd,db->ac", r, s) for s in PAULIS)])
+def _partial_trace_response(stack):
+    """Every member in the dA x dA frame: Tr_B[rho] and Tr_B[rho (I x sigma_k)],
+    for any rank."""
+    d_a = stack.dim_a
+    r = stack.matrix.reshape(-1, d_a, 2, d_a, 2)
+    t = np.stack([np.einsum("nabcb->nac", r),
+                  *(np.einsum("nabcd,db->nac", r, s) for s in PAULIS)], axis=1)
+    return [(np.arange(len(r)), t)]
+
+
+def _frame_response(rho):
+    """The (4, k, k) response T_0..3 of one state, in its frame."""
+    ((members, t),) = _measurement_response(rho[:])
+    np.testing.assert_array_equal(members, [0])
+    return t[0]
 
 
 def _in_partial_trace_frame(monkeypatch, rho):
@@ -131,7 +142,7 @@ class TestRankFrame:
         rng = np.random.default_rng(100 * dim_a + (0 if rank == "full" else rank))
         for _ in range(3):
             rho = _random_rank(rng, dim_a, 2 * dim_a if rank == "full" else rank)
-            frame = _measurement_response(rho)[0].shape[0]
+            frame = _frame_response(rho)[0].shape[0]
             assert frame == (rank if rank != "full" and rank < dim_a else dim_a)
             got = projective_classical_correlation(rho)
             assert got == pytest.approx(_in_partial_trace_frame(monkeypatch, rho), abs=1e-14)
@@ -142,7 +153,7 @@ class TestRankFrame:
         psi = np.zeros(2 * dim_a, dtype=complex)
         psi[[0, 3]] = 1.0 / math.sqrt(2.0)
         rho = DensityMatrix((dim_a, 2), np.outer(psi, psi.conj()))
-        assert _measurement_response(rho)[0].shape == (1, 1)
+        assert _frame_response(rho)[0].shape == (1, 1)
         got = projective_classical_correlation(rho)
         assert got == pytest.approx(1.0, abs=1e-14)
         assert got == pytest.approx(_in_partial_trace_frame(monkeypatch, rho), abs=1e-14)
@@ -160,11 +171,71 @@ class TestRankFrame:
             rho = DensityMatrix(
                 rank2.dims, (1.0 - eps) * rank2.matrix + eps * np.outer(w, w.conj())
             )
-            assert _measurement_response(rho)[0].shape[0] == frame
+            assert _frame_response(rho)[0].shape[0] == frame
             got = projective_classical_correlation(rho)
             full = _in_partial_trace_frame(monkeypatch, rho)
             assert abs(got - full) <= (dropped_mass if frame == 2 else 1e-14)
             assert abs(got - projective_classical_correlation(rank2)) <= 2.0 * dropped_mass
+
+
+def _full_grid_drops(rho, directions):
+    """Entropy drops of one state along (M, 3) directions, from explicit
+    projectors (I +- n.sigma)/2 and eigvalsh of each conditional state."""
+    r = rho.matrix.reshape(rho.dim_a, 2, rho.dim_a, 2)
+    drop = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
+    n_sigma = np.einsum("mi,ibc->mbc", directions, np.array(PAULIS))
+    for sign in (1.0, -1.0):
+        cond = np.einsum("abcd,mdb->mac", r, (np.eye(2) + sign * n_sigma) / 2.0)
+        p = np.einsum("maa->m", cond).real
+        lam = np.linalg.eigvalsh(cond / p[:, None, None])
+        kept = np.where(lam > EIGENVALUE_CLAMP, lam, 1.0)
+        drop = drop + p * np.sum(kept * np.log2(kept), axis=1)
+    return drop
+
+
+def _distinct(directions):
+    """One representative per measurement among (M, 3) unit directions: n and
+    -n are one measurement when |n.m| = 1 within 1e-12."""
+    kept = []
+    for n in directions:
+        if all(abs(abs(n @ m) - 1.0) > 1e-12 for m in kept):
+            kept.append(n)
+    return kept
+
+
+class TestCoarseStarts:
+    # The full 64x32 grid holds each cell's antipode, the same measurement
+    # with its outcomes swapped, so its 5 best cells are 3 measurements: the
+    # 3 best cells of the theta < pi/2 half the oracle scans.
+    @staticmethod
+    def _kinds():
+        rng = np.random.default_rng(2011)
+        for dim_a in (2, 3, 4):
+            yield from random_trials(20 + dim_a, range(10), dim_a)[0]
+        for dim_a, rank in ((3, 3), (2, 4), (3, 6)):
+            yield from (_random_rank(rng, dim_a, rank) for _ in range(10))
+
+    def test_three_starts_are_the_full_grids_distinct_best(self):
+        thetas = (np.arange(oracles._N_THETA) + 0.5) * math.pi / oracles._N_THETA
+        phis = (np.arange(oracles._N_PHI) + 0.5) * 2.0 * math.pi / oracles._N_PHI
+        full = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+        full_directions = oracles._directions(full)
+        half = full[full[:, 0] < math.pi / 2.0]
+        np.testing.assert_array_equal(oracles._COARSE_POINTS, half)
+        assert len(half) == len(full) // 2 and oracles._REFINE_STARTS == 3
+        count = 0
+        for rho in self._kinds():
+            top = np.argsort(_full_grid_drops(rho, full_directions))[::-1][:5]
+            distinct = _distinct(full_directions[top])
+            assert len(distinct) == 3
+            # The oracle's own scores of the half grid pick the same three.
+            ((_, t),) = _measurement_response(rho[:])
+            values = oracles._entropy_drops(_coefficients(t), t.shape[-1], np.zeros(1),
+                                            oracles._COARSE_DIRECTIONS)[0]
+            starts = oracles._COARSE_POINTS[np.argsort(values)[::-1][:3]]
+            assert len(_distinct([*distinct, *oracles._directions(starts)])) == 3
+            count += 1
+        assert count == 60
 
 
 @settings(deadline=None, max_examples=30)
@@ -182,7 +253,7 @@ def test_eigenvalue_clamp_seam(seed, dim_a, multiple):
     lam = multiple * EIGENVALUE_CLAMP
     rho = DensityMatrix(rank2.dims,
                         (1.0 - lam) * rank2.matrix + lam * np.outer(outside, outside.conj()))
-    assert _measurement_response(rho)[0].shape[0] == (2 if multiple < 1.0 else 3)
+    assert _frame_response(rho)[0].shape[0] == (2 if multiple < 1.0 else 3)
     bound = lam * (math.log2(1.0 / lam) + 1.0 / math.log(2.0) + math.log2(dim_a))
     assert abs(projective_classical_correlation(rho)
                - projective_classical_correlation(rank2)) <= bound
@@ -196,14 +267,15 @@ class TestOracleLogging:
             value = projective_classical_correlation(rho)
             (record,) = caplog.records
             fields = dict(part.split("=") for part in record.getMessage().split()[1:])
-            # Every state runs the fixed schedule: the coarse grid, the window
-            # rounds, the ridge scan and one stencil before each Newton step
-            # and at the ridge, and the last step's end point.
+            # Every state runs the fixed schedule: the half coarse grid, the
+            # window rounds, the ridge scan and one stencil before each Newton
+            # step and at the ridge, and the last step's end point.
             assert int(fields["rounds"]) == oracles._ROUNDS
             assert int(fields["directions"]) == (
-                oracles._N_THETA * oracles._N_PHI + oracles._ROUNDS * oracles._REFINE_STARTS * 25
+                oracles._N_THETA * oracles._N_PHI // 2
+                + oracles._ROUNDS * oracles._REFINE_STARTS * 25
                 + (oracles._RIDGE_POINTS - 1) + (oracles._NEWTON_STEPS + 1) * 9 + 1
-            )
+            ) == 1572
             assert int(fields["frame"]) == 2
             assert float(fields["best"]) == value
             theta, phi = float(fields["theta"]), float(fields["phi"])

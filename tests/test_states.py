@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qdiscord.errors import (
 from qdiscord.linalg import HERMITIAN_TOL, partial_trace
 from qdiscord.measures import von_neumann_entropy
 from qdiscord.states import (
+    _JSON_TOL,
     DENSITY_TOL,
     DensityMatrix,
     _trial_blocks,
@@ -492,6 +494,58 @@ def test_smallest_eigenvalue_seam_drawn(seed, multiple, angle):
         return
     got = DensityMatrix((2, 2), m).matrix
     assert np.linalg.eigvalsh(got)[0] == pytest.approx(-dip, rel=1e-4)
+
+
+def _state_file(m):
+    """The wire-format text of a 4x4 matrix at dims (2, 2), its entries as
+    they are: json writes each float's shortest round-trip repr."""
+    rows = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    return json.dumps({"dims": [2, 2], "matrix": rows})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _MULTIPLES)
+def test_json_hermiticity_seam_drawn(seed, multiple):
+    # A state file deviating from Hermiticity by a drawn multiple of
+    # _JSON_TOL, along an anti-Hermitian direction with a zero diagonal, so
+    # that the trace stays 1: below the cut load_state keeps the Hermitian
+    # part, above it the file is refused.
+    base = make_random_rank2(seed).matrix
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    direction = g - g.conj().T
+    np.fill_diagonal(direction, 0.0)
+    text = _state_file(base + multiple * _JSON_TOL / np.max(np.abs(2.0 * direction)) * direction)
+    if multiple > 1.0:
+        with pytest.raises(StateFormatError, match="matrix is not Hermitian: deviation"):
+            load_state(text)
+        return
+    got = load_state(text).matrix
+    np.testing.assert_array_equal(got, got.conj().T)
+    np.testing.assert_allclose(got, base, rtol=0, atol=1e-15)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _MULTIPLES, st.sampled_from([1.0, -1.0]))
+def test_json_trace_seam_drawn(seed, multiple, sign):
+    # A state file whose trace is off 1 by a drawn multiple of _JSON_TOL,
+    # either way, along a positive semidefinite direction of trace 1 added
+    # to a state whose eigenvalues are all at least 0.025: below the cut
+    # load_state renormalizes it, above it the file is refused.
+    base = 0.9 * make_random_rank2(seed).matrix + 0.025 * np.eye(4)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    direction = g @ g.conj().T
+    direction = (direction + direction.conj().T) / (2.0 * np.trace(direction).real)
+    m = base + sign * multiple * _JSON_TOL * direction
+    text = _state_file(m)
+    if multiple > 1.0:
+        with pytest.raises(StateFormatError, match="matrix trace is not 1"):
+            load_state(text)
+        return
+    got = load_state(text).matrix
+    assert np.trace(got).real == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(got, m / np.trace(m).real, rtol=0, atol=1e-15)
 
 
 def _bad_member(kind):
