@@ -9,8 +9,6 @@ from .discord import (
     discord_rank2,
     discord_rho2_closed_form,
     identity_residuals,
-    koashi_winter_residual,
-    monogamy_residual,
 )
 from .errors import (
     ConsistencyError,
@@ -25,13 +23,12 @@ from .errors import (
     RankTooHigh,
     StateFormatError,
 )
-from .linalg import partial_trace, tensor
+from .linalg import partial_trace
 from .measures import (
     binary_entropy,
     eof_two_qubit,
     f_map,
     linear_entropy,
-    mutual_information,
     tangle_two_qubit,
     von_neumann_entropy,
     wootters_concurrence,
@@ -39,7 +36,6 @@ from .measures import (
 from .oracles import (
     decomposition_linear_cc,
     projective_classical_correlation,
-    projective_discord,
 )
 from .states import (
     DensityMatrix,
@@ -51,7 +47,6 @@ from .states import (
     make_random_rank2,
     make_rho2,
     random_trials,
-    trial_seed,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ from .errors import QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
 from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
-                     make_horodecki, make_random_rank2, make_rho2, random_trials, trial_seed)
+                     make_horodecki, make_random_rank2, make_rho2, random_trials)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -197,7 +197,7 @@ def cmd_sweep(args) -> int:
 
 def _twin_correlations(u_a: np.ndarray, u_b: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     """(I_cc, Q_discord) rows for the local-unitary twins U rho U^dagger of a
-    stack of states, U = U_A x U_B (as ``linalg.tensor`` builds it) per state."""
+    stack of states, U = U_A x U_B (as ``np.kron`` builds it) per state."""
     u = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, 4, 4)
     rotated = u @ rho.matrix @ u.conj().swapaxes(1, 2)
     report = discord_rank2(DensityMatrix(rho.dims, rotated))
@@ -238,11 +238,12 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     temporaries grow with ``trials``; the round trip rebuilds each state from
     the very channel images that I2_cc read, the stack's one extraction.
     The oracle-backed checks run on the first 25 trials, each oracle in one
-    call on their stack; the decomposition oracle gives trial t the seed
-    ``trial_seed(seed, t, 7)`` and NaN where rho_B is rank-1. Each check
-    reports the trials it evaluated, those it skipped because rho_B is
-    rank-1, and the trial of its largest residual. A dict passed as ``stage_seconds`` receives the
-    wall time of each stage (the twin unitaries are drawn in
+    call on their stack; the decomposition oracle gives trial t the Philox
+    key ``seed ^ ((t + 1) << 64)``, which differs from ``seed`` and stays
+    below 2**128, and reads NaN where rho_B is rank-1. Each check reports
+    the trials it evaluated, those it skipped because rho_B is rank-1, and
+    the trial of its largest residual. A dict passed as ``stage_seconds``
+    receives the wall time of each stage (the twin unitaries are drawn in
     ``draw_states``, and each oracle is its own stage) and the total.
     """
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
@@ -269,7 +270,7 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     residuals["projective_attain"][oracle_trials] = report.I_cc[oracle_trials] - projective
     laps.append(time.perf_counter())
     decomposition = decomposition_linear_cc(
-        oracle_states, trials=32, seed=[trial_seed(seed, t, 7) for t in range(len(oracle_states))])
+        oracle_states, trials=32, seed=[seed ^ ((t + 1) << 64) for t in range(len(oracle_states))])
     residuals["decomposition_bound"][oracle_trials] = decomposition - report.I2_cc[oracle_trials]
     residuals["decomposition_attain"][oracle_trials] = report.I2_cc[oracle_trials] - decomposition
     skipped["decomposition_bound"] = skipped["decomposition_attain"] = int(

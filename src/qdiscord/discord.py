@@ -15,7 +15,7 @@ valid whenever rho_AB has rank at most 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -32,8 +32,6 @@ _CLAMP_WINDOW = 1e-9
 # weights; at or below this the formula is undefined (rho_B is numerically
 # pure) and the caller falls back to the pipeline on the built state.
 _MARGINAL_PRODUCT_FLOOR = 1e-12
-_FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
-           "Q_discord", "rank")
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,10 @@ class CorrelationReport:
     Q_discord: Optional[float]
     rank: int
     reason: Optional[str] = None
+
+
+# The numeric fields, all but ``reason``, in the order of ``_report_rows``.
+_FIELDS = tuple(field.name for field in fields(CorrelationReport))[:-1]
 
 
 def _clamp_unit_interval(value):
@@ -97,16 +99,16 @@ def _assess(rho):
     """``correlation_report(rho)`` and each state's exclusion error or None."""
     stack, single = stack_states(rho)
     *rows, third = _report_rows(stack)
-    fields = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
-    errors = [_exclusion(stack.dims, r, t) for r, t in zip(fields["rank"], third)]
+    columns = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
+    errors = [_exclusion(stack.dims, r, t) for r, t in zip(columns["rank"], third)]
     reasons = [error and f"rank-2 two-qubit closed form not applicable: {error}"
                for error in errors]
     if single:
-        fields = {name: values[0].item() for name, values in fields.items()}
+        columns = {name: values[0].item() for name, values in columns.items()}
         if errors[0]:
-            fields.update(I_cc=None, Q_discord=None)
+            columns.update(I_cc=None, Q_discord=None)
     reason = reasons[0] if single else tuple(reasons)
-    return CorrelationReport(**fields, reason=reason), errors
+    return CorrelationReport(**columns, reason=reason), errors
 
 
 def correlation_report(rho: DensityMatrix) -> CorrelationReport:
@@ -182,19 +184,11 @@ def _purified_tangle(rho: DensityMatrix) -> np.ndarray:
 
 def identity_residuals(rho: DensityMatrix):
     """``(report, kw, monogamy)`` for one state or a stack, from one report and
-    one purification: the two residuals below, with E_f(rho_AC) = f(tau)."""
+    one purification, each residual ~0 when exact: kw is
+    E_f(rho_AC) + I_cc(rho_AB) - S(rho_A) with E_f(rho_AC) = f(tau), and
+    monogamy is tau(rho_AC) + I2_cc(rho_AB) - S2(rho_A)."""
     report = discord_rank2(rho)
     tau = _purified_tangle(rho[:])
     if rho.matrix.ndim == 2:
         tau = tau[0].item()
     return report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A
-
-
-def koashi_winter_residual(rho):
-    """E_f(rho_AC) + I_cc(rho_AB) - S(rho_A) across a purification; ~0 when exact."""
-    return identity_residuals(rho)[1]
-
-
-def monogamy_residual(rho):
-    """tau(rho_AC) + I2_cc(rho_AB) - S2(rho_A) across a purification; ~0 when exact."""
-    return identity_residuals(rho)[2]

@@ -32,11 +32,6 @@ def checked_hermitian(m) -> np.ndarray:
     return a
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(m, dims, keep: str) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
-from .linalg import EIGENVALUE_CLAMP, PAULI_Y, checked_hermitian, partial_trace, tensor
+from .linalg import EIGENVALUE_CLAMP, PAULI_Y, checked_hermitian
 from .states import DensityMatrix
 
 _DOMAIN_SLACK = 1e-12
-_SPIN_FLIP = tensor(PAULI_Y, PAULI_Y)
+_SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 
 
 def _matrix_of(rho) -> np.ndarray:
@@ -74,14 +74,6 @@ def f_map(x):
     """The monotone map f(x) = h((1 + sqrt(1-x))/2) from [0, 1] onto [0, 1]."""
     v = unit_interval(x, "f argument")
     return binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
-
-
-def mutual_information(rho: DensityMatrix) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB), with S(rho_AB) from the spectrum
-    that validation computed."""
-    s_a, s_b = (spectral_entropy(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, keep)))
-                for keep in "AB")
-    return s_a + s_b - spectral_entropy(rho.spectrum)
 
 
 def _two_qubit_matrix(rho) -> np.ndarray:

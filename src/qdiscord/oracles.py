@@ -23,13 +23,14 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DegenerateMarginal, DimensionMismatch
+from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
-from .measures import _purity_loss, mutual_information, spectral_entropy
+from .measures import _purity_loss, spectral_entropy
 from .states import MARGINAL_RANK_TOL, DensityMatrix, box_muller, philox
 
 _log = logging.getLogger(__name__)
@@ -48,17 +49,20 @@ _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 # ridge scan of _RIDGE_POINTS - 1 directions follows the great circle
 # through the best centre along its flattest direction; then _NEWTON_STEPS
 # Newton steps, each on a stencil of spacing _STENCIL_STEP rad and at most
-# _STEP_CLIP rad long, start from the best direction so far. Five rounds leave the best centre mostly inside the
-# first step's clip (the Newton steps then move it by 1.4e-3 rad in the median
-# and 1.2e-2 rad at most, over 300 random rank-2 states), and from there the
-# quadratic convergence of Newton's method needs two or three steps. Newton
-# settles where the stencil's gradient reads 0, so the gradient's error,
-# h^2 / 6 times the third derivative, moves the result: at h = 1e-4 it left 3
-# of 1800 random rank-2 states, on flat ridges, short of the closed form by
-# over 3e-15 and up to 2.1e-14, and at h = 6e-5 one, by 3.3e-15. The Hessian's
-# rounding, about 1e-16 / h^2, grows as h shrinks and hides more of a near
-# tie's flat curvature: Bell-diagonal states whose two largest |c_i| differ
-# by 1e-7 read up to 4.8e-9 below Luo's value at h = 6e-5, 2.3e-9 at 1e-4.
+# _STEP_CLIP rad long, start from the best direction so far. Five rounds
+# leave the best centre mostly inside the first step's clip (the Newton steps
+# then move it by 1.4e-3 rad in the median and 1.2e-2 rad at most, over 300
+# random rank-2 states), and from there the quadratic convergence of Newton's
+# method needs two or three steps.
+#
+# Newton settles where the stencil's gradient reads 0, so the gradient's
+# error, h^2 / 6 times the third derivative, moves the result: at h = 1e-4 it
+# left 3 of 1800 random rank-2 states, on flat ridges, short of the closed
+# form by over 3e-15 and up to 2.1e-14, and at h = 6e-5 one, by 3.3e-15. The
+# Hessian's rounding, about 1e-16 / h^2, grows as h shrinks and hides more of
+# a near tie's flat curvature: Bell-diagonal states whose two largest |c_i|
+# differ by 1e-7 read up to 4.8e-9 below Luo's value at h = 6e-5, 2.3e-9 at
+# 1e-4.
 _N_THETA = 64
 _N_PHI = 32
 _REFINE_STARTS = 3
@@ -342,7 +346,7 @@ def projective_classical_correlation(rho: DensityMatrix):
     most lam (log2(1/lam) + 1/ln 2 + log2 dA), on either side of the cut.
     """
     if rho.dim_b != 2:
-        raise ValueError(f"measurement side B must be a qubit, got dims {rho.dims}")
+        raise DimensionMismatch(f"measurement side B must be a qubit, got dims {rho.dims}")
     stack = rho[:]
     s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, rho.dims, "A")))
     best, lines = np.empty(len(stack)), [None] * len(stack)
@@ -357,13 +361,6 @@ def projective_classical_correlation(rho: DensityMatrix):
                 *line,
             )
     return float(best[0]) if rho.matrix.ndim == 2 else best
-
-
-def projective_discord(rho: DensityMatrix):
-    """Mutual information minus the projective oracle; upper-bounds the discord.
-
-    One state gives a float, a stack one value per state."""
-    return mutual_information(rho) - projective_classical_correlation(rho)
 
 
 def _chords(r_b: np.ndarray, directions: np.ndarray):
@@ -508,8 +505,11 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     (see ``_sampled_decompositions``), so larger trial counts extend
     smaller ones. A rank-1 rho_B (smaller eigenvalue at most
     MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives
-    NaN for a member of a stack.
+    NaN for a member of a stack. A ``trials`` that is not a non-negative
+    integer raises OutOfDomain.
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 0):
+        raise OutOfDomain(f"trials must be a non-negative integer, got {trials!r}")
     seeds = _member_seeds(rho, seed)
     stack = rho[:]
     lam, rank_one, r_b, images = _marginal_images(stack)

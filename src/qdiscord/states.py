@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotFinite, NotHermitian, NotPositive, OutOfDomain,
                      StateFormatError)
-from .linalg import HERMITIAN_TOL, PAULI_X, PAULI_Y, PAULI_Z, tensor
+from .linalg import HERMITIAN_TOL, PAULI_X, PAULI_Y, PAULI_Z
 
 RANK_TOL = 1e-10
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
@@ -43,7 +43,10 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d_a, d_b = int(self.dims[0]), int(self.dims[1])
+        try:
+            d_a, d_b = map(operator.index, self.dims)
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"dims must be two integers, got {self.dims!r}") from None
         m = np.asarray(self.matrix, dtype=complex)
         if min(d_a, d_b) < 1 or m.ndim not in (2, 3) or m.shape[-2:] != (d_a * d_b,) * 2:
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({d_a}, {d_b})")
@@ -109,13 +112,6 @@ def _keep(rho: DensityMatrix, dims: tuple, matrix: np.ndarray, spectrum: np.ndar
     object.__setattr__(rho, "spectrum", spectrum)
 
 
-def one_state(rho: DensityMatrix, user: str) -> DensityMatrix:
-    """``rho`` if it is one state; DimensionMismatch naming ``user`` for a stack."""
-    if rho.matrix.ndim != 2:
-        raise DimensionMismatch(f"{user} takes one state, got a stack of {len(rho)}")
-    return rho
-
-
 def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
     """State (I + c1 XX + c2 YY + c3 ZZ)/4, valid when all Bell weights are >= 0."""
     weights = (
@@ -131,9 +127,9 @@ def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
         )
     m = (
         np.eye(4, dtype=complex)
-        + c1 * tensor(PAULI_X, PAULI_X)
-        + c2 * tensor(PAULI_Y, PAULI_Y)
-        + c3 * tensor(PAULI_Z, PAULI_Z)
+        + c1 * np.kron(PAULI_X, PAULI_X)
+        + c2 * np.kron(PAULI_Y, PAULI_Y)
+        + c3 * np.kron(PAULI_Z, PAULI_Z)
     ) / 4.0
     return DensityMatrix((2, 2), m)
 
@@ -194,12 +190,6 @@ def make_rho2(x, theta: float, eta: float) -> DensityMatrix:
     chi[2] = math.cos(eta)
     m = x * np.outer(phi, phi.conj()) + (1.0 - x) * np.outer(chi, chi.conj())
     return DensityMatrix((2, 2), m)
-
-
-def trial_seed(seed: int, *indices: int) -> int:
-    """Derive a reproducible substream seed by hashing (seed, indices)."""
-    ss = np.random.SeedSequence([int(seed), *[int(i) for i in indices]])
-    return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
 def philox(key: int) -> np.random.Philox:
@@ -300,38 +290,40 @@ def random_trials(seed: int, trials: range, dim_a: int = 2):
     return states, u_a, _haar_unitaries(normals[:, n_a:].reshape(-1, 2, 2, 2))
 
 
-def make_random_rank2(seed, dim_a: int = 2) -> DensityMatrix:
+def make_random_rank2(seed: int, dim_a: int = 2) -> DensityMatrix:
     """Random rank-2 state on dA x 2, deterministic in the seed: the state of
     trial 0 of ``random_trials(seed, range(1), dim_a)``.
 
     The two eigenvectors are orthonormalized complex Gaussian vectors and the
-    top eigenvalue is drawn uniformly from [0.05, 0.95]. A sequence of seeds
-    gives a stack whose member i is ``make_random_rank2(seeds[i], dim_a)`` bit
-    for bit, built by one pass of stacked algebra and validation.
+    top eigenvalue is drawn uniformly from [0.05, 0.95]. For many states,
+    draw a range of trials of one seed with ``random_trials``.
     """
-    seeds = [seed] if np.ndim(seed) == 0 else seed
-    blocks = np.array([_trial_blocks(s, range(1), dim_a)[0] for s in seeds])
-    rho = _rank2_states(blocks.reshape(-1, _trial_width(dim_a)), dim_a)
-    return rho[0] if np.ndim(seed) == 0 else rho
+    return _rank2_states(_trial_blocks(seed, range(1), dim_a), dim_a)[0]
 
 
-def state_to_json_dict(rho: DensityMatrix) -> dict:
-    """Wire format: {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]}."""
-    matrix = [
-        [[float(cell.real), float(cell.imag)] for cell in row]
-        for row in one_state(rho, "the JSON wire format").matrix
-    ]
-    return {"dims": [rho.dim_a, rho.dim_b], "matrix": matrix}
+def dump_state(rho: DensityMatrix) -> str:
+    """The wire format {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]} of
+    one state, with shortest round-trip floats so reparsing is bit-exact; a
+    stack raises DimensionMismatch."""
+    if rho.matrix.ndim != 2:
+        raise DimensionMismatch(
+            f"the JSON wire format takes one state, got a stack of {len(rho)}")
+    matrix = [[[float(cell.real), float(cell.imag)] for cell in row] for row in rho.matrix]
+    return json.dumps({"dims": [rho.dim_a, rho.dim_b], "matrix": matrix}, indent=2)
 
 
-def state_from_json_dict(obj) -> DensityMatrix:
+def load_state(text: str) -> DensityMatrix:
     """Parse and validate the wire format, with a distinct message per defect."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StateFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise StateFormatError("state document must be a JSON object")
     try:
         dims = obj["dims"]
         rows = obj["matrix"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise StateFormatError(f"missing field: {exc}") from exc
     if (
         not isinstance(dims, (list, tuple))
@@ -365,16 +357,3 @@ def state_from_json_dict(obj) -> DensityMatrix:
     canonical = (m + m.conj().T) / 2.0
     canonical = canonical / float(np.trace(canonical).real)
     return DensityMatrix((dims[0], dims[1]), canonical)
-
-
-def dump_state(rho: DensityMatrix) -> str:
-    """Serialize with shortest round-trip floats so reparsing is bit-exact."""
-    return json.dumps(state_to_json_dict(rho), indent=2)
-
-
-def load_state(text: str) -> DensityMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateFormatError(f"invalid JSON: {exc}") from exc
-    return state_from_json_dict(obj)

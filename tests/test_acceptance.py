@@ -26,9 +26,8 @@ from qdiscord.states import (
     make_bell_diagonal,
     make_example1,
     make_horodecki,
-    make_random_rank2,
     make_rho2,
-    trial_seed,
+    random_trials,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -138,7 +137,7 @@ def test_criterion_5_two_bell_state_mixtures():
 
 def test_criterion_6_identity_suites_thousand_states():
     started = time.perf_counter()
-    rho = make_random_rank2([trial_seed(606, t) for t in range(1000)])
+    rho = random_trials(606, range(1000))[0]
     _, kw, monogamy = identity_residuals(rho)
     worst_kw, worst_mono = float(np.max(np.abs(kw))), float(np.max(np.abs(monogamy)))
     elapsed = time.perf_counter() - started
@@ -158,7 +157,7 @@ def test_criterion_7_projective_oracle_agreement():
         worst_family,
         abs(discord_rank2(rho).I_cc - projective_classical_correlation(rho)),
     )
-    rho = make_random_rank2([trial_seed(707, t) for t in range(200)])
+    rho = random_trials(707, range(200))[0]
     theorem = discord_rank2(rho).I_cc
     excess = projective_classical_correlation(rho) - theorem
     violations = int(np.count_nonzero(excess > 1e-6))
@@ -174,10 +173,10 @@ def test_criterion_7_projective_oracle_agreement():
 
 def test_criterion_8_prefactor_at_d3():
     started = time.perf_counter()
-    stack = make_random_rank2([trial_seed(808, t) for t in range(50)], dim_a=3)
+    stack = random_trials(808, range(50), dim_a=3)[0]
     closed_form = linear_classical_correlation(stack)
     oracle = decomposition_linear_cc(stack, trials=64,
-                                     seed=[trial_seed(808, t, 1) for t in range(50)])
+                                     seed=[808 ^ ((t + 1) << 64) for t in range(50)])
     worst_over = max(0.0, float(np.max(oracle - closed_form)))
     worst_gap = max(0.0, float(np.max(closed_form - oracle)))
     elapsed = time.perf_counter() - started

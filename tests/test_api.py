@@ -10,17 +10,15 @@ PUBLIC_NAMES = {
     "channel", "discord", "errors", "linalg", "measures", "oracles", "states",
     # states
     "DensityMatrix", "dump_state", "load_state", "make_bell_diagonal", "make_example1",
-    "make_horodecki", "make_random_rank2", "make_rho2", "random_trials", "trial_seed",
+    "make_horodecki", "make_random_rank2", "make_rho2", "random_trials",
     # linalg and measures
-    "partial_trace", "tensor", "binary_entropy", "eof_two_qubit", "f_map", "linear_entropy",
-    "mutual_information", "tangle_two_qubit", "von_neumann_entropy", "wootters_concurrence",
+    "partial_trace", "binary_entropy", "eof_two_qubit", "f_map", "linear_entropy",
+    "tangle_two_qubit", "von_neumann_entropy", "wootters_concurrence",
     # closed forms
     "linear_classical_correlation", "CorrelationReport", "correlation_report", "discord_rank2",
-    "discord_rho2_closed_form", "identity_residuals", "koashi_winter_residual",
-    "monogamy_residual",
+    "discord_rho2_closed_form", "identity_residuals",
     # oracles
     "decomposition_linear_cc", "projective_classical_correlation",
-    "projective_discord",
     # errors
     "ConsistencyError", "DegenerateDenominator", "DegenerateMarginal", "DimensionMismatch",
     "NotFinite", "NotHermitian", "NotPositive", "OutOfDomain", "QDiscordError", "RankTooHigh",

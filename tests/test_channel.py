@@ -8,7 +8,7 @@ from conftest import (bloch, bloch_channel, bloch_i2_cc, from_bloch, gell_mann, 
 from qdiscord.channel import _rebuilt_states, linear_classical_correlation
 from qdiscord.discord import correlation_report
 from qdiscord.errors import DimensionMismatch
-from qdiscord.linalg import PAULIS, partial_trace, tensor
+from qdiscord.linalg import PAULIS, partial_trace
 from qdiscord.measures import linear_entropy
 from qdiscord.states import (
     DensityMatrix,
@@ -17,6 +17,7 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
+    random_trials,
 )
 
 
@@ -185,7 +186,7 @@ class TestLinearClassicalCorrelation:
         rng = np.random.default_rng(25)
         for seed in range(20):
             rho = make_random_rank2(seed)
-            u = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             assert linear_classical_correlation(rotated) == pytest.approx(
                 linear_classical_correlation(rho), abs=1e-9
@@ -196,7 +197,7 @@ class TestLinearClassicalCorrelation:
         # rho_B and the linear part, hence I2_cc, stay the same.
         rho = make_bell_diagonal(0.3, -0.5, 0.1)
         rho_b = partial_trace(rho.matrix, rho.dims, "B")
-        shifted = DensityMatrix((2, 2), rho.matrix + 0.05 * tensor(PAULIS[2], rho_b))
+        shifted = DensityMatrix((2, 2), rho.matrix + 0.05 * np.kron(PAULIS[2], rho_b))
         (base_part, base_offset), (moved_part, moved_offset) = map(bloch_channel, (rho, shifted))
         assert np.max(np.abs(moved_offset - base_offset)) > 0.05
         np.testing.assert_allclose(
@@ -222,7 +223,7 @@ class TestLinearClassicalCorrelation:
 class TestFrameFreeCore:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_eigenframe_reference(self, d):
-        states = make_random_rank2(range(500), dim_a=d)
+        states = random_trials(0, range(500), dim_a=d)[0]
         got = linear_classical_correlation(states)
         expected = [bloch_i2_cc(rho) for rho in states]
         assert got.shape == (500,)
@@ -230,7 +231,7 @@ class TestFrameFreeCore:
 
     def test_batch_equals_batches_of_one(self):
         for d in (2, 3, 4):
-            same_dims = make_random_rank2([s for s in range(60) if 2 + s % 3 == d], dim_a=d)
+            same_dims = random_trials(0, range(20), dim_a=d)[0]
             batch = linear_classical_correlation(same_dims)
             singles = [linear_classical_correlation(same_dims[i : i + 1])[0]
                        for i in range(len(same_dims))]
@@ -247,7 +248,7 @@ class TestFrameFreeCore:
         assert got == pytest.approx(0.49, abs=1e-12)
         rng = np.random.default_rng(24)
         for _ in range(5):
-            w = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            w = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
             rotated = DensityMatrix((2, 2), w @ rho.matrix @ w.conj().T)
             assert linear_classical_correlation(rotated) == pytest.approx(got, abs=1e-12)
             assert bloch_i2_cc(rotated) == pytest.approx(got, abs=1e-12)
@@ -270,7 +271,7 @@ class TestFrameFreeCore:
     def test_mixed_dims_and_empty_batches_rejected(self):
         # A stack has one dims: matrices of another size are rejected when it
         # is built, and an empty stack cannot be built at all.
-        wide = make_random_rank2([0, 1], dim_a=3)
+        wide = random_trials(0, range(2), dim_a=3)[0]
         with pytest.raises(DimensionMismatch, match=r"shape \(2, 6, 6\) does not match dims \(2, 2\)"):
             DensityMatrix((2, 2), wide.matrix)
         with pytest.raises(DimensionMismatch, match="must not be empty"):
@@ -300,7 +301,7 @@ class TestFrameFreeCore:
 class TestBatchedChannel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batch_equals_batches_of_one(self, d):
-        states = make_random_rank2(range(40), dim_a=d)
+        states = random_trials(0, range(40), dim_a=d)[0]
         batch = _rebuilt_states(states)
         assert batch.shape == (40, 2 * d, 2 * d)
         for n in range(len(states)):

@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,10 +13,9 @@ from hypothesis import strategies as st
 from qdiscord import channel, cli
 from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
-from qdiscord.discord import (correlation_report, discord_rank2, koashi_winter_residual,
-                               monogamy_residual)
+from qdiscord.discord import correlation_report, discord_rank2, identity_residuals
 from qdiscord.errors import QDiscordError
-from qdiscord.linalg import partial_trace, tensor
+from qdiscord.linalg import partial_trace
 from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
     MARGINAL_RANK_TOL,
@@ -26,7 +27,6 @@ from qdiscord.states import (
     make_random_rank2,
     make_rho2,
     random_trials,
-    trial_seed,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -455,7 +455,7 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", "3")
         assert code == 1
         # One call on the stack of the 25 oracle trials, one seed per trial.
-        assert calls == [(25, {"trials": 32, "seed": [trial_seed(3, t, 7) for t in range(25)]})]
+        assert calls == [(25, {"trials": 32, "seed": [3 ^ ((t + 1) << 64) for t in range(25)]})]
         checks = json.loads(out)["checks"]
         counts = {name: (c["evaluated"], c["skipped"]) for name, c in checks.items()}
         assert counts["projective_bound"] == counts["projective_attain"] == (25, 0)
@@ -481,11 +481,11 @@ class TestValidate:
             return max(abs(report.Q_discord - twin_q), abs(report.I_cc - twin_i_cc))
 
         def decomposition(rho, trial):
-            return decomposition_linear_cc(rho, trials=32, seed=trial_seed(seed, trial, 7))
+            return decomposition_linear_cc(rho, trials=32, seed=seed ^ ((trial + 1) << 64))
 
         recompute = {
-            "kw": lambda rho, trial, *_: abs(koashi_winter_residual(rho)),
-            "monogamy": lambda rho, trial, *_: abs(monogamy_residual(rho)),
+            "kw": lambda rho, trial, *_: abs(identity_residuals(rho)[1]),
+            "monogamy": lambda rho, trial, *_: abs(identity_residuals(rho)[2]),
             "decomposition_bound": lambda rho, trial, *_: (
                 decomposition(rho, trial) - channel.linear_classical_correlation(rho)),
             "decomposition_attain": lambda rho, trial, *_: (
@@ -517,7 +517,7 @@ class TestValidate:
         for n in range(150):
             rho, one_a, one_b = random_trials(9, range(n, n + 1))
             np.testing.assert_array_equal(rho.matrix[0], states.matrix[n])
-            u = tensor(one_a[0], one_b[0])
+            u = np.kron(one_a[0], one_b[0])
             twin = discord_rank2(DensityMatrix((2, 2), u @ rho.matrix[0] @ u.conj().T))
             assert batch[:, n] == pytest.approx([twin.I_cc, twin.Q_discord], abs=1e-13)
 
@@ -559,6 +559,23 @@ class TestValidate:
                             lambda rho, **kwargs: np.full(len(rho), np.nan))
         cli.run_validation(trials, 21)
         assert built == [21]
+
+    def test_decomposition_keys_are_their_own_philox_keys(self, monkeypatch):
+        # Oracle trial t keys its decomposition stream seed ^ ((t + 1) << 64):
+        # one key per trial, never the run's own key, always below 2**128.
+        keys = []
+
+        def record(rho, trials, seed):
+            keys.append(seed)
+            return np.full(len(rho), np.nan)
+
+        monkeypatch.setattr(cli, "decomposition_linear_cc", record)
+        for run_seed in (0, 42, 2**64 - 1, 2**128 - 1):
+            cli.run_validation(30, run_seed)
+            run_keys = keys.pop()
+            assert run_keys == [run_seed ^ ((t + 1) << 64) for t in range(25)]
+            assert len({run_seed, *run_keys}) == 26
+            assert all(0 <= key < 2**128 for key in run_keys)
 
     @pytest.mark.parametrize("trials", [1, 130])
     def test_a_run_diagonalizes_each_stack_once(self, monkeypatch, trials):
@@ -865,3 +882,31 @@ class TestUsage:
     def test_unknown_family_exit_2(self, capsys):
         code, _, _ = run(capsys, "compute", "--family", "ghz")
         assert code == 2
+
+
+def _readme_commands():
+    """The argument lists of the ``qdiscord`` lines of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qdiscord ")]
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path):
+    # Every documented command exits 0, with its --out and state file in tmp_path.
+    commands = _readme_commands()
+    assert len(commands) == 9 and {argv[0] for argv in commands} == {
+        "compute", "sweep", "validate", "state"}
+    (tmp_path / "mystate.json").write_text(dump_state(make_horodecki(0.5)), encoding="utf-8")
+    outs = []
+    for argv in commands:
+        argv = [str(tmp_path / "mystate.json") if arg == "mystate.json" else arg for arg in argv]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+            outs.append(Path(argv[at]))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out or argv[0] == "sweep", argv
+    # The two reference figures: 201 and 101 rows under a header.
+    assert [path.name for path in outs] == ["fig1.csv", "fig2.csv"]
+    assert [path.read_text(encoding="utf-8").count("\n") for path in outs] == [202, 102]

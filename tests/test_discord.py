@@ -14,8 +14,6 @@ from qdiscord.discord import (
     discord_rank2,
     discord_rho2_closed_form,
     identity_residuals,
-    koashi_winter_residual,
-    monogamy_residual,
 )
 from qdiscord.errors import (
     ConsistencyError,
@@ -24,7 +22,7 @@ from qdiscord.errors import (
     OutOfDomain,
     RankTooHigh,
 )
-from qdiscord.linalg import partial_trace, tensor
+from qdiscord.linalg import partial_trace
 from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.states import (
     RANK_TOL,
@@ -34,6 +32,7 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
+    random_trials,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -57,7 +56,7 @@ def classical_quantum_state(p, rng):
     """Rank-2 zero-discord state: p |a0><a0| x |0><0| + (1-p) |a1><a1| x |1><1|."""
     a0 = random_pure_density(rng, 2)
     a1 = random_pure_density(rng, 2)
-    m = p * tensor(a0, np.diag([1.0, 0.0])) + (1 - p) * tensor(
+    m = p * np.kron(a0, np.diag([1.0, 0.0])) + (1 - p) * np.kron(
         a1, np.diag([0.0, 1.0])
     )
     return DensityMatrix((2, 2), m)
@@ -208,7 +207,7 @@ class TestDiscordRank2:
         rng = np.random.default_rng(33)
         for seed in range(30):
             rho = make_random_rank2(seed)
-            u = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             base = discord_rank2(rho)
             twin = discord_rank2(rotated)
@@ -301,44 +300,42 @@ class TestRho2ClosedForm:
 
 class TestIdentityResiduals:
     def test_koashi_winter_bell_state(self):
-        assert koashi_winter_residual(make_bell_diagonal(1, -1, 1)) == pytest.approx(
+        assert identity_residuals(make_bell_diagonal(1, -1, 1))[1] == pytest.approx(
             0.0, abs=1e-10
         )
 
     def test_koashi_winter_horodecki(self):
-        assert abs(koashi_winter_residual(make_horodecki(0.5))) <= 1e-8
+        assert abs(identity_residuals(make_horodecki(0.5))[1]) <= 1e-8
 
     def test_koashi_winter_random(self):
-        for seed in range(200):
-            assert abs(koashi_winter_residual(make_random_rank2(seed))) <= 1e-8
+        assert np.max(np.abs(identity_residuals(random_trials(0, range(200))[0])[1])) <= 1e-8
 
     def test_monogamy_pure_input(self):
         rng = np.random.default_rng(35)
         rho = DensityMatrix((2, 2), random_pure_density(rng, 4))
-        assert abs(monogamy_residual(rho)) <= 1e-8
+        assert abs(identity_residuals(rho)[2]) <= 1e-8
 
     def test_monogamy_horodecki_arithmetic(self):
         # tau + I2 - S2(A) at p = 1/2 decomposes as 0.5 + 0.25 - 0.75
-        assert abs(monogamy_residual(make_horodecki(0.5))) <= 1e-8
+        assert abs(identity_residuals(make_horodecki(0.5))[2]) <= 1e-8
 
     def test_monogamy_random(self):
-        for seed in range(200):
-            assert abs(monogamy_residual(make_random_rank2(seed))) <= 1e-8
+        assert np.max(np.abs(identity_residuals(random_trials(0, range(200))[0])[2])) <= 1e-8
 
     def test_third_eigenvalue_below_rank_tol_keeps_qubit_ancilla(self):
         # 5e-11 outside the support still counts as rank 2; the purification
         # must then keep a qubit C, or E_f(rho_AC) and the tangle read 0.
-        base = make_random_rank2(range(5)).matrix
+        base = random_trials(0, range(5))[0].matrix
         outside = np.linalg.eigh(base)[1][:, :, 0]
         m = (1 - 5e-11) * base + 5e-11 * outside[:, :, None] * outside[:, None, :].conj()
         states = stack_of(DensityMatrix((2, 2), m), make_horodecki(0.0))
         report, kw, monogamy = identity_residuals(states)
         assert list(report.rank) == [2] * 5 + [1]
         assert np.max(np.abs(kw)) <= 1e-8 and np.max(np.abs(monogamy)) <= 1e-8
-        assert koashi_winter_residual(states[0]) == pytest.approx(kw[0], abs=1e-14)
+        assert identity_residuals(states[0])[1] == pytest.approx(kw[0], abs=1e-14)
 
     def test_identity_residuals_report_is_discord_rank2(self):
-        states = make_random_rank2(range(20))
+        states = random_trials(0, range(20))[0]
         report, kw, monogamy = identity_residuals(states)
         reference = discord_rank2(states)
         for name in FIELDS:
@@ -347,23 +344,21 @@ class TestIdentityResiduals:
 
     def test_rank_gate(self):
         with pytest.raises(RankTooHigh):
-            koashi_winter_residual(make_example1(0.5))
-        with pytest.raises(RankTooHigh):
-            monogamy_residual(make_example1(0.5))
+            identity_residuals(make_example1(0.5))
 
 
 def _purified_tangles(states):
-    """tau(rho_AC) of each state, read back from ``monogamy_residual``."""
-    report = discord_rank2(states)
-    return monogamy_residual(states) - report.I2_cc + report.S2_A
+    """tau(rho_AC) of each state, read back from the monogamy residual."""
+    report, _, monogamy = identity_residuals(states)
+    return monogamy - report.I2_cc + report.S2_A
 
 
 class TestPurifiedTangle:
     # The last member is pure, so its purification has no weight on c = 1.
-    STATES = stack_of(make_random_rank2(range(6)), make_horodecki(0.3), make_example1(2.0),
+    STATES = stack_of(random_trials(0, range(6))[0], make_horodecki(0.3), make_example1(2.0),
                       make_rho2(1.0, 0.4, 0.0))
 
-    @pytest.mark.parametrize("states", [STATES, make_random_rank2(range(100, 125))],
+    @pytest.mark.parametrize("states", [STATES, random_trials(100, range(25))[0]],
                              ids=["families", "random"])
     def test_matches_textbook_reference(self, states):
         for tau, rho in zip(_purified_tangles(states), states):
@@ -425,7 +420,8 @@ FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
 
 class TestBatchedReport:
     def test_batch_equals_batches_of_one(self):
-        states = stack_of(make_random_rank2(range(200)), make_horodecki(np.array([0.0, 0.3, 1.0])))
+        states = stack_of(random_trials(0, range(200))[0],
+                          make_horodecki(np.array([0.0, 0.3, 1.0])))
         batch = discord_rank2(states)
         for i in range(len(states)):
             one = discord_rank2(states[i : i + 1])
@@ -470,7 +466,7 @@ class TestBatchedReport:
         with pytest.raises(RankTooHigh, match="state 2: state has rank 4"):
             discord_rank2(states)
         with pytest.raises(RankTooHigh, match="state 2"):
-            monogamy_residual(states)
+            identity_residuals(states)
 
     def test_report_of_wide_state_keeps_linear_fields(self):
         report = correlation_report(make_random_rank2(3, dim_a=3))
@@ -479,7 +475,7 @@ class TestBatchedReport:
         assert "2x2" in report.reason and report.rank == 2
         assert report.I2_cc > 0.0
         with pytest.raises(DimensionMismatch, match="2x2"):
-            discord_rank2(make_random_rank2([3], dim_a=3))
+            discord_rank2(random_trials(3, range(1), dim_a=3)[0])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_marginal_entropies_match_the_partial_trace(self, d):
@@ -487,7 +483,7 @@ class TestBatchedReport:
         # product member has a pure rho_B.
         rng = np.random.default_rng(50 + d)
         product = DensityMatrix((d, 2), np.kron(random_density(rng, d), np.diag([1.0, 0.0])))
-        states = stack_of(make_random_rank2(range(40), dim_a=d), product)
+        states = stack_of(random_trials(0, range(40), dim_a=d)[0], product)
         report = correlation_report(states)
         rho_b = partial_trace(states.matrix, states.dims, "B")
         np.testing.assert_allclose(report.S_B, von_neumann_entropy(rho_b), rtol=0, atol=1e-14)
@@ -500,10 +496,10 @@ class TestBatchedReport:
 
     def test_residual_batches_equal_batches_of_one(self):
         # The pure last one has no weight on c = 1, in the stack and alone.
-        states = stack_of(make_random_rank2(range(200)), make_horodecki(0.0))
-        for residual in (koashi_winter_residual, monogamy_residual):
-            batch = residual(states)
-            singles = [residual(rho) for rho in states]
+        states = stack_of(random_trials(0, range(200))[0], make_horodecki(0.0))
+        for index in (1, 2):
+            batch = identity_residuals(states)[index]
+            singles = [identity_residuals(rho)[index] for rho in states]
             assert batch.shape == (201,)
             np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14)
             assert np.max(np.abs(batch)) <= 1e-8

@@ -5,37 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from qdiscord.errors import DimensionMismatch
-from qdiscord.linalg import PAULI_Z, partial_trace, tensor
+from qdiscord.linalg import partial_trace
 from qdiscord.states import make_horodecki
-
-
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_zz(self):
-        np.testing.assert_allclose(
-            tensor(PAULI_Z, PAULI_Z), np.diag([1.0, -1.0, -1.0, 1.0])
-        )
-
-    def test_associative_on_random_triples(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a, b, c = (
-                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                for _ in range(3)
-            )
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            assert np.max(np.abs(left - right)) < 1e-14
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(6)
-        a, b, c, d = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        assert np.allclose(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d))
 
 
 class TestPartialTrace:
@@ -45,7 +16,7 @@ class TestPartialTrace:
         rho_a = g @ g.conj().T
         rho_a /= np.trace(rho_a).real
         rho_b = np.diag([0.7, 0.3]).astype(complex)
-        prod = tensor(rho_a, rho_b)
+        prod = np.kron(rho_a, rho_b)
         np.testing.assert_allclose(partial_trace(prod, (2, 2), "A"), rho_a, atol=1e-14)
         np.testing.assert_allclose(partial_trace(prod, (2, 2), "B"), rho_b, atol=1e-14)
 

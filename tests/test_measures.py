@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density, random_pure_density
+from qdiscord.discord import correlation_report
 from qdiscord.errors import DimensionMismatch, NotHermitian, OutOfDomain
-from qdiscord.linalg import PAULI_Y, partial_trace, tensor
+from qdiscord.linalg import PAULI_Y, partial_trace
 from qdiscord.measures import (
     _DOMAIN_SLACK,
     binary_entropy,
     eof_two_qubit,
     f_map,
     linear_entropy,
-    mutual_information,
     tangle_two_qubit,
     unit_interval,
     von_neumann_entropy,
@@ -26,6 +26,7 @@ from qdiscord.states import (
     make_example1,
     make_horodecki,
     make_random_rank2,
+    random_trials,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -219,20 +220,21 @@ class TestFMap:
 
 
 class TestMutualInformation:
+    """``I_mutual`` of the report, the package's one mutual information."""
+
     def test_product_state(self):
         rho = DensityMatrix((2, 2), np.diag([0.35, 0.35, 0.15, 0.15]).astype(complex))
-        assert mutual_information(rho) == pytest.approx(0.0, abs=1e-12)
+        assert correlation_report(rho).I_mutual == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        assert mutual_information(make_bell_diagonal(1, -1, 1)) == pytest.approx(2.0)
+        assert correlation_report(make_bell_diagonal(1, -1, 1)).I_mutual == pytest.approx(2.0)
 
     def test_example1_rank2_point(self):
-        got = mutual_information(make_example1(2.0))
+        got = correlation_report(make_example1(2.0)).I_mutual
         assert got == pytest.approx(8.0 / 3.0 - LOG2_3, abs=1e-12)
 
     def test_nonnegative(self):
-        for seed in range(50):
-            assert mutual_information(make_random_rank2(seed)) >= -1e-10
+        assert np.all(correlation_report(random_trials(0, range(50))[0]).I_mutual >= -1e-10)
 
 
 class TestWoottersConcurrence:
@@ -250,7 +252,7 @@ class TestWoottersConcurrence:
 
     def test_matches_literal_spinflip_eigenvalues(self):
         # reference: mu_i = eigenvalues of rho (YY) rho* (YY), descending
-        spin_flip = tensor(PAULI_Y, PAULI_Y)
+        spin_flip = np.kron(PAULI_Y, PAULI_Y)
         rng = np.random.default_rng(12)
         for _ in range(60):
             m = random_density(rng, 4)
@@ -272,7 +274,7 @@ class TestWoottersConcurrence:
         rng = np.random.default_rng(14)
         for seed in range(20):
             rho = make_random_rank2(seed)
-            u = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
             rotated = u @ rho.matrix @ u.conj().T
             assert wootters_concurrence(rotated) == pytest.approx(
                 wootters_concurrence(rho), abs=1e-10

@@ -16,10 +16,10 @@ from conftest import (bell_diagonal_c, bloch_channel, from_bloch, haar_unitary,
 from qdiscord import oracles
 from qdiscord.cli import _CHECK_TOLERANCES
 from qdiscord.channel import _rebuilt_states, linear_classical_correlation
-from qdiscord.discord import discord_rank2
-from qdiscord.errors import DegenerateMarginal, DimensionMismatch
-from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace, tensor
-from qdiscord.measures import linear_entropy, mutual_information, von_neumann_entropy
+from qdiscord.discord import correlation_report, discord_rank2
+from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
+from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
+from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.oracles import (
     _aligned_chord,
     _chords,
@@ -31,7 +31,6 @@ from qdiscord.oracles import (
     _sampled_decompositions,
     decomposition_linear_cc,
     projective_classical_correlation,
-    projective_discord,
 )
 from qdiscord.states import (
     MARGINAL_RANK_TOL,
@@ -41,10 +40,14 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     random_trials,
-    trial_seed,
 )
 
 LOG2_3 = math.log2(3.0)
+
+
+def projective_discord(rho):
+    """Mutual information minus the projective oracle; upper-bounds the discord."""
+    return correlation_report(rho).I_mutual - projective_classical_correlation(rho)
 
 
 class TestMeasurementProjectors:
@@ -60,6 +63,11 @@ class TestMeasurementProjectors:
 
 
 class TestProjectiveOracle:
+    def test_measured_side_must_be_a_qubit(self):
+        rho = DensityMatrix((2, 3), np.eye(6) / 6)
+        with pytest.raises(DimensionMismatch, match="measurement side B must be a qubit"):
+            projective_classical_correlation(rho)
+
     def test_product_state(self):
         rho = DensityMatrix((2, 2), np.diag([0.35, 0.35, 0.15, 0.15]).astype(complex))
         assert projective_classical_correlation(rho) == pytest.approx(0.0, abs=1e-9)
@@ -311,7 +319,7 @@ def _stack_with_mixed_frames():
 def _stack_of_qubit_pairs():
     """A Bell state (frame 1), a full-rank product state and random rank-2 states."""
     product = DensityMatrix((2, 2), np.diag([0.35, 0.35, 0.15, 0.15]).astype(complex))
-    return stack_of(make_bell_diagonal(1, -1, 1), product, make_random_rank2([11, 12, 13]))
+    return stack_of(make_bell_diagonal(1, -1, 1), product, random_trials(11, range(3))[0])
 
 
 class TestProjectiveStack:
@@ -341,7 +349,7 @@ class TestProjectiveStack:
         # state flat along a great circle; their Hessians are not negative
         # definite, which must neither warn nor move the other members.
         flat, tie = make_bell_diagonal(0.0, 0.0, 0.0), make_bell_diagonal(0.4, -0.4, 0.1)
-        stack = stack_of(make_random_rank2([21, 22]), flat, tie, make_random_rank2([23, 24]))
+        stack = stack_of(random_trials(21, range(2))[0], flat, tie, random_trials(23, range(2))[0])
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
@@ -359,7 +367,6 @@ class TestProjectiveStack:
         got = projective_discord(stack)
         assert got.shape == (len(stack),)
         for rho, value in zip(stack, got):
-            assert value == mutual_information(rho) - projective_classical_correlation(rho)
             assert value == projective_discord(rho)
 
 
@@ -373,7 +380,7 @@ class TestProjectiveDiscord:
         rng = np.random.default_rng(42)
         a0 = random_pure_density(rng, 2)
         a1 = random_pure_density(rng, 2)
-        m = 0.4 * tensor(a0, np.diag([1.0, 0.0])) + 0.6 * tensor(
+        m = 0.4 * np.kron(a0, np.diag([1.0, 0.0])) + 0.6 * np.kron(
             a1, np.diag([0.0, 1.0])
         )
         assert projective_discord(DensityMatrix((2, 2), m)) <= 1e-6
@@ -462,7 +469,7 @@ class TestLuoReference:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_random_rank2([trial_seed(707, t) for t in range(200)]),
+    lambda: random_trials(707, range(200))[0],
     lambda: make_horodecki(np.linspace(0.0, 1.0, 101)),
     lambda: make_example1(2.0),
 ], ids=["criterion_7", "horodecki", "example1"])
@@ -474,6 +481,23 @@ def test_projective_oracle_pinned_to_the_closed_form(build):
 
 
 class TestDecompositionOracle:
+    @pytest.mark.parametrize("trials", [-1, 2.5, "8", None])
+    def test_trials_outside_the_domain_raise_before_any_work(self, monkeypatch, trials):
+        def unreachable(rho):
+            raise AssertionError("the marginal images were built")
+
+        monkeypatch.setattr(oracles, "_marginal_images", unreachable)
+        with pytest.raises(OutOfDomain, match="trials must be a non-negative integer"):
+            decomposition_linear_cc(make_horodecki(0.5), trials=trials, seed=1)
+
+    def test_zero_trials_give_the_aligned_chord(self):
+        stack = random_trials(6, range(4))[0]
+        _, _, r_b, images = _marginal_images(stack)
+        aligned = _linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[:, 0]
+        np.testing.assert_array_equal(
+            decomposition_linear_cc(stack, trials=0, seed=[0, 1, 2, 3]), aligned)
+        assert decomposition_linear_cc(stack[1], trials=np.int64(0), seed=1) == aligned[1]
+
     def test_example1_endpoint_attains_one(self):
         got = decomposition_linear_cc(make_example1(2.0), trials=64, seed=1)
         assert got == pytest.approx(1.0, abs=1e-6)
@@ -541,7 +565,7 @@ def _stack_with_rank_one_marginal(dim_a):
     """Random rank-2 states with a product state, whose rho_B is rank-1, as member 2."""
     product = np.zeros((2 * dim_a, 2 * dim_a), dtype=complex)
     product[0, 0] = 1.0
-    members = make_random_rank2([trial_seed(31, t) for t in range(5)], dim_a=dim_a)
+    members = random_trials(31, range(5), dim_a)[0]
     return stack_of(members[:2], DensityMatrix((dim_a, 2), product), members[2:])
 
 
@@ -557,8 +581,8 @@ class TestDecompositionStack:
     def test_stack_equals_its_batches_of_one(self, caplog, monkeypatch, dim_a, aligned):
         if not aligned:
             monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
-        stack = make_random_rank2([trial_seed(dim_a, t) for t in range(12)], dim_a=dim_a)
-        seeds = [trial_seed(dim_a, t, 7) for t in range(12)]
+        stack = random_trials(dim_a, range(12), dim_a)[0]
+        seeds = [dim_a ^ ((t + 1) << 64) for t in range(12)]
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
         values = decomposition_linear_cc(stack, trials=16, seed=seeds)
         stacked = [record.getMessage() for record in caplog.records]
@@ -580,7 +604,7 @@ class TestDecompositionStack:
         # With the samples deciding, each later member must still get its own seed.
         monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
         stack = _stack_with_rank_one_marginal(dim_a)
-        seeds = [trial_seed(dim_a, t, 3) for t in range(len(stack))]
+        seeds = [dim_a ^ ((t + 1) << 64) for t in range(len(stack))]
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
         values = decomposition_linear_cc(stack, trials=8, seed=seeds)
         assert np.isnan(values).tolist() == [False, False, True, False, False, False]
@@ -597,7 +621,7 @@ class TestDecompositionStack:
 
     @pytest.mark.parametrize("seed", [0, [1, 2], [1, 2, 3, 4], [[1, 2, 3]]])
     def test_a_stack_takes_one_seed_per_member(self, seed):
-        stack = make_random_rank2([1, 2, 3])
+        stack = random_trials(1, range(3))[0]
         with pytest.raises(DimensionMismatch, match="one seed per member of a stack of 3"):
             decomposition_linear_cc(stack, trials=4, seed=seed)
 
@@ -611,8 +635,8 @@ class TestDecompositionStack:
         # Each member's first 16 samples are those of its 16-trial run, so with
         # the samples deciding, its 32-trial value is at least its 16-trial one.
         monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
-        stack = make_random_rank2(range(8), dim_a=3)
-        seeds = [trial_seed(5, t) for t in range(8)]
+        stack = random_trials(0, range(8), dim_a=3)[0]
+        seeds = [5 ^ ((t + 1) << 64) for t in range(8)]
         _, _, r_b, images = _marginal_images(stack)
         small = _sampled_decompositions(r_b, 16, seeds)
         large = _sampled_decompositions(r_b, 32, seeds)
@@ -690,13 +714,13 @@ class TestBatchedPaths:
 
 class TestDecompositionSampling:
     @staticmethod
-    def _marginals(seeds):
-        return _marginal_images(make_random_rank2(seeds))[2]
+    def _marginals(seed, n):
+        return _marginal_images(random_trials(seed, range(n))[0])[2]
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_constraints_hold(self, size):
         seeds = list(range(20))
-        r_b = self._marginals(seeds)
+        r_b = self._marginals(0, 20)
         probs, vectors = _sampled_decompositions(r_b, 16, seeds)[size - 2]
         assert probs.shape == (20, 16, size) and vectors.shape == (20, 16, size, 3)
         assert np.all(probs >= -1e-12)
@@ -706,7 +730,7 @@ class TestDecompositionSampling:
         np.testing.assert_allclose(np.linalg.norm(vectors, axis=-1), 1.0, atol=1e-10)
 
     def test_smaller_sample_is_a_prefix_of_a_larger_one(self):
-        r_b = self._marginals([5, 6, 7])
+        r_b = self._marginals(5, 3)
         small = _sampled_decompositions(r_b, 16, [11, 12, 13])
         large = _sampled_decompositions(r_b, 32, [11, 12, 13])
         for (p16, v16), (p32, v32) in zip(small, large):
@@ -716,7 +740,7 @@ class TestDecompositionSampling:
     def test_members_draw_their_own_streams(self):
         # Member i of a stack draws what a stack of one with its seed draws,
         # whatever the other members and their seeds are.
-        r_b = self._marginals([5, 6, 7])
+        r_b = self._marginals(5, 3)
         together = _sampled_decompositions(r_b, 8, [11, 12, 13])
         for i, seed in enumerate([11, 12, 13]):
             alone = _sampled_decompositions(r_b[i : i + 1], 8, [seed])
@@ -729,7 +753,7 @@ class TestDecompositionSampling:
         # of L^T L of the channel read in rho_B's eigenframe, and attains the
         # closed form.
         for dim_a in (2, 3, 4):
-            stack = make_random_rank2(range(10), dim_a=dim_a)
+            stack = random_trials(0, range(10), dim_a)[0]
             _, _, r_b, images = _marginal_images(stack)
             probs, vectors = _aligned_chord(images, r_b)
             assert probs.shape == (10, 1, 2) and vectors.shape == (10, 1, 2, 3)

@@ -33,9 +33,6 @@ from qdiscord.states import (
     make_random_rank2,
     make_rho2,
     random_trials,
-    state_from_json_dict,
-    state_to_json_dict,
-    trial_seed,
 )
 
 BELL_PHI_PLUS = np.zeros((4, 4), dtype=complex)
@@ -237,11 +234,6 @@ class TestRandomRank2:
         with pytest.raises(OutOfDomain, match="not a range"):
             random_trials(0, trials)
 
-    def test_trial_seed_substreams_differ(self):
-        assert trial_seed(1, 0) != trial_seed(1, 1)
-        assert trial_seed(1, 0) != trial_seed(2, 0)
-        assert trial_seed(5, 3) == trial_seed(5, 3)
-
 
 class TestRandomUnitary:
     """The trials' unitaries, and the counter-based stream they come from."""
@@ -276,9 +268,8 @@ class TestRandomUnitary:
             np.testing.assert_array_equal(np.asarray(got), np.asarray(want)[3:])
 
     def test_empty_stack_is_rejected_as_for_states(self):
-        for build in (make_random_rank2, lambda seeds: random_trials(4, range(3, 3))):
-            with pytest.raises(DimensionMismatch, match="must not be empty"):
-                build([])
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            random_trials(4, range(3, 3))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_unitary_and_deterministic(self, dim):
@@ -314,7 +305,7 @@ class TestBatchedPurify:
     """The purification each member's tau(rho_AC) is read across, taken over a
     stack and over each member alone; the last member is pure."""
 
-    STATES = stack_of(make_random_rank2(range(6)), make_horodecki(0.3), make_example1(2.0),
+    STATES = stack_of(random_trials(0, range(6))[0], make_horodecki(0.3), make_example1(2.0),
                       make_rho2(1.0, 0.4, 0.0))
 
     def test_batch_rho_ac_spectra_match_single_purifications(self):
@@ -325,7 +316,7 @@ class TestBatchedPurify:
             np.testing.assert_allclose(tau, single[0], atol=1e-12)
 
     def test_wide_states_and_unequal_dims(self):
-        wide = make_random_rank2(range(3), dim_a=3)
+        wide = random_trials(0, range(3), dim_a=3)[0]
         assert wide.dims == (3, 2) and wide.matrix.shape == (3, 6, 6)
         report = correlation_report(wide)
         for i, rho in enumerate(wide):
@@ -371,9 +362,18 @@ class TestDensityMatrixValidation:
 
     def test_rejects_shape_mismatch(self):
         # A stack has one dims, so a stack of 3x2 states is no stack of 2x2 ones.
-        for m in (np.eye(2, dtype=complex) / 2, make_random_rank2(range(3), dim_a=3).matrix):
+        for m in (np.eye(2, dtype=complex) / 2, random_trials(0, range(3), dim_a=3)[0].matrix):
             with pytest.raises(DimensionMismatch):
                 DensityMatrix((2, 2), m)
+
+    def test_dims_are_read_as_integers(self):
+        # Integer types of any kind are accepted as plain ints; a float or a
+        # pair of the wrong length is an error, not a silent truncation.
+        rho = DensityMatrix((np.int64(2), 2), np.eye(4) / 4)
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+        for dims in ((2.9, 2), (2, 2.0), (4,), (2, 2, 1)):
+            with pytest.raises(DimensionMismatch, match="dims must be two integers"):
+                DensityMatrix(dims, np.eye(4) / 4)
 
     def test_matrix_is_immutable(self):
         rho = make_horodecki(0.5)
@@ -592,19 +592,20 @@ class TestDensityMatrixStack:
         with pytest.raises(DimensionMismatch, match="must not be empty"):
             DensityMatrix((2, 2), np.zeros((0, 4, 4), dtype=complex))
         with pytest.raises(DimensionMismatch, match="must not be empty"):
-            make_random_rank2([])
+            random_trials(0, range(0))
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_seed_sequence_members_equal_single_draws(self, dim_a):
-        # Against the frozen per-seed loop, not against another call of the
-        # stacked code: a stack of seeds, and each seed alone.
-        seeds = [trial_seed(3, t) for t in range(300)]
+        # Against the frozen per-block loop, not against another call of the
+        # stacked code: a stack of trials of one seed, and each seed alone,
+        # keyed with its high counter words set as the decomposition keys are.
+        rows = np.random.Generator(np.random.Philox(key=3)).random((300, TRIAL_WIDTHS[dim_a]))
         reference = DensityMatrix((dim_a, 2), np.stack(
-            [scalar_rank2_reference(seed, dim_a) for seed in seeds])).matrix
-        stack = make_random_rank2(seeds, dim_a)
+            [scalar_rank2_reference(None, dim_a, row) for row in rows])).matrix
+        stack = random_trials(3, range(300), dim_a)[0]
         assert stack.matrix.shape == (300, 2 * dim_a, 2 * dim_a) and len(stack) == 300
         np.testing.assert_array_equal(stack.matrix, reference)
-        for i, seed in enumerate(seeds):
+        for seed in (3 ^ ((t + 1) << 64) for t in range(300)):
             single = DensityMatrix((dim_a, 2), scalar_rank2_reference(seed, dim_a)).matrix
             np.testing.assert_array_equal(make_random_rank2(seed, dim_a).matrix, single)
 
@@ -626,7 +627,7 @@ class TestDensityMatrixStack:
             make_example1(np.array([0.2, math.nan]))
 
     def test_members_are_read_only_views_not_validated_again(self):
-        stack = make_random_rank2(range(5))
+        stack = random_trials(0, range(5))[0]
         block = stack[1:4]
         assert isinstance(block, DensityMatrix) and block.dims == stack.dims
         assert np.shares_memory(block.matrix, stack.matrix)
@@ -649,7 +650,7 @@ class TestDensityMatrixStack:
             rho[1]
 
     def test_numpy_reads_a_state_or_a_stack_as_its_matrix(self):
-        for rho in (make_horodecki(0.3), make_random_rank2(range(3), dim_a=3)):
+        for rho in (make_horodecki(0.3), random_trials(0, range(3), dim_a=3)[0]):
             array = np.asarray(rho)
             assert array.shape == rho.matrix.shape and array.dtype == complex
             np.testing.assert_array_equal(array, rho.matrix)
@@ -660,12 +661,12 @@ class TestDensityMatrixStack:
             np.testing.assert_array_equal(narrow, rho.matrix.astype(np.complex64))
 
     def test_one_state_consumers_reject_a_stack(self):
-        stack = make_random_rank2([1, 2])
+        stack = random_trials(1, range(2))[0]
         with pytest.raises(DimensionMismatch, match="JSON wire format takes one state, got a stack of 2"):
             dump_state(stack)
-        doc = {"dims": [2, 2], "matrix": [state_to_json_dict(rho)["matrix"] for rho in stack]}
+        doc = {"dims": [2, 2], "matrix": [json.loads(dump_state(rho))["matrix"] for rho in stack]}
         with pytest.raises(StateFormatError, match=r"entries must be \[re, im\] pairs"):
-            state_from_json_dict(doc)
+            load_state(json.dumps(doc))
 
 
 class TestJsonFormat:
@@ -676,38 +677,38 @@ class TestJsonFormat:
         assert again.dims == rho.dims
 
     def test_schema_shape(self):
-        doc = state_to_json_dict(make_horodecki(0.5))
+        doc = json.loads(dump_state(make_horodecki(0.5)))
         assert doc["dims"] == [2, 2]
         assert doc["matrix"][1][2] == [0.25, 0.0]
 
     def test_rejects_non_square(self):
         doc = {"dims": [2, 2], "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]}
         with pytest.raises(StateFormatError, match="square"):
-            state_from_json_dict(doc)
+            load_state(json.dumps(doc))
 
     def test_rejects_non_hermitian(self):
-        doc = state_to_json_dict(make_horodecki(0.5))
+        doc = json.loads(dump_state(make_horodecki(0.5)))
         doc["matrix"][0][1] = [0.5, 0.0]
         with pytest.raises(StateFormatError, match="Hermitian"):
-            state_from_json_dict(doc)
+            load_state(json.dumps(doc))
 
     def test_rejects_bad_trace(self):
-        doc = state_to_json_dict(make_horodecki(0.5))
+        doc = json.loads(dump_state(make_horodecki(0.5)))
         doc["matrix"][0][0] = [0.9, 0.0]
         with pytest.raises(StateFormatError, match="trace"):
-            state_from_json_dict(doc)
+            load_state(json.dumps(doc))
 
     def test_rejects_dims_mismatch(self):
-        doc = state_to_json_dict(make_horodecki(0.5))
+        doc = json.loads(dump_state(make_horodecki(0.5)))
         doc["dims"] = [2, 3]
         with pytest.raises(StateFormatError, match="dims"):
-            state_from_json_dict(doc)
+            load_state(json.dumps(doc))
 
     def test_rejects_garbage(self):
         with pytest.raises(StateFormatError):
             load_state("not json at all")
         with pytest.raises(StateFormatError):
-            state_from_json_dict({"dims": [2, 2]})
+            load_state(json.dumps({"dims": [2, 2]}))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entry_is_a_format_error(self, literal):
@@ -719,22 +720,22 @@ class TestJsonFormat:
 
     def test_small_asymmetry_within_parser_tolerance_is_symmetrized(self):
         # full-rank state, so a 5e-9 one-sided perturbation stays positive
-        doc = state_to_json_dict(make_bell_diagonal(0.2, -0.3, 0.1))
+        doc = json.loads(dump_state(make_bell_diagonal(0.2, -0.3, 0.1)))
         doc["matrix"][0][1] = [doc["matrix"][0][1][0] + 5e-9, doc["matrix"][0][1][1]]
-        rho = state_from_json_dict(doc)
+        rho = load_state(json.dumps(doc))
         assert abs(rho.matrix[0, 1] - rho.matrix[1, 0].conjugate()) == 0.0
 
     # The parser's 1e-8 cut, on both sides, for the Hermiticity deviation and the trace.
     @pytest.mark.parametrize("excess", [0.9e-8, 1.1e-8])
     def test_hermiticity_seam(self, excess):
         rho = make_bell_diagonal(0.2, -0.3, 0.1)
-        doc = state_to_json_dict(rho)
+        doc = json.loads(dump_state(rho))
         doc["matrix"][0][1][0] += excess
         if excess > 1e-8:
             with pytest.raises(StateFormatError, match="deviation 1.100e-08 exceeds 1e-08$"):
-                state_from_json_dict(doc)
+                load_state(json.dumps(doc))
             return
-        got = state_from_json_dict(doc).matrix
+        got = load_state(json.dumps(doc)).matrix
         np.testing.assert_array_equal(got, got.conj().T)
         assert got[0, 1] == pytest.approx(excess / 2.0, rel=1e-6)
         np.testing.assert_allclose(got, rho.matrix, rtol=0, atol=1e-8)
@@ -742,14 +743,14 @@ class TestJsonFormat:
     @pytest.mark.parametrize("excess", [0.9e-8, 1.1e-8])
     def test_trace_seam(self, excess):
         rho = make_bell_diagonal(0.2, -0.3, 0.1)
-        doc = state_to_json_dict(rho)
+        doc = json.loads(dump_state(rho))
         doc["matrix"] = [[[(1.0 + excess) * part for part in cell] for cell in row]
                          for row in doc["matrix"]]
         if excess > 1e-8:
             with pytest.raises(StateFormatError, match="trace is not 1"):
-                state_from_json_dict(doc)
+                load_state(json.dumps(doc))
             return
-        got = state_from_json_dict(doc).matrix
+        got = load_state(json.dumps(doc)).matrix
         assert np.trace(got).real == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(got, rho.matrix, rtol=0, atol=1e-15)
 
