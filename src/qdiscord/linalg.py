@@ -6,6 +6,8 @@ across threads.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
@@ -35,14 +37,17 @@ def checked_hermitian(m) -> np.ndarray:
 def partial_trace(m, dims, keep: str) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 
-    ``dims`` is (dA, dB); ``keep`` selects the surviving subsystem, "A" or "B".
+    ``dims`` is two integers (dA, dB); ``keep`` selects the surviving subsystem, "A" or "B".
     An (N, n, n) stack of operators gives an (N, d, d) stack.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix or a stack, got shape {a.shape}")
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if a.shape[-1] != d_a * d_b:
+    try:
+        d_a, d_b = map(operator.index, dims)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"dims must be two integers, got {dims!r}") from None
+    if min(d_a, d_b) < 1 or a.shape[-1] != d_a * d_b:
         raise DimensionMismatch(
             f"matrix of size {a.shape[-1]} cannot split into dims ({d_a}, {d_b})"
         )

@@ -187,6 +187,11 @@ _COARSE_POINTS = np.stack(np.meshgrid((np.arange(_N_THETA // 2) + 0.5) * math.pi
                                       (np.arange(_N_PHI) + 0.5) * 2.0 * math.pi / _N_PHI,
                                       indexing="ij"), axis=-1).reshape(-1, 2)
 _COARSE_DIRECTIONS = _directions(_COARSE_POINTS)[None]
+# Directions evaluated by every search, 1572: the half grid, each round's
+# windows, the ridge scan, one stencil at the ridge and before each Newton
+# step, and the last step's end point.
+_SEARCH_DIRECTIONS = (len(_COARSE_POINTS) + _ROUNDS * _REFINE_STARTS * len(_WINDOW) + len(_RIDGE)
+                      + (_NEWTON_STEPS + 1) * len(_STENCIL) + 1)
 
 
 def _chart(angles: np.ndarray) -> np.ndarray:
@@ -245,9 +250,9 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     one frame size: each state's coarse scan of the half grid, in one call
     per state, then _ROUNDS lockstep rounds over the _REFINE_STARTS best
     cells of every state, a ridge scan and _NEWTON_STEPS Newton steps from
-    each state's best direction. Every state runs the same schedule. Returns
-    each state's best value and, when DEBUG is on, the arguments of each
-    state's DEBUG line."""
+    each state's best direction. Every state runs the same schedule, which
+    evaluates _SEARCH_DIRECTIONS directions. Returns each state's best value
+    and the (G, 3) unit directions that gave them."""
     n = len(coefficients)
     centre_values, centres = np.empty((n, _REFINE_STARTS)), np.empty((n, _REFINE_STARTS, 2))
     for i in range(n):
@@ -303,13 +308,7 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
         moved = centre + np.einsum("ni,nij->nj", _newton_step(values), tangent)
         angles = _angles(moved / np.linalg.norm(moved, axis=1, keepdims=True))
     evaluate(_directions(angles)[:, None])
-    if not _log.isEnabledFor(logging.DEBUG):
-        return best, []
-    theta, phi = _angles(best_directions).T
-    directions = (len(_COARSE_POINTS) + _ROUNDS * _REFINE_STARTS * len(_WINDOW)
-                  + (_NEWTON_STEPS + 1) * len(_STENCIL) + len(_RIDGE) + 1)
-    return best, list(zip(itertools.repeat(_ROUNDS), itertools.repeat(directions),
-                          itertools.repeat(frame), best, theta, phi))
+    return best, best_directions
 
 
 def projective_classical_correlation(rho: DensityMatrix):
@@ -349,16 +348,16 @@ def projective_classical_correlation(rho: DensityMatrix):
         raise DimensionMismatch(f"measurement side B must be a qubit, got dims {rho.dims}")
     stack = rho[:]
     s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, rho.dims, "A")))
-    best, lines = np.empty(len(stack)), [None] * len(stack)
+    n = len(stack)
+    best, directions, frames = np.empty(n), np.empty((n, 3)), np.empty(n, int)
     for members, t in _measurement_response(stack):
-        best[members], group_lines = _search(_coefficients(t), t.shape[-1], s_a[members])
-        for i, line in zip(members, group_lines):
-            lines[i] = line
+        frames[members] = t.shape[-1]
+        best[members], directions[members] = _search(_coefficients(t), t.shape[-1], s_a[members])
     if _log.isEnabledFor(logging.DEBUG):
-        for line in lines:
+        for frame, value, (theta, phi) in zip(frames, best, _angles(directions)):
             _log.debug(
                 "projective: rounds=%d directions=%d frame=%d best=%.17g theta=%.17g phi=%.17g",
-                *line,
+                _ROUNDS, _SEARCH_DIRECTIONS, frame, value, theta, phi,
             )
     return float(best[0]) if rho.matrix.ndim == 2 else best
 
@@ -379,61 +378,38 @@ def _chords(r_b: np.ndarray, directions: np.ndarray):
     return probabilities, r_b[..., None, :] + t[..., None] * e[..., None, :]
 
 
-# Doubles per trial in each of a member's five streams: the normals of the
-# size-2 chord (3 of 4 used), the size-3 pure state and chord, and the two
-# size-4 chords, then the size-3 and size-4 weights.
-_STREAM_WIDTHS = (4, 6, 6, 1, 1)
-
-
 def _sampled_decompositions(r_b: np.ndarray, trials: int, seeds):
     """Random pure-state decompositions of each marginal, ``trials`` per size.
 
     ``r_b`` is (N, 3), one marginal per seed of ``seeds``. Returns one
-    (probabilities, bloch_vectors) pair per size 2, 3 and 4, of shapes
-    (N, trials, size) and (N, trials, size, 3). Member i draws all it needs
-    from one Philox stream keyed by ``seeds[i]``, in five streams of
-    ``_STREAM_WIDTHS`` doubles per trial: per size, its chord directions
-    (normals made by ``box_muller``) and, for sizes 3 and 4, its weights.
-    Stream j starts where counter word 1 is j and reads one row per trial,
-    so a member's first n rows depend neither on ``trials`` nor on the other
-    members. Size 2 is a chord through r_b; size 3 puts weight p1 in
+    (probabilities, bloch_vectors) pair per size 2 and 3, of shapes
+    (N, trials, size) and (N, trials, size, 3). Member i makes one draw of
+    ``trials`` rows of 11 uniforms from a Philox stream keyed by
+    ``seeds[i]``, and trial t reads row t: columns 0-3 give the size-2
+    chord's normals (3 of 4 used), 4-9 the size-3 pure state's and chord's
+    (all made by ``box_muller``), and 10 the size-3 weight. So a member's
+    first n samples depend neither on ``trials`` nor on the other members.
+    Size 2 is a chord through r_b; size 3 puts weight p1 in
     [0, (1 - |r_b|)/2) on a random pure state and splits the rest along a
-    chord; size 4 mixes two chords with a weight in [0.2, 0.8).
+    chord. No size 4: the objective is linear in the weights, so a mixture
+    of two chords never beats the better one.
     """
     n = len(seeds)
-    streams = [np.empty((n, trials, width)) for width in _STREAM_WIDTHS]
+    rows = np.empty((n, trials, 11))
     for i, seed in enumerate(seeds):
-        bits = philox(seed)
-        draw = np.random.Generator(bits).random
-        for stream in streams:
-            draw(out=stream[i])
-            # Word 0 of the counter now counts the steps taken; wrapping it
-            # to 0 carries into word 1, the start of the next stream's block.
-            bits.advance(2**64 - -(-stream[i].size // 4))
-    n2 = box_muller(streams[0])[..., :3]
-    n3, n4 = (box_muller(stream).reshape(n, trials, 2, 3) for stream in streams[1:3])
+        rows[i] = np.random.Generator(philox(seed)).random((trials, 11))
+    n3 = box_muller(rows[..., 4:10]).reshape(n, trials, 2, 3)
 
     centre = r_b[:, None, :]
-    # Sizes 2 and 4 draw chords through r_b: one _chords call serves both.
-    probs, vectors = _chords(centre, np.concatenate(
-        [n2, n4.reshape(n, 2 * trials, 3)], axis=1))
-    pair = probs[:, :trials], vectors[:, :trials]
-
+    pair = _chords(centre, box_muller(rows[..., :4])[..., :3])
     u = n3[:, :, 0] / np.linalg.norm(n3[:, :, 0], axis=-1, keepdims=True)
-    p1 = streams[3] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
+    p1 = rows[..., 10:] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
     rest_p, rest_v = _chords((centre - p1 * u) / (1.0 - p1), n3[:, :, 1])
     triple = (
         np.concatenate([p1, (1.0 - p1) * rest_p], axis=-1),
         np.concatenate([u[:, :, None, :], rest_v], axis=2),
     )
-
-    weight = 0.2 + 0.6 * streams[4][..., 0]
-    quad = (
-        probs[:, trials:].reshape(n, trials, 4)
-        * np.repeat(np.stack([weight, 1.0 - weight], axis=-1), 2, axis=-1),
-        vectors[:, trials:].reshape(n, trials, 4, 3),
-    )
-    return [pair, triple, quad]
+    return [pair, triple]
 
 
 def _marginal_images(rho: DensityMatrix):
@@ -500,10 +476,10 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     state is a batch of one, so a member's value is that of its batch of
     one. Includes the deterministic aligned chord (``_aligned_chord``), so
     the value matches the closed form to within rounding; ``trials`` random
-    2-, 3- and 4-element decompositions are drawn from one Philox stream
-    per member, keyed by its seed, in one counter block per size and kind
-    (see ``_sampled_decompositions``), so larger trial counts extend
-    smaller ones. A rank-1 rho_B (smaller eigenvalue at most
+    2- and 3-element decompositions are drawn per member, trial t from row t
+    of one draw from a Philox stream keyed by its seed (see
+    ``_sampled_decompositions``), so larger trial counts extend smaller
+    ones. A rank-1 rho_B (smaller eigenvalue at most
     MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives
     NaN for a member of a stack. A ``trials`` that is not a non-negative
     integer raises OutOfDomain.
@@ -530,6 +506,6 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
         for a, s in zip(aligned, sampled):
             _log.debug(
                 "decomposition: candidates=%d aligned_won=%s best=%.17g",
-                1 + 3 * trials, a >= s, max(a, s),
+                1 + 2 * trials, a >= s, max(a, s),
             )
     return float(best[0]) if rho.matrix.ndim == 2 else best

@@ -46,6 +46,16 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), (3, 2), "A")
 
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), ("2", 2), (2, 2, 1), None, (-2, -2)])
+    def test_dims_that_are_not_two_positive_integers_raise(self, dims):
+        # 2.9 once read as int(2.9) == 2 and traced I/4 to I/2.
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(4) / 4, dims, "A")
+
+    def test_numpy_integer_dims_are_accepted(self):
+        reduced = partial_trace(np.eye(4) / 4, (np.int64(2), np.int32(2)), "A")
+        np.testing.assert_array_equal(reduced, np.eye(2) / 2)
+
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -35,10 +35,12 @@ from qdiscord.oracles import (
 from qdiscord.states import (
     MARGINAL_RANK_TOL,
     DensityMatrix,
+    box_muller,
     make_bell_diagonal,
     make_example1,
     make_horodecki,
     make_random_rank2,
+    philox,
     random_trials,
 )
 
@@ -300,7 +302,7 @@ class TestOracleLogging:
         value = decomposition_linear_cc(make_random_rank2(4), trials=8, seed=2)
         (record,) = caplog.records
         assert record.getMessage() == (
-            f"decomposition: candidates=25 aligned_won=True best={value:.17g}"
+            f"decomposition: candidates=17 aligned_won=True best={value:.17g}"
         )
 
     def test_silent_by_default(self, caplog):
@@ -717,7 +719,7 @@ class TestDecompositionSampling:
     def _marginals(seed, n):
         return _marginal_images(random_trials(seed, range(n))[0])[2]
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("size", [2, 3])
     def test_constraints_hold(self, size):
         seeds = list(range(20))
         r_b = self._marginals(0, 20)
@@ -747,6 +749,45 @@ class TestDecompositionSampling:
             for (p_all, v_all), (p_one, v_one) in zip(together, alone):
                 np.testing.assert_array_equal(p_all[i], p_one[0])
                 np.testing.assert_array_equal(v_all[i], v_one[0])
+
+    def test_each_trial_reads_one_row_of_one_draw(self):
+        # Trial t of a member reads row t of one random((trials, 11)) draw of
+        # philox(seed): the size-2 chord's normals from columns 0-3, the size-3
+        # pure state's and chord's from 4-9, the size-3 weight from 10.
+        r_b = self._marginals(5, 3)
+        pair, triple = _sampled_decompositions(r_b, 8, [11, 12, 13])
+        for i, seed in enumerate([11, 12, 13]):
+            rows = np.random.Generator(philox(seed)).random((8, 11))
+            chord_p, chord_v = _chords(r_b[i], box_muller(rows[:, :4])[:, :3])
+            np.testing.assert_allclose(pair[0][i], chord_p, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(pair[1][i], chord_v, rtol=0, atol=1e-14)
+            normals = box_muller(rows[:, 4:10])
+            u = normals[:, :3] / np.linalg.norm(normals[:, :3], axis=1, keepdims=True)
+            p1 = rows[:, 10] * (1.0 - np.linalg.norm(r_b[i])) / 2.0
+            rest_p, rest_v = _chords((r_b[i] - p1[:, None] * u) / (1.0 - p1[:, None]),
+                                     normals[:, 3:])
+            np.testing.assert_allclose(triple[0][i, :, 0], p1, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(triple[0][i, :, 1:], (1.0 - p1[:, None]) * rest_p,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(triple[1][i, :, 0], u, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(triple[1][i, :, 1:], rest_v, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 4])
+    def test_chord_mixture_is_the_mean_of_its_chords(self, dim_a):
+        # The objective is linear in a decomposition's weights, so two chords
+        # mixed with weight w score w a + (1 - w) b: a 4-element sample made
+        # that way never beats its better chord, and the sampler draws none.
+        _, _, r_b, images = _marginal_images(random_trials(dim_a, range(50), dim_a)[0])
+        rng = np.random.default_rng(dim_a)
+        first, second = (_chords(r_b[:, None], rng.standard_normal((50, 1, 3))) for _ in "ab")
+        w = rng.uniform(0.0, 1.0, (50, 1, 1))
+        mixture = (np.concatenate([w * first[0], (1.0 - w) * second[0]], axis=-1),
+                   np.concatenate([first[1], second[1]], axis=2))
+        a, b, mixed = (_linear_entropy_drops(images, r_b, *dec)[:, 0]
+                       for dec in (first, second, mixture))
+        w = w[:, 0, 0]
+        np.testing.assert_allclose(mixed, w * a + (1.0 - w) * b, rtol=0, atol=1e-15)
+        assert np.any(np.abs(a - b) > 1e-3)
 
     def test_aligned_candidate_constraints(self):
         # The oracle's chord decomposes rho_B, runs along the top eigenvector

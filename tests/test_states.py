@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import haar_unitary, stack_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdiscord
 from qdiscord import discord as discord_module
 from qdiscord.discord import correlation_report
 from qdiscord.errors import (
@@ -299,6 +302,71 @@ class TestBoxMuller:
     def test_matches_the_scalar_reference(self):
         u = np.random.Generator(np.random.Philox(key=5)).random((50, 36))
         np.testing.assert_array_equal(box_muller(u), [scalar_normals(row) for row in u])
+
+
+def _draw_violations(source: str, in_states: bool) -> list:
+    """Every place in ``source`` that seeds or draws outside a counter-based
+    Philox stream: a name default_rng, SeedSequence or RandomState, an import
+    from numpy.random, an np.random attribute other than Generator and
+    Philox, and an np.random.Philox outside ``states.philox``."""
+    tree = ast.parse(source)
+    builder = set()
+    if in_states:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "philox":
+                builder = {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", "") or getattr(node, "attr", "") or getattr(node, "name", "")
+        if name in ("default_rng", "SeedSequence", "RandomState"):
+            found.append((node.lineno, name))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if any(f"{prefix}{alias.name}.".startswith("numpy.random.") for alias in node.names):
+                found.append((node.lineno, "import of numpy.random"))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "random" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            if node.attr not in ("Generator", "Philox") or (
+                    node.attr == "Philox" and id(node) not in builder):
+                found.append((node.lineno, f"np.random.{node.attr}"))
+    return found
+
+
+class TestCounterBasedDraws:
+    """Every draw in src/ is counter-based and replays from its key: the only
+    bit generator is the Philox that ``states.philox`` builds."""
+
+    def test_src_draws_only_through_philox(self):
+        src = Path(qdiscord.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            assert _draw_violations(path.read_text(), path.name == "states.py") == [], path.name
+        # The guard reads the draw sites it is meant to watch.
+        assert "np.random.Philox" in (src / "states.py").read_text()
+        assert "np.random.Generator" in (src / "oracles.py").read_text()
+
+    @pytest.mark.parametrize("source", [
+        "rng = np.random.default_rng(0)",
+        "from numpy.random import Generator",
+        "from numpy import random",
+        "import numpy.random",
+        "x = np.random.normal(size=3)",
+        "np.random.seed(1)",
+        "u = numpy.random.random(4)",
+        "s = np.random.SeedSequence(1)",
+        "r = np.random.RandomState(0)",
+        "g = np.random.Generator(np.random.PCG64(1))",
+        "bits = np.random.Philox(key=1)",
+        "def philox(key):\n    return np.random.Philox(key=key)",
+    ])
+    def test_the_guard_catches_each_pattern(self, source):
+        assert _draw_violations(source, in_states=False)
+
+    def test_the_guard_allows_philox_in_its_builder_only(self):
+        source = ("def philox(key) -> np.random.Philox:\n    return np.random.Philox(key=key)\n"
+                  "def draw(key):\n    return np.random.Generator(philox(key)).random(3)\n")
+        assert _draw_violations(source, in_states=True) == []
+        assert len(_draw_violations(source + "b = np.random.Philox(key=2)\n", in_states=True)) == 1
 
 
 class TestBatchedPurify:
