@@ -175,6 +175,9 @@ def cmd_sweep(args) -> int:
             raise QDiscordError(f"{flag} must be a finite number, got {value}")
     if not args.start < args.stop:
         raise QDiscordError(f"--from {args.start} must be below --to {args.stop}")
+    if not math.isfinite((args.stop - args.start) * (args.steps - 1)):
+        raise QDiscordError(f"--from {args.start} to --to {args.stop} in {args.steps} steps "
+                            "overflows a float")
     family = _FAMILIES[args.family]
     if family.sweep is None:
         raise QDiscordError(f"family {args.family!r} has no sweep schema")

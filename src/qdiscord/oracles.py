@@ -8,7 +8,7 @@ maximizes the entropy drop of A over two-outcome projective measurements on
 the qubit B, a lower bound on the POVM-defined classical correlation, on a
 fixed schedule: a coarse grid over the half sphere, since the measurement
 along -n is the one along n with its outcomes swapped, a few window rounds
-from its three best cells, a ridge scan and a few Newton steps. The
+from its best cell, a ridge scan and a few Newton steps. The
 decomposition oracle maximizes the linear-entropy drop of A over the rank-1
 POVMs on B of sampled pure-state decompositions of rho_B, a lower bound that
 the aligned two-point decomposition brings up to the closed-form value; each
@@ -36,24 +36,23 @@ from .states import MARGINAL_RANK_TOL, DensityMatrix, box_muller, philox
 _log = logging.getLogger(__name__)
 
 # The 5x5 refinement window in units of its half-width, ordered by ring: the
-# centre first, so that ties keep a start in place, and the border last.
+# centre first, so that ties keep the centre in place, and the border last.
 _WINDOW = np.array(sorted(
     itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2),
     key=lambda step: max(abs(step[0]), abs(step[1])),
 ))
 _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 
-# The projective search schedule, the same for every state: the best
-# _REFINE_STARTS cells of the theta < pi/2 half of a _N_THETA x _N_PHI
-# (theta, phi) coarse grid are refined in lockstep for _ROUNDS rounds; a
-# ridge scan of _RIDGE_POINTS - 1 directions follows the great circle
-# through the best centre along its flattest direction; then _NEWTON_STEPS
-# Newton steps, each on a stencil of spacing _STENCIL_STEP rad and at most
-# _STEP_CLIP rad long, start from the best direction so far. Five rounds
-# leave the best centre mostly inside the first step's clip (the Newton steps
-# then move it by 1.4e-3 rad in the median and 1.2e-2 rad at most, over 300
-# random rank-2 states), and from there the quadratic convergence of Newton's
-# method needs two or three steps.
+# The projective search schedule, the same for every state: the best cell
+# of the theta < pi/2 half of a _N_THETA x _N_PHI (theta, phi) coarse grid is
+# refined for _ROUNDS window rounds; a ridge scan of _RIDGE_POINTS - 1
+# directions follows the great circle through the refined centre along its
+# flattest direction; then _NEWTON_STEPS Newton steps, each on a stencil of
+# spacing _STENCIL_STEP rad and at most _STEP_CLIP rad long, start from the
+# best direction so far. Five rounds leave the centre mostly inside the first
+# step's clip (the Newton steps then move it by 1.4e-3 rad in the median and
+# 1.2e-2 rad at most, over 300 random rank-2 states), and from there the
+# quadratic convergence of Newton's method needs two or three steps.
 #
 # Newton settles where the stencil's gradient reads 0, so the gradient's
 # error, h^2 / 6 times the third derivative, moves the result: at h = 1e-4 it
@@ -65,7 +64,6 @@ _ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
 # 1e-4.
 _N_THETA = 64
 _N_PHI = 32
-_REFINE_STARTS = 3
 _ROUNDS = 5
 _RIDGE_POINTS = 128
 _NEWTON_STEPS = 4
@@ -187,10 +185,10 @@ _COARSE_POINTS = np.stack(np.meshgrid((np.arange(_N_THETA // 2) + 0.5) * math.pi
                                       (np.arange(_N_PHI) + 0.5) * 2.0 * math.pi / _N_PHI,
                                       indexing="ij"), axis=-1).reshape(-1, 2)
 _COARSE_DIRECTIONS = _directions(_COARSE_POINTS)[None]
-# Directions evaluated by every search, 1572: the half grid, each round's
+# Directions evaluated by every search, 1322: the half grid, each round's
 # windows, the ridge scan, one stencil at the ridge and before each Newton
 # step, and the last step's end point.
-_SEARCH_DIRECTIONS = (len(_COARSE_POINTS) + _ROUNDS * _REFINE_STARTS * len(_WINDOW) + len(_RIDGE)
+_SEARCH_DIRECTIONS = (len(_COARSE_POINTS) + _ROUNDS * len(_WINDOW) + len(_RIDGE)
                       + (_NEWTON_STEPS + 1) * len(_STENCIL) + 1)
 
 
@@ -248,38 +246,21 @@ def _angles(directions: np.ndarray) -> np.ndarray:
 def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
     """The projective search for the (G, 4, m) ``_coefficients`` of G states of
     one frame size: each state's coarse scan of the half grid, in one call
-    per state, then _ROUNDS lockstep rounds over the _REFINE_STARTS best
-    cells of every state, a ridge scan and _NEWTON_STEPS Newton steps from
-    each state's best direction. Every state runs the same schedule, which
-    evaluates _SEARCH_DIRECTIONS directions. Returns each state's best value
-    and the (G, 3) unit directions that gave them."""
+    per state, then _ROUNDS window rounds around each state's best cell, a
+    ridge scan and _NEWTON_STEPS Newton steps. Every state runs the same
+    schedule, which evaluates _SEARCH_DIRECTIONS directions. Returns each
+    state's best value and the (G, 3) unit directions that gave them."""
     n = len(coefficients)
-    centre_values, centres = np.empty((n, _REFINE_STARTS)), np.empty((n, _REFINE_STARTS, 2))
+    best, angles = np.empty(n), np.empty((n, 2))
     for i in range(n):
         # One state per call: in a 2x2 frame its 1024 directions fill a 64 KiB
         # array, below glibc's 128 KiB mmap threshold, so the scan's
         # temporaries come from the heap, not from freshly faulted pages.
         values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
-        top = np.argpartition(values, -_REFINE_STARTS)[-_REFINE_STARTS:]
-        starts = top[np.argsort(values[top])[::-1]]
-        centre_values[i], centres[i] = values[starts], _COARSE_POINTS[starts]
-
-    # A window's best value becomes its centre's, so a centre's value never
-    # falls and the best of them is the best point evaluated so far.
-    width = np.tile([math.pi / _N_THETA, 2.0 * math.pi / _N_PHI], (n, _REFINE_STARTS, 1))
-    for _ in range(_ROUNDS):
-        local = centres[:, :, None, :] + _WINDOW * width[:, :, None, :]
-        values = _entropy_drops(coefficients, frame, s_a, _directions(local.reshape(n, -1, 2)))
-        values = values.reshape(n, _REFINE_STARTS, len(_WINDOW))
-        pick = np.argmax(values, axis=2)
-        centre_values = np.take_along_axis(values, pick[..., None], axis=2)[..., 0]
-        centres = centres + _WINDOW[pick] * width
-        width = np.where(_ON_BORDER[pick][..., None], width, width / 2.0)
-
+        top = np.argmax(values)
+        best[i], angles[i] = values[top], _COARSE_POINTS[top]
+    best_directions = _directions(angles)
     rows = np.arange(n)
-    start = np.argmax(centre_values, axis=1)
-    angles = centres[rows, start]
-    best, best_directions = centre_values[rows, start], _directions(angles)
 
     def evaluate(points):
         nonlocal best, best_directions
@@ -290,6 +271,12 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
         best_directions = np.where(better[:, None], points[rows, top], best_directions)
         return values
 
+    width = np.tile([math.pi / _N_THETA, 2.0 * math.pi / _N_PHI], (n, 1))
+    for _ in range(_ROUNDS):
+        pick = np.argmax(evaluate(_directions(angles[:, None] + _WINDOW * width[:, None])), axis=1)
+        angles = angles + _WINDOW[pick] * width
+        width = np.where(_ON_BORDER[pick][:, None], width, width / 2.0)
+
     def stencil(angles):
         chart = _chart(angles)
         centre, tangent = chart[:, 0], chart[:, 1:]
@@ -297,7 +284,7 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
         points /= np.sqrt(np.einsum("nki,nki->nk", points, points))[..., None]
         return centre, tangent, evaluate(points)
 
-    # The ridge scan: the great circle through the best centre along its
+    # The ridge scan: the great circle through the refined centre along its
     # flattest direction, where a nearly flat ridge leads to a distant peak.
     centre, tangent, values = stencil(angles)
     along = np.einsum("ni,nij->nj", _flattest(values), tangent)
@@ -320,14 +307,14 @@ def projective_classical_correlation(rho: DensityMatrix):
     theta < pi/2 half of a 64x32 (theta, phi) grid, 1024 cells: the other
     half's cells are their antipodes, and the measurement along -n is the
     one along n with its outcomes swapped, so the full grid scores every
-    measurement twice and its 5 best cells hold the 3 measurements of the
-    half grid's 3 best. Those _REFINE_STARTS cells, for every state of one
-    frame size, are then refined in lockstep for _ROUNDS rounds: each round
-    evaluates a 5x5 (theta, phi) window around every start in one batch and
-    re-centres each start on its best point. A start whose best point lies
+    measurement twice and its best cell or that cell's antipode is the half
+    grid's best. That one cell per state, for every state of one frame
+    size, is then refined for _ROUNDS rounds: each round evaluates a 5x5
+    (theta, phi) window around every state's centre in one batch and
+    re-centres each on its best point. A centre whose best point lies
     inside its window halves the window; one whose best point lies on the
     border moves on at the same width. A ridge scan then evaluates the great
-    circle through each state's best centre along the direction in which its
+    circle through each state's centre along the direction in which its
     value curves least, which reaches a peak at the far end of a nearly flat
     ridge. Last, each state takes _NEWTON_STEPS Newton steps from its best
     direction so far, in the tangent plane at that direction, with the

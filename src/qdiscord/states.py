@@ -114,6 +114,9 @@ def _keep(rho: DensityMatrix, dims: tuple, matrix: np.ndarray, spectrum: np.ndar
 
 def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
     """State (I + c1 XX + c2 YY + c3 ZZ)/4, valid when all Bell weights are >= 0."""
+    for name, c in (("c1", c1), ("c2", c2), ("c3", c3)):
+        if not math.isfinite(c):
+            raise OutOfDomain(f"{name}={c} is not a finite number")
     weights = (
         (1 + c1 - c2 + c3) / 4.0,
         (1 - c1 + c2 + c3) / 4.0,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiscord import channel, cli
+from qdiscord import channel, cli, discord
 from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
 from qdiscord.discord import correlation_report, discord_rank2, identity_residuals
@@ -160,7 +160,8 @@ class TestCompute:
     def test_non_finite_flag_exit_2(self, capsys, c):
         code, out, err = run(capsys, "compute", "--family", "bell_diagonal", "--c", c)
         assert (code, out) == (2, "")
-        assert err == "error: matrix has a NaN or infinite entry\n"
+        name = f"c{c.split(',').index('nan') + 1}"
+        assert err == f"error: {name}=nan is not a finite number\n"
 
     @pytest.mark.parametrize("c", ["a,b,c", "1,x,3", "1,2", "1,2,3,4"])
     def test_malformed_c_triple_is_named(self, capsys, c):
@@ -385,6 +386,17 @@ class TestSweep:
                              "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be a finite number, got {value}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("start, shown", [("0", "0.0"), ("-1e308", "-1e+308")])
+    def test_range_whose_grid_overflows_is_named(self, capsys, tmp_path, start, shown):
+        # (stop - start) * (steps - 1) is inf: the grid would read inf or nan
+        # at points the user never typed.
+        code, out, err = run(capsys, "sweep", "--family", "example1", "--param", "x",
+                             f"--from={start}", "--to", "1e308", "--steps", "3",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: --from {shown} to --to 1e+308 in 3 steps overflows a float\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_swept_flag_is_not_required(self, capsys, tmp_path):
@@ -756,6 +768,45 @@ class TestValidate:
         assert doc["pass"] is False
         assert doc["checks"]["kw"]["pass"] is False
         assert doc["checks"]["kw"]["tolerance"] == 1e-17
+
+    @pytest.mark.parametrize("quantity, delta, failing", [
+        ("I_cc", 1e-7, {"kw"}),
+        ("I_cc", -1e-7, {"kw"}),
+        ("I_cc", 1e-5, {"kw", "projective_attain"}),
+        ("I_cc", -1e-5, {"kw", "projective_bound"}),
+        ("tau", 1e-7, {"kw", "monogamy"}),
+        ("tau", -1e-7, {"kw", "monogamy"}),
+        ("tau", 1e-5, {"kw", "monogamy"}),
+        ("tau", -1e-5, {"kw", "monogamy"}),
+        ("I2_cc", 1e-7, {"kw", "monogamy"}),
+        ("I2_cc", -1e-7, {"decomposition_bound", "kw", "monogamy"}),
+        ("I2_cc", 1e-5, {"decomposition_attain", "kw", "monogamy", "projective_attain"}),
+        ("I2_cc", -1e-5, {"decomposition_bound", "kw", "monogamy", "projective_bound"}),
+    ])
+    def test_a_shifted_closed_form_fails_its_checks(self, monkeypatch, quantity, delta, failing):
+        # Shift one closed-form quantity by delta. I_cc moves alone, tau moves
+        # only the residuals, and I2_cc moves I_cc through f as well. The
+        # local-unitary twins go through the same shift, so that check holds.
+        rows, tangle, linear_cc = (discord._report_rows, discord._purified_tangle,
+                                   discord.linear_cc_batch)
+
+        def shifted_rows(rho):
+            values = rows(rho)
+            values[7] += delta  # I_cc
+            values[8] -= delta  # Q_discord
+            return values
+
+        def shifted_linear_cc(rho):
+            i2_cc, lam_b = linear_cc(rho)
+            return i2_cc + delta, lam_b
+
+        monkeypatch.setattr(discord, *{
+            "I_cc": ("_report_rows", shifted_rows),
+            "tau": ("_purified_tangle", lambda rho: tangle(rho) + delta),
+            "I2_cc": ("linear_cc_batch", shifted_linear_cc),
+        }[quantity])
+        checks = cli.run_validation(100, 0)["checks"]
+        assert {name for name, check in checks.items() if not check["pass"]} == failing
 
     def test_byte_identical_summaries(self, capsys):
         _, first, _ = run(capsys, "validate", "--trials", "100", "--seed", "42")

@@ -203,20 +203,10 @@ def _full_grid_drops(rho, directions):
     return drop
 
 
-def _distinct(directions):
-    """One representative per measurement among (M, 3) unit directions: n and
-    -n are one measurement when |n.m| = 1 within 1e-12."""
-    kept = []
-    for n in directions:
-        if all(abs(abs(n @ m) - 1.0) > 1e-12 for m in kept):
-            kept.append(n)
-    return kept
-
-
 class TestCoarseStarts:
     # The full 64x32 grid holds each cell's antipode, the same measurement
-    # with its outcomes swapped, so its 5 best cells are 3 measurements: the
-    # 3 best cells of the theta < pi/2 half the oracle scans.
+    # with its outcomes swapped, so its best cell is the best cell of the
+    # theta < pi/2 half the oracle scans, or that cell's antipode.
     @staticmethod
     def _kinds():
         rng = np.random.default_rng(2011)
@@ -225,25 +215,23 @@ class TestCoarseStarts:
         for dim_a, rank in ((3, 3), (2, 4), (3, 6)):
             yield from (_random_rank(rng, dim_a, rank) for _ in range(10))
 
-    def test_three_starts_are_the_full_grids_distinct_best(self):
+    def test_start_is_the_full_grids_best_measurement(self):
         thetas = (np.arange(oracles._N_THETA) + 0.5) * math.pi / oracles._N_THETA
         phis = (np.arange(oracles._N_PHI) + 0.5) * 2.0 * math.pi / oracles._N_PHI
         full = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
         full_directions = oracles._directions(full)
         half = full[full[:, 0] < math.pi / 2.0]
         np.testing.assert_array_equal(oracles._COARSE_POINTS, half)
-        assert len(half) == len(full) // 2 and oracles._REFINE_STARTS == 3
+        assert len(half) == len(full) // 2
         count = 0
         for rho in self._kinds():
-            top = np.argsort(_full_grid_drops(rho, full_directions))[::-1][:5]
-            distinct = _distinct(full_directions[top])
-            assert len(distinct) == 3
-            # The oracle's own scores of the half grid pick the same three.
+            full_best = full_directions[np.argmax(_full_grid_drops(rho, full_directions))]
+            # The oracle's own scores of the half grid pick that measurement.
             ((_, t),) = _measurement_response(rho[:])
             values = oracles._entropy_drops(_coefficients(t), t.shape[-1], np.zeros(1),
                                             oracles._COARSE_DIRECTIONS)[0]
-            starts = oracles._COARSE_POINTS[np.argsort(values)[::-1][:3]]
-            assert len(_distinct([*distinct, *oracles._directions(starts)])) == 3
+            start = oracles._COARSE_DIRECTIONS[0, np.argmax(values)]
+            assert abs(full_best @ start) == pytest.approx(1.0, abs=1e-12)
             count += 1
         assert count == 60
 
@@ -270,23 +258,30 @@ def test_eigenvalue_clamp_seam(seed, dim_a, multiple):
 
 
 class TestOracleLogging:
-    def test_projective_search_logs_its_convergence(self, caplog):
+    def test_projective_search_logs_its_convergence(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
-        for rho in (make_random_rank2(3), make_random_rank2(3, dim_a=3), make_example1(0.5)):
+        scored = []
+        entropy_drops = oracles._entropy_drops
+
+        def counted(coefficients, frame, s_a, directions):
+            scored.append(directions.shape[-2])
+            return entropy_drops(coefficients, frame, s_a, directions)
+
+        monkeypatch.setattr(oracles, "_entropy_drops", counted)
+        rng = np.random.default_rng(5)
+        pure = DensityMatrix((2, 2), random_pure_density(rng, 4))
+        for rho, frame in ((pure, 1), (make_random_rank2(3), 2), (make_random_rank2(3, dim_a=3), 2),
+                           (make_example1(0.5), 2), (_random_rank(rng, 3, 3), 3)):
             caplog.clear()
+            scored.clear()
             value = projective_classical_correlation(rho)
             (record,) = caplog.records
             fields = dict(part.split("=") for part in record.getMessage().split()[1:])
-            # Every state runs the fixed schedule: the half coarse grid, the
-            # window rounds, the ridge scan and one stencil before each Newton
-            # step and at the ridge, and the last step's end point.
+            # Every state runs the fixed schedule, and the log counts every
+            # direction the search scored.
             assert int(fields["rounds"]) == oracles._ROUNDS
-            assert int(fields["directions"]) == (
-                oracles._N_THETA * oracles._N_PHI // 2
-                + oracles._ROUNDS * oracles._REFINE_STARTS * 25
-                + (oracles._RIDGE_POINTS - 1) + (oracles._NEWTON_STEPS + 1) * 9 + 1
-            ) == 1572
-            assert int(fields["frame"]) == 2
+            assert sum(scored) == int(fields["directions"]) == oracles._SEARCH_DIRECTIONS == 1322
+            assert int(fields["frame"]) == frame
             assert float(fields["best"]) == value
             theta, phi = float(fields["theta"]), float(fields["phi"])
             drop = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))

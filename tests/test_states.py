@@ -64,6 +64,24 @@ class TestBellDiagonal:
         with pytest.raises(NotPositive):
             make_bell_diagonal(1, 1, 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_coefficient_is_named(self, monkeypatch, position, value):
+        # Checked before any matrix is built, so the error names the flag.
+        def built(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(qdiscord.states, "DensityMatrix", built)
+        c = [0.1, -0.2, 0.3]
+        c[position] = value
+        with pytest.raises(OutOfDomain, match=f"^c{position + 1}={value} is not a finite number$"):
+            make_bell_diagonal(*c)
+
+    def test_finite_negative_bell_weight_still_not_positive(self):
+        with pytest.raises(NotPositive, match=r"^\(c1, c2, c3\)=\(0.9, 0.9, 0.9\) gives Bell weight "
+                                               r"-4.250e-01$"):
+            make_bell_diagonal(0.9, 0.9, 0.9)
+
     def test_maximally_mixed_marginals(self):
         rho = make_bell_diagonal(0.2, -0.4, 0.1)
         for side in ("A", "B"):
