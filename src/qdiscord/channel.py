@@ -7,13 +7,13 @@ classical correlation of rho_AB is (4/d^2) * lam_max(L^T L) * S2(rho_B).
 
 The channel is read off the state as its images R_mu = Lambda(sigma_mu)
 (sigma_0 = I) in the eigenframe of rho_B, by ``_extract_images``; no
-generator basis is needed. ``_marginal_images`` extracts them once per
-stack object and keeps them, read-only, on the stack, whose matrix is
-read-only too. ``linear_cc_batch`` uses only
-Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, and ``_rebuilt_states`` pushes the
-purification of rho_B back through the same images, which the ``roundtrip``
-check of ``validate`` compares with the state. Each function makes one pass
-over the whole stack it is given, so its temporaries grow with the stack.
+generator basis is needed. ``linear_cc_batch`` extracts them once per call,
+uses only Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, and returns them to its
+caller; nothing is kept on the state. ``_rebuilt_states`` pushes the
+purification of rho_B back through those same images, which the
+``roundtrip`` residual of ``discord.identity_residuals`` compares with the
+state. Each function makes one pass over the whole stack it is given, so
+its temporaries grow with the stack.
 """
 
 from __future__ import annotations
@@ -46,23 +46,10 @@ def _extract_images(matrices: np.ndarray, d_a: int):
     return lam, vecs, pure, images.transpose(0, 3, 1, 2)
 
 
-def _marginal_images(rho: DensityMatrix):
-    """``_extract_images`` of a stack, computed on its first call and kept on
-    the stack, read-only: (lam, vecs, pure, images), about 0.34 MB per 1000
-    two-qubit states for as long as the stack lives."""
-    images = getattr(rho, "_images", None)
-    if images is None:
-        images = _extract_images(rho.matrix, rho.dim_a)
-        for array in images:
-            array.flags.writeable = False
-        object.__setattr__(rho, "_images", images)
-    return images
-
-
 def stack_states(rho: DensityMatrix):
     """(rho as a stack, whether it is one state) for a state or stack of a shape
     the closed forms support: (dA, 2) with dA in {2, 3, 4}. A stack is passed
-    through as itself, so what is kept on it serves every later call."""
+    through as itself."""
     if not isinstance(rho, DensityMatrix):
         raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
     d_a, d_b = rho.dims
@@ -74,24 +61,27 @@ def stack_states(rho: DensityMatrix):
     return (rho[:] if single else rho), single
 
 
-def _rebuilt_states(rho: DensityMatrix) -> np.ndarray:
-    """Each state of a stack rebuilt from the images that I2_cc reads:
+def _rebuilt_states(extracted) -> np.ndarray:
+    """Each state of a stack rebuilt from the images that I2_cc read, the
+    ``_extract_images`` tuple that ``linear_cc_batch`` returns:
     Lambda(|i><j|) = sum_mu <j|sigma_mu|i>/2 R_mu, and
-    rho = sum_ij sqrt(lam_i lam_j) Lambda(|i><j|) x |phi_i><phi_j|.
-    NaN where rho_B is rank-1 and the channel is undefined."""
-    lam, vecs, pure, images = _marginal_images(rho)
+    rho = sum_ij sqrt(lam_i lam_j) Lambda(|i><j|) x |phi_i><phi_j|, an
+    (N, 2dA, 2dA) stack. NaN where rho_B is rank-1 and the channel is
+    undefined."""
+    lam, vecs, pure, images = extracted
     n, d_a = images.shape[0], images.shape[-1]
     units = np.einsum("mji,nmac->nijac", SIGMAS, images) / 2.0
     frame = vecs * np.sqrt(np.where(pure[:, None], 1.0, lam))[:, None, :]
     left = (frame @ units.reshape(n, 2, -1)).reshape(n, 2, 2, d_a, d_a)
     out = left.transpose(0, 3, 1, 4, 2).reshape(n, -1, 2) @ frame.conj().swapaxes(1, 2)
     out[pure] = np.nan
-    return out.reshape(rho.matrix.shape)
+    return out.reshape(n, 2 * d_a, 2 * d_a)
 
 
 def linear_cc_batch(rho: DensityMatrix):
     """I2_cc of a stack of dA x 2 states, with no generator basis, and the
-    descending eigenvalues of each rho_B, from one eigensystem per state.
+    ``_extract_images`` tuple it read (lam, vecs, pure, images), whose lam
+    holds the descending eigenvalues of each rho_B: one eigensystem per state.
 
     With G_kl = Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, I2_cc reads
     lam_max(G) S2(rho_B) / 2, and S2(rho_B) = 4 lam_0 lam_1. A rank-1 rho_B
@@ -101,10 +91,11 @@ def linear_cc_batch(rho: DensityMatrix):
     so I2_cc <= (2(d-1)/d) S2(rho_B), and S2(rho_B) = 4 eps (1 - eps) for the
     smaller eigenvalue eps; at most 4e-10 for two qubits, 6e-10 at dA=4.
     """
-    lam, _, pure, images = _marginal_images(rho)
+    extracted = _extract_images(rho.matrix, rho.dim_a)
+    lam, _, pure, images = extracted
     gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
     lam_max = np.linalg.eigvalsh(gram)[:, -1]
-    return np.where(pure, 0.0, 2.0 * lam_max * lam[:, 0] * lam[:, 1]), lam
+    return np.where(pure, 0.0, 2.0 * lam_max * lam[:, 0] * lam[:, 1]), extracted
 
 
 def linear_classical_correlation(rho: DensityMatrix):

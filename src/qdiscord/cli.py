@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channel import _rebuilt_states, linear_classical_correlation
+from .channel import linear_classical_correlation
 from .discord import (correlation_report, discord_rank2, discord_rho2_closed_form,
                       identity_residuals)
 from .errors import QDiscordError
@@ -43,7 +43,7 @@ _ORACLE_TRIAL_CAP = 25
 # (tracemalloc), so either bound keeps a run near 1 GB.
 _MAX_TRIALS = 400_000
 _MAX_STEPS = 600_000
-_STAGES = ("draw_states", "twins", "residuals", "roundtrip", "projective", "decomposition")
+_STAGES = ("draw_states", "twins", "residuals", "projective", "decomposition")
 
 
 def _fmt_json(value) -> str:
@@ -207,13 +207,6 @@ def _twin_correlations(u_a: np.ndarray, u_b: np.ndarray, rho: DensityMatrix) -> 
     return np.stack([report.I_cc, report.Q_discord])
 
 
-def _roundtrip_residuals(rho: DensityMatrix) -> np.ndarray:
-    """max|rebuilt - rho| per state of a stack, each state rebuilt from the
-    channel images that I2_cc reads; NaN where rho_B is rank-1 and the
-    channel is undefined."""
-    return np.max(np.abs(_rebuilt_states(rho) - rho.matrix), axis=(1, 2))
-
-
 def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int) -> dict:
     """A check's verdict from its per-trial residuals (NaN: not run); no run, no pass."""
     evaluated = int(np.count_nonzero(~np.isnan(residuals)))
@@ -236,10 +229,11 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     keyed by ``seed``, in which trial t owns a fixed block holding its state
     (trial 0's is ``make_random_rank2(seed)``), then U_A and U_B of its
     local-unitary twin. So the states are one validated stack, and a trial
-    replays alone from ``(seed, t)``. The closed-form checks, the twins and
-    the round trip each make one batched call on the whole stack, so their
+    replays alone from ``(seed, t)``. The closed-form checks, the round trip
+    and the twins each make one batched call on the whole stack, so their
     temporaries grow with ``trials``; the round trip rebuilds each state from
-    the very channel images that I2_cc read, the stack's one extraction.
+    the very channel images that I2_cc read, in the same
+    ``identity_residuals`` call, so each stack is extracted once.
     The oracle-backed checks run on the first 25 trials, each oracle in one
     call on their stack; the decomposition oracle gives trial t the Philox
     key ``seed ^ ((t + 1) << 64)``, which differs from ``seed`` and stays
@@ -247,7 +241,8 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     the trials it evaluated, those it skipped because rho_B is rank-1, and
     the trial of its largest residual. A dict passed as ``stage_seconds``
     receives the wall time of each stage (the twin unitaries are drawn in
-    ``draw_states``, and each oracle is its own stage) and the total.
+    ``draw_states``, the round trip counts under ``residuals``, and each
+    oracle is its own stage) and the total.
     """
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
@@ -257,13 +252,11 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     twin_i_cc, twin_q = _twin_correlations(u_a, u_b, states)
     del u_a, u_b  # 128 kB per 1000 trials that would otherwise outlive the twins
     laps.append(time.perf_counter())
-    report, kw, monogamy = identity_residuals(states)
+    report, kw, monogamy, residuals["roundtrip"] = identity_residuals(states)
     residuals["kw"], residuals["monogamy"] = np.abs(kw), np.abs(monogamy)
     residuals["local_unitary"] = np.maximum(
         np.abs(report.Q_discord - twin_q), np.abs(report.I_cc - twin_i_cc)
     )
-    laps.append(time.perf_counter())
-    residuals["roundtrip"] = _roundtrip_residuals(states)
     skipped["roundtrip"] = int(np.count_nonzero(np.isnan(residuals["roundtrip"])))
     laps.append(time.perf_counter())
     oracle_trials = slice(_ORACLE_TRIAL_CAP)

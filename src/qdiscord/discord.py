@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import linear_cc_batch, stack_states
+from .channel import _rebuilt_states, linear_cc_batch, stack_states
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
 from .measures import (_purity_loss, binary_entropy, f_map, factor_concurrence,
@@ -66,15 +66,17 @@ def _clamp_unit_interval(value):
     return unit_interval(value, "f argument", _CLAMP_WINDOW, ConsistencyError)
 
 
-def _report_rows(rho: DensityMatrix) -> np.ndarray:
-    """One row per report field, then the third-largest eigenvalues, for a stack;
-    the state's spectrum is the one its validation computed, and rho_B is
-    diagonalized once, by ``linear_cc_batch``."""
+def _report_rows(rho: DensityMatrix):
+    """One row per report field, then the third-largest eigenvalues, for a stack,
+    and the channel images that I2_cc read; the state's spectrum is the one
+    its validation computed, and rho_B is diagonalized once, by
+    ``linear_cc_batch``."""
     spectrum, dims = rho.spectrum, rho.dims
     rho_a = partial_trace(rho.matrix, dims, "A")
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
     applies = (rank <= 2) & (dims == (2, 2))
-    i2_cc, lam_b = linear_cc_batch(rho)
+    i2_cc, extracted = linear_cc_batch(rho)
+    lam_b = extracted[0]
     s_a, s_b, s_ab = (spectral_entropy(np.linalg.eigvalsh(rho_a)), spectral_entropy(lam_b),
                       spectral_entropy(spectrum))
     s2_a = _purity_loss(rho_a)
@@ -82,7 +84,7 @@ def _report_rows(rho: DensityMatrix) -> np.ndarray:
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
     return np.stack([s_a, s_b, s_ab, s2_a, 4.0 * lam_b[:, 0] * lam_b[:, 1], i_mutual, i2_cc,
-                     i_cc, i_mutual - i_cc, rank, spectrum[:, -3]])
+                     i_cc, i_mutual - i_cc, rank, spectrum[:, -3]]), extracted
 
 
 def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
@@ -95,12 +97,17 @@ def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
     return None
 
 
-def _assess(rho):
-    """``correlation_report(rho)`` and each state's exclusion error or None."""
+def _assess(rho, strict: bool):
+    """``(correlation_report(rho), the channel images I2_cc read)``; with
+    ``strict``, the first state that rules out the closed form raises its
+    exclusion error, named by index in a stack."""
     stack, single = stack_states(rho)
-    *rows, third = _report_rows(stack)
+    (*rows, third), extracted = _report_rows(stack)
     columns = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
     errors = [_exclusion(stack.dims, r, t) for r, t in zip(columns["rank"], third)]
+    for index, error in enumerate(errors if strict else ()):
+        if error is not None:
+            raise error if single else type(error)(f"state {index}: {error}")
     reasons = [error and f"rank-2 two-qubit closed form not applicable: {error}"
                for error in errors]
     if single:
@@ -108,7 +115,7 @@ def _assess(rho):
         if errors[0]:
             columns.update(I_cc=None, Q_discord=None)
     reason = reasons[0] if single else tuple(reasons)
-    return CorrelationReport(**columns, reason=reason), errors
+    return CorrelationReport(**columns, reason=reason), extracted
 
 
 def correlation_report(rho: DensityMatrix) -> CorrelationReport:
@@ -117,17 +124,13 @@ def correlation_report(rho: DensityMatrix) -> CorrelationReport:
     Never raises for a supported shape; ``reason`` says where the rank-2
     two-qubit closed form does not apply and ``I_cc``/``Q_discord`` are unset.
     """
-    return _assess(rho)[0]
+    return _assess(rho, strict=False)[0]
 
 
 def discord_rank2(rho: DensityMatrix) -> CorrelationReport:
     """``correlation_report`` for rank-<=2 two-qubit states; raises DimensionMismatch
     or RankTooHigh elsewhere, naming the first offending state of a stack."""
-    report, errors = _assess(rho)
-    for index, error in enumerate(errors):
-        if error is not None:
-            raise error if rho.matrix.ndim == 2 else type(error)(f"state {index}: {error}")
-    return report
+    return _assess(rho, strict=True)[0]
 
 
 def discord_rho2_closed_form(x, theta: float, eta: float):
@@ -183,12 +186,19 @@ def _purified_tangle(rho: DensityMatrix) -> np.ndarray:
 
 
 def identity_residuals(rho: DensityMatrix):
-    """``(report, kw, monogamy)`` for one state or a stack, from one report and
-    one purification, each residual ~0 when exact: kw is
+    """``(report, kw, monogamy, roundtrip)`` for one state or a stack, from one
+    report, one purification and the channel images the report's I2_cc
+    read. kw and monogamy are ~0 when exact: kw is
     E_f(rho_AC) + I_cc(rho_AB) - S(rho_A) with E_f(rho_AC) = f(tau), and
-    monogamy is tau(rho_AC) + I2_cc(rho_AB) - S2(rho_A)."""
-    report = discord_rank2(rho)
-    tau = _purified_tangle(rho[:])
+    monogamy is tau(rho_AC) + I2_cc(rho_AB) - S2(rho_A). roundtrip is
+    max|rebuilt - rho| over the entries of each state rebuilt from those
+    images (``channel._rebuilt_states``), NaN where rho_B is rank-1 and the
+    channel is undefined. ``discord_rank2``'s errors apply."""
+    report, extracted = _assess(rho, strict=True)
+    stack = rho[:]
+    tau = _purified_tangle(stack)
+    roundtrip = np.max(np.abs(_rebuilt_states(extracted) - stack.matrix), axis=(1, 2))
     if rho.matrix.ndim == 2:
-        tau = tau[0].item()
-    return report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A
+        tau, roundtrip = tau[0].item(), roundtrip[0].item()
+    return (report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A,
+            roundtrip)

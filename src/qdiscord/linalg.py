@@ -1,7 +1,8 @@
-"""Dense complex linear algebra for small (up to 8x8) Hermitian problems.
+"""The Pauli matrices, two shared cut-offs and the partial trace.
 
-Everything here is a pure function of its inputs; values are safe to share
-across threads.
+HERMITIAN_TOL is the Hermiticity cut of the one state validator,
+``states.DensityMatrix``; nothing here validates a state. Everything here is
+a pure function of its inputs; values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-12
@@ -20,18 +21,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 SIGMAS = np.stack([np.eye(2, dtype=complex), *PAULIS])  # sigma_0 = I, then the Paulis
-
-
-def checked_hermitian(m) -> np.ndarray:
-    """``m`` as a complex square matrix or (N, n, n) stack; DimensionMismatch for
-    other shapes, NotHermitian when max|m - m^H| exceeds HERMITIAN_TOL entrywise."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack, got shape {a.shape}")
-    deviation = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), initial=0.0))
-    if deviation > HERMITIAN_TOL:
-        raise NotHermitian(f"matrix deviates from Hermiticity by {deviation:.3e}")
-    return a
 
 
 def partial_trace(m, dims, keep: str) -> np.ndarray:

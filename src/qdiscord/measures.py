@@ -10,19 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
-from .linalg import EIGENVALUE_CLAMP, PAULI_Y, checked_hermitian
+from .linalg import EIGENVALUE_CLAMP, PAULI_Y
 from .states import DensityMatrix
 
 _DOMAIN_SLACK = 1e-12
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 
 
-def _matrix_of(rho) -> np.ndarray:
-    """The matrix of a DensityMatrix, which its constructor validated, or a raw
-    square matrix or stack, checked here for shape and Hermiticity."""
+def _state_of(rho, dims=None) -> DensityMatrix:
+    """``rho`` itself if it is a DensityMatrix; a raw (n, n) matrix or (N, n, n)
+    stack goes through the one validator, DensityMatrix, with ``dims``, by
+    default (n, 1)."""
     if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return checked_hermitian(rho)
+        return rho
+    m = np.asarray(rho, dtype=complex)
+    return DensityMatrix(dims or (m.shape[-1] if m.ndim else 1, 1), m)
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -37,9 +39,9 @@ def spectral_entropy(values):
 
 
 def von_neumann_entropy(rho):
-    """S(rho) over eigenvalues above EIGENVALUE_CLAMP; an (N, d, d) stack gives N
-    values."""
-    return spectral_entropy(np.linalg.eigvalsh(_matrix_of(rho)))
+    """S(rho) over eigenvalues above EIGENVALUE_CLAMP, from the spectrum that
+    validation computed; an (N, d, d) stack gives N values."""
+    return spectral_entropy(_state_of(rho).spectrum)
 
 
 def _purity_loss(m: np.ndarray) -> np.ndarray:
@@ -50,7 +52,7 @@ def _purity_loss(m: np.ndarray) -> np.ndarray:
 
 def linear_entropy(rho):
     """S2(rho) = 2*(1 - Tr(rho^2)); an (N, d, d) stack gives N values."""
-    return _scalar_or_array(_purity_loss(_matrix_of(rho)))
+    return _scalar_or_array(_purity_loss(_state_of(rho).matrix))
 
 
 def unit_interval(x, what: str, slack: float = _DOMAIN_SLACK, error=OutOfDomain):
@@ -77,10 +79,10 @@ def f_map(x):
 
 
 def _two_qubit_matrix(rho) -> np.ndarray:
-    m = _matrix_of(rho)
-    if getattr(rho, "dims", (2, 2)) != (2, 2) or m.shape[-2:] != (4, 4) or m.ndim > 3:
-        raise DimensionMismatch(f"expected two qubits or a stack of them, got {m.shape}")
-    return m
+    state = _state_of(rho, (2, 2))
+    if state.dims != (2, 2):
+        raise DimensionMismatch(f"expected two qubits or a stack of them, got dims {state.dims}")
+    return state.matrix
 
 
 def factor_concurrence(factor: np.ndarray) -> np.ndarray:

@@ -321,6 +321,8 @@ def load_state(text: str) -> DensityMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFormatError(f"state document is nested too deeply: {exc}") from exc
     if not isinstance(obj, dict):
         raise StateFormatError("state document must be a JSON object")
     try:

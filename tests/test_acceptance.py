@@ -138,7 +138,7 @@ def test_criterion_5_two_bell_state_mixtures():
 def test_criterion_6_identity_suites_thousand_states():
     started = time.perf_counter()
     rho = random_trials(606, range(1000))[0]
-    _, kw, monogamy = identity_residuals(rho)
+    _, kw, monogamy, _ = identity_residuals(rho)
     worst_kw, worst_mono = float(np.max(np.abs(kw))), float(np.max(np.abs(monogamy)))
     elapsed = time.perf_counter() - started
     ok = worst_kw <= 1e-8 and worst_mono <= 1e-8

@@ -53,3 +53,23 @@ def test_every_top_level_definition_has_a_caller():
                 named.add(node.value)
     assert SOURCES
     assert defined - set(qdiscord.__all__) - named == set()
+
+
+def test_only_states_sets_attributes_on_frozen_objects():
+    # DensityMatrix is frozen: only its own module sets its validated fields,
+    # so nothing else can attach state to it.
+    setters = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                setters.add(path.name)
+    assert setters == {"states.py"}
+
+
+def test_cli_imports_no_private_name():
+    # The command line reaches the library through its public names only.
+    tree = ast.parse(next(path for path in SOURCES if path.name == "cli.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert imported and [name for name in imported if name.startswith("_")] == []

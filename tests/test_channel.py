@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (bloch, bloch_channel, bloch_i2_cc, from_bloch, gell_mann, haar_unitary,
                       random_density, stack_of)
-from qdiscord.channel import _rebuilt_states, linear_classical_correlation
+from qdiscord.channel import _rebuilt_states, linear_cc_batch, linear_classical_correlation
 from qdiscord.discord import correlation_report
 from qdiscord.errors import DimensionMismatch
 from qdiscord.linalg import PAULIS, partial_trace
@@ -21,9 +21,14 @@ from qdiscord.states import (
 )
 
 
+def rebuilt_stack(states):
+    """Each state of a stack rebuilt from the channel images its I2_cc read."""
+    return _rebuilt_states(linear_cc_batch(states)[1])
+
+
 def rebuilt(rho):
     """The rebuild of one state, through a stack of one."""
-    return _rebuilt_states(rho[:])[0]
+    return rebuilt_stack(rho[:])[0]
 
 
 class TestGellMannBasis:
@@ -302,10 +307,10 @@ class TestBatchedChannel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batch_equals_batches_of_one(self, d):
         states = random_trials(0, range(40), dim_a=d)[0]
-        batch = _rebuilt_states(states)
+        batch = rebuilt_stack(states)
         assert batch.shape == (40, 2 * d, 2 * d)
         for n in range(len(states)):
-            np.testing.assert_array_equal(batch[n], _rebuilt_states(states[n : n + 1])[0])
+            np.testing.assert_array_equal(batch[n], rebuilt_stack(states[n : n + 1])[0])
         assert np.max(np.abs(batch - states.matrix)) < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -315,7 +320,7 @@ class TestBatchedChannel:
             (d, 2), np.kron(random_density(rng, d), np.diag([1.0, 0.0]))
         )
         states = stack_of(make_random_rank2(0, dim_a=d), product, make_random_rank2(1, dim_a=d))
-        batch = _rebuilt_states(states)
+        batch = rebuilt_stack(states)
         assert np.isnan(batch[1]).all()
         assert not np.isnan(batch[[0, 2]]).any()
         for n in (0, 2):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiscord import channel, cli, discord
-from qdiscord.channel import _rebuilt_states
 from qdiscord.cli import main
 from qdiscord.discord import correlation_report, discord_rank2, identity_residuals
 from qdiscord.errors import QDiscordError
@@ -191,6 +190,15 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--state", str(path))
         assert code == 2
         assert "missing field" in err
+
+    def test_deeply_nested_state_file_exit_2(self, capsys, tmp_path):
+        # 100000 brackets exceed the JSON decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: state document is nested too deeply: ")
+        assert err.count("\n") == 1
 
     def test_random_rank2_family(self, capsys):
         code, out, _ = run(
@@ -438,8 +446,7 @@ class TestValidate:
             assert list(check) == ["max_residual", "tolerance", "pass", "evaluated", "skipped",
                                    "worst_trial"]
         assert list(json.loads(err)) == [
-            "draw_states", "twins", "residuals", "roundtrip", "projective", "decomposition",
-            "total",
+            "draw_states", "twins", "residuals", "projective", "decomposition", "total",
         ]
 
     def test_stage_times_go_to_stderr_and_stdout_stays_identical(self, capsys, caplog):
@@ -507,8 +514,7 @@ class TestValidate:
             "projective_attain": lambda rho, trial, *_: (
                 discord_rank2(rho).I_cc - cli.projective_classical_correlation(rho)),
             "local_unitary": lambda rho, trial, u_a, u_b: twin(rho, u_a, u_b),
-            "roundtrip": lambda rho, trial, *_: np.max(
-                np.abs(_rebuilt_states(rho[:])[0] - rho.matrix)),
+            "roundtrip": lambda rho, trial, *_: identity_residuals(rho)[3],
         }
         assert set(recompute) == set(checks)
         for name, residual in recompute.items():
@@ -666,7 +672,7 @@ class TestValidate:
         assert code == 0
         check = json.loads(out)["checks"]["roundtrip"]
         assert (check["evaluated"], check["skipped"]) == ((29, 1) if rank_one else (30, 0))
-        residual = cli._roundtrip_residuals(near[:])[0]
+        residual = identity_residuals(near)[3]
         if rank_one:
             assert np.isnan(residual)
         else:
@@ -719,7 +725,7 @@ class TestValidate:
                                  decomposition_linear_cc=no_oracle):
             check = cli.run_validation(3, seed)["checks"]["roundtrip"]
         i2_cc = correlation_report(stack).I2_cc[1]
-        residual = cli._roundtrip_residuals(stack)[1]
+        residual = identity_residuals(stack)[3][1]
         if multiple < 1.0:
             assert i2_cc == 0.0 and np.isnan(residual)
             assert (check["evaluated"], check["skipped"]) == (2, 1)
@@ -791,14 +797,14 @@ class TestValidate:
                                    discord.linear_cc_batch)
 
         def shifted_rows(rho):
-            values = rows(rho)
+            values, extracted = rows(rho)
             values[7] += delta  # I_cc
             values[8] -= delta  # Q_discord
-            return values
+            return values, extracted
 
         def shifted_linear_cc(rho):
-            i2_cc, lam_b = linear_cc(rho)
-            return i2_cc + delta, lam_b
+            i2_cc, extracted = linear_cc(rho)
+            return i2_cc + delta, extracted
 
         monkeypatch.setattr(discord, *{
             "I_cc": ("_report_rows", shifted_rows),

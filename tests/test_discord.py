@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (haar_unitary, purified_tangle_reference, random_density,
                       random_pure_density, stack_of)
 from qdiscord import discord as discord_module
+from qdiscord.channel import linear_classical_correlation
 from qdiscord.discord import (
     CorrelationReport,
     correlation_report,
@@ -329,27 +330,44 @@ class TestIdentityResiduals:
         outside = np.linalg.eigh(base)[1][:, :, 0]
         m = (1 - 5e-11) * base + 5e-11 * outside[:, :, None] * outside[:, None, :].conj()
         states = stack_of(DensityMatrix((2, 2), m), make_horodecki(0.0))
-        report, kw, monogamy = identity_residuals(states)
+        report, kw, monogamy, _ = identity_residuals(states)
         assert list(report.rank) == [2] * 5 + [1]
         assert np.max(np.abs(kw)) <= 1e-8 and np.max(np.abs(monogamy)) <= 1e-8
         assert identity_residuals(states[0])[1] == pytest.approx(kw[0], abs=1e-14)
 
     def test_identity_residuals_report_is_discord_rank2(self):
         states = random_trials(0, range(20))[0]
-        report, kw, monogamy = identity_residuals(states)
+        report, kw, monogamy, roundtrip = identity_residuals(states)
         reference = discord_rank2(states)
         for name in FIELDS:
             np.testing.assert_array_equal(getattr(report, name), getattr(reference, name))
-        assert kw.shape == monogamy.shape == (20,)
+        assert kw.shape == monogamy.shape == roundtrip.shape == (20,)
 
     def test_rank_gate(self):
         with pytest.raises(RankTooHigh):
             identity_residuals(make_example1(0.5))
 
+    def test_roundtrip_batch_equals_batches_of_one(self):
+        # The pure last member has a rank-1 rho_B, where the rebuild is NaN.
+        states = stack_of(random_trials(0, range(50))[0], make_horodecki(0.0))
+        batch = identity_residuals(states)[3]
+        np.testing.assert_array_equal(batch, [identity_residuals(rho)[3] for rho in states])
+        assert np.isnan(batch[-1]) and np.max(batch[:-1]) <= 1e-9
+
+    def test_calls_keep_nothing_on_the_stack(self):
+        # A stack holds what validation set, and no call adds to it.
+        stack = random_trials(3, range(20))[0]
+        fields = {name: id(value) for name, value in vars(stack).items()}
+        correlation_report(stack)
+        linear_classical_correlation(stack)
+        identity_residuals(stack)
+        assert {name: id(value) for name, value in vars(stack).items()} == fields
+        assert set(fields) == {"dims", "matrix", "spectrum"}
+
 
 def _purified_tangles(states):
     """tau(rho_AC) of each state, read back from the monogamy residual."""
-    report, _, monogamy = identity_residuals(states)
+    report, _, monogamy, _ = identity_residuals(states)
     return monogamy - report.I2_cc + report.S2_A
 
 
@@ -386,7 +404,7 @@ def test_rank_tol_seam_through_identity_residuals(seed, multiple):
     eps = multiple * RANK_TOL
     rho = DensityMatrix((2, 2), (1 - eps) * base + eps * np.outer(outside, outside.conj()))
     if multiple < 1.0:
-        report, kw, monogamy = identity_residuals(rho)
+        report, kw, monogamy, _ = identity_residuals(rho)
         assert report.rank == 2
         assert abs(kw) <= 1e-8 and abs(monogamy) <= 1e-8
     else:

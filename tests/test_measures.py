@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density, random_pure_density
 from qdiscord.discord import correlation_report
-from qdiscord.errors import DimensionMismatch, NotHermitian, OutOfDomain
+from qdiscord.errors import DimensionMismatch, NotFinite, NotHermitian, NotPositive, OutOfDomain
 from qdiscord.linalg import PAULI_Y, partial_trace
 from qdiscord.measures import (
     _DOMAIN_SLACK,
@@ -62,7 +62,8 @@ class TestVonNeumannEntropy:
 
 
 class TestRawArrayInput:
-    """Raw arrays are checked where they enter, since no constructor has."""
+    """Raw arrays are validated where they enter, by DensityMatrix, since no
+    constructor has seen them."""
 
     def test_non_hermitian_matrix_raises(self):
         m = np.eye(4, dtype=complex) / 4
@@ -86,6 +87,36 @@ class TestRawArrayInput:
                 von_neumann_entropy(m)
             with pytest.raises(DimensionMismatch):
                 wootters_concurrence(m)
+
+    # The defects DensityMatrix names beyond shape and Hermiticity.
+    DEFECTS = {
+        "nan": (np.diag([0.25, 0.25, 0.25, np.nan]), NotFinite,
+                "matrix has a NaN or infinite entry"),
+        "trace": (np.eye(4) / 2, ValueError, r"matrix trace \(2\+0j\) is not 1"),
+        "negative": (np.diag([0.6, 0.5, 0.1, -0.2]), NotPositive,
+                     "smallest eigenvalue -2.000e-01 is negative"),
+    }
+    MEASURES = (von_neumann_entropy, linear_entropy, wootters_concurrence, tangle_two_qubit,
+                eof_two_qubit)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_defective_matrix_raises(self, defect):
+        m, error, message = self.DEFECTS[defect]
+        for measure in self.MEASURES:
+            with pytest.raises(error, match=f"^{message}"):
+                measure(m)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_defective_member_of_a_stack_raises(self, defect):
+        m, error, message = self.DEFECTS[defect]
+        stack = np.stack([np.eye(4) / 4, m, np.eye(4) / 4])
+        for measure in self.MEASURES:
+            with pytest.raises(error, match=f"^state 1: {message}"):
+                measure(stack)
+
+    def test_empty_stack_raises_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            von_neumann_entropy(np.zeros((0, 2, 2)))
 
     def test_rounding_level_asymmetry_is_accepted(self):
         rng = np.random.default_rng(18)

@@ -15,7 +15,7 @@ from conftest import (bell_diagonal_c, bloch_channel, from_bloch, haar_unitary,
                       random_density, random_pure_density, stack_of)
 from qdiscord import oracles
 from qdiscord.cli import _CHECK_TOLERANCES
-from qdiscord.channel import _rebuilt_states, linear_classical_correlation
+from qdiscord.channel import _rebuilt_states, linear_cc_batch, linear_classical_correlation
 from qdiscord.discord import correlation_report, discord_rank2
 from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
@@ -545,7 +545,7 @@ class TestDecompositionOracle:
         assert (small <= MARGINAL_RANK_TOL) == rank_one
         psi = np.array([math.sqrt(1 - small), 0, 0, math.sqrt(small)], dtype=complex)
         rho = DensityMatrix((2, 2), np.outer(psi, psi.conj()))
-        rebuilt = _rebuilt_states(rho[:])[0]
+        rebuilt = _rebuilt_states(linear_cc_batch(rho[:])[1])[0]
         if rank_one:
             with pytest.raises(DegenerateMarginal):
                 decomposition_linear_cc(rho, trials=4, seed=0)
