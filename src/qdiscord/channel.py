@@ -12,8 +12,8 @@ uses only Re Tr(R_k R_l) = (8/d^2) (L^T L)_kl, and returns them to its
 caller; nothing is kept on the state. ``_rebuilt_states`` pushes the
 purification of rho_B back through those same images, which the
 ``roundtrip`` residual of ``discord.identity_residuals`` compares with the
-state. Each function makes one pass over the whole stack it is given, so
-its temporaries grow with the stack.
+state. The closed forms enter through ``_closed_form_stack``, their dims rule,
+and each makes one pass over the whole stack, so its temporaries grow with it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import SIGMAS, partial_trace
-from .states import MARGINAL_RANK_TOL, DensityMatrix
+from .states import CLOSED_FORM_DIMS_A, MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack
 
 
 def _extract_images(matrices: np.ndarray, d_a: int):
@@ -46,19 +46,13 @@ def _extract_images(matrices: np.ndarray, d_a: int):
     return lam, vecs, pure, images.transpose(0, 3, 1, 2)
 
 
-def stack_states(rho: DensityMatrix):
-    """(rho as a stack, whether it is one state) for a state or stack of a shape
-    the closed forms support: (dA, 2) with dA in {2, 3, 4}. A stack is passed
-    through as itself."""
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    d_a, d_b = rho.dims
-    if d_b != 2 or d_a not in (2, 3, 4):
-        raise DimensionMismatch(
-            f"supported shapes are (dA, 2) with dA in {{2, 3, 4}}, got dims {(d_a, d_b)}"
-        )
-    single = rho.matrix.ndim == 2
-    return (rho[:] if single else rho), single
+def _closed_form_stack(rho) -> DensityMatrix:
+    """``rho`` as a stack; DimensionMismatch unless it is (dA, 2), dA in CLOSED_FORM_DIMS_A."""
+    stack = _stack_of(rho)
+    if stack.dim_b != 2 or stack.dim_a not in CLOSED_FORM_DIMS_A:
+        raise DimensionMismatch(f"supported shapes are (dA, 2) with dA in "
+                                f"{set(CLOSED_FORM_DIMS_A)}, got dims {stack.dims}")
+    return stack
 
 
 def _rebuilt_states(extracted) -> np.ndarray:
@@ -101,6 +95,4 @@ def linear_cc_batch(rho: DensityMatrix):
 def linear_classical_correlation(rho: DensityMatrix):
     """Linear-entropy classical correlation of a dx2 state of any rank; a float
     for one state, an array for a stack."""
-    stack, single = stack_states(rho)
-    values = linear_cc_batch(stack)[0]
-    return values[0].item() if single else values
+    return _unstack(rho, linear_cc_batch(_closed_form_stack(rho))[0])

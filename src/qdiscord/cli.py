@@ -24,8 +24,9 @@ from .discord import (correlation_report, discord_rank2, discord_rho2_closed_for
 from .errors import QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
-from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
-                     make_horodecki, make_random_rank2, make_rho2, random_trials)
+from .states import (CLOSED_FORM_DIMS_A, DensityMatrix, dump_state, load_state,
+                     make_bell_diagonal, make_example1, make_horodecki, make_random_rank2,
+                     make_rho2, random_trials)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -316,7 +317,7 @@ def _add_family_arguments(parser, include_state=False):
     parser.add_argument("--eta", type=float, default=None, help="rho2 angle")
     parser.add_argument("--seed", type=_parse_seed, default=None, help="random_rank2 seed")
     parser.add_argument("--da", type=int, default=2,
-                        help="random_rank2 A-side dimension (2, 3 or 4)")
+                        help=f"random_rank2 A-side dimension, one of {set(CLOSED_FORM_DIMS_A)}")
     if include_state:
         parser.add_argument("--state", default=None,
                             help="path to a state JSON file instead of --family")

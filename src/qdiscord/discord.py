@@ -20,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import _rebuilt_states, linear_cc_batch, stack_states
+from .channel import _closed_form_stack, _rebuilt_states, linear_cc_batch
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
 from .measures import (_purity_loss, binary_entropy, f_map, factor_concurrence,
                        spectral_entropy, unit_interval)
-from .states import RANK_TOL, DensityMatrix, rho2_domain
+from .states import RANK_TOL, DensityMatrix, _unstack, rho2_domain
 
 _CLAMP_WINDOW = 1e-9
 # rho2's closed form divides by d1 * d2, the product of rho_B's diagonal
@@ -98,24 +98,22 @@ def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
 
 
 def _assess(rho, strict: bool):
-    """``(correlation_report(rho), the channel images I2_cc read)``; with
-    ``strict``, the first state that rules out the closed form raises its
-    exclusion error, named by index in a stack."""
-    stack, single = stack_states(rho)
+    """``(rho as a stack, correlation_report(rho), the channel images I2_cc read)``; with
+    ``strict``, the first state outside the closed form raises, named by index in a stack."""
+    stack = _closed_form_stack(rho)
     (*rows, third), extracted = _report_rows(stack)
     columns = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
     errors = [_exclusion(stack.dims, r, t) for r, t in zip(columns["rank"], third)]
+    reasons = tuple(error and f"rank-2 two-qubit closed form not applicable: {error}"
+                    for error in errors)
+    report = {name: _unstack(rho, values) for name, values in columns.items()}
+    report["reason"] = _unstack(rho, reasons, errors if strict else ())  # one state raises here
     for index, error in enumerate(errors if strict else ()):
-        if error is not None:
-            raise error if single else type(error)(f"state {index}: {error}")
-    reasons = [error and f"rank-2 two-qubit closed form not applicable: {error}"
-               for error in errors]
-    if single:
-        columns = {name: values[0].item() for name, values in columns.items()}
-        if errors[0]:
-            columns.update(I_cc=None, Q_discord=None)
-    reason = reasons[0] if single else tuple(reasons)
-    return CorrelationReport(**columns, reason=reason), extracted
+        if error is not None:  # and a stack here
+            raise type(error)(f"state {index}: {error}")
+    if isinstance(report["reason"], str):  # one state outside the closed form
+        report.update(I_cc=None, Q_discord=None)
+    return stack, CorrelationReport(**report), extracted
 
 
 def correlation_report(rho: DensityMatrix) -> CorrelationReport:
@@ -124,13 +122,13 @@ def correlation_report(rho: DensityMatrix) -> CorrelationReport:
     Never raises for a supported shape; ``reason`` says where the rank-2
     two-qubit closed form does not apply and ``I_cc``/``Q_discord`` are unset.
     """
-    return _assess(rho, strict=False)[0]
+    return _assess(rho, strict=False)[1]
 
 
 def discord_rank2(rho: DensityMatrix) -> CorrelationReport:
     """``correlation_report`` for rank-<=2 two-qubit states; raises DimensionMismatch
     or RankTooHigh elsewhere, naming the first offending state of a stack."""
-    return _assess(rho, strict=True)[0]
+    return _assess(rho, strict=True)[1]
 
 
 def discord_rho2_closed_form(x, theta: float, eta: float):
@@ -194,11 +192,8 @@ def identity_residuals(rho: DensityMatrix):
     max|rebuilt - rho| over the entries of each state rebuilt from those
     images (``channel._rebuilt_states``), NaN where rho_B is rank-1 and the
     channel is undefined. ``discord_rank2``'s errors apply."""
-    report, extracted = _assess(rho, strict=True)
-    stack = rho[:]
-    tau = _purified_tangle(stack)
+    stack, report, extracted = _assess(rho, strict=True)
+    tau = _unstack(rho, _purified_tangle(stack))
     roundtrip = np.max(np.abs(_rebuilt_states(extracted) - stack.matrix), axis=(1, 2))
-    if rho.matrix.ndim == 2:
-        tau, roundtrip = tau[0].item(), roundtrip[0].item()
     return (report, f_map(tau) + report.I_cc - report.S_A, tau + report.I2_cc - report.S2_A,
-            roundtrip)
+            _unstack(rho, roundtrip))

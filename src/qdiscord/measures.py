@@ -78,13 +78,6 @@ def f_map(x):
     return binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
 
 
-def _two_qubit_matrix(rho) -> np.ndarray:
-    state = _state_of(rho, (2, 2))
-    if state.dims != (2, 2):
-        raise DimensionMismatch(f"expected two qubits or a stack of them, got dims {state.dims}")
-    return state.matrix
-
-
 def factor_concurrence(factor: np.ndarray) -> np.ndarray:
     """Concurrence of each two-qubit rho = G G^dagger from a factor G of shape
     (..., 4, k). The spin-flip values (square roots of the eigenvalues of
@@ -99,7 +92,10 @@ def wootters_concurrence(rho):
     G = V sqrt(lam): see ``factor_concurrence``. Eigenvalues at or below
     EIGENVALUE_CLAMP give zero columns, which keeps rank-deficient states
     exact instead of turning eigenvalue noise into sqrt-amplified error."""
-    lam, vecs = np.linalg.eigh(_two_qubit_matrix(rho))
+    state = _state_of(rho, (2, 2))
+    if state.dims != (2, 2):
+        raise DimensionMismatch(f"expected two qubits or a stack of them, got dims {state.dims}")
+    lam, vecs = np.linalg.eigh(state.matrix)
     root = np.sqrt(np.where(lam > EIGENVALUE_CLAMP, lam, 0.0))
     return _scalar_or_array(factor_concurrence(vecs * root[..., None, :]))
 

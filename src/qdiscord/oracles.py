@@ -2,17 +2,17 @@
 
 Two oracles live here; neither imports the closed forms or the channel
 extraction, and both read the conditional states of A as Tr_B[rho (I x O)].
-Both take one state or a stack, and one state is a batch of one, so a member
-of a stack gets the value of its batch of one. The projective oracle
-maximizes the entropy drop of A over two-outcome projective measurements on
-the qubit B, a lower bound on the POVM-defined classical correlation, on a
-fixed schedule: a coarse grid over the half sphere, since the measurement
-along -n is the one along n with its outcomes swapped, a few window rounds
-from its best cell, a ridge scan and a few Newton steps. The
-decomposition oracle maximizes the linear-entropy drop of A over the rank-1
-POVMs on B of sampled pure-state decompositions of rho_B, a lower bound that
-the aligned two-point decomposition brings up to the closed-form value; each
-member of a stack draws its samples from its own seed.
+Both enter through ``_qubit_b_stack``, which requires B to be a qubit, and one
+state is a batch of one, so a member of a stack gets the value of its batch of
+one. The projective oracle maximizes the entropy drop of A over two-outcome
+projective measurements on the qubit B, a lower bound on the POVM-defined
+classical correlation, on a fixed schedule: a coarse grid over the half
+sphere, since the measurement along -n is the one along n with its outcomes
+swapped, a few window rounds from its best cell, a ridge scan and a few Newton
+steps. The decomposition oracle maximizes the linear-entropy drop of A over
+the rank-1 POVMs on B of sampled pure-state decompositions of rho_B, a lower
+bound that the aligned two-point decomposition brings up to the closed-form
+value; each member of a stack draws its samples from its own seed.
 
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger,
 one line per member.
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
 from .measures import _purity_loss, spectral_entropy
-from .states import MARGINAL_RANK_TOL, DensityMatrix, box_muller, philox
+from .states import MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox
 
 _log = logging.getLogger(__name__)
 
@@ -82,6 +82,14 @@ _RIDGE = np.arange(1, _RIDGE_POINTS) * math.pi / _RIDGE_POINTS
 # occur: their entropy is zero rather than that of a state normalized by a
 # vanishing trace, whose spectrum is rounding noise.
 _PROB_FLOOR = 1e-15
+
+
+def _qubit_b_stack(rho) -> DensityMatrix:
+    """``rho`` as a stack; DimensionMismatch unless its measured side B is a qubit."""
+    stack = _stack_of(rho)
+    if stack.dim_b != 2:
+        raise DimensionMismatch(f"measurement side B must be a qubit, got dims {stack.dims}")
+    return stack
 
 
 def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
@@ -301,9 +309,8 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
 def projective_classical_correlation(rho: DensityMatrix):
     """Best entropy drop of A over two-outcome projective measurements on B.
 
-    One state gives a float and a stack one value per state; one state is a
-    batch of one. One batched eigh of the stack sorts its members by frame
-    (see ``_measurement_response``). Each state's coarse scan covers the
+    One batched eigh of the stack sorts its members by frame (see
+    ``_measurement_response``). Each state's coarse scan covers the
     theta < pi/2 half of a 64x32 (theta, phi) grid, 1024 cells: the other
     half's cells are their antipodes, and the measurement along -n is the
     one along n with its outcomes swapped, so the full grid scores every
@@ -320,21 +327,19 @@ def projective_classical_correlation(rho: DensityMatrix):
     direction so far, in the tangent plane at that direction, with the
     gradient and Hessian from central differences on a 9-point stencil; a
     state whose Hessian is not negative definite takes a zero step. Every
-    state runs this same schedule, so a member's value is that of its batch
-    of one. Every evaluated value is the entropy drop of a real measurement,
-    so the maximum over all of them, coarse grid included, is a lower bound
-    on the POVM maximum up to the mass below EIGENVALUE_CLAMP: conditional
-    eigenvalues at or below the cut count as zero, and a state with fewer
-    than dA eigenvalues above it is searched in its rank-k frame, which
-    leaves out its eigenvalues below the cut. Each left-out eigenvalue lam
-    moves the value by at most about -lam log2 lam, 4e-11 at lam = 1e-12:
-    mixing weight lam into a state outside its support moves its value by at
-    most lam (log2(1/lam) + 1/ln 2 + log2 dA), on either side of the cut.
+    state runs this same schedule. Every evaluated value is the entropy drop
+    of a real measurement, so the maximum over all of them, coarse grid
+    included, is a lower bound on the POVM maximum up to the mass below
+    EIGENVALUE_CLAMP: conditional eigenvalues at or below the cut count as
+    zero, and a state with fewer than dA eigenvalues above it is searched in
+    its rank-k frame, which leaves out its eigenvalues below the cut. Each
+    left-out eigenvalue lam moves the value by at most about -lam log2 lam,
+    4e-11 at lam = 1e-12: mixing weight lam into a state outside its support
+    moves its value by at most lam (log2(1/lam) + 1/ln 2 + log2 dA), on
+    either side of the cut.
     """
-    if rho.dim_b != 2:
-        raise DimensionMismatch(f"measurement side B must be a qubit, got dims {rho.dims}")
-    stack = rho[:]
-    s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, rho.dims, "A")))
+    stack = _qubit_b_stack(rho)
+    s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, stack.dims, "A")))
     n = len(stack)
     best, directions, frames = np.empty(n), np.empty((n, 3)), np.empty(n, int)
     for members, t in _measurement_response(stack):
@@ -346,7 +351,7 @@ def projective_classical_correlation(rho: DensityMatrix):
                 "projective: rounds=%d directions=%d frame=%d best=%.17g theta=%.17g phi=%.17g",
                 _ROUNDS, _SEARCH_DIRECTIONS, frame, value, theta, phi,
             )
-    return float(best[0]) if rho.matrix.ndim == 2 else best
+    return _unstack(rho, best)
 
 
 def _chords(r_b: np.ndarray, directions: np.ndarray):
@@ -441,44 +446,32 @@ def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, ve
     return s2[:, :1] - np.sum(probabilities * s2[:, 1:].reshape(probabilities.shape), axis=-1)
 
 
-def _member_seeds(rho: DensityMatrix, seed):
-    """``[seed]`` for one state; for a stack, ``seed`` as a list with one
-    seed per member, or DimensionMismatch."""
-    if rho.matrix.ndim == 2:
-        return [seed]
-    if np.ndim(seed) != 1 or len(seed) != len(rho):
-        raise DimensionMismatch(
-            f"the decomposition oracle takes one seed per member of a stack of {len(rho)}, "
-            f"got seed of shape {np.shape(seed)}"
-        )
-    return list(seed)
-
-
 def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
                             seed: int | Sequence[int] = 0):
     """Supremum of the linear-entropy objective over sampled decompositions.
 
-    One state, with one int ``seed``, gives a float; a stack, with a
-    sequence of one seed per member, gives one value per member, and one
-    state is a batch of one, so a member's value is that of its batch of
-    one. Includes the deterministic aligned chord (``_aligned_chord``), so
-    the value matches the closed form to within rounding; ``trials`` random
-    2- and 3-element decompositions are drawn per member, trial t from row t
-    of one draw from a Philox stream keyed by its seed (see
+    One state takes one int ``seed``, a stack a sequence of one per member.
+    Includes the deterministic aligned chord (``_aligned_chord``), so the
+    value matches the closed form to within rounding; ``trials`` random 2-
+    and 3-element decompositions are drawn per member, trial t from row t of
+    one draw from a Philox stream keyed by its seed (see
     ``_sampled_decompositions``), so larger trial counts extend smaller
-    ones. A rank-1 rho_B (smaller eigenvalue at most
-    MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives
-    NaN for a member of a stack. A ``trials`` that is not a non-negative
-    integer raises OutOfDomain.
+    ones. A rank-1 rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL)
+    raises DegenerateMarginal for one state and gives NaN for a member of a
+    stack. A ``trials`` that is not a non-negative integer raises
+    OutOfDomain.
     """
     if not (isinstance(trials, numbers.Integral) and trials >= 0):
         raise OutOfDomain(f"trials must be a non-negative integer, got {trials!r}")
-    seeds = _member_seeds(rho, seed)
-    stack = rho[:]
+    stack = _qubit_b_stack(rho)
+    best = np.full(len(stack), np.nan)
+    # The seed has the shape of the value: one for one state, one per member for a stack.
+    if np.shape(seed) != np.shape(_unstack(rho, best)):
+        raise DimensionMismatch(
+            f"the decomposition oracle takes one seed for one state and one seed per member of "
+            f"a stack of {len(stack)}, got seed of shape {np.shape(seed)}")
+    seeds = list(seed) if np.ndim(seed) else [seed]
     lam, rank_one, r_b, images = _marginal_images(stack)
-    if rho.matrix.ndim == 2 and rank_one[0]:
-        raise DegenerateMarginal(
-            f"rho_B eigenvalues {lam[0]} are rank-1 within {MARGINAL_RANK_TOL}")
     kept = np.flatnonzero(~rank_one)
     r_b, images = r_b[kept], images[kept]
     aligned = _linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[:, 0]
@@ -487,7 +480,6 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
          for dec in _sampled_decompositions(r_b, trials, [seeds[i] for i in kept])],
         axis=0,
     )
-    best = np.full(len(stack), np.nan)
     best[kept] = np.maximum(aligned, sampled)
     if _log.isEnabledFor(logging.DEBUG):
         for a, s in zip(aligned, sampled):
@@ -495,4 +487,6 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
                 "decomposition: candidates=%d aligned_won=%s best=%.17g",
                 1 + 2 * trials, a >= s, max(a, s),
             )
-    return float(best[0]) if rho.matrix.ndim == 2 else best
+    return _unstack(rho, best, [
+        DegenerateMarginal(f"rho_B eigenvalues {lam[i]} are rank-1 within {MARGINAL_RANK_TOL}")
+        if pure else None for i, pure in enumerate(rank_one)])

@@ -21,6 +21,7 @@ RANK_TOL = 1e-10
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
 MARGINAL_RANK_TOL = 1e-10  # rho_B is rank-1 when its smaller eigenvalue is at most this
 _JSON_TOL = 1e-8
+CLOSED_FORM_DIMS_A = (2, 3, 4)  # the dA of the (dA, 2) states the closed forms take
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,15 @@ class DensityMatrix:
         except (TypeError, ValueError):
             raise DimensionMismatch(f"dims must be two integers, got {self.dims!r}") from None
         m = np.asarray(self.matrix, dtype=complex)
-        if min(d_a, d_b) < 1 or m.ndim not in (2, 3) or m.shape[-2:] != (d_a * d_b,) * 2:
-            raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({d_a}, {d_b})")
+        if min(d_a, d_b) < 1:
+            raise DimensionMismatch(f"dims must be two positive integers, got {self.dims!r}")
+        n = d_a * d_b
+        if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
+            raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({d_a}, {d_b}), "
+                                    f"which need {(n, n)} or (N, {n}, {n})")
         if m.size == 0:
             raise DimensionMismatch("a stack of states must not be empty")
-        stack = m.reshape(-1, d_a * d_b, d_a * d_b)
+        stack = m.reshape(-1, n, n)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             stack = np.where(finite[:, None, None], stack, 0.0)
@@ -110,6 +115,22 @@ def _keep(rho: DensityMatrix, dims: tuple, matrix: np.ndarray, spectrum: np.ndar
     object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "matrix", matrix)
     object.__setattr__(rho, "spectrum", spectrum)
+
+
+def _stack_of(rho) -> DensityMatrix:
+    """The entry of every function that takes a DensityMatrix: ``rho`` as a
+    stack, one state as a stack of one; TypeError for anything else."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    return rho[:]
+
+
+def _unstack(rho: DensityMatrix, values, errors=()):
+    """The exit paired with ``_stack_of``: ``values``, one per member, for a stack;
+    for one state its value as a Python scalar, or its error in ``errors`` raised."""
+    if rho.matrix.ndim == 2 and errors and errors[0] is not None:
+        raise errors[0]
+    return np.asarray(values).item() if rho.matrix.ndim == 2 else values
 
 
 def make_bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
@@ -229,8 +250,8 @@ def _trial_blocks(key: int, trials: range, dim_a: int) -> np.ndarray:
     """The (len(trials), width) uniforms of trials ``range(start, stop)``:
     trial t owns row t of the key's one Philox stream read as
     ``random((N, width))``, reached by advancing t * width / 4 steps."""
-    if dim_a not in (2, 3, 4):
-        raise OutOfDomain(f"dim_a={dim_a} not in {{2, 3, 4}}")
+    if dim_a not in CLOSED_FORM_DIMS_A:
+        raise OutOfDomain(f"dim_a={dim_a} not in {set(CLOSED_FORM_DIMS_A)}")
     if trials.start < 0 or trials.step != 1:
         raise OutOfDomain(f"trials={trials} is not a range(start, stop) of trial indices")
     width = _trial_width(dim_a)

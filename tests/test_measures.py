@@ -118,6 +118,17 @@ class TestRawArrayInput:
         with pytest.raises(DimensionMismatch, match="must not be empty"):
             von_neumann_entropy(np.zeros((0, 2, 2)))
 
+    def test_shape_error_names_the_shape_the_dims_need(self):
+        # A raw 2x2 matrix is read as two qubits by the concurrence, and a
+        # 0-d array as a 1x1 state by the entropy: each error says what
+        # shape those dims would take.
+        with pytest.raises(DimensionMismatch, match=r"^matrix shape \(2, 2\) does not match "
+                           r"dims \(2, 2\), which need \(4, 4\) or \(N, 4, 4\)$"):
+            wootters_concurrence(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatch, match=r"^matrix shape \(\) does not match "
+                           r"dims \(1, 1\), which need \(1, 1\) or \(N, 1, 1\)$"):
+            von_neumann_entropy(np.array(1.0))
+
     def test_rounding_level_asymmetry_is_accepted(self):
         rng = np.random.default_rng(18)
         m = random_density(rng, 4)

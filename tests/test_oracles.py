@@ -622,6 +622,12 @@ class TestDecompositionStack:
         with pytest.raises(DimensionMismatch, match="one seed per member of a stack of 3"):
             decomposition_linear_cc(stack, trials=4, seed=seed)
 
+    @pytest.mark.parametrize("seed", [[4], [[4]], (4, 5)], ids=str)
+    def test_one_state_takes_one_seed(self, seed):
+        # The seed has the shape of the value, so a sequence is a stack's seed.
+        with pytest.raises(DimensionMismatch, match="takes one seed for one state"):
+            decomposition_linear_cc(make_random_rank2(9), trials=4, seed=seed)
+
     def test_a_stack_of_one_gives_an_array(self):
         rho = make_random_rank2(9)
         value = decomposition_linear_cc(rho[:], trials=8, seed=[4])

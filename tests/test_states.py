@@ -461,6 +461,12 @@ class TestDensityMatrixValidation:
             with pytest.raises(DimensionMismatch, match="dims must be two integers"):
                 DensityMatrix(dims, np.eye(4) / 4)
 
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0), (-2, -2)], ids=str)
+    def test_dims_must_be_positive(self, dims):
+        # Checked before the shape, whose message names the size the dims need.
+        with pytest.raises(DimensionMismatch, match=r"^dims must be two positive integers"):
+            DensityMatrix(dims, np.eye(4) / 4)
+
     def test_matrix_is_immutable(self):
         rho = make_horodecki(0.5)
         with pytest.raises(ValueError):
