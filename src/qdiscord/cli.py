@@ -24,9 +24,8 @@ from .discord import (correlation_report, discord_rank2, discord_rho2_closed_for
 from .errors import QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
-from .states import (CLOSED_FORM_DIMS_A, DensityMatrix, dump_state, load_state,
-                     make_bell_diagonal, make_example1, make_horodecki, make_random_rank2,
-                     make_rho2, random_trials)
+from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
+                     make_horodecki, make_random_rank2, make_rho2, random_trials)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -44,6 +43,10 @@ _ORACLE_TRIAL_CAP = 25
 # (tracemalloc), so either bound keeps a run near 1 GB.
 _MAX_TRIALS = 400_000
 _MAX_STEPS = 600_000
+# The same for --da: ``state show`` holds the (2 dA)^2 entries as Python
+# lists, about 2.2 kB per dA^2 at its peak RSS (910 MB at dA = 640, where
+# ``compute`` peaks at 192 MB).
+_MAX_DA = 640
 _STAGES = ("draw_states", "twins", "residuals", "projective", "decomposition")
 
 
@@ -136,6 +139,8 @@ def _family_parameters(args, swept=None) -> dict:
     if missing:
         listed = ", ".join(missing[:-1]) + " and " + missing[-1] if missing[1:] else missing[0]
         raise QDiscordError(f"family {args.family} requires {listed}")
+    if "da" in flags and not 1 <= args.da <= _MAX_DA:
+        raise QDiscordError(f"--da must be between 1 and {_MAX_DA}, got {args.da}")
     parameters = {}
     for flag in flags:
         value = getattr(args, flag)
@@ -190,12 +195,8 @@ def cmd_sweep(args) -> int:
     header, columns = family.columns(grid, states, parameters)
     rows = (",".join(repr(float(v)) for v in row) for row in zip(grid, *columns))
     text = "\n".join([",".join([family.sweep, *header]), *rows]) + "\n"
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
     return 0
 
 
@@ -317,7 +318,7 @@ def _add_family_arguments(parser, include_state=False):
     parser.add_argument("--eta", type=float, default=None, help="rho2 angle")
     parser.add_argument("--seed", type=_parse_seed, default=None, help="random_rank2 seed")
     parser.add_argument("--da", type=int, default=2,
-                        help=f"random_rank2 A-side dimension, one of {set(CLOSED_FORM_DIMS_A)}")
+                        help=f"random_rank2 A-side dimension, 1 to {_MAX_DA}")
     if include_state:
         parser.add_argument("--state", default=None,
                             help="path to a state JSON file instead of --family")

@@ -20,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import _closed_form_stack, _rebuilt_states, linear_cc_batch
+from .channel import _rebuilt_states, linear_cc_batch
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import partial_trace
 from .measures import (_purity_loss, binary_entropy, f_map, factor_concurrence,
                        spectral_entropy, unit_interval)
-from .states import RANK_TOL, DensityMatrix, _unstack, rho2_domain
+from .states import RANK_TOL, DensityMatrix, _stack_of, _unstack, rho2_domain
 
 _CLAMP_WINDOW = 1e-9
 # rho2's closed form divides by d1 * d2, the product of rho_B's diagonal
@@ -67,10 +67,9 @@ def _clamp_unit_interval(value):
 
 
 def _report_rows(rho: DensityMatrix):
-    """One row per report field, then the third-largest eigenvalues, for a stack,
-    and the channel images that I2_cc read; the state's spectrum is the one
-    its validation computed, and rho_B is diagonalized once, by
-    ``linear_cc_batch``."""
+    """One row per report field, for a stack, and the channel images that
+    I2_cc read; the state's spectrum is the one its validation computed, and
+    rho_B is diagonalized once, by ``linear_cc_batch``."""
     spectrum, dims = rho.spectrum, rho.dims
     rho_a = partial_trace(rho.matrix, dims, "A")
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
@@ -84,26 +83,27 @@ def _report_rows(rho: DensityMatrix):
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
     return np.stack([s_a, s_b, s_ab, s2_a, 4.0 * lam_b[:, 0] * lam_b[:, 1], i_mutual, i2_cc,
-                     i_cc, i_mutual - i_cc, rank, spectrum[:, -3]]), extracted
+                     i_cc, i_mutual - i_cc, rank]), extracted
 
 
-def _exclusion(dims, rank: int, third_eigenvalue: float) -> Optional[Exception]:
-    """The error that rules out the rank-2 two-qubit closed form, if any."""
+def _exclusion(dims, rank: int, spectrum: np.ndarray) -> Optional[Exception]:
+    """The error that rules out the rank-2 two-qubit closed form, if any; the
+    ascending ``spectrum`` is read only where the rank exceeds 2."""
     if dims != (2, 2):
         return DimensionMismatch(f"rank-2 formulas need a 2x2 pair, got dims {dims}")
     if rank > 2:
         return RankTooHigh(f"state has rank {rank}; third-largest eigenvalue "
-                           f"{third_eigenvalue:.6e}")
+                           f"{spectrum[-3]:.6e}")
     return None
 
 
 def _assess(rho, strict: bool):
     """``(rho as a stack, correlation_report(rho), the channel images I2_cc read)``; with
     ``strict``, the first state outside the closed form raises, named by index in a stack."""
-    stack = _closed_form_stack(rho)
-    (*rows, third), extracted = _report_rows(stack)
+    stack = _stack_of(rho)
+    rows, extracted = _report_rows(stack)
     columns = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
-    errors = [_exclusion(stack.dims, r, t) for r, t in zip(columns["rank"], third)]
+    errors = [_exclusion(stack.dims, r, s) for r, s in zip(columns["rank"], stack.spectrum)]
     reasons = tuple(error and f"rank-2 two-qubit closed form not applicable: {error}"
                     for error in errors)
     report = {name: _unstack(rho, values) for name, values in columns.items()}

@@ -2,9 +2,9 @@
 
 Two oracles live here; neither imports the closed forms or the channel
 extraction, and both read the conditional states of A as Tr_B[rho (I x O)].
-Both enter through ``_qubit_b_stack``, which requires B to be a qubit, and one
-state is a batch of one, so a member of a stack gets the value of its batch of
-one. The projective oracle maximizes the entropy drop of A over two-outcome
+Both enter through ``states._stack_of``, which requires B to be a qubit, and
+one state is a batch of one, so a member of a stack gets the value of its batch
+of one. The projective oracle maximizes the entropy drop of A over two-outcome
 projective measurements on the qubit B, a lower bound on the POVM-defined
 classical correlation, on a fixed schedule: a coarse grid over the half
 sphere, since the measurement along -n is the one along n with its outcomes
@@ -82,14 +82,6 @@ _RIDGE = np.arange(1, _RIDGE_POINTS) * math.pi / _RIDGE_POINTS
 # occur: their entropy is zero rather than that of a state normalized by a
 # vanishing trace, whose spectrum is rounding noise.
 _PROB_FLOOR = 1e-15
-
-
-def _qubit_b_stack(rho) -> DensityMatrix:
-    """``rho`` as a stack; DimensionMismatch unless its measured side B is a qubit."""
-    stack = _stack_of(rho)
-    if stack.dim_b != 2:
-        raise DimensionMismatch(f"measurement side B must be a qubit, got dims {stack.dims}")
-    return stack
 
 
 def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
@@ -338,7 +330,7 @@ def projective_classical_correlation(rho: DensityMatrix):
     moves its value by at most lam (log2(1/lam) + 1/ln 2 + log2 dA), on
     either side of the cut.
     """
-    stack = _qubit_b_stack(rho)
+    stack = _stack_of(rho)
     s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, stack.dims, "A")))
     n = len(stack)
     best, directions, frames = np.empty(n), np.empty((n, 3)), np.empty(n, int)
@@ -463,7 +455,7 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     """
     if not (isinstance(trials, numbers.Integral) and trials >= 0):
         raise OutOfDomain(f"trials must be a non-negative integer, got {trials!r}")
-    stack = _qubit_b_stack(rho)
+    stack = _stack_of(rho)
     best = np.full(len(stack), np.nan)
     # The seed has the shape of the value: one for one state, one per member for a stack.
     if np.shape(seed) != np.shape(_unstack(rho, best)):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ RANK_TOL = 1e-10
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
 MARGINAL_RANK_TOL = 1e-10  # rho_B is rank-1 when its smaller eigenvalue is at most this
 _JSON_TOL = 1e-8
-CLOSED_FORM_DIMS_A = (2, 3, 4)  # the dA of the (dA, 2) states the closed forms take
+_EMPTY_STACK = "a stack of states must not be empty"
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,9 @@ class DensityMatrix:
     that validation computed, shaped (n,) or (N, n), read-only and bit for
     bit ``np.linalg.eigvalsh(matrix)``. Indexing and slicing give members,
     with their rows of ``spectrum``, without validating them again; one state
-    indexes as a stack of one.
+    indexes as a stack of one. An empty selection raises the constructor's
+    DimensionMismatch, and an index on more than the member axis, such as
+    ``stack[0, 1]`` or ``stack[:, 0]``, raises IndexError.
     """
 
     dims: tuple
@@ -56,7 +59,7 @@ class DensityMatrix:
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({d_a}, {d_b}), "
                                     f"which need {(n, n)} or (N, {n}, {n})")
         if m.size == 0:
-            raise DimensionMismatch("a stack of states must not be empty")
+            raise DimensionMismatch(_EMPTY_STACK)
         stack = m.reshape(-1, n, n)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
@@ -90,8 +93,13 @@ class DensityMatrix:
     def __getitem__(self, index) -> DensityMatrix:
         n = self.matrix.shape[-1]
         matrix = self.matrix.reshape(-1, n, n)[index]
-        if matrix.ndim not in (2, 3):
+        # An index on more than the member axis, such as stack[:, 0], could
+        # give an (n, n) array that is no state.
+        if (matrix.ndim not in (2, 3) or isinstance(index, tuple) and len(index) > 1
+                or np.ndim(index) > 1):
             raise IndexError(f"index {index!r} does not select states")
+        if matrix.size == 0:
+            raise DimensionMismatch(_EMPTY_STACK)
         rho = object.__new__(DensityMatrix)
         _keep(rho, self.dims, matrix, self.spectrum.reshape(-1, n)[index])
         return rho
@@ -118,10 +126,13 @@ def _keep(rho: DensityMatrix, dims: tuple, matrix: np.ndarray, spectrum: np.ndar
 
 
 def _stack_of(rho) -> DensityMatrix:
-    """The entry of every function that takes a DensityMatrix: ``rho`` as a
-    stack, one state as a stack of one; TypeError for anything else."""
+    """The entry and the one dims rule of every function that takes a
+    DensityMatrix: ``rho`` as a stack, one state as a stack of one; TypeError
+    for anything else, DimensionMismatch unless B is a qubit."""
     if not isinstance(rho, DensityMatrix):
         raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    if rho.dim_b != 2:
+        raise DimensionMismatch(f"dims must be (dA, 2), side B a qubit, got dims {rho.dims}")
     return rho[:]
 
 
@@ -250,11 +261,11 @@ def _trial_blocks(key: int, trials: range, dim_a: int) -> np.ndarray:
     """The (len(trials), width) uniforms of trials ``range(start, stop)``:
     trial t owns row t of the key's one Philox stream read as
     ``random((N, width))``, reached by advancing t * width / 4 steps."""
-    if dim_a not in CLOSED_FORM_DIMS_A:
-        raise OutOfDomain(f"dim_a={dim_a} not in {set(CLOSED_FORM_DIMS_A)}")
+    if not (isinstance(dim_a, numbers.Integral) and dim_a >= 1):
+        raise OutOfDomain(f"dim_a={dim_a!r} is not a positive integer")
     if trials.start < 0 or trials.step != 1:
         raise OutOfDomain(f"trials={trials} is not a range(start, stop) of trial indices")
-    width = _trial_width(dim_a)
+    width = _trial_width(int(dim_a))  # a numpy integer would overflow in Philox.advance
     bits = philox(key)
     bits.advance(trials.start * width // 4)
     return np.random.Generator(bits).random((len(trials), width))

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -90,26 +91,33 @@ def test_only_states_tells_one_state_from_a_stack():
     assert readers == {"states.py"}
 
 
-_CLOSED_FORM_RULE = r"\(dA, 2\) with dA in \{2, 3, 4\}"
-_ORACLE_RULE = "measurement side B must be a qubit"
-# The six functions that take exactly one DensityMatrix: each as a call giving
+def test_only_states_reads_the_b_side():
+    # The one dims rule, B is a qubit, lives in states._stack_of, so no other
+    # module reads .dim_b.
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "dim_b":
+                readers.add(path.name)
+    assert readers == {"states.py"}
+
+
+_DIMS_RULE = r"^dims must be \(dA, 2\), side B a qubit, got dims "
+# The six functions that take exactly one DensityMatrix, each as a call giving
 # one number per state, ``seed`` being the decomposition oracle's (one int for
-# one state, one per member for a stack), and the message of its family's
-# shape rule.
+# one state, one per member for a stack).
 STATE_FUNCTIONS = {
-    "linear_classical_correlation": (
-        lambda rho, seed: qdiscord.linear_classical_correlation(rho), _CLOSED_FORM_RULE),
-    "correlation_report": (
-        lambda rho, seed: qdiscord.correlation_report(rho).Q_discord, _CLOSED_FORM_RULE),
-    "discord_rank2": (lambda rho, seed: qdiscord.discord_rank2(rho).I_cc, _CLOSED_FORM_RULE),
-    "identity_residuals": (
-        lambda rho, seed: qdiscord.identity_residuals(rho)[1], _CLOSED_FORM_RULE),
-    "projective_classical_correlation": (
-        lambda rho, seed: qdiscord.projective_classical_correlation(rho), _ORACLE_RULE),
-    "decomposition_linear_cc": (
+    "linear_classical_correlation": lambda rho, seed: qdiscord.linear_classical_correlation(rho),
+    "correlation_report": lambda rho, seed: qdiscord.correlation_report(rho).Q_discord,
+    "discord_rank2": lambda rho, seed: qdiscord.discord_rank2(rho).I_cc,
+    "identity_residuals": lambda rho, seed: qdiscord.identity_residuals(rho)[1],
+    "projective_classical_correlation":
+        lambda rho, seed: qdiscord.projective_classical_correlation(rho),
+    "decomposition_linear_cc":
         lambda rho, seed: qdiscord.decomposition_linear_cc(rho, trials=8, seed=seed),
-        _ORACLE_RULE),
 }
+# The two that give I_cc-derived values only for two-qubit states, and raise elsewhere.
+_TWO_QUBIT_STRICT = {"discord_rank2", "identity_residuals"}
 
 
 def _maximally_mixed(dims):
@@ -120,7 +128,7 @@ def _maximally_mixed(dims):
 @pytest.mark.parametrize("name", STATE_FUNCTIONS)
 @pytest.mark.parametrize("given", ["raw ndarray", "list of one state"])
 def test_state_functions_take_only_a_density_matrix(name, given):
-    call, _ = STATE_FUNCTIONS[name]
+    call = STATE_FUNCTIONS[name]
     rho = qdiscord.make_random_rank2(3)
     rho = rho.matrix if given == "raw ndarray" else [rho]
     with pytest.raises(TypeError, match="expected a DensityMatrix, got (ndarray|list)$"):
@@ -130,29 +138,52 @@ def test_state_functions_take_only_a_density_matrix(name, given):
 @pytest.mark.parametrize("name", STATE_FUNCTIONS)
 @pytest.mark.parametrize("dims", [(2, 1), (2, 3)], ids=str)
 def test_state_functions_reject_a_b_side_other_than_a_qubit(name, dims):
-    call, rule = STATE_FUNCTIONS[name]
+    call = STATE_FUNCTIONS[name]
     one = _maximally_mixed(dims)
     for rho, seed in ((one, 0), (one[[0, 0]], [0, 1])):
-        with pytest.raises(qdiscord.DimensionMismatch, match=rule):
+        with pytest.raises(qdiscord.DimensionMismatch, match=_DIMS_RULE + re.escape(str(dims))):
             call(rho, seed)
 
 
 @pytest.mark.parametrize("name", STATE_FUNCTIONS)
 @pytest.mark.parametrize("dims", [(1, 2), (5, 2)], ids=str)
 def test_a_sides_outside_the_closed_forms(name, dims):
-    # The closed forms take dA in {2, 3, 4}; the oracles measure B and take any dA.
-    call, rule = STATE_FUNCTIONS[name]
+    # Every function takes any dA. I_cc and Q_discord stay two-qubit: the
+    # report leaves them unset, and the two strict functions raise.
+    call = STATE_FUNCTIONS[name]
     rho = _maximally_mixed(dims)
-    if rule == _CLOSED_FORM_RULE:
-        with pytest.raises(qdiscord.DimensionMismatch, match=rule):
+    if name in _TWO_QUBIT_STRICT:
+        with pytest.raises(qdiscord.DimensionMismatch, match="need a 2x2 pair, got dims"):
             call(rho, 0)
+    elif name == "correlation_report":
+        assert call(rho, 0) is None
+        assert "2x2" in qdiscord.correlation_report(rho).reason
     else:
         assert call(rho, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", STATE_FUNCTIONS)
+@pytest.mark.parametrize("index", [slice(3, 3), [], np.zeros(4, bool)], ids=["slice", "list", "mask"])
+def test_an_empty_selection_is_refused_where_it_is_made(name, index):
+    # The constructor's error, raised by the indexing itself, so no function
+    # ever sees an empty stack.
+    stack = qdiscord.random_trials(0, range(4))[0]
+    with pytest.raises(qdiscord.DimensionMismatch, match="^a stack of states must not be empty$"):
+        STATE_FUNCTIONS[name](stack[index], [])
+
+
+@pytest.mark.parametrize("index", [(0, 1), (slice(None), 0), np.ones((4, 4), bool)],
+                         ids=["member row", "row of every member", "2-d mask"])
+def test_an_index_below_the_members_is_an_index_error(index):
+    # Each would give an array of rows, (4, 4) like one state but no state.
+    stack = qdiscord.random_trials(0, range(4))[0]
+    with pytest.raises(IndexError, match="does not select states"):
+        stack[index]
+
+
+@pytest.mark.parametrize("name", STATE_FUNCTIONS)
 def test_one_state_gives_the_float_of_its_stack_of_one(name):
-    call, _ = STATE_FUNCTIONS[name]
+    call = STATE_FUNCTIONS[name]
     rho = qdiscord.make_random_rank2(3)
     value, stacked = call(rho, 5), call(rho[:], [5])
     assert type(value) is float

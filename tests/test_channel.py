@@ -6,10 +6,12 @@ import pytest
 from conftest import (bloch, bloch_channel, bloch_i2_cc, from_bloch, gell_mann, haar_unitary,
                       random_density, stack_of)
 from qdiscord.channel import _rebuilt_states, linear_cc_batch, linear_classical_correlation
+from qdiscord.cli import _CHECK_TOLERANCES
 from qdiscord.discord import correlation_report
 from qdiscord.errors import DimensionMismatch
 from qdiscord.linalg import PAULIS, partial_trace
 from qdiscord.measures import linear_entropy
+from qdiscord.oracles import decomposition_linear_cc
 from qdiscord.states import (
     DensityMatrix,
     make_bell_diagonal,
@@ -286,10 +288,14 @@ class TestFrameFreeCore:
 
     @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 3), (5, 2)])
     def test_unsupported_shapes_rejected_at_entry(self, dims):
+        # The one dims rule: B is a qubit. Any dA passes, 1 and 5 included.
         n = dims[0] * dims[1]
         rho = DensityMatrix(dims, np.eye(n, dtype=complex) / n)
-        with pytest.raises(DimensionMismatch, match=r"\(dA, 2\) with dA in \{2, 3, 4\}"):
-            linear_classical_correlation(rho)
+        if dims[1] == 2:
+            assert linear_classical_correlation(rho) == 0.0
+        else:
+            with pytest.raises(DimensionMismatch, match=r"\(dA, 2\), side B a qubit, got dims"):
+                linear_classical_correlation(rho)
 
     def test_rho2_family_matches_reference(self):
         rng = np.random.default_rng(26)
@@ -301,6 +307,27 @@ class TestFrameFreeCore:
             assert linear_classical_correlation(rho) == pytest.approx(
                 bloch_i2_cc(rho), abs=1e-13
             )
+
+
+class TestAnyDimensionA:
+    """I2_cc for d x 2 states past the dA that the other tests sweep: the
+    closed form against the paper-definition reference, and the sampled
+    decompositions below it."""
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    @pytest.mark.parametrize("rank", ["rank-2", "full-rank"])
+    def test_matches_the_paper_definition(self, d, rank):
+        if rank == "rank-2":
+            states = random_trials(d, range(20), dim_a=d)[0]
+        else:
+            rng = np.random.default_rng(60 + d)
+            states = DensityMatrix((d, 2), np.array([random_density(rng, 2 * d) for _ in range(20)]))
+        expected = [bloch_i2_cc(rho) for rho in states]
+        got = linear_classical_correlation(states)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(correlation_report(states).I2_cc, expected, rtol=0, atol=1e-13)
+        sampled = decomposition_linear_cc(states, trials=16, seed=list(range(len(states))))
+        assert np.max(sampled - got) <= _CHECK_TOLERANCES["decomposition_bound"]
 
 
 class TestBatchedChannel:

@@ -231,6 +231,39 @@ class TestCompute:
         assert doc["I2_cc"] >= 0.0
         assert "2x2" in doc["reason"]
 
+    def test_any_da_gets_a_report(self, capsys):
+        # Past the old closed-form cap of dA = 4, I2_cc still reads, and I_cc
+        # stays two-qubit.
+        code, out, err = run(capsys, "compute", "--family", "random_rank2", "--seed", "1",
+                             "--da", "5")
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert doc["I_cc"] is None and doc["Q_discord"] is None
+        assert doc["reason"].endswith("rank-2 formulas need a 2x2 pair, got dims (5, 2)")
+        assert doc["I2_cc"] == pytest.approx(
+            channel.linear_classical_correlation(make_random_rank2(1, 5)), rel=1e-11)
+
+    @pytest.mark.parametrize("da", [-1, 0, 1, cli._MAX_DA, cli._MAX_DA + 1, 10**13])
+    @pytest.mark.parametrize("command", [["compute"], ["state", "show"]], ids=" ".join)
+    def test_da_bound(self, capsys, monkeypatch, command, da):
+        # --da is checked before any state is built; the builder is replaced,
+        # so the test allocates nothing at any dA.
+        calls = []
+
+        def small_state(seed, dim_a):
+            calls.append(dim_a)
+            return make_random_rank2(seed)
+
+        family = cli._FAMILIES["random_rank2"]._replace(build=small_state)
+        monkeypatch.setitem(cli._FAMILIES, "random_rank2", family)
+        code, out, err = run(capsys, *command, "--family", "random_rank2", "--seed", "7",
+                             "--da", str(da))
+        if 1 <= da <= cli._MAX_DA:
+            assert (code, err, calls) == (0, "", [da])
+        else:
+            assert (code, out, calls) == (2, "", [])
+            assert err == f"error: --da must be between 1 and {cli._MAX_DA}, got {da}\n"
+
     @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 3), (5, 2)])
     def test_unsupported_shape_exit_2(self, capsys, tmp_path, dims):
         n = dims[0] * dims[1]
@@ -238,9 +271,15 @@ class TestCompute:
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dims": list(dims), "matrix": rows}), encoding="utf-8")
         code, out, err = run(capsys, "compute", "--state", str(path))
-        assert code == 2 and out == ""
-        assert "(dA, 2) with dA in {2, 3, 4}" in err
-        assert f"got dims {tuple(dims)}" in err
+        if dims[1] == 2:
+            # B is a qubit, so any dA gets a report; I_cc stays two-qubit.
+            doc = json.loads(out)
+            assert code == 0 and err == ""
+            assert doc["I2_cc"] == 0.0 and doc["I_cc"] is None
+            assert f"2x2 pair, got dims {tuple(dims)}" in doc["reason"]
+        else:
+            assert code == 2 and out == ""
+            assert f"error: dims must be (dA, 2), side B a qubit, got dims {tuple(dims)}\n" == err
 
     @pytest.mark.parametrize("dims", [[True, 4], [2, True]], ids=["true_4", "2_true"])
     def test_boolean_dims_are_rejected(self, capsys, tmp_path, dims):
@@ -419,6 +458,16 @@ class TestSweep:
                            "--steps", "5", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "required: --family" in err
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, where):
+        # main reports the OSError as it reports every input error.
+        out_path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+        code, out, err = run(capsys, "sweep", "--family", "horodecki", "--param", "p",
+                             "--from", "0", "--to", "1", "--steps", "5", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(out_path) in err
 
     def test_unknown_sweep_family_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--family", "random_rank2", "--param",

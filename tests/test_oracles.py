@@ -67,7 +67,7 @@ class TestMeasurementProjectors:
 class TestProjectiveOracle:
     def test_measured_side_must_be_a_qubit(self):
         rho = DensityMatrix((2, 3), np.eye(6) / 6)
-        with pytest.raises(DimensionMismatch, match="measurement side B must be a qubit"):
+        with pytest.raises(DimensionMismatch, match=r"side B a qubit, got dims \(2, 3\)"):
             projective_classical_correlation(rho)
 
     def test_product_state(self):
@@ -475,6 +475,54 @@ def test_projective_oracle_pinned_to_the_closed_form(build):
     gap = np.asarray(projective_classical_correlation(rho) - discord_rank2(rho).I_cc)
     assert np.max(gap) <= _PINNED
     assert np.max(-gap) <= _PINNED
+
+
+def _projector(v):
+    return np.outer(v, v.conj())
+
+
+def _classical_quantum_states(seed, count):
+    """p |a0><a0| x |b0><b0| + (1 - p) |a1><a1| x |b1><b1| for random pure a_i on
+    A and a random basis b_i of B, p in [0.01, 0.99], and the S(rho_A) that
+    measuring B in that basis reaches, since it leaves A pure."""
+    rng = np.random.default_rng(seed)
+    matrices, s_a = [], []
+    for _ in range(count):
+        p = rng.uniform(0.01, 0.99)
+        b = haar_unitary(rng, 2)
+        a0, a1 = random_pure_density(rng, 2), random_pure_density(rng, 2)
+        matrices.append(p * np.kron(a0, _projector(b[:, 0]))
+                        + (1 - p) * np.kron(a1, _projector(b[:, 1])))
+        s_a.append(von_neumann_entropy(p * a0 + (1 - p) * a1))
+    return DensityMatrix((2, 2), np.array(matrices)), np.array(s_a)
+
+
+def _skewed_rank2_states(seed, count):
+    """Rank-2 two-qubit states on two Haar-random orthonormal vectors whose
+    second eigenvalue is 1e-4 to 1e-1 of the first (log-uniform), and their I_cc."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for _ in range(count):
+        ratio = 10.0 ** rng.uniform(-4.0, -1.0)
+        v = haar_unitary(rng, 4)[:, :2]
+        matrices.append((v * (np.array([1.0, ratio]) / (1.0 + ratio))) @ v.conj().T)
+    states = DensityMatrix((2, 2), np.array(matrices))
+    return states, discord_rank2(states).I_cc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("corpus", [_classical_quantum_states, _skewed_rank2_states],
+                         ids=["classical-quantum", "skewed rank-2"])
+def test_projective_oracle_at_cusp_shaped_maxima(corpus, seed):
+    # Nearly pure conditional states put the maximum on a cusp, which the
+    # coarse grid and the ridge scan alone miss: without the window rounds
+    # the skewed states read up to 1.2e-3 below. The search reads at most
+    # 2.9e-12 below here (1.2e-10 over 27 more classical-quantum seeds). A
+    # branch weight p or 1 - p far below 0.01 narrows the cusp past the
+    # Newton steps' reach (5.5e-6 below at 3.2e-5), so the corpus stops there.
+    states, reference = corpus(seed, 300)
+    gap = projective_classical_correlation(states) - reference
+    assert np.max(np.abs(gap)) <= 1e-9
 
 
 class TestDecompositionOracle:

@@ -238,10 +238,14 @@ class TestRandomRank2:
             assert rho.dims == (dim_a, 2)
 
     def test_bad_dimension(self):
-        with pytest.raises(OutOfDomain):
-            make_random_rank2(0, dim_a=5)
-        with pytest.raises(OutOfDomain):
-            random_trials(0, range(3), dim_a=5)
+        # Any positive integer dA; nothing else.
+        for dim_a in (0, -1, 2.0, "3"):
+            with pytest.raises(OutOfDomain, match="is not a positive integer"):
+                make_random_rank2(0, dim_a=dim_a)
+            with pytest.raises(OutOfDomain, match="is not a positive integer"):
+                random_trials(0, range(3), dim_a=dim_a)
+        assert make_random_rank2(0, dim_a=5).dims == (5, 2)
+        assert random_trials(0, range(3), dim_a=np.int64(1))[0].dims == (1, 2)
 
     @pytest.mark.parametrize("build", [make_random_rank2, lambda seed: random_trials(seed, range(2))])
     def test_seed_outside_the_philox_keys(self, build):
