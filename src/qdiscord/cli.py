@@ -161,8 +161,6 @@ def cmd_compute(args) -> int:
     if args.state is not None:
         with open(args.state, "r", encoding="utf-8") as handle:
             rho, family = load_state(handle.read()), None
-    elif args.family is None:
-        raise QDiscordError("provide either --family or --state")
     else:
         rho, parameters = _family_state(args)
         family = {"name": args.family, "parameters": parameters}
@@ -306,9 +304,10 @@ def cmd_state_show(args) -> int:
     return 0
 
 
-def _add_family_arguments(parser, include_state=False):
-    # With --state as the alternative, compute checks for --family itself.
-    parser.add_argument("--family", choices=tuple(_FAMILIES), required=not include_state)
+def _add_family_arguments(parser, source=None):
+    # --family is required, or one of the required group ``source``.
+    (parser if source is None else source).add_argument(
+        "--family", choices=tuple(_FAMILIES), required=source is None)
     parser.add_argument("--c", type=_parse_c_triple, default=None,
                         help="bell_diagonal coefficients c1,c2,c3")
     parser.add_argument("--p", type=float, default=None, help="horodecki weight")
@@ -319,9 +318,6 @@ def _add_family_arguments(parser, include_state=False):
     parser.add_argument("--seed", type=_parse_seed, default=None, help="random_rank2 seed")
     parser.add_argument("--da", type=int, default=2,
                         help=f"random_rank2 A-side dimension, 1 to {_MAX_DA}")
-    if include_state:
-        parser.add_argument("--state", default=None,
-                            help="path to a state JSON file instead of --family")
 
 
 @functools.cache
@@ -337,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="report all correlations of one state")
-    _add_family_arguments(compute, include_state=True)
+    source = compute.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", help="path to a state JSON file instead of --family")
+    _add_family_arguments(compute, source)
     compute.set_defaults(handler="cmd_compute")
 
     sweep = sub.add_parser("sweep", help="write a CSV parameter sweep")

@@ -1,8 +1,7 @@
-"""The Pauli matrices, two shared cut-offs and the partial trace.
+"""The Pauli matrices, the eigenvalue cut-off and the partial trace.
 
-HERMITIAN_TOL is the Hermiticity cut of the one state validator,
-``states.DensityMatrix``; nothing here validates a state. Everything here is
-a pure function of its inputs; values are safe to share across threads.
+Everything here is a pure function of its inputs; values are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-HERMITIAN_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

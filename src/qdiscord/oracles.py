@@ -92,15 +92,15 @@ def _conditionals(rho: DensityMatrix, operators: np.ndarray) -> np.ndarray:
 
 
 def _measurement_response(stack: DensityMatrix):
-    """The members of a stack grouped by frame size k, in increasing k, as
-    (members, T) pairs: T is the (M, 4, k, k) stack of each member's T_0..3,
+    """The members of a stack grouped by frame size k, in increasing k, yielded
+    as (members, T) pairs: T is the (M, 4, k, k) stack of each member's T_0..3,
     whose sums (T_0 +- n.T)/2 have the conditional spectra.
 
-    One batched eigh of the stack counts each member's eigenvalues above
-    EIGENVALUE_CLAMP. Without a frame, T_0 = Tr_B[rho] and
+    A member's k is min(rank, dA), its rank the count of ``stack.spectrum``
+    above EIGENVALUE_CLAMP. At k = dA, T_0 = Tr_B[rho] and
     T_k = Tr_B[rho (I x sigma_k)], so (T_0 +- n.T)/2 is the conditional state
-    Tr_B[rho (I x (I +- n.sigma)/2)]. A member with k < dA eigenvalues above
-    the cut is written as G G^dagger with G = V sqrt(Lambda) (2dA x k) and
+    Tr_B[rho (I x (I +- n.sigma)/2)]. Below it, one eigh of the group's
+    members writes each as G G^dagger with G = V sqrt(Lambda) (2dA x k) and
     T_0 = G^dagger G, T_k = G^dagger (I x sigma_k) G: the k x k matrix
     G^dagger (I x Pi) G has the trace and the nonzero spectrum of the
     conditional state (I x <n|) G G^dagger (I x |n>), so every entropy is
@@ -108,19 +108,17 @@ def _measurement_response(stack: DensityMatrix):
     Eigenvalues at or below the cut are left out of G.
     """
     d_a = stack.dim_a
-    lam, vectors = np.linalg.eigh(stack.matrix)
-    ranks = np.count_nonzero(lam > EIGENVALUE_CLAMP, axis=1)
-    groups = []
-    for k in sorted(set(ranks[ranks < d_a].tolist())):
-        members = np.flatnonzero(ranks == k)
+    frames = np.minimum(np.count_nonzero(stack.spectrum > EIGENVALUE_CLAMP, axis=1), d_a)
+    for k in sorted(set(frames.tolist())):
+        members = np.flatnonzero(frames == k)
+        if k == d_a:
+            yield members, _conditionals(stack[members], SIGMAS)
+            continue
+        lam, vectors = np.linalg.eigh(stack.matrix[members])
         # eigh sorts ascending, so the eigenvalues above the cut are the last k.
-        g = vectors[members, :, -k:] * np.sqrt(lam[members, -k:])[:, None, :]
+        g = vectors[:, :, -k:] * np.sqrt(lam[:, -k:])[:, None, :]
         g = g.reshape(len(members), d_a, 2, k)
-        groups.append((members, np.einsum("nabi,kbc,nacj->nkij", g.conj(), SIGMAS, g)))
-    full = np.flatnonzero(ranks >= d_a)
-    if len(full):
-        groups.append((full, _conditionals(stack[full], SIGMAS)))
-    return groups
+        yield members, np.einsum("nabi,kbc,nacj->nkij", g.conj(), SIGMAS, g)
 
 
 def _coefficients(t: np.ndarray) -> np.ndarray:
@@ -138,10 +136,10 @@ def _coefficients(t: np.ndarray) -> np.ndarray:
     return np.concatenate([trace[..., None], t.reshape(*t.shape[:-2], -1).view(float)], axis=-1)
 
 
-def _outcome_entropies(coords: np.ndarray, probs: np.ndarray, frame: int) -> np.ndarray:
-    """Entropies of conditional states given as ``_coefficients`` coordinates
-    in a ``frame`` x ``frame`` frame, each normalized by its probability; zero
-    where the probability is at or below _PROB_FLOOR.
+def _outcome_entropies(coords: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Entropies of conditional states given as ``_coefficients`` coordinates,
+    each normalized by its probability; zero where the probability is at or
+    below _PROB_FLOOR. Four columns are a 2x2 frame, 1 + 2k^2 a k x k one.
 
     A 2x2 conditional of trace p has eigenvalues 1/2 +- r with radius
     r = sqrt(((a - d)/2)^2 + |b|^2) / p; larger and 1x1 ones go through
@@ -149,10 +147,11 @@ def _outcome_entropies(coords: np.ndarray, probs: np.ndarray, frame: int) -> np.
     """
     occurs = probs > _PROB_FLOOR
     safe = np.where(occurs, probs, 1.0)
-    if frame == 2:
+    if coords.shape[-1] == 4:
         radius = np.sqrt(np.einsum("...i,...i->...", coords[..., 1:], coords[..., 1:])) / safe
         lam = (0.5 - radius, 0.5 + radius)
     else:
+        frame = math.isqrt(coords.shape[-1] // 2)
         normalized = coords[..., 1:] / safe[..., None]
         lam = np.linalg.eigvalsh(normalized.view(complex).reshape(*probs.shape, frame, frame))
         lam = np.moveaxis(lam, -1, 0)
@@ -160,13 +159,13 @@ def _outcome_entropies(coords: np.ndarray, probs: np.ndarray, frame: int) -> np.
     return np.where(occurs, -sum(v * np.log2(v) for v in kept), 0.0)
 
 
-def _entropy_drops(coefficients: np.ndarray, frame: int, s_a: np.ndarray, directions):
+def _entropy_drops(coefficients: np.ndarray, s_a: np.ndarray, directions):
     """S(rho_A) - sum_i p_i S(rho_A^i) for the (G, 4, m) ``_coefficients`` of G
     states of one frame size and a (G, M, 3) batch of directions, M per state."""
     unit = coefficients[:, None, 0]
     plus = 0.5 * (unit + directions @ coefficients[:, 1:])
     probs = np.concatenate([plus[..., 0], 1.0 - plus[..., 0]])
-    entropies = _outcome_entropies(np.concatenate([plus, unit - plus]), probs, frame)
+    entropies = _outcome_entropies(np.concatenate([plus, unit - plus]), probs)
     n = len(coefficients)
     return s_a[:, None] - probs[:n] * entropies[:n] - probs[n:] * entropies[n:]
 
@@ -243,7 +242,7 @@ def _angles(directions: np.ndarray) -> np.ndarray:
     return np.stack([theta, phi], axis=-1)
 
 
-def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
+def _search(coefficients: np.ndarray, s_a: np.ndarray):
     """The projective search for the (G, 4, m) ``_coefficients`` of G states of
     one frame size: each state's coarse scan of the half grid, in one call
     per state, then _ROUNDS window rounds around each state's best cell, a
@@ -256,7 +255,7 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
         # One state per call: in a 2x2 frame its 1024 directions fill a 64 KiB
         # array, below glibc's 128 KiB mmap threshold, so the scan's
         # temporaries come from the heap, not from freshly faulted pages.
-        values = _entropy_drops(coefficients[i:i + 1], frame, s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
+        values = _entropy_drops(coefficients[i:i + 1], s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
         top = np.argmax(values)
         best[i], angles[i] = values[top], _COARSE_POINTS[top]
     best_directions = _directions(angles)
@@ -264,7 +263,7 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
 
     def evaluate(points):
         nonlocal best, best_directions
-        values = _entropy_drops(coefficients, frame, s_a, points)
+        values = _entropy_drops(coefficients, s_a, points)
         top = np.argmax(values, axis=1)
         better = values[rows, top] > best
         best = np.where(better, values[rows, top], best)
@@ -301,7 +300,7 @@ def _search(coefficients: np.ndarray, frame: int, s_a: np.ndarray):
 def projective_classical_correlation(rho: DensityMatrix):
     """Best entropy drop of A over two-outcome projective measurements on B.
 
-    One batched eigh of the stack sorts its members by frame (see
+    The validated spectrum sorts the stack's members by frame (see
     ``_measurement_response``). Each state's coarse scan covers the
     theta < pi/2 half of a 64x32 (theta, phi) grid, 1024 cells: the other
     half's cells are their antipodes, and the measurement along -n is the
@@ -336,7 +335,7 @@ def projective_classical_correlation(rho: DensityMatrix):
     best, directions, frames = np.empty(n), np.empty((n, 3)), np.empty(n, int)
     for members, t in _measurement_response(stack):
         frames[members] = t.shape[-1]
-        best[members], directions[members] = _search(_coefficients(t), t.shape[-1], s_a[members])
+        best[members], directions[members] = _search(_coefficients(t), s_a[members])
     if _log.isEnabledFor(logging.DEBUG):
         for frame, value, (theta, phi) in zip(frames, best, _angles(directions)):
             _log.debug(

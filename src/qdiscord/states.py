@@ -16,16 +16,17 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotFinite, NotHermitian, NotPositive, OutOfDomain,
                      StateFormatError)
-from .linalg import HERMITIAN_TOL, PAULI_X, PAULI_Y, PAULI_Z
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z
 
 RANK_TOL = 1e-10
+HERMITIAN_TOL = 1e-10  # largest |m - m^dagger| entry a density matrix may have
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
 MARGINAL_RANK_TOL = 1e-10  # rho_B is rank-1 when its smaller eigenvalue is at most this
 _JSON_TOL = 1e-8
 _EMPTY_STACK = "a stack of states must not be empty"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite density matrix with an explicit (dA, dB) split, or an
     (N, n, n) stack of them with one split.
@@ -39,12 +40,13 @@ class DensityMatrix:
     with their rows of ``spectrum``, without validating them again; one state
     indexes as a stack of one. An empty selection raises the constructor's
     DimensionMismatch, and an index on more than the member axis, such as
-    ``stack[0, 1]`` or ``stack[:, 0]``, raises IndexError.
+    ``stack[0, 1]`` or ``stack[:, 0]``, raises IndexError. A state equals
+    only itself and hashes by identity.
     """
 
     dims: tuple
     matrix: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:

@@ -34,6 +34,18 @@ def haar_unitary(rng, dim):
     return q * phases.conj()
 
 
+def reference_h(x):
+    """Binary entropy in bits, from raw math."""
+    if x in (0.0, 1.0):
+        return 0.0
+    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+
+def reference_f(x):
+    """The paper's f(x) = h((1 + sqrt(1 - x))/2), from raw math."""
+    return reference_h((1 + math.sqrt(1 - x)) / 2)
+
+
 def measurement_projectors(theta, phi):
     """Two-outcome projectors (I +- n.sigma)/2 along the (theta, phi) direction."""
     from qdiscord.linalg import PAULIS

@@ -2,14 +2,16 @@
 line with its measured runtime. Run with `pytest tests/test_acceptance.py -s`
 to see the lines as they complete.
 
-Reference values are evaluated with raw math formulas inside this module, not
-with package code, so each criterion compares two independent routes.
+Reference values are evaluated with raw math formulas, here and in
+``conftest``, not with package code, so each criterion compares two
+independent routes.
 """
 
 import math
 import time
 
 import numpy as np
+from conftest import reference_f, reference_h
 
 from qdiscord.channel import linear_classical_correlation
 from qdiscord.discord import (
@@ -31,16 +33,6 @@ from qdiscord.states import (
 )
 
 LOG2_3 = math.log2(3.0)
-
-
-def reference_h(x):
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def reference_f(x):
-    return reference_h((1 + math.sqrt(1 - x)) / 2)
 
 
 def report(number, ok, elapsed, limit, detail):

@@ -31,16 +31,6 @@ from qdiscord.states import (
 LOG2_3 = math.log2(3.0)
 
 
-def reference_h(x):
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def reference_f(x):
-    return reference_h((1 + math.sqrt(1 - x)) / 2)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -149,6 +139,19 @@ class TestCompute:
         a.pop("family")
         b.pop("family")
         assert a == b
+
+    @pytest.mark.parametrize("source,message", [
+        (["--family", "example1", "--x", "0.3", "--state", "h.json"],
+         "argument --state: not allowed with argument --family"),
+        (["--x", "0.3"], "one of the arguments --state --family is required"),
+    ], ids=["both", "neither"])
+    def test_exactly_one_of_family_and_state(self, capsys, tmp_path, monkeypatch, source,
+                                             message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.json").write_text(dump_state(make_horodecki(0.3)), encoding="utf-8")
+        code, out, err = run(capsys, "compute", *source)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
 
     def test_missing_parameters_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "horodecki")
@@ -670,9 +673,10 @@ class TestValidate:
     def test_a_run_makes_one_eigh_per_stack(self, monkeypatch):
         # Every eigh of a run is batched over its stack: rho_B of the states
         # and of their twins in the two channel extractions, the tangle's
-        # eigen-factors, and on the 25 oracle states the projective oracle's
-        # frames (one (25, 4, 4) call, not one per state), then rho_B and the
-        # aligned chord's Gram matrix in the decomposition oracle.
+        # eigen-factors, and on the 25 oracle states rho_B and the aligned
+        # chord's Gram matrix in the decomposition oracle. The projective
+        # oracle reads its frames from the validated spectrum, and rank-2
+        # two-qubit states need no eigenvectors.
         shapes, eigh = [], np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
@@ -681,9 +685,9 @@ class TestValidate:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         assert cli.run_validation(1000, 42)["pass"]
-        assert len(shapes) == 6
+        assert len(shapes) == 5
         assert sorted(shapes) == sorted([(1000, 2, 2), (1000, 2, 2), (1000, 4, 4),
-                                         (25, 4, 4), (25, 2, 2), (25, 3, 3)])
+                                         (25, 2, 2), (25, 3, 3)])
 
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (haar_unitary, purified_tangle_reference, random_density,
-                      random_pure_density, stack_of)
+                      random_pure_density, reference_f, reference_h, stack_of)
 from qdiscord import discord as discord_module
 from qdiscord.channel import linear_classical_correlation
 from qdiscord.discord import (
@@ -37,16 +37,6 @@ from qdiscord.states import (
 )
 
 LOG2_3 = math.log2(3.0)
-
-
-def reference_h(x):
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def reference_f(x):
-    return reference_h((1 + math.sqrt(1 - x)) / 2)
 
 
 def horodecki_discord(p):

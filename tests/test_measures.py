@@ -32,16 +32,6 @@ from qdiscord.states import (
 LOG2_3 = math.log2(3.0)
 
 
-def reference_h(x):
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def reference_f(x):
-    return reference_h((1 + math.sqrt(1 - x)) / 2)
-
-
 class TestVonNeumannEntropy:
     def test_maximally_mixed(self):
         assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)

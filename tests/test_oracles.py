@@ -187,6 +187,23 @@ class TestRankFrame:
             assert abs(got - full) <= (dropped_mass if frame == 2 else 1e-14)
             assert abs(got - projective_classical_correlation(rank2)) <= 2.0 * dropped_mass
 
+    def test_eigh_runs_only_on_members_below_full_frame(self, monkeypatch):
+        # The frames come from the validated spectrum; only members of rank
+        # below dA need their eigenvectors, one eigh per frame size.
+        stacks = (random_trials(0, range(25))[0], random_trials(0, range(25), 3)[0],
+                  _stack_with_mixed_frames())
+        shapes, eigh = [], np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for stack, expected in zip(stacks, ([], [(25, 6, 6)], [(1, 6, 6), (1, 6, 6)])):
+            shapes.clear()
+            projective_classical_correlation(stack)
+            assert shapes == expected
+
 
 def _full_grid_drops(rho, directions):
     """Entropy drops of one state along (M, 3) directions, from explicit
@@ -228,7 +245,7 @@ class TestCoarseStarts:
             full_best = full_directions[np.argmax(_full_grid_drops(rho, full_directions))]
             # The oracle's own scores of the half grid pick that measurement.
             ((_, t),) = _measurement_response(rho[:])
-            values = oracles._entropy_drops(_coefficients(t), t.shape[-1], np.zeros(1),
+            values = oracles._entropy_drops(_coefficients(t), np.zeros(1),
                                             oracles._COARSE_DIRECTIONS)[0]
             start = oracles._COARSE_DIRECTIONS[0, np.argmax(values)]
             assert abs(full_best @ start) == pytest.approx(1.0, abs=1e-12)
@@ -263,9 +280,9 @@ class TestOracleLogging:
         scored = []
         entropy_drops = oracles._entropy_drops
 
-        def counted(coefficients, frame, s_a, directions):
+        def counted(coefficients, s_a, directions):
             scored.append(directions.shape[-2])
-            return entropy_drops(coefficients, frame, s_a, directions)
+            return entropy_drops(coefficients, s_a, directions)
 
         monkeypatch.setattr(oracles, "_entropy_drops", counted)
         rng = np.random.default_rng(5)
@@ -716,7 +733,7 @@ class TestBatchedPaths:
         coords = np.stack([_coefficients(np.stack([m] * 4))[0] for m in mats])
         np.testing.assert_allclose(coords[:, 0], probs, rtol=1e-13, atol=0)
         np.testing.assert_allclose(
-            _outcome_entropies(coords, probs, frame), reference, rtol=0, atol=1e-13
+            _outcome_entropies(coords, probs), reference, rtol=0, atol=1e-13
         )
 
     def test_qubit_entropy_formula_matches_eigvalsh(self):

@@ -20,11 +20,12 @@ from qdiscord.errors import (
     OutOfDomain,
     StateFormatError,
 )
-from qdiscord.linalg import HERMITIAN_TOL, partial_trace
+from qdiscord.linalg import partial_trace
 from qdiscord.measures import von_neumann_entropy
 from qdiscord.states import (
     _JSON_TOL,
     DENSITY_TOL,
+    HERMITIAN_TOL,
     DensityMatrix,
     _trial_blocks,
     box_muller,
@@ -744,6 +745,12 @@ class TestDensityMatrixStack:
             assert_spectrum_kept(state)
         with pytest.raises(IndexError):
             rho[1]
+
+    def test_a_state_equals_only_itself_and_hashes_by_identity(self):
+        rho, twin = make_horodecki(0.3), make_horodecki(0.3)
+        np.testing.assert_array_equal(rho.matrix, twin.matrix)
+        assert rho == rho and rho != twin and not rho == twin
+        assert len({rho, rho[0], rho}) == 2 and rho in {rho}
 
     def test_numpy_reads_a_state_or_a_stack_as_its_matrix(self):
         for rho in (make_horodecki(0.3), random_trials(0, range(3), dim_a=3)[0]):
