@@ -131,19 +131,30 @@ _FAMILIES = {
 }
 
 
+# Every family flag, in the order ``_add_family_arguments`` adds them.
+_FAMILY_FLAGS = tuple(dict.fromkeys(flag for family in _FAMILIES.values() for flag in family.flags))
+
+
+def _listed(flags) -> str:
+    """The flags as ``--a``, ``--a and --b`` or ``--a, --b and --c``."""
+    named = [f"--{flag}" for flag in flags]
+    return ", ".join(named[:-1]) + " and " + named[-1] if named[1:] else named[0]
+
+
 def _family_parameters(args, swept=None) -> dict:
     """The payload parameters of ``--family`` from its flags, naming every
-    missing flag but ``swept``; the ``--c`` triple gives c1, c2 and c3."""
-    flags = _FAMILIES[args.family].flags
-    missing = [f"--{flag}" for flag in flags if flag != swept and getattr(args, flag) is None]
+    missing flag but ``swept``; the ``--c`` triple gives c1, c2 and c3, and
+    ``--da`` is 2 unless given."""
+    values = {flag: getattr(args, flag) for flag in _FAMILIES[args.family].flags}
+    if "da" in values and values["da"] is None:
+        values["da"] = 2
+    missing = [flag for flag, value in values.items() if flag != swept and value is None]
     if missing:
-        listed = ", ".join(missing[:-1]) + " and " + missing[-1] if missing[1:] else missing[0]
-        raise QDiscordError(f"family {args.family} requires {listed}")
-    if "da" in flags and not 1 <= args.da <= _MAX_DA:
-        raise QDiscordError(f"--da must be between 1 and {_MAX_DA}, got {args.da}")
+        raise QDiscordError(f"family {args.family} requires {_listed(missing)}")
+    if "da" in values and not 1 <= values["da"] <= _MAX_DA:
+        raise QDiscordError(f"--da must be between 1 and {_MAX_DA}, got {values['da']}")
     parameters = {}
-    for flag in flags:
-        value = getattr(args, flag)
+    for flag, value in values.items():
         if isinstance(value, tuple):
             parameters.update((f"{flag}{i}", v) for i, v in enumerate(value, 1))
         else:
@@ -159,6 +170,9 @@ def _family_state(args):
 
 def cmd_compute(args) -> int:
     if args.state is not None:
+        given = [flag for flag in _FAMILY_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise QDiscordError(f"--state takes no family flags, got {_listed(given)}")
         with open(args.state, "r", encoding="utf-8") as handle:
             rho, family = load_state(handle.read()), None
     else:
@@ -316,8 +330,8 @@ def _add_family_arguments(parser, source=None):
     parser.add_argument("--theta", type=float, default=None, help="rho2 angle")
     parser.add_argument("--eta", type=float, default=None, help="rho2 angle")
     parser.add_argument("--seed", type=_parse_seed, default=None, help="random_rank2 seed")
-    parser.add_argument("--da", type=int, default=2,
-                        help=f"random_rank2 A-side dimension, 1 to {_MAX_DA}")
+    parser.add_argument("--da", type=int, default=None,
+                        help=f"random_rank2 A-side dimension, 1 to {_MAX_DA} (default 2)")
 
 
 @functools.cache

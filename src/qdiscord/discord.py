@@ -22,9 +22,8 @@ import numpy as np
 
 from .channel import _rebuilt_states, linear_cc_batch
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
-from .linalg import partial_trace
-from .measures import (_purity_loss, binary_entropy, f_map, factor_concurrence,
-                       spectral_entropy, unit_interval)
+from .linalg import SPIN_FLIP, partial_trace, qubit_eigvalsh
+from .measures import binary_entropy, f_map, purity_loss, spectral_entropy, unit_interval
 from .states import RANK_TOL, DensityMatrix, _stack_of, _unstack, rho2_domain
 
 _CLAMP_WINDOW = 1e-9
@@ -68,17 +67,18 @@ def _clamp_unit_interval(value):
 
 def _report_rows(rho: DensityMatrix):
     """One row per report field, for a stack, and the channel images that
-    I2_cc read; the state's spectrum is the one its validation computed, and
-    rho_B is diagonalized once, by ``linear_cc_batch``."""
+    I2_cc read; the state's spectrum is the one its validation computed,
+    rho_B is diagonalized once, by ``linear_cc_batch``, and a qubit rho_A in
+    closed form."""
     spectrum, dims = rho.spectrum, rho.dims
     rho_a = partial_trace(rho.matrix, dims, "A")
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
     applies = (rank <= 2) & (dims == (2, 2))
     i2_cc, extracted = linear_cc_batch(rho)
     lam_b = extracted[0]
-    s_a, s_b, s_ab = (spectral_entropy(np.linalg.eigvalsh(rho_a)), spectral_entropy(lam_b),
-                      spectral_entropy(spectrum))
-    s2_a = _purity_loss(rho_a)
+    lam_a = qubit_eigvalsh(rho_a) if rho.dim_a == 2 else np.linalg.eigvalsh(rho_a)
+    s_a, s_b, s_ab = spectral_entropy(lam_a), spectral_entropy(lam_b), spectral_entropy(spectrum)
+    s2_a = purity_loss(rho_a)
     f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
@@ -169,18 +169,36 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
     return float(q) if x.ndim == 0 else np.where(degenerate, np.nan, q)
 
 
+def _pivot_column(m: np.ndarray, keep) -> np.ndarray:
+    """One pivoted Cholesky step on a positive semidefinite stack: the column
+    of each matrix's largest diagonal entry over that entry's root, and 0
+    where ``keep`` is False."""
+    rows = np.arange(len(m))
+    pivot = np.argmax(np.diagonal(m, axis1=1, axis2=2).real, axis=1)
+    weight = np.where(keep, m[rows, pivot, pivot].real, 1.0)
+    return np.where(keep[:, None], m[rows, :, pivot] / np.sqrt(weight)[:, None], 0.0)
+
+
 def _purified_tangle(rho: DensityMatrix) -> np.ndarray:
     """tau(rho_AC) for a stack of rank-<=2 two-qubit states, across the
-    purification psi[a, b, c] = sqrt(lam_c) v_c[a, b] on the top two eigenpairs
-    (weight 0 at or below RANK_TOL). rho_AC = M M^dagger for M[(a, c), b] =
-    psi[a, b, c], so it is never built; a rank-1 state has M = 0 on the rows
-    c = 1, which makes its tangle exactly 0."""
-    values, vectors = np.linalg.eigh(rho.matrix)
-    lam = values[:, :-3:-1]
-    psi = vectors[:, :, :-3:-1] * np.sqrt(np.where(lam > RANK_TOL, lam, 0.0))[:, None, :]
+    purification psi[a, b, c] = G[(a, b), c] on a factor rho = G G^dagger.
+    Two factors differ by a unitary on C, which leaves tau(rho_AC) as it is,
+    so G is the pivoted rank-2 Cholesky factor; its column c weighs 0 where
+    the c-th largest eigenvalue is at or below RANK_TOL. rho_AC = M M^dagger
+    for M[(a, c), b] = psi[a, b, c], so it is never built: the spin-flip
+    values are the singular values mu_1 >= mu_2 of the 2x2 complex symmetric
+    A = M^T (YxY) M, and tau = (mu_1 - mu_2)^2 = |A|_F^2 - 2|det A|. A
+    rank-1 state has M = 0 on the rows c = 1, which makes A, and so its
+    tangle, exactly 0."""
+    keep = rho.spectrum[:, :-3:-1] > RANK_TOL
+    first = _pivot_column(rho.matrix, keep[:, 0])
+    rest = rho.matrix - first[:, :, None] * first[:, None, :].conj()
+    psi = np.stack([first, _pivot_column(rest, keep[:, 1])], axis=-1)
     psi = psi / np.linalg.norm(psi, axis=(1, 2))[:, None, None]
     factor = psi.reshape(-1, 2, 2, 2).swapaxes(2, 3).reshape(-1, 4, 2)
-    return factor_concurrence(factor) ** 2
+    a = factor.swapaxes(1, 2) @ SPIN_FLIP @ factor
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    return np.maximum(0.0, np.sum(np.abs(a) ** 2, axis=(1, 2)) - 2.0 * np.abs(det))
 
 
 def identity_residuals(rho: DensityMatrix):

@@ -1,4 +1,5 @@
-"""The Pauli matrices, the eigenvalue cut-off and the partial trace.
+"""The Pauli matrices, the eigenvalue cut-off, the partial trace and the
+2x2 Hermitian spectrum.
 
 Everything here is a pure function of its inputs; values are safe to share
 across threads.
@@ -19,6 +20,17 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 SIGMAS = np.stack([np.eye(2, dtype=complex), *PAULIS])  # sigma_0 = I, then the Paulis
+SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)  # Wootters' spin flip of two qubits, Y x Y
+_MINUS_PLUS = np.array([-1.0, 1.0])
+
+
+def qubit_eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of a (..., 2, 2) Hermitian stack, in closed form:
+    (a + d)/2 -+ hypot((a - d)/2, |b|). Like ``np.linalg.eigvalsh`` it reads
+    the diagonal and the lower triangle."""
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, np.abs(b))
+    return mean[..., None] + radius[..., None] * _MINUS_PLUS
 
 
 def partial_trace(m, dims, keep: str) -> np.ndarray:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
-from .linalg import EIGENVALUE_CLAMP, PAULI_Y
+from .linalg import EIGENVALUE_CLAMP, SPIN_FLIP
 from .states import DensityMatrix
 
 _DOMAIN_SLACK = 1e-12
-_SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 
 
 def _state_of(rho, dims=None) -> DensityMatrix:
@@ -44,7 +43,7 @@ def von_neumann_entropy(rho):
     return spectral_entropy(_state_of(rho).spectrum)
 
 
-def _purity_loss(m: np.ndarray) -> np.ndarray:
+def purity_loss(m: np.ndarray) -> np.ndarray:
     """2*(1 - Tr(m^2)) over the last two axes, unchecked: for matrices the
     program built itself."""
     return 2.0 * (1.0 - np.einsum("...ij,...ji->...", m, m).real)
@@ -52,7 +51,7 @@ def _purity_loss(m: np.ndarray) -> np.ndarray:
 
 def linear_entropy(rho):
     """S2(rho) = 2*(1 - Tr(rho^2)); an (N, d, d) stack gives N values."""
-    return _scalar_or_array(_purity_loss(_state_of(rho).matrix))
+    return _scalar_or_array(purity_loss(_state_of(rho).matrix))
 
 
 def unit_interval(x, what: str, slack: float = _DOMAIN_SLACK, error=OutOfDomain):
@@ -78,26 +77,20 @@ def f_map(x):
     return binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
 
 
-def factor_concurrence(factor: np.ndarray) -> np.ndarray:
-    """Concurrence of each two-qubit rho = G G^dagger from a factor G of shape
-    (..., 4, k). The spin-flip values (square roots of the eigenvalues of
-    rho (YxY) rho* (YxY)) are the singular values of the k x k complex
-    symmetric matrix G^T (YxY) G."""
-    mu = np.linalg.svd(np.swapaxes(factor, -1, -2) @ _SPIN_FLIP @ factor, compute_uv=False)
-    return np.maximum(0.0, mu[..., 0] - np.sum(mu[..., 1:], axis=-1))
-
-
 def wootters_concurrence(rho):
     """Concurrence of a two-qubit state, or a stack, from its factor
-    G = V sqrt(lam): see ``factor_concurrence``. Eigenvalues at or below
+    G = V sqrt(lam), rho = G G^dagger: the spin-flip values (square roots of
+    the eigenvalues of rho (YxY) rho* (YxY)) are the singular values of the
+    complex symmetric matrix G^T (YxY) G. Eigenvalues at or below
     EIGENVALUE_CLAMP give zero columns, which keeps rank-deficient states
     exact instead of turning eigenvalue noise into sqrt-amplified error."""
     state = _state_of(rho, (2, 2))
     if state.dims != (2, 2):
         raise DimensionMismatch(f"expected two qubits or a stack of them, got dims {state.dims}")
     lam, vecs = np.linalg.eigh(state.matrix)
-    root = np.sqrt(np.where(lam > EIGENVALUE_CLAMP, lam, 0.0))
-    return _scalar_or_array(factor_concurrence(vecs * root[..., None, :]))
+    factor = vecs * np.sqrt(np.where(lam > EIGENVALUE_CLAMP, lam, 0.0))[..., None, :]
+    mu = np.linalg.svd(np.swapaxes(factor, -1, -2) @ SPIN_FLIP @ factor, compute_uv=False)
+    return _scalar_or_array(np.maximum(0.0, mu[..., 0] - np.sum(mu[..., 1:], axis=-1)))
 
 
 def tangle_two_qubit(rho):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
-from .measures import _purity_loss, spectral_entropy
+from .measures import purity_loss, spectral_entropy
 from .states import MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox
 
 _log = logging.getLogger(__name__)
@@ -433,7 +433,7 @@ def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, ve
     conditionals = (rows @ images[:, 1:].reshape(n, 3, d_a * d_a)).reshape(n, count + 1, d_a, d_a)
     conditionals += images[:, None, 0]
     conditionals /= 2.0
-    s2 = _purity_loss(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)
+    s2 = purity_loss(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)
     return s2[:, :1] - np.sum(probabilities * s2[:, 1:].reshape(probabilities.shape), axis=-1)
 
 

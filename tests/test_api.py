@@ -79,6 +79,15 @@ def test_cli_imports_no_private_name():
     assert imported and [name for name in imported if name.startswith("_")] == []
 
 
+def test_no_module_imports_a_private_name_from_measures():
+    # The spin flip lives in linalg, and what other modules read of measures
+    # is public there.
+    imported = [alias.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "measures"
+                for alias in node.names]
+    assert imported and [name for name in imported if name.startswith("_")] == []
+
+
 def test_only_states_tells_one_state_from_a_stack():
     # Every function that takes a DensityMatrix enters through states._stack_of
     # and leaves through states._unstack, so no other module reads .matrix.ndim.

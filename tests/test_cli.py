@@ -153,6 +153,36 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: {message}\n")
 
+    def test_state_alone_reads_the_file(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(dump_state(make_random_rank2(5, 3)), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["family"] is None
+        assert doc["S_AB"] == pytest.approx(correlation_report(make_random_rank2(5, 3)).S_AB)
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--p", "0.3", "--da", "5"], "--p and --da"),
+        (["--da", "2"], "--da"),
+        (["--seed", "3"], "--seed"),
+        (["--c", "1,0,0", "--x", "0.5", "--theta", "1", "--eta", "2"],
+         "--c, --x, --theta and --eta"),
+    ])
+    def test_state_with_family_flags_names_them(self, capsys, tmp_path, flags, named):
+        # A family flag beside --state would go unread: it exits 2 instead.
+        path = tmp_path / "s.json"
+        path.write_text(dump_state(make_horodecki(0.3)), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: --state takes no family flags, got {named}\n"
+
+    def test_da_defaults_to_two_qubits(self, capsys):
+        _, out, _ = run(capsys, "compute", "--family", "random_rank2", "--seed", "11")
+        assert json.loads(out)["family"]["parameters"] == {"seed": 11, "da": 2}
+        _, shown, _ = run(capsys, "state", "show", "--family", "random_rank2", "--seed", "11")
+        assert shown == dump_state(make_random_rank2(11)) + "\n"
+
     def test_missing_parameters_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "horodecki")
         assert code == 2
@@ -672,11 +702,11 @@ class TestValidate:
 
     def test_a_run_makes_one_eigh_per_stack(self, monkeypatch):
         # Every eigh of a run is batched over its stack: rho_B of the states
-        # and of their twins in the two channel extractions, the tangle's
-        # eigen-factors, and on the 25 oracle states rho_B and the aligned
-        # chord's Gram matrix in the decomposition oracle. The projective
-        # oracle reads its frames from the validated spectrum, and rank-2
-        # two-qubit states need no eigenvectors.
+        # and of their twins in the two channel extractions, and on the 25
+        # oracle states rho_B and the aligned chord's Gram matrix in the
+        # decomposition oracle. The tangle's factor is a pivoted Cholesky one,
+        # and the projective oracle reads its frames from the validated
+        # spectrum: rank-2 two-qubit states need no eigenvectors.
         shapes, eigh = [], np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
@@ -685,9 +715,29 @@ class TestValidate:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         assert cli.run_validation(1000, 42)["pass"]
-        assert len(shapes) == 5
-        assert sorted(shapes) == sorted([(1000, 2, 2), (1000, 2, 2), (1000, 4, 4),
-                                         (25, 2, 2), (25, 3, 3)])
+        assert len(shapes) == 4
+        assert sorted(shapes) == sorted([(1000, 2, 2), (1000, 2, 2), (25, 2, 2), (25, 3, 3)])
+
+    def test_a_run_makes_no_svd_and_no_qubit_eigvalsh_of_a_stack(self, monkeypatch):
+        # The tangle is |A|_F^2 - 2|det A| of the 2x2 spin-flip matrix A, and
+        # rho_A's spectrum is the closed 2x2 one; only the projective oracle
+        # still runs eigvalsh on its 25 rho_A.
+        svd_shapes, qubit_shapes = [], []
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (2, 2):
+                qubit_shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert cli.run_validation(1000, 42)["pass"]
+        assert svd_shapes == [] and qubit_shapes == [(25, 2, 2)]
 
     def test_rank_one_marginal_trial_is_skipped_by_roundtrip(self, capsys, monkeypatch):
         seed, degenerate_trial = 4, 3

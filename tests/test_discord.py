@@ -363,8 +363,15 @@ def _purified_tangles(states):
 
 class TestPurifiedTangle:
     # The last member is pure, so its purification has no weight on c = 1.
+    # example1 at x = 2 is a mixture of two product states, and so is its
+    # rho_AC: its tangle is 0 (the 40-digit reference reads 0.0 too).
     STATES = stack_of(random_trials(0, range(6))[0], make_horodecki(0.3), make_example1(2.0),
                       make_rho2(1.0, 0.4, 0.0))
+    # Rank-<=2 members of every family, Bell-diagonal ones of rank 2 and 1.
+    FAMILIES = stack_of(make_horodecki(np.linspace(0.0, 1.0, 5)), make_example1(2.0),
+                        make_rho2(np.linspace(0.0, 1.0, 5), 0.4, 0.0),
+                        make_rho2(np.linspace(0.0, 1.0, 5), 0.7, 1.1),
+                        make_bell_diagonal(0.2, -0.2, 1.0), make_bell_diagonal(1.0, -1.0, 1.0))
 
     @pytest.mark.parametrize("states", [STATES, random_trials(100, range(25))[0]],
                              ids=["families", "random"])
@@ -372,9 +379,18 @@ class TestPurifiedTangle:
         for tau, rho in zip(_purified_tangles(states), states):
             assert tau == pytest.approx(purified_tangle_reference(rho), abs=1e-12)
 
+    @pytest.mark.parametrize("states", [FAMILIES, random_trials(42, range(1000))[0][::50]],
+                             ids=["families", "validate_seed_42"])
+    def test_cholesky_factor_matches_textbook_reference(self, states):
+        # Every 50th state of `validate --seed 42`; the 40-digit reference
+        # takes some 15 ms a state. All 1000 read at most 1.0e-15 apart.
+        tau = discord_module._purified_tangle(states)
+        reference = [purified_tangle_reference(rho) for rho in states]
+        np.testing.assert_allclose(tau, reference, rtol=0, atol=2e-15)
+
     def test_pure_member_has_exactly_zero_tangle(self):
         tau = discord_module._purified_tangle(self.STATES)
-        assert tau[-1] == 0.0 and np.all(tau[:-1] > 0.0)
+        assert tau[-1] == tau[-2] == 0.0 and np.all(tau[:-2] > 0.0)
 
     def test_horodecki_half(self):
         # tau(rho_AC) + I2_cc = S2(rho_A): 0.75 - 0.25 leaves 0.5 at p = 1/2
@@ -400,6 +416,19 @@ def test_rank_tol_seam_through_identity_residuals(seed, multiple):
     else:
         with pytest.raises(RankTooHigh):
             identity_residuals(rho)
+
+
+def test_third_eigenvalue_below_rank_tol_across_a_stack():
+    # 400 states with a third eigenvalue at 0.05-0.95 RANK_TOL: the second
+    # Cholesky pivot still weighs in, and the identities hold. The largest
+    # residuals read 1.0e-9 (kw) and 4.9e-10 (monogamy).
+    base = random_trials(5, range(400))[0].matrix
+    outside = np.linalg.eigh(base)[1][:, :, 0]
+    eps = np.linspace(0.05, 0.95, 400)[:, None, None] * RANK_TOL
+    m = (1 - eps) * base + eps * outside[:, :, None] * outside[:, None, :].conj()
+    report, kw, monogamy, _ = identity_residuals(DensityMatrix((2, 2), m))
+    assert np.all(report.rank == 2)
+    assert np.max(np.abs(kw)) <= 1e-8 and np.max(np.abs(monogamy)) <= 1e-8
 
 
 class TestRankCut:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian, random_pure_density
 from qdiscord.errors import DimensionMismatch
-from qdiscord.linalg import partial_trace
+from qdiscord.linalg import partial_trace, qubit_eigvalsh
 from qdiscord.states import make_horodecki
 
 
@@ -65,3 +65,44 @@ def test_partial_trace_then_trace_equals_trace(seed):
     assert np.trace(partial_trace(m, (2, 2), "A")) == pytest.approx(
         np.trace(m), abs=1e-12
     )
+
+
+class TestQubitEigvalsh:
+    """The closed-form 2x2 spectrum against LAPACK's, in its ascending order."""
+
+    @staticmethod
+    def _matches_eigvalsh(m, atol=2e-15):
+        got = qubit_eigvalsh(m)
+        assert got.shape == m.shape[:-1]
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(m), rtol=0, atol=atol)
+
+    def test_random_states(self):
+        rng = np.random.default_rng(11)
+        self._matches_eigvalsh(np.stack([random_density(rng, 2) for _ in range(200)]))
+
+    def test_pure_states(self):
+        rng = np.random.default_rng(12)
+        pure = np.stack([random_pure_density(rng, 2) for _ in range(200)])
+        self._matches_eigvalsh(pure)
+        assert np.max(np.abs(qubit_eigvalsh(pure) - [0.0, 1.0])) <= 2e-15
+
+    def test_diagonal_states(self):
+        weights = np.linspace(0.0, 1.0, 11)
+        diagonal = np.zeros((11, 2, 2), dtype=complex)
+        diagonal[:, 0, 0], diagonal[:, 1, 1] = weights, 1.0 - weights
+        self._matches_eigvalsh(diagonal, atol=2e-16)
+
+    def test_degenerate_state(self):
+        np.testing.assert_array_equal(qubit_eigvalsh(np.eye(2, dtype=complex) / 2), [0.5, 0.5])
+
+    def test_complex_off_diagonal(self):
+        # |+i><+i| has off-diagonals -+i/2 and the spectrum {0, 1} exactly.
+        m = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+        np.testing.assert_array_equal(qubit_eigvalsh(m), [0.0, 1.0])
+        self._matches_eigvalsh(np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]))
+
+    def test_reads_the_lower_triangle_as_eigvalsh_does(self):
+        rng = np.random.default_rng(13)
+        m = np.stack([random_density(rng, 2) for _ in range(20)])
+        m[:, 0, 1] = 5.0 + 3.0j
+        self._matches_eigvalsh(m)
