@@ -15,7 +15,7 @@ valid whenever rho_AB has rank at most 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,8 +24,9 @@ from .channel import _rebuilt_states, linear_cc_batch
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
 from .linalg import SPIN_FLIP, partial_trace, qubit_eigvalsh
 from .measures import binary_entropy, f_map, purity_loss, spectral_entropy, unit_interval
-from .states import RANK_TOL, DensityMatrix, _stack_of, _unstack, rho2_domain
+from .states import DensityMatrix, _stack_of, _unstack, rho2_domain
 
+RANK_TOL = 1e-10  # eigenvalues above it count toward a state's rank
 _CLAMP_WINDOW = 1e-9
 # rho2's closed form divides by d1 * d2, the product of rho_B's diagonal
 # weights; at or below this the formula is undefined (rho_B is numerically
@@ -56,20 +57,17 @@ class CorrelationReport:
     reason: Optional[str] = None
 
 
-# The numeric fields, all but ``reason``, in the order of ``_report_rows``.
-_FIELDS = tuple(field.name for field in fields(CorrelationReport))[:-1]
-
-
 def _clamp_unit_interval(value):
     """Snap rounding overshoot into [0, 1]; larger violations are bugs."""
     return unit_interval(value, "f argument", _CLAMP_WINDOW, ConsistencyError)
 
 
-def _report_rows(rho: DensityMatrix):
-    """One row per report field, for a stack, and the channel images that
-    I2_cc read; the state's spectrum is the one its validation computed,
-    rho_B is diagonalized once, by ``linear_cc_batch``, and a qubit rho_A in
-    closed form."""
+def _report_fields(rho: DensityMatrix):
+    """The report's numeric fields of a stack, by name in ``CorrelationReport``
+    order, and the channel images that I2_cc read. ``I_cc`` and ``Q_discord``
+    are NaN exactly where the rank-2 two-qubit closed form does not apply.
+    The state's spectrum is the one its validation computed, rho_B is
+    diagonalized once, by ``linear_cc_batch``, and a qubit rho_A in closed form."""
     spectrum, dims = rho.spectrum, rho.dims
     rho_a = partial_trace(rho.matrix, dims, "A")
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
@@ -82,35 +80,31 @@ def _report_rows(rho: DensityMatrix):
     f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
     i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
-    return np.stack([s_a, s_b, s_ab, s2_a, 4.0 * lam_b[:, 0] * lam_b[:, 1], i_mutual, i2_cc,
-                     i_cc, i_mutual - i_cc, rank]), extracted
-
-
-def _exclusion(dims, rank: int, spectrum: np.ndarray) -> Optional[Exception]:
-    """The error that rules out the rank-2 two-qubit closed form, if any; the
-    ascending ``spectrum`` is read only where the rank exceeds 2."""
-    if dims != (2, 2):
-        return DimensionMismatch(f"rank-2 formulas need a 2x2 pair, got dims {dims}")
-    if rank > 2:
-        return RankTooHigh(f"state has rank {rank}; third-largest eigenvalue "
-                           f"{spectrum[-3]:.6e}")
-    return None
+    return {"S_A": s_a, "S_B": s_b, "S_AB": s_ab, "S2_A": s2_a,
+            "S2_B": 4.0 * lam_b[:, 0] * lam_b[:, 1], "I_mutual": i_mutual, "I2_cc": i2_cc,
+            "I_cc": i_cc, "Q_discord": i_mutual - i_cc, "rank": rank}, extracted
 
 
 def _assess(rho, strict: bool):
     """``(rho as a stack, correlation_report(rho), the channel images I2_cc read)``; with
-    ``strict``, the first state outside the closed form raises, named by index in a stack."""
+    ``strict``, the first state outside the closed form raises, named by index in a stack.
+    An error is built only for the members where ``_report_fields`` left I_cc unset."""
     stack = _stack_of(rho)
-    rows, extracted = _report_rows(stack)
-    columns = dict(zip(_FIELDS, rows), rank=rows[-1].astype(int))
-    errors = [_exclusion(stack.dims, r, s) for r, s in zip(columns["rank"], stack.spectrum)]
-    reasons = tuple(error and f"rank-2 two-qubit closed form not applicable: {error}"
-                    for error in errors)
+    columns, extracted = _report_fields(stack)
+    rank, spectrum = columns["rank"], stack.spectrum
+    errors = {
+        i: DimensionMismatch(f"rank-2 formulas need a 2x2 pair, got dims {stack.dims}")
+        if stack.dims != (2, 2) else
+        RankTooHigh(f"state has rank {rank[i]}; third-largest eigenvalue {spectrum[i, -3]:.6e}")
+        for i in np.flatnonzero(np.isnan(columns["I_cc"])).tolist()}
+    reasons = [None] * len(stack)
+    for i, error in errors.items():
+        reasons[i] = f"rank-2 two-qubit closed form not applicable: {error}"
     report = {name: _unstack(rho, values) for name, values in columns.items()}
-    report["reason"] = _unstack(rho, reasons, errors if strict else ())  # one state raises here
-    for index, error in enumerate(errors if strict else ()):
-        if error is not None:  # and a stack here
-            raise type(error)(f"state {index}: {error}")
+    report["reason"] = _unstack(rho, tuple(reasons), errors if strict else {})  # one state raises
+    if strict and errors:  # and a stack here, at its first failing member
+        index, error = next(iter(errors.items()))
+        raise type(error)(f"state {index}: {error}")
     if isinstance(report["reason"], str):  # one state outside the closed form
         report.update(I_cc=None, Q_discord=None)
     return stack, CorrelationReport(**report), extracted

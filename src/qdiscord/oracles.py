@@ -478,6 +478,6 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
                 "decomposition: candidates=%d aligned_won=%s best=%.17g",
                 1 + 2 * trials, a >= s, max(a, s),
             )
-    return _unstack(rho, best, [
-        DegenerateMarginal(f"rho_B eigenvalues {lam[i]} are rank-1 within {MARGINAL_RANK_TOL}")
-        if pure else None for i, pure in enumerate(rank_one)])
+    return _unstack(rho, best, {
+        i: DegenerateMarginal(f"rho_B eigenvalues {lam[i]} are rank-1 within {MARGINAL_RANK_TOL}")
+        for i in np.flatnonzero(rank_one).tolist()})

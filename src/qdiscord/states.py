@@ -11,6 +11,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .errors import (DimensionMismatch, NotFinite, NotHermitian, NotPositive, Ou
                      StateFormatError)
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z
 
-RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10  # largest |m - m^dagger| entry a density matrix may have
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
 MARGINAL_RANK_TOL = 1e-10  # rho_B is rank-1 when its smaller eigenvalue is at most this
@@ -138,10 +138,11 @@ def _stack_of(rho) -> DensityMatrix:
     return rho[:]
 
 
-def _unstack(rho: DensityMatrix, values, errors=()):
+def _unstack(rho: DensityMatrix, values, errors=MappingProxyType({})):
     """The exit paired with ``_stack_of``: ``values``, one per member, for a stack;
-    for one state its value as a Python scalar, or its error in ``errors`` raised."""
-    if rho.matrix.ndim == 2 and errors and errors[0] is not None:
+    for one state its value as a Python scalar, or its error raised if ``errors``,
+    a mapping from the index of each failing member to its error, holds one."""
+    if rho.matrix.ndim == 2 and 0 in errors:
         raise errors[0]
     return np.asarray(values).item() if rho.matrix.ndim == 2 else values
 

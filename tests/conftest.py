@@ -153,7 +153,7 @@ def purified_tangle_reference(rho):
     spectrum are computed in 40-digit arithmetic from the double psi."""
     import mpmath
 
-    from qdiscord.states import RANK_TOL
+    from qdiscord.discord import RANK_TOL
 
     lam, vecs = np.linalg.eigh(rho.matrix)
     lam, vecs = lam[:-3:-1], vecs[:, :-3:-1]

@@ -896,13 +896,13 @@ class TestValidate:
         # Shift one closed-form quantity by delta. I_cc moves alone, tau moves
         # only the residuals, and I2_cc moves I_cc through f as well. The
         # local-unitary twins go through the same shift, so that check holds.
-        rows, tangle, linear_cc = (discord._report_rows, discord._purified_tangle,
-                                   discord.linear_cc_batch)
+        report_fields, tangle, linear_cc = (discord._report_fields, discord._purified_tangle,
+                                            discord.linear_cc_batch)
 
-        def shifted_rows(rho):
-            values, extracted = rows(rho)
-            values[7] += delta  # I_cc
-            values[8] -= delta  # Q_discord
+        def shifted_fields(rho):
+            values, extracted = report_fields(rho)
+            values["I_cc"] += delta
+            values["Q_discord"] -= delta
             return values, extracted
 
         def shifted_linear_cc(rho):
@@ -910,7 +910,7 @@ class TestValidate:
             return i2_cc + delta, extracted
 
         monkeypatch.setattr(discord, *{
-            "I_cc": ("_report_rows", shifted_rows),
+            "I_cc": ("_report_fields", shifted_fields),
             "tau": ("_purified_tangle", lambda rho: tangle(rho) + delta),
             "I2_cc": ("linear_cc_batch", shifted_linear_cc),
         }[quantity])

@@ -10,6 +10,7 @@ from conftest import (haar_unitary, purified_tangle_reference, random_density,
 from qdiscord import discord as discord_module
 from qdiscord.channel import linear_classical_correlation
 from qdiscord.discord import (
+    RANK_TOL,
     CorrelationReport,
     correlation_report,
     discord_rank2,
@@ -26,7 +27,6 @@ from qdiscord.errors import (
 from qdiscord.linalg import partial_trace
 from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.states import (
-    RANK_TOL,
     DensityMatrix,
     make_bell_diagonal,
     make_example1,
