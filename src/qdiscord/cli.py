@@ -24,8 +24,8 @@ from .discord import (correlation_report, discord_rank2, discord_rho2_closed_for
 from .errors import QDiscordError
 from .measures import binary_entropy, f_map
 from .oracles import decomposition_linear_cc, projective_classical_correlation
-from .states import (DensityMatrix, dump_state, load_state, make_bell_diagonal, make_example1,
-                     make_horodecki, make_random_rank2, make_rho2, random_trials)
+from .states import (dump_state, load_state, make_bell_diagonal, make_example1, make_horodecki,
+                     make_random_rank2, make_rho2, random_trials)
 
 _CHECK_TOLERANCES = {
     "kw": 1e-8,
@@ -39,7 +39,7 @@ _CHECK_TOLERANCES = {
 }
 _ORACLE_TRIAL_CAP = 25
 # Upper bounds on the counts, checked before anything is allocated: a run
-# holds about 2.5 kB per validate trial and 1.5 kB per sweep step at its peak
+# holds about 2.0 kB per validate trial and 1.5 kB per sweep step at its peak
 # (tracemalloc), so either bound keeps a run near 1 GB.
 _MAX_TRIALS = 400_000
 _MAX_STEPS = 600_000
@@ -212,15 +212,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _twin_correlations(u_a: np.ndarray, u_b: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """(I_cc, Q_discord) rows for the local-unitary twins U rho U^dagger of a
-    stack of states, U = U_A x U_B (as ``np.kron`` builds it) per state."""
-    u = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, 4, 4)
-    rotated = u @ rho.matrix @ u.conj().swapaxes(1, 2)
-    report = discord_rank2(DensityMatrix(rho.dims, rotated))
-    return np.stack([report.I_cc, report.Q_discord])
-
-
 def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int) -> dict:
     """A check's verdict from its per-trial residuals (NaN: not run); no run, no pass."""
     evaluated = int(np.count_nonzero(~np.isnan(residuals)))
@@ -239,12 +230,12 @@ def _check_summary(residuals: np.ndarray, tolerance: float, skipped: int) -> dic
 def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     """Run every identity and oracle check on seeded random rank-2 states.
 
-    The trials are ``random_trials(seed, range(trials))``: one Philox stream
-    keyed by ``seed``, in which trial t owns a fixed block holding its state
-    (trial 0's is ``make_random_rank2(seed)``), then U_A and U_B of its
-    local-unitary twin. So the states are one validated stack, and a trial
-    replays alone from ``(seed, t)``. The closed-form checks, the round trip
-    and the twins each make one batched call on the whole stack, so their
+    The trials are ``random_trials(seed, range(trials))``: the states and
+    their local-unitary twins, two validated stacks from one Philox stream
+    keyed by ``seed``, in which trial t owns a fixed block (trial 0's state
+    is ``make_random_rank2(seed)``). So a trial replays alone from
+    ``(seed, t)``. The closed-form checks, the round trip and the twins'
+    closed forms each make one batched call on a whole stack, so their
     temporaries grow with ``trials``; the round trip rebuilds each state from
     the very channel images that I2_cc read, in the same
     ``identity_residuals`` call, so each stack is extracted once.
@@ -254,22 +245,23 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
     below 2**128, and reads NaN where rho_B is rank-1. Each check reports
     the trials it evaluated, those it skipped because rho_B is rank-1, and
     the trial of its largest residual. A dict passed as ``stage_seconds``
-    receives the wall time of each stage (the twin unitaries are drawn in
-    ``draw_states``, the round trip counts under ``residuals``, and each
-    oracle is its own stage) and the total.
+    receives the wall time of each stage (``draw_states`` draws the states
+    and their twins, ``twins`` is the twins' closed forms, the round trip
+    counts under ``residuals``, and each oracle is its own stage) and the
+    total.
     """
     residuals = {name: np.full(trials, np.nan) for name in _CHECK_TOLERANCES}
     skipped = dict.fromkeys(_CHECK_TOLERANCES, 0)
     laps = [time.perf_counter()]
-    states, u_a, u_b = random_trials(seed, range(trials))
+    states, twins = random_trials(seed, range(trials))
     laps.append(time.perf_counter())
-    twin_i_cc, twin_q = _twin_correlations(u_a, u_b, states)
-    del u_a, u_b  # 128 kB per 1000 trials that would otherwise outlive the twins
+    twin = discord_rank2(twins)
+    del twins  # 288 B per trial that would otherwise outlive its closed forms
     laps.append(time.perf_counter())
     report, kw, monogamy, residuals["roundtrip"] = identity_residuals(states)
     residuals["kw"], residuals["monogamy"] = np.abs(kw), np.abs(monogamy)
     residuals["local_unitary"] = np.maximum(
-        np.abs(report.Q_discord - twin_q), np.abs(report.I_cc - twin_i_cc)
+        np.abs(report.Q_discord - twin.Q_discord), np.abs(report.I_cc - twin.I_cc)
     )
     skipped["roundtrip"] = int(np.count_nonzero(np.isnan(residuals["roundtrip"])))
     laps.append(time.perf_counter())

@@ -1,5 +1,6 @@
-"""Bipartite density matrices: named families, random rank-2 states and
-unitaries drawn from counter-based Philox streams, and the JSON wire format.
+"""Bipartite density matrices: named families, random rank-2 states and their
+local-unitary twins drawn from counter-based Philox streams, and the JSON wire
+format.
 
 Basis ordering is computational throughout, with the bipartite index a*dB + b.
 """
@@ -264,9 +265,9 @@ def _trial_blocks(key: int, trials: range, dim_a: int) -> np.ndarray:
     """The (len(trials), width) uniforms of trials ``range(start, stop)``:
     trial t owns row t of the key's one Philox stream read as
     ``random((N, width))``, reached by advancing t * width / 4 steps."""
-    if not (isinstance(dim_a, numbers.Integral) and dim_a >= 1):
+    if isinstance(dim_a, bool) or not (isinstance(dim_a, numbers.Integral) and dim_a >= 1):
         raise OutOfDomain(f"dim_a={dim_a!r} is not a positive integer")
-    if trials.start < 0 or trials.step != 1:
+    if not isinstance(trials, range) or trials.start < 0 or trials.step != 1:
         raise OutOfDomain(f"trials={trials} is not a range(start, stop) of trial indices")
     width = _trial_width(int(dim_a))  # a numpy integer would overflow in Philox.advance
     bits = philox(key)
@@ -309,23 +310,27 @@ def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
 
 
 def random_trials(seed: int, trials: range, dim_a: int = 2):
-    """(states, U_A, U_B) of the random trials ``range(start, stop)`` of ``seed``.
+    """(states, twins) of the random trials ``range(start, stop)`` of ``seed``:
+    two validated stacks, twin t the local-unitary image
+    ``(U_A x U_B) rho_t (U_A x U_B)^dagger`` of state t.
 
     Trial t owns a fixed block of the one counter-based Philox stream keyed
     by ``seed`` (see ``_trial_blocks``): a uniform for the top eigenvalue,
     normals for the state's two eigenvectors, then normals for the dA x dA
-    U_A and the 2 x 2 U_B of a local unitary U_A x U_B, normals made by
-    ``box_muller``. So a trial reads the same numbers whichever range it
-    is drawn in, and one stream serves the whole range: the states are one
-    validated stack, the unitaries two batched QRs. ``make_random_rank2(seed,
-    dim_a)`` is the state of trial 0.
+    U_A and the 2 x 2 U_B of its twin, normals made by ``box_muller``. So a
+    trial reads the same numbers whichever range it is drawn in, and one
+    stream serves the whole range: the unitaries are two batched QRs, and
+    they never leave this function. ``make_random_rank2(seed, dim_a)`` is
+    the state of trial 0.
     """
     blocks = _trial_blocks(seed, trials, dim_a)
     states = _rank2_states(blocks, dim_a)
-    k, n_a = 1 + 8 * dim_a, 2 * dim_a**2
+    k, n_a, n = 1 + 8 * dim_a, 2 * dim_a**2, 2 * dim_a
     normals = box_muller(blocks[:, k:k + n_a + 8])
     u_a = _haar_unitaries(normals[:, :n_a].reshape(-1, 2, dim_a, dim_a))
-    return states, u_a, _haar_unitaries(normals[:, n_a:].reshape(-1, 2, 2, 2))
+    u_b = _haar_unitaries(normals[:, n_a:].reshape(-1, 2, 2, 2))
+    u = (u_a[:, :, None, :, None] * u_b[:, None, :, None, :]).reshape(-1, n, n)  # np.kron per trial
+    return states, DensityMatrix(states.dims, u @ states.matrix @ u.conj().swapaxes(1, 2))
 
 
 def make_random_rank2(seed: int, dim_a: int = 2) -> DensityMatrix:

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def with_trial(drawn, trial, matrix):
+    """``random_trials`` output ``(states, twins)`` with trial ``trial``'s state
+    set to ``matrix`` and its twin to ``matrix`` under a Haar U_A x U_B, so
+    ``local_unitary`` still compares two distinct states."""
+    rng = np.random.default_rng(trial)
+    u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    stacks = []
+    for stack, member in zip(drawn, (matrix, u @ matrix @ u.conj().T)):
+        matrices = stack.matrix.copy()
+        matrices[trial] = member
+        stacks.append(DensityMatrix(stack.dims, matrices))
+    return tuple(stacks)
 
 
 # (name, flags, the state the flags describe, the payload parameters)
@@ -576,10 +591,9 @@ class TestValidate:
         doc = json.loads(out)
         seed, checks = doc["seed"], doc["checks"]
 
-        def twin(rho, u_a, u_b):
-            twin_i_cc, twin_q = cli._twin_correlations(u_a, u_b, rho[:])[:, 0]
-            report = discord_rank2(rho)
-            return max(abs(report.Q_discord - twin_q), abs(report.I_cc - twin_i_cc))
+        def local_unitary(rho, twin):
+            report, twin = discord_rank2(rho), discord_rank2(twin)
+            return max(abs(report.Q_discord - twin.Q_discord), abs(report.I_cc - twin.I_cc))
 
         def decomposition(rho, trial):
             return decomposition_linear_cc(rho, trials=32, seed=seed ^ ((trial + 1) << 64))
@@ -595,7 +609,7 @@ class TestValidate:
                 cli.projective_classical_correlation(rho) - discord_rank2(rho).I_cc),
             "projective_attain": lambda rho, trial, *_: (
                 discord_rank2(rho).I_cc - cli.projective_classical_correlation(rho)),
-            "local_unitary": lambda rho, trial, u_a, u_b: twin(rho, u_a, u_b),
+            "local_unitary": lambda rho, trial, twin: local_unitary(rho, twin),
             "roundtrip": lambda rho, trial, *_: identity_residuals(rho)[3],
         }
         assert set(recompute) == set(checks)
@@ -603,23 +617,24 @@ class TestValidate:
             trial = checks[name]["worst_trial"]
             assert 0 <= trial < (60 if name in ("kw", "monogamy", "local_unitary",
                                                  "roundtrip") else 25)
-            states, u_a, u_b = random_trials(seed, range(trial, trial + 1))
-            assert residual(states[0], trial, u_a, u_b) == pytest.approx(
+            states, twins = random_trials(seed, range(trial, trial + 1))
+            assert residual(states[0], trial, twins[0]) == pytest.approx(
                 checks[name]["max_residual"], rel=1e-9, abs=1e-15
             ), name
         assert all(isinstance(c["worst_trial"], int) for c in checks.values())
 
     def test_twins_match_the_per_state_reference(self):
-        # The batched twin rotation against U = U_A x U_B applied one trial at
-        # a time, with each trial's state and unitaries drawn alone.
-        states, u_a, u_b = random_trials(9, range(150))
-        batch = cli._twin_correlations(u_a, u_b, states)
+        # The twins' batched closed forms against each trial's state and twin
+        # drawn alone and reported one at a time.
+        states, twins = random_trials(9, range(150))
+        batch = discord_rank2(twins)
         for n in range(150):
-            rho, one_a, one_b = random_trials(9, range(n, n + 1))
+            rho, twin = random_trials(9, range(n, n + 1))
             np.testing.assert_array_equal(rho.matrix[0], states.matrix[n])
-            u = np.kron(one_a[0], one_b[0])
-            twin = discord_rank2(DensityMatrix((2, 2), u @ rho.matrix[0] @ u.conj().T))
-            assert batch[:, n] == pytest.approx([twin.I_cc, twin.Q_discord], abs=1e-13)
+            np.testing.assert_array_equal(twin.matrix[0], twins.matrix[n])
+            alone = discord_rank2(twin[0])
+            assert [batch.I_cc[n], batch.Q_discord[n]] == pytest.approx(
+                [alone.I_cc, alone.Q_discord], abs=1e-13)
 
     def test_trials_do_not_depend_on_the_block_they_fall_in(self, monkeypatch):
         # A trial's residuals are its own: the first 130 trials read the same
@@ -743,10 +758,7 @@ class TestValidate:
         seed, degenerate_trial = 4, 3
 
         def with_product_state(*args):
-            states, u_a, u_b = random_trials(*args)
-            matrices = states.matrix.copy()
-            matrices[degenerate_trial] = make_horodecki(0.0).matrix
-            return DensityMatrix((2, 2), matrices), u_a, u_b
+            return with_trial(random_trials(*args), degenerate_trial, make_horodecki(0.0).matrix)
 
         monkeypatch.setattr(cli, "random_trials", with_product_state)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
@@ -765,10 +777,7 @@ class TestValidate:
         near = DensityMatrix((2, 2), np.outer(psi, psi.conj()))
 
         def with_near_pure_marginal(*args):
-            states, u_a, u_b = random_trials(*args)
-            matrices = states.matrix.copy()
-            matrices[trial] = near.matrix
-            return DensityMatrix((2, 2), matrices), u_a, u_b
+            return with_trial(random_trials(*args), trial, near.matrix)
 
         monkeypatch.setattr(cli, "random_trials", with_near_pure_marginal)
         code, out, _ = run(capsys, "validate", "--trials", "30", "--seed", str(seed))
@@ -812,18 +821,17 @@ class TestValidate:
     def test_marginal_rank_tol_seam_through_the_shared_extraction(self, seed, multiple):
         # A local filter F on B of trial 1 sets rho_B's eigenvalues to
         # (multiple * MARGINAL_RANK_TOL, 1 - that) and keeps the state's rank.
-        states, u_a, u_b = random_trials(seed, range(3))
-        matrices = states.matrix.copy()
-        lam, vecs = np.linalg.eigh(partial_trace(matrices[1], (2, 2), "B"))
+        drawn = random_trials(seed, range(3))
+        member = drawn[0].matrix[1]
+        lam, vecs = np.linalg.eigh(partial_trace(member, (2, 2), "B"))
         eps = multiple * MARGINAL_RANK_TOL
         f = vecs @ np.diag(np.sqrt(np.array([eps, 1.0 - eps]) / lam)) @ vecs.conj().T
         local = np.kron(np.eye(2), f)
-        matrices[1] = local @ matrices[1] @ local.conj().T
-        stack = DensityMatrix((2, 2), matrices)
+        stack, twins = with_trial(drawn, 1, local @ member @ local.conj().T)
         def no_oracle(rho, **kwargs):
             return np.full(len(rho), np.nan)
 
-        with mock.patch.multiple(cli, random_trials=lambda *args: (stack, u_a, u_b),
+        with mock.patch.multiple(cli, random_trials=lambda *args: (stack, twins),
                                  projective_classical_correlation=no_oracle,
                                  decomposition_linear_cc=no_oracle):
             check = cli.run_validation(3, seed)["checks"]["roundtrip"]
@@ -1070,3 +1078,33 @@ def test_readme_command_line_examples_run(capsys, tmp_path):
     # The two reference figures: 201 and 101 rows under a header.
     assert [path.name for path in outs] == ["fig1.csv", "fig2.csv"]
     assert [path.read_text(encoding="utf-8").count("\n") for path in outs] == [202, 102]
+
+
+def _readme_replay():
+    """The ``local_unitary`` replay block and the decomposition one-liner of
+    README's "Validation checks" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Validation checks\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    one_liner = "decomposition_linear_cc(" + section.split("`decomposition_linear_cc(", 1)[1]
+    return block, one_liner.split("`", 1)[0]
+
+
+def test_readme_replay_recipe_reproduces_the_worst_cases(capsys):
+    # The recipe, run as written with seed and worst_trial from stdout,
+    # prints each worst case's digits.
+    code, out, _ = run(capsys, "validate", "--trials", "60", "--seed", "42")
+    assert code == 0
+    doc = json.loads(out)
+    block, one_liner = _readme_replay()
+    for name in ("local_unitary", "decomposition_bound", "decomposition_attain"):
+        check = doc["checks"][name]
+        scope = {"seed": doc["seed"], "worst_trial": check["worst_trial"]}
+        exec(block, scope)
+        decomposition = eval(one_liner, {"decomposition_linear_cc": decomposition_linear_cc},
+                             scope)
+        i2_cc = channel.linear_classical_correlation(scope["rho"])
+        replayed = {"local_unitary": scope["residual"],
+                    "decomposition_bound": decomposition - i2_cc,
+                    "decomposition_attain": i2_cc - decomposition}[name]
+        assert cli._fmt_json(replayed) == cli._fmt_json(check["max_residual"]), name

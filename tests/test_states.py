@@ -165,7 +165,7 @@ class TestRho2:
 
 # Doubles per trial block: the eigenvalue uniform and 8 dA uniforms for the
 # state, then 2 dA^2 for U_A and 8 for U_B, padded to a multiple of 4.
-TRIAL_WIDTHS = {2: 36, 3: 52, 4: 76}
+TRIAL_WIDTHS = {1: 20, 2: 36, 3: 52, 4: 76}
 
 
 def scalar_normals(uniforms):
@@ -210,16 +210,18 @@ class TestRandomRank2:
     def test_unitaries_follow_the_state_in_its_block(self):
         for dim_a, width in TRIAL_WIDTHS.items():
             row = np.random.Generator(np.random.Philox(key=8)).random((2, width))[1]
-            states, u_a, u_b = random_trials(8, range(1, 2), dim_a)
+            states, twins = random_trials(8, range(1, 2), dim_a)
             np.testing.assert_array_equal(
                 states.matrix[0],
                 DensityMatrix((dim_a, 2), scalar_rank2_reference(None, dim_a, row)).matrix)
+            # The twin is the state under U_A x U_B, as np.kron builds it, of
+            # the Haar unitaries of the block's next normals.
             k = 1 + 8 * dim_a
             normals = scalar_normals(row[k:k + 2 * dim_a**2 + 8])
-            np.testing.assert_allclose(u_a[0], scalar_unitary_reference(
-                normals[:2 * dim_a**2], dim_a), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(u_b[0], scalar_unitary_reference(
-                normals[2 * dim_a**2:], 2), rtol=0, atol=1e-15)
+            u = np.kron(scalar_unitary_reference(normals[:2 * dim_a**2], dim_a),
+                        scalar_unitary_reference(normals[2 * dim_a**2:], 2))
+            twin = DensityMatrix((dim_a, 2), u @ states.matrix[0] @ u.conj().T)
+            np.testing.assert_allclose(twins.matrix[0], twin.matrix, rtol=0, atol=1e-15)
 
     def test_deterministic_in_seed(self):
         a = make_random_rank2(123)
@@ -239,13 +241,15 @@ class TestRandomRank2:
             assert rho.dims == (dim_a, 2)
 
     def test_bad_dimension(self):
-        # Any positive integer dA; nothing else.
-        for dim_a in (0, -1, 2.0, "3"):
+        # Any positive integer dA; nothing else, not a boolean either, as
+        # load_state refuses booleans as dims.
+        for dim_a in (0, -1, 2.0, "3", True, False):
             with pytest.raises(OutOfDomain, match="is not a positive integer"):
                 make_random_rank2(0, dim_a=dim_a)
             with pytest.raises(OutOfDomain, match="is not a positive integer"):
                 random_trials(0, range(3), dim_a=dim_a)
         assert make_random_rank2(0, dim_a=5).dims == (5, 2)
+        assert make_random_rank2(0, dim_a=1).dims == (1, 2)
         assert random_trials(0, range(3), dim_a=np.int64(1))[0].dims == (1, 2)
 
     @pytest.mark.parametrize("build", [make_random_rank2, lambda seed: random_trials(seed, range(2))])
@@ -255,28 +259,27 @@ class TestRandomRank2:
             with pytest.raises(OutOfDomain, match=r"outside \[0, 2\*\*128\)"):
                 build(seed)
 
-    @pytest.mark.parametrize("trials", [range(-1, 3), range(0, 6, 2)])
+    @pytest.mark.parametrize("trials", [range(-1, 3), range(0, 6, 2), 5, [0, 1]])
     def test_trials_are_a_contiguous_range_of_indices(self, trials):
-        with pytest.raises(OutOfDomain, match="not a range"):
+        with pytest.raises(OutOfDomain, match=r"trials=.* is not a range\(start, stop\)"):
             random_trials(0, trials)
 
 
 class TestRandomUnitary:
-    """The trials' unitaries, and the counter-based stream they come from."""
+    """The trials' local-unitary twins, and the counter-based stream they come from."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_seed_sequence_matches_per_seed_calls(self, dim):
         # A trial drawn alone, by advancing a fresh Philox to its block, is
-        # its row of the whole draw, and so are its state and unitaries.
-        states, u_a, u_b = random_trials(11, range(1000), dim)
+        # its row of the whole draw, and so are its state and twin.
+        states, twins = random_trials(11, range(1000), dim)
         width = TRIAL_WIDTHS[dim]
         whole = np.random.Generator(np.random.Philox(key=11)).random((1000, width))
         for t in (0, 1, 999):
             np.testing.assert_array_equal(_trial_blocks(11, range(t, t + 1), dim)[0], whole[t])
-            alone = random_trials(11, range(t, t + 1), dim)
-            np.testing.assert_array_equal(alone[0].matrix[0], states.matrix[t])
-            np.testing.assert_array_equal(alone[1][0], u_a[t])
-            np.testing.assert_array_equal(alone[2][0], u_b[t])
+            state, twin = random_trials(11, range(t, t + 1), dim)
+            np.testing.assert_array_equal(state.matrix[0], states.matrix[t])
+            np.testing.assert_array_equal(twin.matrix[0], twins.matrix[t])
         np.testing.assert_array_equal(states.matrix[0], make_random_rank2(11, dim).matrix)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -297,17 +300,19 @@ class TestRandomUnitary:
         with pytest.raises(DimensionMismatch, match="must not be empty"):
             random_trials(4, range(3, 3))
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_unitary_and_deterministic(self, dim):
-        _, u_a, u_b = random_trials(7, range(200), dim)
-        assert u_a.shape == (200, dim, dim) and u_b.shape == (200, 2, 2)
-        for u, d in ((u_a, dim), (u_b, 2)):
-            np.testing.assert_allclose(u @ u.conj().swapaxes(1, 2),
-                                       np.broadcast_to(np.eye(d), u.shape), rtol=0, atol=1e-14)
-        again = random_trials(7, range(200), dim)
-        np.testing.assert_array_equal(u_a, again[1])
-        np.testing.assert_array_equal(u_b, again[2])
-        assert not np.allclose(u_a, random_trials(8, range(200), dim)[1])
+        # U_A x U_B keeps the state's spectrum and, through U_A, rho_A's; the
+        # same seed gives the same twins bit for bit, another seed others.
+        states, twins = random_trials(7, range(200), dim)
+        assert twins.dims == (dim, 2) and twins.matrix.shape == (200, 2 * dim, 2 * dim)
+        assert np.max(np.abs(twins.spectrum - states.spectrum)) <= 4e-15
+        rho_a = [np.linalg.eigvalsh(partial_trace(rho.matrix, (dim, 2), "A"))
+                 for rho in (states, twins)]
+        assert np.max(np.abs(rho_a[0] - rho_a[1])) <= 4e-15
+        assert not np.allclose(twins.matrix, states.matrix)
+        np.testing.assert_array_equal(twins.matrix, random_trials(7, range(200), dim)[1].matrix)
+        assert not np.allclose(twins.matrix, random_trials(8, range(200), dim)[1].matrix)
 
 
 class TestBoxMuller:
