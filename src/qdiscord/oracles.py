@@ -14,6 +14,14 @@ the rank-1 POVMs on B of sampled pure-state decompositions of rho_B, a lower
 bound that the aligned two-point decomposition brings up to the closed-form
 value; each member of a stack draws its samples from its own seed.
 
+Each oracle call batches its work by stage, not by member. The projective
+search scores each stage for every state of one frame size in one call, apart
+from the coarse scan, which takes one call per state; the stages only record
+what they score, and the best is read from all of it where it is needed. The
+decomposition oracle turns every member's draw into normals in one
+``box_muller`` call and into chords in one ``_chords`` call, then scores the
+aligned chord with the pairs in one call and the triples in another.
+
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger,
 one line per member.
 """
@@ -41,7 +49,10 @@ _WINDOW = np.array(sorted(
     itertools.product(np.linspace(-1.0, 1.0, 5), repeat=2),
     key=lambda step: max(abs(step[0]), abs(step[1])),
 ))
-_ON_BORDER = np.abs(_WINDOW).max(axis=1) == 1.0
+# The factor on a window's width when the round's best point is this one: a
+# point on the border moves the window on at the same width, any other
+# halves it.
+_WIDTH_FACTOR = np.where(np.abs(_WINDOW).max(axis=1) == 1.0, 1.0, 0.5)
 
 # The projective search schedule, the same for every state: the best cell
 # of the theta < pi/2 half of a _N_THETA x _N_PHI (theta, phi) coarse grid is
@@ -172,9 +183,12 @@ def _entropy_drops(coefficients: np.ndarray, s_a: np.ndarray, directions):
 
 def _directions(angles: np.ndarray) -> np.ndarray:
     """Unit vectors for an (..., 2) array of (theta, phi) rows."""
-    theta, phi = angles[..., :1], angles[..., 1:]
-    st = np.sin(theta)
-    return np.concatenate([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    sines, cosines = np.sin(angles), np.cos(angles)
+    directions = np.empty((*angles.shape[:-1], 3))
+    np.multiply(sines[..., 0], cosines[..., 1], out=directions[..., 0])
+    np.multiply(sines[..., 0], sines[..., 1], out=directions[..., 1])
+    directions[..., 2] = cosines[..., 0]
+    return directions
 
 
 # The coarse grid's cell centres with theta < pi/2 and their directions,
@@ -193,22 +207,25 @@ _SEARCH_DIRECTIONS = (len(_COARSE_POINTS) + _ROUNDS * len(_WINDOW) + len(_RIDGE)
 
 def _chart(angles: np.ndarray) -> np.ndarray:
     """(N, 3, 3) rows n, e_theta, e_phi for (N, 2) (theta, phi) rows: each
-    direction and an orthonormal basis of its tangent plane, poles included.
-    e_theta = (cos t cos p, cos t sin p, -sin t) is the direction at
-    (t + pi/2, p) and e_phi = (-sin p, cos p, 0) the one at (pi/2, p + pi/2)."""
-    theta, phi = angles[:, 0], angles[:, 1]
-    shifted = np.stack([theta, phi, theta + math.pi / 2.0, phi,
-                        np.full_like(theta, math.pi / 2.0), phi + math.pi / 2.0], axis=-1)
-    return _directions(shifted.reshape(-1, 3, 2))
+    direction and an orthonormal basis of its tangent plane, poles included:
+    n = (sin t cos p, sin t sin p, cos t), e_theta = (cos t cos p,
+    cos t sin p, -sin t) and e_phi = (-sin p, cos p, 0)."""
+    (st, sp), (ct, cp) = np.sin(angles).T, np.cos(angles).T
+    chart = np.zeros((len(angles), 3, 3))
+    chart[:, 0, 0], chart[:, 0, 1], chart[:, 0, 2] = st * cp, st * sp, ct
+    chart[:, 1, 0], chart[:, 1, 1], chart[:, 1, 2] = ct * cp, ct * sp, -st
+    chart[:, 2, 0], chart[:, 2, 1] = -sp, cp
+    return chart
 
 
 def _derivatives(values: np.ndarray):
-    """Central differences from (N, 9) values on ``_STENCIL``: the gradient
-    (gu, gv) and the Hessian entries (huu, hvv, huv), each of shape (N,)."""
+    """Central differences from (N, 9) values on ``_STENCIL``: the (N, 2)
+    gradient (gu, gv), the (N, 2) Hessian diagonal (huu, hvv) and the (N,)
+    Hessian entry huv."""
     h = _STENCIL_STEP
     f = values - values[:, :1]
-    return ((f[:, 1] - f[:, 2]) / (2.0 * h), (f[:, 3] - f[:, 4]) / (2.0 * h),
-            (f[:, 1] + f[:, 2]) / (h * h), (f[:, 3] + f[:, 4]) / (h * h),
+    forward, backward = f[:, 1:5:2], f[:, 2:5:2]
+    return ((forward - backward) / (2.0 * h), (forward + backward) / (h * h),
             (f[:, 5] - f[:, 6] - f[:, 7] + f[:, 8]) / (4.0 * h * h))
 
 
@@ -217,84 +234,98 @@ def _newton_step(values: np.ndarray) -> np.ndarray:
     ``_STENCIL``, solved in closed form per state: zero where the Hessian is
     not negative definite (a flat objective, a tie, a saddle), and clipped
     to _STEP_CLIP."""
-    gu, gv, huu, hvv, huv = _derivatives(values)
-    det = huu * hvv - huv * huv
-    concave = (huu < 0.0) & (det > 0.0)
-    det = np.where(concave, det, 1.0)
-    step = np.stack([huv * gv - hvv * gu, huv * gu - huu * gv], axis=-1)
-    step *= np.where(concave, 1.0 / det, 0.0)[:, None]
-    length = np.sqrt(np.einsum("ni,ni->n", step, step))
-    return step * (_STEP_CLIP / np.maximum(length, _STEP_CLIP))[:, None]
+    gradient, diagonal, huv = _derivatives(values)
+    det = diagonal[:, 0] * diagonal[:, 1] - huv * huv
+    concave = (diagonal[:, 0] < 0.0) & (det > 0.0)
+    inverse = np.divide(1.0, det, out=np.zeros_like(det), where=concave)
+    # (huv gv - hvv gu, huv gu - huu gv) / det
+    step = (huv[:, None] * gradient[:, ::-1] - diagonal[:, ::-1] * gradient) * inverse[:, None]
+    length = np.sqrt((step * step).sum(axis=1, keepdims=True))
+    return step * (_STEP_CLIP / np.maximum(length, _STEP_CLIP))
 
 
-def _flattest(values: np.ndarray) -> np.ndarray:
-    """The (N, 2) unit tangent-plane eigenvector of the larger eigenvalue of
-    the Hessian, from (N, 9) values on ``_STENCIL``."""
-    _, _, huu, hvv, huv = _derivatives(values)
-    psi = 0.5 * np.arctan2(2.0 * huv, huu - hvv)
-    return np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+def _flattest(values: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """The (N, 3) unit vector of the (N, 2, 3) tangent planes along the
+    eigenvector of the larger eigenvalue of the Hessian, from (N, 9) values
+    on ``_STENCIL``."""
+    _, diagonal, huv = _derivatives(values)
+    psi = 0.5 * np.arctan2(2.0 * huv, diagonal[:, 0] - diagonal[:, 1])
+    return np.cos(psi)[:, None] * tangent[:, 0] + np.sin(psi)[:, None] * tangent[:, 1]
 
 
 def _angles(directions: np.ndarray) -> np.ndarray:
     """(theta, phi) rows of (N, 3) unit directions, phi in [0, 2 pi)."""
-    theta = np.arccos(np.clip(directions[:, 2], -1.0, 1.0))
-    phi = np.arctan2(directions[:, 1], directions[:, 0]) % (2.0 * math.pi)
-    return np.stack([theta, phi], axis=-1)
+    angles = np.empty((len(directions), 2))
+    np.arccos(np.clip(directions[:, 2], -1.0, 1.0), out=angles[:, 0])
+    np.arctan2(directions[:, 1], directions[:, 0], out=angles[:, 1])
+    angles[:, 1] %= 2.0 * math.pi
+    return angles
 
 
 def _search(coefficients: np.ndarray, s_a: np.ndarray):
     """The projective search for the (G, 4, m) ``_coefficients`` of G states of
     one frame size: each state's coarse scan of the half grid, in one call
     per state, then _ROUNDS window rounds around each state's best cell, a
-    ridge scan and _NEWTON_STEPS Newton steps. Every state runs the same
-    schedule, which evaluates _SEARCH_DIRECTIONS directions. Returns each
-    state's best value and the (G, 3) unit directions that gave them."""
+    ridge scan and _NEWTON_STEPS Newton steps, each stage one call for all G
+    states. Every state runs the same schedule, which evaluates
+    _SEARCH_DIRECTIONS directions. The stages only record what they score;
+    a state's best is the first maximum over everything scored so far, in
+    scoring order, so a tie keeps the earlier direction. It is read twice:
+    after the ridge scan, where the Newton steps start, and at the end.
+    Returns each state's best value and the (G, 3) unit directions that gave
+    them."""
     n = len(coefficients)
-    best, angles = np.empty(n), np.empty((n, 2))
+    rows = np.arange(n)
+    tops = np.empty(n, dtype=int)
+    coarse = np.empty((n, 1))
     for i in range(n):
         # One state per call: in a 2x2 frame its 1024 directions fill a 64 KiB
         # array, below glibc's 128 KiB mmap threshold, so the scan's
         # temporaries come from the heap, not from freshly faulted pages.
         values = _entropy_drops(coefficients[i:i + 1], s_a[i:i + 1], _COARSE_DIRECTIONS)[0]
-        top = np.argmax(values)
-        best[i], angles[i] = values[top], _COARSE_POINTS[top]
-    best_directions = _directions(angles)
-    rows = np.arange(n)
+        tops[i] = values.argmax()
+        coarse[i] = values[tops[i]]
+    # The coarse scan records only its best cell, where its first maximum lies.
+    scored, points = [coarse], [_COARSE_DIRECTIONS[0, tops, None]]
 
-    def evaluate(points):
-        nonlocal best, best_directions
-        values = _entropy_drops(coefficients, s_a, points)
-        top = np.argmax(values, axis=1)
-        better = values[rows, top] > best
-        best = np.where(better, values[rows, top], best)
-        best_directions = np.where(better[:, None], points[rows, top], best_directions)
+    def evaluate(directions):
+        values = _entropy_drops(coefficients, s_a, directions)
+        scored.append(values)
+        points.append(directions)
         return values
 
+    def best():
+        values = np.concatenate(scored, axis=1)
+        top = values.argmax(axis=1)
+        return values[rows, top], np.concatenate(points, axis=1)[rows, top]
+
+    angles = _COARSE_POINTS[tops]
     width = np.tile([math.pi / _N_THETA, 2.0 * math.pi / _N_PHI], (n, 1))
     for _ in range(_ROUNDS):
-        pick = np.argmax(evaluate(_directions(angles[:, None] + _WINDOW * width[:, None])), axis=1)
+        pick = evaluate(_directions(angles[:, None] + _WINDOW * width[:, None])).argmax(axis=1)
         angles = angles + _WINDOW[pick] * width
-        width = np.where(_ON_BORDER[pick][:, None], width, width / 2.0)
+        width *= _WIDTH_FACTOR[pick, None]
 
     def stencil(angles):
         chart = _chart(angles)
         centre, tangent = chart[:, 0], chart[:, 1:]
         points = centre[:, None] + (_STENCIL_STEP * _STENCIL) @ tangent
-        points /= np.sqrt(np.einsum("nki,nki->nk", points, points))[..., None]
+        points /= np.sqrt((points * points).sum(axis=2, keepdims=True))
         return centre, tangent, evaluate(points)
 
     # The ridge scan: the great circle through the refined centre along its
     # flattest direction, where a nearly flat ridge leads to a distant peak.
     centre, tangent, values = stencil(angles)
-    along = np.einsum("ni,nij->nj", _flattest(values), tangent)
+    along = _flattest(values, tangent)
     evaluate(np.cos(_RIDGE)[:, None] * centre[:, None] + np.sin(_RIDGE)[:, None] * along[:, None])
-    angles = _angles(best_directions)
+    angles = _angles(best()[1])
     for _ in range(_NEWTON_STEPS):
         centre, tangent, values = stencil(angles)
-        moved = centre + np.einsum("ni,nij->nj", _newton_step(values), tangent)
-        angles = _angles(moved / np.linalg.norm(moved, axis=1, keepdims=True))
+        step = _newton_step(values)
+        moved = centre + (step[:, :1] * tangent[:, 0] + step[:, 1:] * tangent[:, 1])
+        angles = _angles(moved / np.sqrt((moved * moved).sum(axis=1, keepdims=True)))
     evaluate(_directions(angles)[:, None])
-    return best, best_directions
+    return best()
 
 
 def projective_classical_correlation(rho: DensityMatrix):
@@ -375,22 +406,29 @@ def _sampled_decompositions(r_b: np.ndarray, trials: int, seeds):
     Size 2 is a chord through r_b; size 3 puts weight p1 in
     [0, (1 - |r_b|)/2) on a random pure state and splits the rest along a
     chord. No size 4: the objective is linear in the weights, so a mixture
-    of two chords never beats the better one.
+    of two chords never beats the better one. The whole stack takes one
+    ``box_muller`` call on columns 0-9 and one ``_chords`` call for both
+    sizes' chords.
     """
     n = len(seeds)
     rows = np.empty((n, trials, 11))
     for i, seed in enumerate(seeds):
         rows[i] = np.random.Generator(philox(seed)).random((trials, 11))
-    n3 = box_muller(rows[..., 4:10]).reshape(n, trials, 2, 3)
+    normals = box_muller(rows[..., :10])
 
     centre = r_b[:, None, :]
-    pair = _chords(centre, box_muller(rows[..., :4])[..., :3])
-    u = n3[:, :, 0] / np.linalg.norm(n3[:, :, 0], axis=-1, keepdims=True)
+    u = normals[..., 4:7] / np.linalg.norm(normals[..., 4:7], axis=-1, keepdims=True)
     p1 = rows[..., 10:] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
-    rest_p, rest_v = _chords((centre - p1 * u) / (1.0 - p1), n3[:, :, 1])
+    # One _chords call: the pairs' chords through r_b, then the triples' rest
+    # chords through what is left of r_b once weight p1 goes to u.
+    probabilities, vectors = _chords(
+        np.concatenate([np.broadcast_to(centre, (n, trials, 3)), (centre - p1 * u) / (1.0 - p1)],
+                       axis=1),
+        np.concatenate([normals[..., :3], normals[..., 7:]], axis=1))
+    pair = probabilities[:, :trials], vectors[:, :trials]
     triple = (
-        np.concatenate([p1, (1.0 - p1) * rest_p], axis=-1),
-        np.concatenate([u[:, :, None, :], rest_v], axis=2),
+        np.concatenate([p1, (1.0 - p1) * probabilities[:, trials:]], axis=-1),
+        np.concatenate([u[:, :, None, :], vectors[:, trials:]], axis=2),
     )
     return [pair, triple]
 
@@ -449,10 +487,12 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     ``_sampled_decompositions``), so larger trial counts extend smaller
     ones. A rank-1 rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL)
     raises DegenerateMarginal for one state and gives NaN for a member of a
-    stack. A ``trials`` that is not a non-negative integer raises
-    OutOfDomain.
+    stack. A ``trials`` that is not a non-negative integer, booleans
+    included, raises OutOfDomain before any work. The aligned chord and the
+    pairs are scored in one ``_linear_entropy_drops`` call, the triples in
+    another.
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 0):
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 0):
         raise OutOfDomain(f"trials must be a non-negative integer, got {trials!r}")
     stack = _stack_of(rho)
     best = np.full(len(stack), np.nan)
@@ -465,12 +505,15 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     lam, rank_one, r_b, images = _marginal_images(stack)
     kept = np.flatnonzero(~rank_one)
     r_b, images = r_b[kept], images[kept]
-    aligned = _linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[:, 0]
-    sampled = np.max(
-        [np.max(_linear_entropy_drops(images, r_b, *dec), axis=1, initial=-math.inf)
-         for dec in _sampled_decompositions(r_b, trials, [seeds[i] for i in kept])],
-        axis=0,
-    )
+    (pair_p, pair_v), triple = _sampled_decompositions(r_b, trials, [seeds[i] for i in kept])
+    # The aligned chord and the pairs, all two-point decompositions, in one call.
+    aligned_p, aligned_v = _aligned_chord(images, r_b)
+    twos = _linear_entropy_drops(images, r_b, np.concatenate([aligned_p, pair_p], axis=1),
+                                 np.concatenate([aligned_v, pair_v], axis=1))
+    aligned = twos[:, 0]
+    sampled = np.maximum(
+        np.max(twos[:, 1:], axis=1, initial=-math.inf),
+        np.max(_linear_entropy_drops(images, r_b, *triple), axis=1, initial=-math.inf))
     best[kept] = np.maximum(aligned, sampled)
     if _log.isEnabledFor(logging.DEBUG):
         for a, s in zip(aligned, sampled):

@@ -19,7 +19,7 @@ from qdiscord.channel import _rebuilt_states, linear_cc_batch, linear_classical_
 from qdiscord.discord import correlation_report, discord_rank2
 from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
-from qdiscord.measures import linear_entropy, von_neumann_entropy
+from qdiscord.measures import linear_entropy, spectral_entropy, von_neumann_entropy
 from qdiscord.oracles import (
     _aligned_chord,
     _chords,
@@ -376,6 +376,63 @@ class TestProjectiveStack:
         assert values[2] == 0.0
         assert values[3] == pytest.approx(luo_classical_correlation((0.4, -0.4, 0.1)), abs=1e-15)
 
+    @pytest.mark.parametrize("build", [_stack_with_mixed_frames, _stack_of_qubit_pairs])
+    def test_best_is_the_first_maximum_of_everything_scored(self, monkeypatch, build):
+        # The search keeps each stage's scores and takes the best once, by one
+        # argmax: for a stack and for each of its batches of one, the returned
+        # value is the largest score and the returned direction the first
+        # one scored with it. A group of G states scores its coarse grids in G
+        # calls of one state each, then every later stage in one call.
+        scored = []
+        entropy_drops = oracles._entropy_drops
+
+        def recorded(coefficients, s_a, directions):
+            values = entropy_drops(coefficients, s_a, directions)
+            scored.append((values, np.broadcast_to(directions, (*values.shape, 3))))
+            return values
+
+        monkeypatch.setattr(oracles, "_entropy_drops", recorded)
+        stack = build()
+        for batch in (stack, *(stack[i:i + 1] for i in range(len(stack)))):
+            s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(batch.matrix, batch.dims, "A")))
+            for members, t in _measurement_response(batch):
+                scored.clear()
+                best, directions = oracles._search(_coefficients(t), s_a[members])
+                g = len(members)
+                assert [v.shape[0] for v, _ in scored] == [1] * g + [g] * (len(scored) - g)
+                for i in range(g):
+                    values = np.concatenate([scored[i][0][0], *(v[i] for v, _ in scored[g:])])
+                    points = np.concatenate([scored[i][1][0], *(d[i] for _, d in scored[g:])])
+                    assert len(values) == oracles._SEARCH_DIRECTIONS
+                    assert best[i] == values.max()
+                    np.testing.assert_array_equal(directions[i], points[np.argmax(values)])
+                # Scored again on its own, the direction reads the same value
+                # up to the rounding of a one-direction matrix product.
+                np.testing.assert_allclose(
+                    entropy_drops(_coefficients(t), s_a[members], directions[:, None])[:, 0], best,
+                    rtol=0, atol=1e-15)
+
+    def test_ties_keep_the_first_half_grid_cell(self, caplog, monkeypatch):
+        # The maximally mixed state gains nothing from any measurement, so
+        # every score is 0 and the best is the first direction scored: the
+        # half grid's first cell, theta = pi/128 and phi = pi/32.
+        scored = []
+        entropy_drops = oracles._entropy_drops
+
+        def recorded(coefficients, s_a, directions):
+            scored.append(entropy_drops(coefficients, s_a, directions))
+            return scored[-1]
+
+        monkeypatch.setattr(oracles, "_entropy_drops", recorded)
+        caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
+        assert projective_classical_correlation(make_bell_diagonal(0.0, 0.0, 0.0)) == 0.0
+        assert sum(values.shape[1] for values in scored) == oracles._SEARCH_DIRECTIONS
+        assert all(np.all(values == 0.0) for values in scored)
+        (record,) = caplog.records
+        fields = dict(part.split("=") for part in record.getMessage().split()[1:])
+        assert float(fields["theta"]) == pytest.approx(math.pi / 128, abs=1e-12)
+        assert float(fields["phi"]) == pytest.approx(math.pi / 32, abs=1e-12)
+
     def test_projective_discord_of_a_stack(self):
         stack = _stack_of_qubit_pairs()
         got = projective_discord(stack)
@@ -557,7 +614,7 @@ def test_projective_oracle_at_cusp_shaped_maxima(corpus, bound, seed):
 
 
 class TestDecompositionOracle:
-    @pytest.mark.parametrize("trials", [-1, 2.5, "8", None])
+    @pytest.mark.parametrize("trials", [-1, 2.5, "8", None, True, False])
     def test_trials_outside_the_domain_raise_before_any_work(self, monkeypatch, trials):
         def unreachable(rho):
             raise AssertionError("the marginal images were built")
@@ -690,6 +747,35 @@ class TestDecompositionStack:
             decomposition_linear_cc(stack[2], trials=8, seed=seeds[2])
         for i in (0, 1, 3, 4, 5):
             assert values[i] == decomposition_linear_cc(stack[i], trials=8, seed=seeds[i])
+
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_merged_scoring_is_the_maximum_of_separate_calls(self, monkeypatch, dim_a):
+        # The aligned chord and the pairs share one scoring call. With the
+        # samples deciding, the value is bitwise the best of the three kinds
+        # of candidate, each scored in a helper call of its own.
+        monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        stack = _stack_with_rank_one_marginal(dim_a)
+        seeds = [dim_a ^ ((t + 1) << 64) for t in range(len(stack))]
+        _, rank_one, r_b, images = _marginal_images(stack)
+        kept = np.flatnonzero(~rank_one)
+        r_b, images = r_b[kept], images[kept]
+        pair, triple = _sampled_decompositions(r_b, 16, [seeds[i] for i in kept])
+        kinds = [_linear_entropy_drops(images, r_b, *_x_axis_chord(images, r_b))[:, 0],
+                 np.max(_linear_entropy_drops(images, r_b, *pair), axis=1),
+                 np.max(_linear_entropy_drops(images, r_b, *triple), axis=1)]
+        expected = np.full(len(stack), np.nan)
+        expected[kept] = np.max(kinds, axis=0)
+        np.testing.assert_array_equal(decomposition_linear_cc(stack, trials=16, seed=seeds),
+                                      expected)
+        # Pairs, which share their call with the chord, win for some member,
+        # and so do triples.
+        assert {1, 2} <= set(np.argmax(kinds, axis=0).tolist())
+
+    @pytest.mark.parametrize("seed", [True, np.False_, [0, True, 2, 3, 4, 5]], ids=repr)
+    def test_boolean_seeds_are_refused(self, seed):
+        rho = _stack_with_rank_one_marginal(2) if np.ndim(seed) else make_random_rank2(3)
+        with pytest.raises(OutOfDomain, match="is a boolean, not an integer key"):
+            decomposition_linear_cc(rho, trials=4, seed=seed)
 
     def test_all_members_rank_one(self):
         stack = _stack_with_rank_one_marginal(2)[[2, 2]]

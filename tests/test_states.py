@@ -36,6 +36,7 @@ from qdiscord.states import (
     make_horodecki,
     make_random_rank2,
     make_rho2,
+    philox,
     random_trials,
 )
 
@@ -258,6 +259,14 @@ class TestRandomRank2:
         for seed in (2**128, -1):
             with pytest.raises(OutOfDomain, match=r"outside \[0, 2\*\*128\)"):
                 build(seed)
+
+    @pytest.mark.parametrize("build", [make_random_rank2, lambda seed: random_trials(seed, range(2)),
+                                       philox])
+    @pytest.mark.parametrize("seed", [True, False, np.True_], ids=repr)
+    def test_boolean_seed_is_refused(self, build, seed):
+        # A boolean is no Philox key, although operator.index reads True as 1.
+        with pytest.raises(OutOfDomain, match="is a boolean, not an integer key"):
+            build(seed)
 
     @pytest.mark.parametrize("trials", [range(-1, 3), range(0, 6, 2), 5, [0, 1]])
     def test_trials_are_a_contiguous_range_of_indices(self, trials):
