@@ -1,5 +1,6 @@
 """Command-line surface: single-state reports, figure sweeps, randomized
-validation, and state inspection.
+validation, and state inspection. A command offers only the family flags
+its state sources read, and refuses one the chosen source does not read.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error. All
 commands are deterministic given their arguments; timing goes to stderr so
@@ -131,8 +132,16 @@ _FAMILIES = {
 }
 
 
-# Every family flag, in the order ``_add_family_arguments`` adds them.
-_FAMILY_FLAGS = tuple(dict.fromkeys(flag for family in _FAMILIES.values() for flag in family.flags))
+# Each family flag's argparse keywords; ``_FAMILIES`` names the flags each family reads.
+_FLAGS = {
+    "c": dict(type=_parse_c_triple, help="bell_diagonal coefficients c1,c2,c3"),
+    "p": dict(type=float, help="horodecki weight"),
+    "x": dict(type=float, help="example1 / rho2 parameter"),
+    "theta": dict(type=float, help="rho2 angle"),
+    "eta": dict(type=float, help="rho2 angle"),
+    "seed": dict(type=_parse_seed, help="random_rank2 seed"),
+    "da": dict(type=int, help=f"random_rank2 A-side dimension, 1 to {_MAX_DA} (default 2)"),
+}
 
 
 def _listed(flags) -> str:
@@ -142,13 +151,22 @@ def _listed(flags) -> str:
 
 
 def _family_parameters(args, swept=None) -> dict:
-    """The payload parameters of ``--family`` from its flags, naming every
-    missing flag but ``swept``; the ``--c`` triple gives c1, c2 and c3, and
-    ``--da`` is 2 unless given."""
-    values = {flag: getattr(args, flag) for flag in _FAMILIES[args.family].flags}
+    """The payload parameters of the state source: none for ``--state``, and
+    for ``--family`` its flags, the ``--c`` triple giving c1, c2 and c3 and
+    ``--da`` 2 unless given. Every given flag the source does not read (a
+    sweep does not read ``swept``) is named, then every missing one."""
+    flags = _FAMILIES[args.family].flags if args.family else ()
+    read = [flag for flag in flags if flag != swept]
+    unread = [flag for flag in _FLAGS if flag not in read and getattr(args, flag, None) is not None]
+    if unread:
+        source = (f"--family {args.family}" if args.family else "--state") + (
+            f" --param {swept}" if swept else "")
+        but = f" but {_listed(read)}" if read else ""
+        raise QDiscordError(f"{source} takes no family flags{but}, got {_listed(unread)}")
+    values = {flag: getattr(args, flag) for flag in flags}
     if "da" in values and values["da"] is None:
         values["da"] = 2
-    missing = [flag for flag, value in values.items() if flag != swept and value is None]
+    missing = [flag for flag in read if values[flag] is None]
     if missing:
         raise QDiscordError(f"family {args.family} requires {_listed(missing)}")
     if "da" in values and not 1 <= values["da"] <= _MAX_DA:
@@ -162,21 +180,13 @@ def _family_parameters(args, swept=None) -> dict:
     return parameters
 
 
-def _family_state(args):
-    """(state, payload parameters) of the ``--family`` flags."""
-    parameters = _family_parameters(args)
-    return _FAMILIES[args.family].build(*parameters.values()), parameters
-
-
 def cmd_compute(args) -> int:
+    parameters = _family_parameters(args)
     if args.state is not None:
-        given = [flag for flag in _FAMILY_FLAGS if getattr(args, flag) is not None]
-        if given:
-            raise QDiscordError(f"--state takes no family flags, got {_listed(given)}")
         with open(args.state, "r", encoding="utf-8") as handle:
             rho, family = load_state(handle.read()), None
     else:
-        rho, parameters = _family_state(args)
+        rho = _FAMILIES[args.family].build(*parameters.values())
         family = {"name": args.family, "parameters": parameters}
     print(_fmt_json({"family": family, **vars(correlation_report(rho))}))
     return 0
@@ -197,8 +207,6 @@ def cmd_sweep(args) -> int:
         raise QDiscordError(f"--from {args.start} to --to {args.stop} in {args.steps} steps "
                             "overflows a float")
     family = _FAMILIES[args.family]
-    if family.sweep is None:
-        raise QDiscordError(f"family {args.family!r} has no sweep schema")
     if args.param != family.sweep:
         raise QDiscordError(f"{args.family} sweeps over --param {family.sweep}")
     parameters = _family_parameters(args, swept=family.sweep)
@@ -306,24 +314,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_state_show(args) -> int:
-    print(dump_state(_family_state(args)[0]))
+    print(dump_state(_FAMILIES[args.family].build(*_family_parameters(args).values())))
     return 0
 
 
-def _add_family_arguments(parser, source=None):
-    # --family is required, or one of the required group ``source``.
+def _add_family_arguments(parser, families, source=None):
+    # --family over ``families`` (required, or in the required group ``source``) and their flags.
     (parser if source is None else source).add_argument(
-        "--family", choices=tuple(_FAMILIES), required=source is None)
-    parser.add_argument("--c", type=_parse_c_triple, default=None,
-                        help="bell_diagonal coefficients c1,c2,c3")
-    parser.add_argument("--p", type=float, default=None, help="horodecki weight")
-    parser.add_argument("--x", type=float, default=None,
-                        help="example1 / rho2 parameter")
-    parser.add_argument("--theta", type=float, default=None, help="rho2 angle")
-    parser.add_argument("--eta", type=float, default=None, help="rho2 angle")
-    parser.add_argument("--seed", type=_parse_seed, default=None, help="random_rank2 seed")
-    parser.add_argument("--da", type=int, default=None,
-                        help=f"random_rank2 A-side dimension, 1 to {_MAX_DA} (default 2)")
+        "--family", choices=families, required=source is None)
+    for flag in dict.fromkeys(flag for name in families for flag in _FAMILIES[name].flags):
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
 
 
 @functools.cache
@@ -341,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="report all correlations of one state")
     source = compute.add_mutually_exclusive_group(required=True)
     source.add_argument("--state", help="path to a state JSON file instead of --family")
-    _add_family_arguments(compute, source)
+    _add_family_arguments(compute, tuple(_FAMILIES), source)
     compute.set_defaults(handler="cmd_compute")
 
     sweep = sub.add_parser("sweep", help="write a CSV parameter sweep")
-    _add_family_arguments(sweep)
+    _add_family_arguments(sweep, tuple(name for name, f in _FAMILIES.items() if f.sweep))
     sweep.add_argument("--param", required=True, help="parameter to sweep")
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     state = sub.add_parser("state", help="state utilities")
     state_sub = state.add_subparsers(dest="state_command", required=True)
     show = state_sub.add_parser("show", help="print a family state as JSON")
-    _add_family_arguments(show)
+    _add_family_arguments(show, tuple(_FAMILIES))
     show.set_defaults(handler="cmd_state_show")
 
     return parser

@@ -39,7 +39,8 @@ import numpy as np
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
 from .measures import purity_loss, spectral_entropy
-from .states import MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox
+from .states import (MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox,
+                     philox_key)
 
 _log = logging.getLogger(__name__)
 
@@ -488,7 +489,8 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     ones. A rank-1 rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL)
     raises DegenerateMarginal for one state and gives NaN for a member of a
     stack. A ``trials`` that is not a non-negative integer, booleans
-    included, raises OutOfDomain before any work. The aligned chord and the
+    included, or a seed that is not a Philox key (``philox_key``), for any
+    member, raises OutOfDomain before any work. The aligned chord and the
     pairs are scored in one ``_linear_entropy_drops`` call, the triples in
     another.
     """
@@ -501,7 +503,7 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
         raise DimensionMismatch(
             f"the decomposition oracle takes one seed for one state and one seed per member of "
             f"a stack of {len(stack)}, got seed of shape {np.shape(seed)}")
-    seeds = list(seed) if np.ndim(seed) else [seed]
+    seeds = [philox_key(s) for s in (seed if np.ndim(seed) else [seed])]
     lam, rank_one, r_b, images = _marginal_images(stack)
     kept = np.flatnonzero(~rank_one)
     r_b, images = r_b[kept], images[kept]

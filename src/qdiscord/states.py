@@ -231,17 +231,22 @@ def make_rho2(x, theta: float, eta: float) -> DensityMatrix:
     return DensityMatrix((2, 2), m)
 
 
-def philox(key: int) -> np.random.Philox:
-    """A fresh Philox4x64 bit generator keyed by ``key``, an integer in
-    [0, 2**128) and not a boolean. Its counter starts at 0, and each counter
-    step gives four 64-bit outputs, one double each as ``random()`` reads
-    them, so ``advance(m)`` skips exactly 4m doubles."""
+def philox_key(key: int) -> int:
+    """``key`` as a Philox key: an integer in [0, 2**128) and not a boolean."""
     if isinstance(key, (bool, np.bool_)):
         raise OutOfDomain(f"seed={key!r} is a boolean, not an integer key")
     key = operator.index(key)
     if not 0 <= key < 2**128:
         raise OutOfDomain(f"seed={key} outside [0, 2**128)")
-    return np.random.Philox(key=key)
+    return key
+
+
+def philox(key: int) -> np.random.Philox:
+    """A fresh Philox4x64 bit generator keyed by ``philox_key(key)``. Its
+    counter starts at 0, and each counter step gives four 64-bit outputs, one
+    double each as ``random()`` reads them, so ``advance(m)`` skips exactly
+    4m doubles."""
+    return np.random.Philox(key=philox_key(key))
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
+import argparse
 import json
 import logging
 import math
+import re
 import shlex
 from pathlib import Path
 from unittest import mock
@@ -92,6 +94,26 @@ def test_missing_flags_are_each_named(capsys, command, name, flags, missing):
     code, out, err = run(capsys, *command, "--family", name, *flags)
     assert (code, out) == (2, "")
     assert err == f"error: family {name} requires {missing}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["compute", "--family", "horodecki", "--p", "0.3", "--x", "0.9", "--seed", "4"],
+     "--family horodecki takes no family flags but --p, got --x and --seed"),
+    (["state", "show", "--family", "example1", "--x", "0.5", "--p", "0.2"],
+     "--family example1 takes no family flags but --x, got --p"),
+    (["compute", "--family", "rho2", "--x", "0.3", "--theta", "1", "--eta", "2", "--da", "2"],
+     "--family rho2 takes no family flags but --x, --theta and --eta, got --da"),
+    (["compute", "--family", "random_rank2", "--c", "1,0,0"],
+     "--family random_rank2 takes no family flags but --seed and --da, got --c"),
+], ids=["compute", "state_show", "rho2", "random_rank2"])
+def test_unread_family_flags_are_each_named(capsys, monkeypatch, argv, err):
+    # A flag the chosen family does not read exits 2 before any state is built.
+    def never_built(*parameters):
+        raise AssertionError("a state was built")
+
+    name = argv[argv.index("--family") + 1]
+    monkeypatch.setitem(cli._FAMILIES, name, cli._FAMILIES[name]._replace(build=never_built))
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 class TestCompute:
@@ -516,6 +538,36 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and str(out_path) in err
+
+    @pytest.mark.parametrize("name, param, flags, err", [
+        ("horodecki", "p", ["--p", "0.9"],
+         "--family horodecki --param p takes no family flags, got --p"),
+        ("rho2", "x", ["--x", "0.3", "--theta", "1", "--eta", "2"],
+         "--family rho2 --param x takes no family flags but --theta and --eta, got --x"),
+    ], ids=["horodecki", "rho2"])
+    def test_swept_flag_is_refused(self, capsys, tmp_path, name, param, flags, err):
+        # The grid replaces the swept flag, so a value given for it would go unread.
+        path = tmp_path / "x.csv"
+        assert run(capsys, "sweep", "--family", name, "--param", param, "--from", "0", "--to",
+                   "1", "--steps", "5", *flags, "--out", str(path)) == (2, "", f"error: {err}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--c", "1,0,0"], ["--da", "9"]], ids=str)
+    def test_flags_of_unsweepable_families_are_not_offered(self, capsys, tmp_path, flags):
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "--family", "horodecki", "--param", "p",
+                             "--from", "0", "--to", "1", "--steps", "5", *flags,
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
+        assert not path.exists()
+
+    def test_unsweepable_family_is_not_a_choice(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sweep", "--family", "bell_diagonal", "--param", "c",
+                             "--from", "0", "--to", "1", "--steps", "5",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert "error: argument --family: invalid choice: 'bell_diagonal'" in err
 
     def test_unknown_sweep_family_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--family", "random_rank2", "--param",
@@ -1010,6 +1062,7 @@ class TestParserReuse:
         ["compute", "--family", "ghz"],
         ["compute", "--family", "horodecki", "--p"],
         ["compute", "--family", "horodecki", "--p", "0.2", "--bogus"],
+        ["compute", "--family", "horodecki", "--p", "0.2", "--x", "0.9"],
         ["validate", "--trials", "3", "--seed", "-5"],
         ["state"],
         ["nope"],
@@ -1108,3 +1161,39 @@ def test_readme_replay_recipe_reproduces_the_worst_cases(capsys):
                     "decomposition_bound": decomposition - i2_cc,
                     "decomposition_attain": i2_cc - decomposition}[name]
         assert cli._fmt_json(replayed) == cli._fmt_json(check["max_residual"]), name
+
+
+def _readme_family_table():
+    """{family: (flags, sweep --param or None)} from README's family table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:4] for line in section.splitlines()
+            if line.startswith("| `") and not line.startswith("| `--family`")]
+    return {name.strip(" `"): (tuple(re.findall(r"--(\w+)", flags)),
+                               None if param.strip() == "none" else param.strip(" `"))
+            for name, flags, param in rows}
+
+
+def _offered(*command):
+    """(--family choices or None, every option but --help) of a subcommand of the parser."""
+    parser = cli.build_parser()
+    for name in command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    family = [a.choices for a in parser._actions if "--family" in a.option_strings]
+    return (list(family[0]) if family else None), options
+
+
+def test_readme_family_table_is_the_cli_table_and_the_parser():
+    table = _readme_family_table()
+    assert table == {name: (family.flags, family.sweep) for name, family in cli._FAMILIES.items()}
+    every_flag = {f"--{flag}" for flags, _ in table.values() for flag in flags}
+    sweepable = [name for name, (_, param) in table.items() if param is not None]
+    swept_flags = {f"--{flag}" for name in sweepable for flag in table[name][0]}
+    assert len(every_flag) == 7 and sweepable == ["horodecki", "example1", "rho2"]
+    assert _offered("compute") == (list(table), {"--state", "--family", *every_flag})
+    assert _offered("state", "show") == (list(table), {"--family", *every_flag})
+    assert _offered("sweep") == (sweepable, {"--family", *swept_flags, "--param", "--from",
+                                             "--to", "--steps", "--out"})
+    assert _offered("validate") == (None, {"--trials", "--seed"})

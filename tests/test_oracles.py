@@ -777,6 +777,23 @@ class TestDecompositionStack:
         with pytest.raises(OutOfDomain, match="is a boolean, not an integer key"):
             decomposition_linear_cc(rho, trials=4, seed=seed)
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "is a boolean"), (-1, "outside"), (2**128, "outside")], ids=["True", "-1", "2**128"])
+    @pytest.mark.parametrize("member", [1, 2], ids=["kept_member", "rank_one_member"])
+    def test_every_members_seed_is_checked_before_any_work(self, monkeypatch, bad, message,
+                                                           member):
+        # Member 2's rho_B is rank-1, so no draw reads its seed; it is refused
+        # all the same, as at member 1, before any marginal is computed.
+        def no_work(stack):
+            raise AssertionError("work began before the seeds were checked")
+
+        stack = _stack_with_rank_one_marginal(2)
+        monkeypatch.setattr(oracles, "_marginal_images", no_work)
+        seed = [0, 1, 2, 3, 4, 5]
+        seed[member] = bad
+        with pytest.raises(OutOfDomain, match=message):
+            decomposition_linear_cc(stack, trials=4, seed=seed)
+
     def test_all_members_rank_one(self):
         stack = _stack_with_rank_one_marginal(2)[[2, 2]]
         assert np.isnan(decomposition_linear_cc(stack, trials=4, seed=[0, 1])).all()
