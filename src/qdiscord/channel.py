@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SIGMAS, partial_trace
+from .linalg import SIGMAS, _partial_trace
 from .states import MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack
 
 
@@ -34,10 +34,10 @@ def _extract_images(matrices: np.ndarray, d_a: int):
     F = (I x W)^dagger rho (I x W): batched 2x2 products, then one GEMM.
     """
     n = len(matrices)
-    lam, vecs = np.linalg.eigh(partial_trace(matrices, (d_a, 2), "B"))
-    lam, vecs = lam[:, ::-1].copy(), vecs[:, :, ::-1].copy()
+    lam, vecs = np.linalg.eigh(_partial_trace(matrices, (d_a, 2), "B"))
+    lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
     pure = lam[:, 1] <= MARGINAL_RANK_TOL
-    w = vecs / np.sqrt(np.where(pure[:, None], 1.0, lam))[:, None, :]
+    w = vecs / np.sqrt(np.where(pure[:, None], 1.0, lam) if pure.any() else lam)[:, None, :]
     right = (matrices.reshape(n, -1, 2) @ w).reshape(n, d_a, 2, 2 * d_a)
     framed = (w.conj().swapaxes(1, 2)[:, None] @ right).reshape(n, d_a, 2, d_a, 2)
     pairs = framed.transpose(0, 1, 3, 2, 4).reshape(-1, 4)

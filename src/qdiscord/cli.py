@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii  # what json.dumps does with a str
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -44,9 +44,9 @@ _ORACLE_TRIAL_CAP = 25
 # (tracemalloc), so either bound keeps a run near 1 GB.
 _MAX_TRIALS = 400_000
 _MAX_STEPS = 600_000
-# The same for --da: ``state show`` holds the (2 dA)^2 entries as Python
-# lists, about 2.2 kB per dA^2 at its peak RSS (910 MB at dA = 640, where
-# ``compute`` peaks at 192 MB).
+# The same for --da: at dA = 640 ``state show``, which builds the text of
+# the (2 dA)^2 entries one row at a time, peaks at 341 MB RSS and ``compute``
+# at 192 MB; both grow as dA^2, so either stays under 0.4 GB.
 _MAX_DA = 640
 _STAGES = ("draw_states", "twins", "residuals", "projective", "decomposition")
 
@@ -62,9 +62,9 @@ def _fmt_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_fmt_json(v)}" for k, v in value.items())
+        items = ", ".join(f"{encode_basestring_ascii(k)}: {_fmt_json(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt_json(v) for v in value) + "]"

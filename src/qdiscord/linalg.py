@@ -22,6 +22,7 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 SIGMAS = np.stack([np.eye(2, dtype=complex), *PAULIS])  # sigma_0 = I, then the Paulis
 SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)  # Wootters' spin flip of two qubits, Y x Y
 _MINUS_PLUS = np.array([-1.0, 1.0])
+_KEPT = {"A": "...abcb->...ac", "B": "...abad->...bd"}  # einsum of each partial trace
 
 
 def qubit_eigvalsh(m) -> np.ndarray:
@@ -50,10 +51,16 @@ def partial_trace(m, dims, keep: str) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix of size {a.shape[-1]} cannot split into dims ({d_a}, {d_b})"
         )
-    r = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
-    if keep == "A":
-        return np.einsum("...abcb->...ac", r)
-    if keep == "B":
-        return np.einsum("...abad->...bd", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return _partial_trace(a, (d_a, d_b), keep)
+
+
+def _partial_trace(m: np.ndarray, dims: tuple, keep: str) -> np.ndarray:
+    """``partial_trace`` of a complex (N, n, n) stack, unchecked: for
+    ``partial_trace``, which checks its arguments, and for
+    ``channel._extract_images`` and ``discord._report_fields``, whose stacks
+    and dims a DensityMatrix validated."""
+    d_a, d_b = dims
+    return np.einsum(_KEPT[keep], m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b))
 

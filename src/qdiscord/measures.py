@@ -32,9 +32,24 @@ def _scalar_or_array(values: np.ndarray):
 
 def spectral_entropy(values):
     """-sum of lam*log2(lam) over the last axis, for eigenvalues above EIGENVALUE_CLAMP."""
-    v = np.asarray(values, dtype=float)
+    return _scalar_or_array(spectral_entropies(np.asarray(values, dtype=float))[0])
+
+
+def spectral_entropies(*spectra) -> np.ndarray:
+    """``spectral_entropy`` of each of ``spectra``, float arrays that differ
+    only in their last axis, stacked on a new first axis: the logarithms are
+    taken in one pass over their concatenation, and each sum over its own
+    slice, so the bits match one call per spectrum."""
+    v = np.concatenate(spectra, axis=-1)
     kept = np.where(v > EIGENVALUE_CLAMP, v, 1.0)
-    return _scalar_or_array(-np.sum(kept * np.log2(kept), axis=-1) + 0.0)
+    terms = kept * np.log2(kept)
+    sums = np.empty((len(spectra), *v.shape[:-1]))
+    start = 0
+    for i, spectrum in enumerate(spectra):
+        stop = start + spectrum.shape[-1]
+        np.add.reduce(terms[..., start:stop], axis=-1, out=sums[i, ...])
+        start = stop
+    return -sums + 0.0
 
 
 def von_neumann_entropy(rho):
@@ -57,24 +72,37 @@ def linear_entropy(rho):
 def unit_interval(x, what: str, slack: float = _DOMAIN_SLACK, error=OutOfDomain):
     """``x`` clipped into [0, 1]; ``error`` where it is farther out than ``slack``."""
     v = np.asarray(x, dtype=float)
-    outside = ~((v >= -slack) & (v <= 1.0 + slack))
-    if np.any(outside):
-        raise error(f"{what} {v[outside].flat[0]} outside [0, 1] by more than {slack}")
-    return np.clip(v, 0.0, 1.0)
+    inside = (v >= -slack) & (v <= 1.0 + slack)
+    if not inside.all():
+        raise error(f"{what} {v[~inside].flat[0]} outside [0, 1] by more than {slack}")
+    return np.minimum(np.maximum(v, 0.0), 1.0)
+
+
+def _binary_entropy(p):
+    """h(p) of values already in [0, 1], unchecked: for ``binary_entropy``,
+    which checks its argument, and ``f_map_unchecked``, whose argument
+    (1 + sqrt(1-v))/2 lies in [1/2, 1] by construction."""
+    q = 1.0 - p
+    p, q = np.where(p > 0.0, p, 1.0), np.where(q > 0.0, q, 1.0)
+    return _scalar_or_array(-(p * np.log2(p) + q * np.log2(q)))
 
 
 def binary_entropy(x):
     """h(x) = -x*log2(x) - (1-x)*log2(1-x) on [0, 1], h(0) = h(1) = 0; elementwise."""
-    p = unit_interval(x, "binary entropy argument")
-    terms = np.stack([p, 1.0 - p])
-    safe = np.where(terms > 0.0, terms, 1.0)
-    return _scalar_or_array(-np.sum(safe * np.log2(safe), axis=0))
+    return _binary_entropy(unit_interval(x, "binary entropy argument"))
+
+
+def f_map_unchecked(v):
+    """``f_map`` of values already in [0, 1], unchecked: for ``f_map``, which
+    checks its argument, and for ``discord._report_fields`` and
+    ``discord.discord_rho2_closed_form``, whose argument
+    ``discord._clamp_unit_interval`` checked and clipped."""
+    return _binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
 
 
 def f_map(x):
     """The monotone map f(x) = h((1 + sqrt(1-x))/2) from [0, 1] onto [0, 1]."""
-    v = unit_interval(x, "f argument")
-    return binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
+    return f_map_unchecked(unit_interval(x, "f argument"))
 
 
 def wootters_concurrence(rho):

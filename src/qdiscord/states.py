@@ -65,20 +65,25 @@ class DensityMatrix:
             raise DimensionMismatch(_EMPTY_STACK)
         stack = m.reshape(-1, n, n)
         finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
+        all_finite = finite.all()
+        if not all_finite:
             stack = np.where(finite[:, None, None], stack, 0.0)
         adjoint = stack.conj().swapaxes(1, 2)
-        herm_dev = np.max(np.abs(stack - adjoint), axis=(1, 2))
-        trace = np.trace(stack, axis1=1, axis2=2)
+        herm_dev = np.abs(stack - adjoint).max(axis=(1, 2))
+        trace = stack.trace(axis1=1, axis2=2)
         bad_trace = np.abs(trace - 1.0) > DENSITY_TOL
-        canonical = (stack + adjoint) / 2.0
-        scale = np.trace(canonical, axis1=1, axis2=2).real
-        scale[bad_trace] = 1.0
+        canonical = stack + adjoint
+        canonical /= 2.0
+        # The canonical diagonal is the real part of the input's, so its
+        # trace is trace.real, bit for bit.
+        scale = np.where(bad_trace, 1.0, trace.real)
         canonical /= scale[:, None, None]
         spectrum = np.linalg.eigvalsh(canonical)
         smallest = spectrum[:, 0]
         checks = (~finite, herm_dev > HERMITIAN_TOL, bad_trace, smallest < -DENSITY_TOL)
-        failing = checks[0] | checks[1] | checks[2] | checks[3]
+        failing = checks[1] | checks[2] | checks[3]
+        if not all_finite:
+            failing |= checks[0]
         if failing.any():
             i = int(np.argmax(failing))
             error = [
@@ -354,12 +359,17 @@ def make_random_rank2(seed: int, dim_a: int = 2) -> DensityMatrix:
 def dump_state(rho: DensityMatrix) -> str:
     """The wire format {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]} of
     one state, with shortest round-trip floats so reparsing is bit-exact; a
-    stack raises DimensionMismatch."""
+    stack raises DimensionMismatch. The text is ``json.dumps(..., indent=2)``
+    of those nested lists, byte for byte, built one row at a time so the
+    lists of every entry never exist."""
     if rho.matrix.ndim != 2:
         raise DimensionMismatch(
             f"the JSON wire format takes one state, got a stack of {len(rho)}")
-    matrix = [[[float(cell.real), float(cell.imag)] for cell in row] for row in rho.matrix]
-    return json.dumps({"dims": [rho.dim_a, rho.dim_b], "matrix": matrix}, indent=2)
+    rows = ",\n".join(
+        "    [\n" + ",\n".join(f"      [\n        {re!r},\n        {im!r}\n      ]"
+                             for re, im in zip(row.real.tolist(), row.imag.tolist())) + "\n    ]"
+        for row in rho.matrix)
+    return f'{{\n  "dims": [\n    {rho.dim_a},\n    {rho.dim_b}\n  ],\n  "matrix": [\n{rows}\n  ]\n}}'
 
 
 def load_state(text: str) -> DensityMatrix:
@@ -398,14 +408,16 @@ def load_state(text: str) -> DensityMatrix:
         raise StateFormatError(
             f"matrix size {m.shape[0]} does not equal dims product {dims[0] * dims[1]}"
         )
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    adjoint = m.conj().T
+    herm_dev = float(np.abs(m - adjoint).max())
     if herm_dev > _JSON_TOL:
         raise StateFormatError(
             f"matrix is not Hermitian: deviation {herm_dev:.3e} exceeds {_JSON_TOL:g}"
         )
-    trace = complex(np.trace(m))
+    trace = complex(m.trace())
     if abs(trace - 1.0) > _JSON_TOL:
         raise StateFormatError(f"matrix trace is not 1: got {trace}")
-    canonical = (m + m.conj().T) / 2.0
-    canonical = canonical / float(np.trace(canonical).real)
+    canonical = m + adjoint
+    canonical /= 2.0
+    canonical /= float(canonical.trace().real)
     return DensityMatrix((dims[0], dims[1]), canonical)

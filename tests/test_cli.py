@@ -389,6 +389,33 @@ class TestCompute:
         assert err.startswith("error: matrix entries must be [re, im] pairs: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("dim_a,calls", [
+        (2, [("eigvalsh", (1, 4, 4)), ("eigh", (1, 2, 2)), ("eigvalsh", (1, 3, 3))]),
+        (3, [("eigvalsh", (1, 6, 6)), ("eigh", (1, 2, 2)), ("eigvalsh", (1, 3, 3)),
+             ("eigvalsh", (1, 3, 3))]),
+    ])
+    def test_a_state_file_makes_each_kernel_call_once(self, capsys, monkeypatch, tmp_path,
+                                                      dim_a, calls):
+        # A one-state report is a batch of one: validation's spectrum of the
+        # state, one eigh of rho_B and one eigvalsh of the channel's Gram
+        # matrix, and at dA > 2 one eigvalsh of rho_A (a qubit rho_A has a
+        # closed-form spectrum); no svd, qr or eig.
+        path = tmp_path / "state.json"
+        path.write_text(dump_state(make_random_rank2(7, dim_a=dim_a)), encoding="utf-8")
+        made = []
+
+        def counting(name, kernel):
+            def call(a, *args, **kwargs):
+                made.append((name, np.shape(a)))
+                return kernel(a, *args, **kwargs)
+            return call
+
+        for name in ("eigvalsh", "eigh", "svd", "qr", "eig"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        code, out, _ = run(capsys, "compute", "--state", str(path))
+        assert code == 0 and json.loads(out)["rank"] == 2
+        assert made == calls
+
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run(capsys, "compute", "--family", "rho2", "--x", "0.3",
                           "--theta", "1.0", "--eta", "2.0")

@@ -457,15 +457,29 @@ FIELDS = ("S_A", "S_B", "S_AB", "S2_A", "S2_B", "I_mutual", "I2_cc", "I_cc",
 
 class TestBatchedReport:
     def test_batch_equals_batches_of_one(self):
-        states = stack_of(random_trials(0, range(200))[0],
-                          make_horodecki(np.array([0.0, 0.3, 1.0])))
-        batch = discord_rank2(states)
-        for i in range(len(states)):
-            one = discord_rank2(states[i : i + 1])
-            for name in FIELDS:
-                assert getattr(batch, name)[i] == pytest.approx(
-                    getattr(one, name)[0], abs=1e-14
-                )
+        # The scalar API is a batch of one: each member's report, rank and
+        # reason included, is its batch row bit for bit, in and outside the
+        # closed form: rank-2 states at dA = 2, 3 and 4, full-rank states and
+        # the example1 and horodecki sweep grids.
+        rng = np.random.default_rng(459)
+        full_rank = DensityMatrix((2, 2), np.stack([random_density(rng, 4) for _ in range(50)]))
+        cases = (
+            (discord_rank2, stack_of(random_trials(0, range(200))[0],
+                                     make_horodecki(np.array([0.0, 0.3, 1.0])))),
+            (correlation_report, random_trials(0, range(100), dim_a=3)[0]),
+            (correlation_report, random_trials(0, range(100), dim_a=4)[0]),
+            (correlation_report, full_rank),
+            (correlation_report, make_example1(2.0 * np.arange(201) / 200)),
+            (discord_rank2, make_horodecki(np.arange(101) / 100)),
+        )
+        for report, states in cases:
+            batch = report(states)
+            for i in range(len(states)):
+                one = report(states[i : i + 1])
+                for name in FIELDS:
+                    assert (getattr(batch, name)[i].tobytes()
+                            == getattr(one, name)[0].tobytes()), (states.dims, i, name)
+                assert batch.reason[i] == one.reason[0]
 
     def test_single_state_gives_numbers(self):
         report = discord_rank2(make_horodecki(0.5))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import haar_unitary, stack_of
+from conftest import haar_unitary, random_density, stack_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -792,6 +792,24 @@ class TestJsonFormat:
         again = load_state(dump_state(rho))
         np.testing.assert_array_equal(again.matrix, rho.matrix)
         assert again.dims == rho.dims
+
+    @pytest.mark.parametrize("dim_a", [1, 2, 3])
+    def test_text_is_json_dumps_with_indent_2(self, dim_a):
+        # dump_state writes its text one row at a time; the bytes are those of
+        # json.dumps(..., indent=2) of the nested [re, im] lists, signed zeros
+        # and extreme exponents included, and they reload to equal values.
+        n = 2 * dim_a
+        m = 0.5 * random_density(np.random.default_rng(dim_a), n) + 0.5 * np.eye(n) / n
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        entries = [complex(-0.0, -1e-300), complex(2.5e-320, 1e-5), complex(-1e-4, 1e-17)]
+        for (i, j), entry in zip(pairs, entries):
+            m[i, j], m[j, i] = entry, entry.conjugate()
+        rho = DensityMatrix((dim_a, 2), m)
+        assert np.signbit(rho.matrix[0, 1].real) and rho.matrix[0, 1].imag == -1e-300
+        rows = [[[float(cell.real), float(cell.imag)] for cell in row] for row in rho.matrix]
+        text = dump_state(rho)
+        assert text == json.dumps({"dims": [dim_a, 2], "matrix": rows}, indent=2)
+        np.testing.assert_array_equal(load_state(text).matrix, rho.matrix)
 
     def test_schema_shape(self):
         doc = json.loads(dump_state(make_horodecki(0.5)))
