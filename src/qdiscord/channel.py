@@ -31,17 +31,19 @@ def _extract_images(matrices: np.ndarray, d_a: int):
     W = V lam^{-1/2}, of an (N, 2dA, 2dA) stack. Rank-1 members get W = V.
 
     By cyclicity on B, R_mu[a, c] = sum_ji F[aj, ci] sigma_mu[j, i] with
-    F = (I x W)^dagger rho (I x W): batched 2x2 products, then one GEMM.
+    F = (I x W)^dagger rho (I x W): the right factor as one batched product,
+    the left one as multiply-adds over B's two rows, written in (a, c, j, i)
+    order, then one GEMM with the Paulis.
     """
     n = len(matrices)
     lam, vecs = np.linalg.eigh(_partial_trace(matrices, (d_a, 2), "B"))
     lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
     pure = lam[:, 1] <= MARGINAL_RANK_TOL
     w = vecs / np.sqrt(np.where(pure[:, None], 1.0, lam) if pure.any() else lam)[:, None, :]
-    right = (matrices.reshape(n, -1, 2) @ w).reshape(n, d_a, 2, 2 * d_a)
-    framed = (w.conj().swapaxes(1, 2)[:, None] @ right).reshape(n, d_a, 2, d_a, 2)
-    pairs = framed.transpose(0, 1, 3, 2, 4).reshape(-1, 4)
-    images = (pairs @ SIGMAS.reshape(4, 4).T).reshape(n, d_a, d_a, 4)
+    right = (matrices.reshape(n, -1, 2) @ w).reshape(n, d_a, 2, d_a, 1, 2)
+    left = w.conj()[:, None, :, None, :, None]  # conj(W[j', j]) at [n, ., j', ., j, .]
+    framed = left[:, :, 0] * right[:, :, 0] + left[:, :, 1] * right[:, :, 1]
+    images = (framed.reshape(-1, 4) @ SIGMAS.reshape(4, 4).T).reshape(n, d_a, d_a, 4)
     return lam, vecs, pure, images.transpose(0, 3, 1, 2)
 
 
@@ -50,16 +52,24 @@ def _rebuilt_states(extracted) -> np.ndarray:
     ``_extract_images`` tuple that ``linear_cc_batch`` returns:
     Lambda(|i><j|) = sum_mu <j|sigma_mu|i>/2 R_mu, and
     rho = sum_ij sqrt(lam_i lam_j) Lambda(|i><j|) x |phi_i><phi_j|, an
-    (N, 2dA, 2dA) stack. NaN where rho_B is rank-1 and the channel is
-    undefined."""
+    (N, 2dA, 2dA) stack. Summed over mu first, that is
+    rho = sum_mu R_mu x C_mu with C_mu = F sigma_mu^T F^dagger / 2 and
+    F = V lam^{1/2}, whose 2x2 C_mu are sums of the outer products of F's
+    columns. Both steps run with the member axis last, so that each product
+    runs over the stack rather than over 2 entries. NaN where rho_B is
+    rank-1 and the channel is undefined."""
     lam, vecs, pure, images = extracted
     n, d_a = images.shape[0], images.shape[-1]
-    units = np.einsum("mji,nmac->nijac", SIGMAS, images) / 2.0
-    frame = vecs * np.sqrt(np.where(pure[:, None], 1.0, lam))[:, None, :]
-    left = (frame @ units.reshape(n, 2, -1)).reshape(n, 2, 2, d_a, d_a)
-    out = left.transpose(0, 3, 1, 4, 2).reshape(n, -1, 2) @ frame.conj().swapaxes(1, 2)
+    frame = vecs * np.sqrt(np.where(pure[:, None], 1.0, lam) / 2.0)[:, None, :]
+    f = frame.transpose(2, 1, 0).copy()  # f[i] = F's column i / sqrt 2, member axis last
+    g = f.conj()
+    p00, p11 = f[0, :, None] * g[0], f[1, :, None] * g[1]  # p_ij = f_i f_j^dagger
+    p01, p10 = f[0, :, None] * g[1], f[1, :, None] * g[0]
+    blocks = np.stack((p00 + p11, p01 + p10, 1j * (p01 - p10), p00 - p11))  # C_mu
+    out = np.einsum("macn,mbdn->abcdn", images.transpose(1, 2, 3, 0).copy(), blocks)
+    out = out.reshape(2 * d_a, 2 * d_a, n).transpose(2, 0, 1)
     out[pure] = np.nan
-    return out.reshape(n, 2 * d_a, 2 * d_a)
+    return out
 
 
 def linear_cc_batch(rho: DensityMatrix):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import _rebuilt_states, linear_cc_batch
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
-from .linalg import SPIN_FLIP, _partial_trace, qubit_eigvalsh
+from .linalg import _partial_trace, qubit_eigvalsh
 from .measures import (binary_entropy, f_map, f_map_unchecked, purity_loss, spectral_entropies,
                        unit_interval)
 from .states import DensityMatrix, _stack_of, _unstack, rho2_domain
@@ -182,16 +182,20 @@ def _purified_tangle(rho: DensityMatrix) -> np.ndarray:
     the c-th largest eigenvalue is at or below RANK_TOL. rho_AC = M M^dagger
     for M[(a, c), b] = psi[a, b, c], so it is never built: the spin-flip
     values are the singular values mu_1 >= mu_2 of the 2x2 complex symmetric
-    A = M^T (YxY) M, and tau = (mu_1 - mu_2)^2 = |A|_F^2 - 2|det A|. A
-    rank-1 state has M = 0 on the rows c = 1, which makes A, and so its
-    tangle, exactly 0."""
+    A = M^T (YxY) M, and tau = (mu_1 - mu_2)^2 = |A|_F^2 - 2|det A|. YxY
+    reverses M's rows and negates rows 0 and 3, so with F_r the row r of M,
+    A = F1 (x) F2 + F2 (x) F1 - F0 (x) F3 - F3 (x) F0 for (x) the outer
+    product. A rank-1 state has M = 0 on the rows c = 1, F1 = F3 = 0, which
+    makes A, and so its tangle, exactly 0."""
     keep = rho.spectrum[:, :-3:-1] > RANK_TOL
     first = _pivot_column(rho.matrix, keep[:, 0])
     rest = rho.matrix - first[:, :, None] * first[:, None, :].conj()
     psi = np.stack([first, _pivot_column(rest, keep[:, 1])], axis=-1)
     psi = psi / np.linalg.norm(psi, axis=(1, 2))[:, None, None]
-    factor = psi.reshape(-1, 2, 2, 2).swapaxes(2, 3).reshape(-1, 4, 2)
-    a = factor.swapaxes(1, 2) @ SPIN_FLIP @ factor
+    rows = psi.reshape(-1, 2, 2, 2)  # F_(a, c)[b] = rows[:, a, b, c]
+    half = (rows[:, 0, :, None, 1] * rows[:, 1, None, :, 0]
+            - rows[:, 0, :, None, 0] * rows[:, 1, None, :, 1])  # F1 (x) F2 - F0 (x) F3
+    a = half + half.swapaxes(1, 2)
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
     return np.maximum(0.0, np.sum(np.abs(a) ** 2, axis=(1, 2)) - 2.0 * np.abs(det))
 

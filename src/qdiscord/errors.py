@@ -14,7 +14,8 @@ class DimensionMismatch(QDiscordError):
 
 
 class NotFinite(QDiscordError):
-    """A would-be density matrix has a NaN or infinite entry."""
+    """A would-be density matrix has a NaN or infinite entry, or one too
+    large to check (modulus above ``states.ENTRY_LIMIT``)."""
 
 
 class OutOfDomain(QDiscordError):

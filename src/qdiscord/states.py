@@ -23,6 +23,10 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z
 HERMITIAN_TOL = 1e-10  # largest |m - m^dagger| entry a density matrix may have
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
 MARGINAL_RANK_TOL = 1e-10  # rho_B is rank-1 when its smaller eigenvalue is at most this
+# No entry of a density matrix exceeds 1 in modulus. Input entries beyond this
+# are refused before any arithmetic, so that no sum, difference or spectrum
+# of the checks can overflow; anything up to it is checked as usual.
+ENTRY_LIMIT = 1e150
 _JSON_TOL = 1e-8
 _EMPTY_STACK = "a stack of states must not be empty"
 
@@ -32,12 +36,14 @@ class DensityMatrix:
     """A bipartite density matrix with an explicit (dA, dB) split, or an
     (N, n, n) stack of them with one split.
 
-    The input is validated in one pass (finite entries, Hermiticity within
-    HERMITIAN_TOL, trace and smallest eigenvalue within DENSITY_TOL; in a
-    stack an error names its first offending member), then symmetrized and
-    rescaled to unit trace. ``spectrum`` keeps the ascending eigenvalues
-    that validation computed, shaped (n,) or (N, n), read-only and bit for
-    bit ``np.linalg.eigvalsh(matrix)``. Indexing and slicing give members,
+    The input is validated in one pass (finite entries of modulus at most
+    ENTRY_LIMIT, Hermiticity within HERMITIAN_TOL, trace and smallest
+    eigenvalue within DENSITY_TOL; in a stack an error names its first
+    offending member), then symmetrized and rescaled to unit trace, its real
+    and imaginary parts apart, so that a zero part keeps its sign.
+    ``spectrum`` keeps the ascending eigenvalues that validation computed,
+    shaped (n,) or (N, n), read-only and bit for bit
+    ``np.linalg.eigvalsh(matrix)``. Indexing and slicing give members,
     with their rows of ``spectrum``, without validating them again; one state
     indexes as a stack of one. An empty selection raises the constructor's
     DimensionMismatch, and an index on more than the member axis, such as
@@ -64,30 +70,35 @@ class DensityMatrix:
         if m.size == 0:
             raise DimensionMismatch(_EMPTY_STACK)
         stack = m.reshape(-1, n, n)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        all_finite = finite.all()
-        if not all_finite:
-            stack = np.where(finite[:, None, None], stack, 0.0)
+        in_range = (np.abs(stack) <= ENTRY_LIMIT).all(axis=(1, 2))  # False at NaN too
+        all_in_range = in_range.all()
+        if not all_in_range:
+            stack = np.where(in_range[:, None, None], stack, 0.0)
         adjoint = stack.conj().swapaxes(1, 2)
         herm_dev = np.abs(stack - adjoint).max(axis=(1, 2))
         trace = stack.trace(axis1=1, axis2=2)
         bad_trace = np.abs(trace - 1.0) > DENSITY_TOL
-        canonical = stack + adjoint
-        canonical /= 2.0
+        canonical = np.add(stack, adjoint, order="C")
         # The canonical diagonal is the real part of the input's, so its
-        # trace is trace.real, bit for bit.
-        scale = np.where(bad_trace, 1.0, trace.real)
-        canonical /= scale[:, None, None]
+        # trace is trace.real, bit for bit. Complex division by a real
+        # multiplies by its reciprocal but can flip a zero part's sign; the
+        # parts times 0.5/trace give the same bits (for normal parts) and
+        # keep the sign.
+        scale = 0.5 / np.where(bad_trace, 1.0, trace.real)
+        parts = canonical.view(float)
+        parts *= scale[:, None, None]
         spectrum = np.linalg.eigvalsh(canonical)
         smallest = spectrum[:, 0]
-        checks = (~finite, herm_dev > HERMITIAN_TOL, bad_trace, smallest < -DENSITY_TOL)
+        checks = (~in_range, herm_dev > HERMITIAN_TOL, bad_trace, smallest < -DENSITY_TOL)
         failing = checks[1] | checks[2] | checks[3]
-        if not all_finite:
+        if not all_in_range:
             failing |= checks[0]
         if failing.any():
             i = int(np.argmax(failing))
+            finite = np.isfinite(m.reshape(-1, n, n)[i]).all()
             error = [
-                NotFinite("matrix has a NaN or infinite entry"),
+                NotFinite("matrix has a NaN or infinite entry" if not finite else
+                          f"matrix has an entry of modulus above {ENTRY_LIMIT:g}"),
                 NotHermitian(f"matrix deviates from Hermiticity by {herm_dev[i]:.3e}"),
                 ValueError(f"matrix trace {complex(trace[i])} is not 1 within {DENSITY_TOL}"),
                 NotPositive(f"smallest eigenvalue {smallest[i]:.3e} is negative"),
@@ -313,12 +324,25 @@ def _rank2_states(blocks: np.ndarray, dim_a: int) -> DensityMatrix:
 
 def _haar_unitaries(draws: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from (N, 2, d, d) normals (real parts, then
-    imaginary parts): Q of the batched QR of the complex Gaussians, its
-    columns rephased so that R has a positive diagonal (without that step Q
-    is not Haar-distributed)."""
-    q, r = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])
-    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
+    imaginary parts): Q of the QR of the complex Gaussians Z, its columns
+    rephased so that R has a positive diagonal (without that step Q is not
+    Haar-distributed; Mezzadri, Notices AMS 54, 592, 2007). At d = 2 that Q
+    is in closed form: q0 = z0/|z0|, and q1 = (c/|c|) (-conj(beta), conj(alpha))
+    with (alpha, beta) = q0 and c = alpha z1[1] - beta z1[0], the part of z1
+    orthogonal to q0. Other d take a batched QR."""
+    z = draws[:, 0] + 1j * draws[:, 1]
+    if z.shape[-1] != 2:
+        q, r = np.linalg.qr(z)
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
+    q = np.empty_like(z)
+    q[:, :, 0] = z[:, :, 0] / np.hypot(np.abs(z[:, 0, 0]), np.abs(z[:, 1, 0]))[:, None]
+    alpha, beta = q[:, 0, 0], q[:, 1, 0]
+    c = alpha * z[:, 1, 1] - beta * z[:, 0, 1]
+    phase = c / np.abs(c)
+    q[:, 0, 1] = -phase * beta.conj()
+    q[:, 1, 1] = phase * alpha.conj()
+    return q
 
 
 def random_trials(seed: int, trials: range, dim_a: int = 2):
@@ -331,9 +355,10 @@ def random_trials(seed: int, trials: range, dim_a: int = 2):
     normals for the state's two eigenvectors, then normals for the dA x dA
     U_A and the 2 x 2 U_B of its twin, normals made by ``box_muller``. So a
     trial reads the same numbers whichever range it is drawn in, and one
-    stream serves the whole range: the unitaries are two batched QRs, and
-    they never leave this function. ``make_random_rank2(seed, dim_a)`` is
-    the state of trial 0.
+    stream serves the whole range. The unitaries are drawn for the whole
+    range at once (``_haar_unitaries``: 2x2 in closed form, a batched QR at
+    other dA), and they never leave this function.
+    ``make_random_rank2(seed, dim_a)`` is the state of trial 0.
     """
     blocks = _trial_blocks(seed, trials, dim_a)
     states = _rank2_states(blocks, dim_a)
@@ -358,7 +383,9 @@ def make_random_rank2(seed: int, dim_a: int = 2) -> DensityMatrix:
 
 def dump_state(rho: DensityMatrix) -> str:
     """The wire format {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]} of
-    one state, with shortest round-trip floats so reparsing is bit-exact; a
+    one state, with shortest round-trip floats so reparsing is bit-exact,
+    signed zeros included: ``load_state`` gives the state back bit for bit
+    when its diagonal sums to exactly 1, and rescales by that sum otherwise. A
     stack raises DimensionMismatch. The text is ``json.dumps(..., indent=2)``
     of those nested lists, byte for byte, built one row at a time so the
     lists of every entry never exist."""
@@ -400,8 +427,10 @@ def load_state(text: str) -> DensityMatrix:
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if not np.isfinite(m).all():
-        raise StateFormatError("matrix entries must be finite, got NaN or Infinity")
+    if not (np.abs(m) <= ENTRY_LIMIT).all():
+        if not np.isfinite(m).all():
+            raise StateFormatError("matrix entries must be finite, got NaN or Infinity")
+        raise StateFormatError(f"matrix entries must be at most {ENTRY_LIMIT:g} in modulus")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateFormatError(f"matrix is not square: shape {m.shape}")
     if m.shape[0] != dims[0] * dims[1]:
@@ -417,7 +446,7 @@ def load_state(text: str) -> DensityMatrix:
     trace = complex(m.trace())
     if abs(trace - 1.0) > _JSON_TOL:
         raise StateFormatError(f"matrix trace is not 1: got {trace}")
-    canonical = m + adjoint
-    canonical /= 2.0
-    canonical /= float(canonical.trace().real)
+    canonical = np.add(m, adjoint, order="C")
+    parts = canonical.view(float)  # halved and rescaled at once, as DensityMatrix scales
+    parts *= 1.0 / canonical.trace().real
     return DensityMatrix((dims[0], dims[1]), canonical)

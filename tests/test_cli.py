@@ -249,6 +249,20 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err == "error: matrix entries must be finite, got NaN or Infinity\n"
 
+    def test_state_file_near_the_float_limit_exit_2(self, capsys, tmp_path):
+        # Finite entries 1e308 and -1e308 on the diagonal, trace 1: refused
+        # before m + m^dagger could overflow, so numpy prints no RuntimeWarning
+        # (an error in this suite) and the message names the entry's size.
+        path = tmp_path / "state.json"
+        doc = json.loads(dump_state(make_horodecki(0.5)))
+        doc["matrix"][0][0], doc["matrix"][3][3] = [1e308, 0.0], [-1e308, 0.0]
+        doc["matrix"][1][1] = doc["matrix"][2][2] = [0.5, 0.0]
+        doc["matrix"][1][2] = doc["matrix"][2][1] = [0.0, 0.0]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: matrix entries must be at most 1e+150 in modulus\n"
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "horodecki", "--p", "1.5")
         assert code == 2
@@ -811,6 +825,19 @@ class TestValidate:
         assert cli.run_validation(1000, 42)["pass"]
         assert len(shapes) == 4
         assert sorted(shapes) == sorted([(1000, 2, 2), (1000, 2, 2), (25, 2, 2), (25, 3, 3)])
+
+    def test_a_run_makes_no_qr(self, monkeypatch):
+        # The twins' U_A and U_B are 2x2 at dA = 2, and a 2x2 Haar unitary is
+        # drawn in closed form, so no QR runs.
+        shapes, qr = [], np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        assert cli.run_validation(1000, 42)["pass"]
+        assert shapes == []
 
     def test_a_run_makes_no_svd_and_no_qubit_eigvalsh_of_a_stack(self, monkeypatch):
         # The tangle is |A|_F^2 - 2|det A| of the 2x2 spin-flip matrix A, and

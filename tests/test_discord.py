@@ -24,7 +24,7 @@ from qdiscord.errors import (
     OutOfDomain,
     RankTooHigh,
 )
-from qdiscord.linalg import partial_trace
+from qdiscord.linalg import SPIN_FLIP, partial_trace
 from qdiscord.measures import linear_entropy, von_neumann_entropy
 from qdiscord.states import (
     DensityMatrix,
@@ -387,6 +387,25 @@ class TestPurifiedTangle:
         tau = discord_module._purified_tangle(states)
         reference = [purified_tangle_reference(rho) for rho in states]
         np.testing.assert_allclose(tau, reference, rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("states", [STATES, FAMILIES, random_trials(42, range(1000))[0],
+                                        random_trials(42, range(1000))[1]],
+                             ids=["states", "families", "validate_seed_42", "twins_seed_42"])
+    def test_outer_products_match_the_spin_flip_product(self, states):
+        # A = F1 (x) F2 + F2 (x) F1 - F0 (x) F3 - F3 (x) F0 is M^T (YxY) M
+        # written out; against the two batched products on the same factor
+        # it reads at most 3.3e-16 apart here.
+        keep = states.spectrum[:, :-3:-1] > RANK_TOL
+        first = discord_module._pivot_column(states.matrix, keep[:, 0])
+        rest = states.matrix - first[:, :, None] * first[:, None, :].conj()
+        psi = np.stack([first, discord_module._pivot_column(rest, keep[:, 1])], axis=-1)
+        psi = psi / np.linalg.norm(psi, axis=(1, 2))[:, None, None]
+        factor = psi.reshape(-1, 2, 2, 2).swapaxes(2, 3).reshape(-1, 4, 2)
+        a = factor.swapaxes(1, 2) @ SPIN_FLIP @ factor
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        want = np.maximum(0.0, np.sum(np.abs(a) ** 2, axis=(1, 2)) - 2.0 * np.abs(det))
+        np.testing.assert_allclose(discord_module._purified_tangle(states), want,
+                                   rtol=0, atol=1e-15)
 
     def test_pure_member_has_exactly_zero_tangle(self):
         tau = discord_module._purified_tangle(self.STATES)

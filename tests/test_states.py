@@ -25,8 +25,10 @@ from qdiscord.measures import von_neumann_entropy
 from qdiscord.states import (
     _JSON_TOL,
     DENSITY_TOL,
+    ENTRY_LIMIT,
     HERMITIAN_TOL,
     DensityMatrix,
+    _haar_unitaries,
     _trial_blocks,
     box_muller,
     dump_state,
@@ -309,6 +311,32 @@ class TestRandomUnitary:
         with pytest.raises(DimensionMismatch, match="must not be empty"):
             random_trials(4, range(3, 3))
 
+    def test_qubit_closed_form_matches_the_qr_reference(self):
+        # At d = 2 the unitary is QR with the phase fix in closed form. Over
+        # these 10^4 draws it is within 1.7e-14 of the scalar QR; the largest
+        # gaps come from draws with a small |R11|, where the second column's
+        # phase c/|c| is ill-conditioned in both forms.
+        normals = box_muller(np.random.Generator(np.random.Philox(key=34)).random((10**4, 8)))
+        got = _haar_unitaries(normals.reshape(-1, 2, 2, 2))
+        gaps = [np.max(np.abs(u - scalar_unitary_reference(row, 2)))
+                for u, row in zip(got, normals)]
+        assert max(gaps) <= 5e-14
+        assert np.max(np.abs(got.conj().swapaxes(1, 2) @ got - np.eye(2))) <= 2e-15
+
+    def test_qubit_closed_form_is_unitary_on_nearly_parallel_columns(self):
+        # z1 = c z0 + 1e-9 noise, condition number about 4e9; QR itself
+        # reads 8.9e-16 here.
+        rng = np.random.default_rng(34)
+        z0 = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+        c = rng.standard_normal((1000, 1)) + 1j * rng.standard_normal((1000, 1))
+        z1 = c * z0 + 1e-9 * (rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2)))
+        z = np.stack([z0, z1], axis=-1)
+        q = _haar_unitaries(np.stack([z.real, z.imag], axis=1))
+        assert np.max(np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(2))) <= 2e-15
+        # The first column is z0's direction, with no phase turned.
+        np.testing.assert_allclose(q[:, :, 0], z0 / np.linalg.norm(z0, axis=1)[:, None],
+                                   rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_unitary_and_deterministic(self, dim):
         # U_A x U_B keeps the state's spectrum and, through U_A, rho_A's; the
@@ -490,6 +518,21 @@ class TestDensityMatrixValidation:
         rho = make_horodecki(0.5)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("diagonal", [[1e308, -1e308, 0.5, 0.5], [1e308, 1e308, 0.5, 0.5],
+                                          [2e150, -2e150, 0.5, 0.5]], ids=str)
+    def test_rejects_entry_near_the_float_limit(self, diagonal):
+        # Every entry is finite and the trace is 1, but the symmetrization and
+        # the spectrum would overflow: the entry is refused first, by name,
+        # with no RuntimeWarning and no LinAlgError. A member of a stack is
+        # named by index, and entries up to ENTRY_LIMIT get the usual checks.
+        with pytest.raises(NotFinite, match=r"^matrix has an entry of modulus above 1e\+150$"):
+            DensityMatrix((2, 2), np.diag(diagonal))
+        stack = np.stack([np.eye(4) / 4, np.diag(diagonal)])
+        with pytest.raises(NotFinite, match=r"^state 1: matrix has an entry of modulus above"):
+            DensityMatrix((2, 2), stack)
+        with pytest.raises(NotPositive, match=r"^smallest eigenvalue -1.000e\+150 is negative$"):
+            DensityMatrix((2, 2), np.diag([ENTRY_LIMIT, -ENTRY_LIMIT, 0.5, 0.5]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
@@ -793,6 +836,19 @@ class TestJsonFormat:
         np.testing.assert_array_equal(again.matrix, rho.matrix)
         assert again.dims == rho.dims
 
+    @pytest.mark.parametrize("imag", [0.25, -0.25])
+    def test_roundtrip_keeps_the_sign_of_a_zero(self, imag):
+        # Halving and rescaling as complex numbers turned the -0.0 real part
+        # of an entry whose imaginary part is positive into +0.0, on one side
+        # of the diagonal only; the parts are scaled apart, so both keep it.
+        m = np.array([[0.5, complex(-0.0, imag)], [complex(-0.0, -imag), 0.5]])
+        rho = DensityMatrix((1, 2), m)
+        again = load_state(dump_state(rho))
+        signs = np.signbit(rho.matrix.real[[0, 1], [1, 0]])
+        np.testing.assert_array_equal(signs, [True, True])
+        np.testing.assert_array_equal(np.signbit(again.matrix.real[[0, 1], [1, 0]]), signs)
+        np.testing.assert_array_equal(again.matrix.view(np.int64), rho.matrix.view(np.int64))
+
     @pytest.mark.parametrize("dim_a", [1, 2, 3])
     def test_text_is_json_dumps_with_indent_2(self, dim_a):
         # dump_state writes its text one row at a time; the bytes are those of
@@ -844,6 +900,20 @@ class TestJsonFormat:
             load_state("not json at all")
         with pytest.raises(StateFormatError):
             load_state(json.dumps({"dims": [2, 2]}))
+
+    @pytest.mark.parametrize("entry", [[1e308, 0.0], [0.0, -1e308], [2e150, 0.0]], ids=str)
+    def test_entry_near_the_float_limit_is_a_format_error(self, entry):
+        # Each part is finite, but m + m^dagger or m - m^dagger would
+        # overflow. A density matrix's entries are at most 1 in modulus, so
+        # the parser refuses the entry before any arithmetic, with no
+        # RuntimeWarning.
+        m = np.diag([1.0, -1.0, 0.5, 0.5]).tolist()
+        doc = {"dims": [2, 2], "matrix": [[[x, 0.0] for x in row] for row in m]}
+        doc["matrix"][0][0] = entry
+        doc["matrix"][1][1] = [-entry[0], entry[1]]
+        with pytest.raises(StateFormatError, match=r"^matrix entries must be at most 1e\+150 in "
+                           r"modulus$"):
+            load_state(json.dumps(doc))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entry_is_a_format_error(self, literal):
