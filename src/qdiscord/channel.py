@@ -84,12 +84,14 @@ def linear_cc_batch(rho: DensityMatrix):
     The jump there is small: d-level Bloch vectors have |r|^2 <= d(d-1)/2,
     so I2_cc <= (2(d-1)/d) S2(rho_B), and S2(rho_B) = 4 eps (1 - eps) for the
     smaller eigenvalue eps; under 8e-10 at any d = dA, 4e-10 for two qubits.
+    The same bound gives exactly 0 at dA = 1, where A has no Bloch vector, so
+    that case reads 0, not the rounding noise of its 1x1 images.
     """
     extracted = _extract_images(rho.matrix, rho.dim_a)
     lam, _, pure, images = extracted
     gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
     lam_max = np.linalg.eigvalsh(gram)[:, -1]
-    return np.where(pure, 0.0, 2.0 * lam_max * lam[:, 0] * lam[:, 1]), extracted
+    return np.where(pure | (rho.dim_a == 1), 0.0, 2.0 * lam_max * lam[:, 0] * lam[:, 1]), extracted
 
 
 def linear_classical_correlation(rho: DensityMatrix):

@@ -59,8 +59,8 @@ def partial_trace(m, dims, keep: str) -> np.ndarray:
 def _partial_trace(m: np.ndarray, dims: tuple, keep: str) -> np.ndarray:
     """``partial_trace`` of a complex (N, n, n) stack, unchecked: for
     ``partial_trace``, which checks its arguments, and for
-    ``channel._extract_images`` and ``discord._report_fields``, whose stacks
-    and dims a DensityMatrix validated."""
+    ``channel._extract_images``, ``discord._report_fields`` and the oracles,
+    whose stacks and dims a DensityMatrix validated."""
     d_a, d_b = dims
     return np.einsum(_KEPT[keep], m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b))
 

@@ -18,9 +18,11 @@ Each oracle call batches its work by stage, not by member. The projective
 search scores each stage for every state of one frame size in one call, apart
 from the coarse scan, which takes one call per state; the stages only record
 what they score, and the best is read from all of it where it is needed. The
-decomposition oracle turns every member's draw into normals in one
-``box_muller`` call and into chords in one ``_chords`` call, then scores the
-aligned chord with the pairs in one call and the triples in another.
+decomposition oracle writes each of its candidates, the aligned chord, the
+sampled pairs and the sampled triples, as one three-element decomposition: it
+turns every member's draw into normals in one ``box_muller`` call, builds
+every candidate's chord in one ``_chords`` call and scores every candidate in
+one ``_linear_entropy_drops`` call.
 
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger,
 one line per member.
@@ -37,7 +39,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
-from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
+from .linalg import EIGENVALUE_CLAMP, SIGMAS, _partial_trace
 from .measures import purity_loss, spectral_entropy
 from .states import (MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox,
                      philox_key)
@@ -362,7 +364,7 @@ def projective_classical_correlation(rho: DensityMatrix):
     either side of the cut.
     """
     stack = _stack_of(rho)
-    s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(stack.matrix, stack.dims, "A")))
+    s_a = spectral_entropy(np.linalg.eigvalsh(_partial_trace(stack.matrix, stack.dims, "A")))
     n = len(stack)
     best, directions, frames = np.empty(n), np.empty((n, 3)), np.empty(n, int)
     for members, t in _measurement_response(stack):
@@ -393,23 +395,25 @@ def _chords(r_b: np.ndarray, directions: np.ndarray):
     return probabilities, r_b[..., None, :] + t[..., None] * e[..., None, :]
 
 
-def _sampled_decompositions(r_b: np.ndarray, trials: int, seeds):
-    """Random pure-state decompositions of each marginal, ``trials`` per size.
+def _decompositions(r_b: np.ndarray, aligned: np.ndarray, trials: int, seeds):
+    """Each marginal's candidate pure-state decompositions, all of one kind.
 
-    ``r_b`` is (N, 3), one marginal per seed of ``seeds``. Returns one
-    (probabilities, bloch_vectors) pair per size 2 and 3, of shapes
-    (N, trials, size) and (N, trials, size, 3). Member i makes one draw of
-    ``trials`` rows of 11 uniforms from a Philox stream keyed by
-    ``seeds[i]``, and trial t reads row t: columns 0-3 give the size-2
-    chord's normals (3 of 4 used), 4-9 the size-3 pure state's and chord's
-    (all made by ``box_muller``), and 10 the size-3 weight. So a member's
-    first n samples depend neither on ``trials`` nor on the other members.
-    Size 2 is a chord through r_b; size 3 puts weight p1 in
-    [0, (1 - |r_b|)/2) on a random pure state and splits the rest along a
-    chord. No size 4: the objective is linear in the weights, so a mixture
-    of two chords never beats the better one. The whole stack takes one
-    ``box_muller`` call on columns 0-9 and one ``_chords`` call for both
-    sizes' chords.
+    ``r_b`` and ``aligned`` are (N, 3), one marginal and one unit direction per
+    seed of ``seeds``. Every candidate puts weight p1 on a pure state u and
+    splits the rest along a chord through (r_b - p1 u)/(1 - p1). Returns the
+    (N, 1 + 2 trials, 3) probabilities and (N, 1 + 2 trials, 3, 3) unit Bloch
+    vectors: the chord along ``aligned``, then ``trials`` pairs, then
+    ``trials`` triples. The chord and the pairs have p1 = 0, so they score
+    exactly as two-point decompositions; their u is ``aligned`` and the
+    trial's drawn u. Member i makes one draw of ``trials`` rows of 11
+    uniforms from a Philox stream keyed by ``seeds[i]``, and trial t reads
+    row t: columns 0-3 give the pair's chord normals (3 of 4 used), 4-9 the
+    triple's pure state's and chord's (all made by ``box_muller``), and 10
+    the triple's p1 in [0, (1 - |r_b|)/2). So a member's first n samples
+    depend neither on ``trials`` nor on the other members. No size 4: the
+    objective is linear in the weights, so a mixture of two chords never
+    beats the better one. The whole stack takes one ``box_muller`` call and
+    one ``_chords`` call.
     """
     n = len(seeds)
     rows = np.empty((n, trials, 11))
@@ -419,19 +423,14 @@ def _sampled_decompositions(r_b: np.ndarray, trials: int, seeds):
 
     centre = r_b[:, None, :]
     u = normals[..., 4:7] / np.linalg.norm(normals[..., 4:7], axis=-1, keepdims=True)
-    p1 = rows[..., 10:] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
-    # One _chords call: the pairs' chords through r_b, then the triples' rest
-    # chords through what is left of r_b once weight p1 goes to u.
+    weight = rows[..., 10:] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
+    p1 = np.concatenate([np.zeros((n, 1 + trials, 1)), weight], axis=1)
+    pure = np.concatenate([aligned[:, None], u, u], axis=1)
     probabilities, vectors = _chords(
-        np.concatenate([np.broadcast_to(centre, (n, trials, 3)), (centre - p1 * u) / (1.0 - p1)],
-                       axis=1),
-        np.concatenate([normals[..., :3], normals[..., 7:]], axis=1))
-    pair = probabilities[:, :trials], vectors[:, :trials]
-    triple = (
-        np.concatenate([p1, (1.0 - p1) * probabilities[:, trials:]], axis=-1),
-        np.concatenate([u[:, :, None, :], vectors[:, trials:]], axis=2),
-    )
-    return [pair, triple]
+        (centre - p1 * pure) / (1.0 - p1),
+        np.concatenate([aligned[:, None], normals[..., :3], normals[..., 7:]], axis=1))
+    return (np.concatenate([p1, (1.0 - p1) * probabilities], axis=-1),
+            np.concatenate([pure[:, :, None], vectors], axis=2))
 
 
 def _marginal_images(rho: DensityMatrix):
@@ -444,7 +443,7 @@ def _marginal_images(rho: DensityMatrix):
     W^dagger on B; outcome i has probability p_i and leaves A in
     (R_0 + r_i.R)/2.
     """
-    lam, vecs = np.linalg.eigh(partial_trace(rho.matrix, rho.dims, "B"))
+    lam, vecs = np.linalg.eigh(_partial_trace(rho.matrix, rho.dims, "B"))
     lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
     rank_one = lam[:, 1] <= MARGINAL_RANK_TOL
     w = vecs / np.sqrt(np.where(rank_one[:, None], 1.0, lam))[:, None, :]
@@ -454,11 +453,10 @@ def _marginal_images(rho: DensityMatrix):
     return lam, rank_one, r_b, _conditionals(rho, operators)
 
 
-def _aligned_chord(images: np.ndarray, r_b: np.ndarray):
-    """Per member, the chord through r_b along the top eigenvector of
-    Re Tr(R_k R_l): (N, 1, 2) probabilities and (N, 1, 2, 3) vectors."""
+def _aligned_direction(images: np.ndarray) -> np.ndarray:
+    """Per member, the (N, 3) top eigenvector of Re Tr(R_k R_l)."""
     gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
-    return _chords(r_b[:, None], np.linalg.eigh(gram)[1][:, None, :, -1])
+    return np.linalg.eigh(gram)[1][:, :, -1]
 
 
 def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, vectors):
@@ -481,18 +479,17 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     """Supremum of the linear-entropy objective over sampled decompositions.
 
     One state takes one int ``seed``, a stack a sequence of one per member.
-    Includes the deterministic aligned chord (``_aligned_chord``), so the
+    Includes the deterministic chord along ``_aligned_direction``, so the
     value matches the closed form to within rounding; ``trials`` random 2-
     and 3-element decompositions are drawn per member, trial t from row t of
-    one draw from a Philox stream keyed by its seed (see
-    ``_sampled_decompositions``), so larger trial counts extend smaller
-    ones. A rank-1 rho_B (smaller eigenvalue at most MARGINAL_RANK_TOL)
-    raises DegenerateMarginal for one state and gives NaN for a member of a
-    stack. A ``trials`` that is not a non-negative integer, booleans
-    included, or a seed that is not a Philox key (``philox_key``), for any
-    member, raises OutOfDomain before any work. The aligned chord and the
-    pairs are scored in one ``_linear_entropy_drops`` call, the triples in
-    another.
+    one draw from a Philox stream keyed by its seed, so larger trial counts
+    extend smaller ones. ``_decompositions`` writes every candidate as a
+    three-element decomposition, and one ``_linear_entropy_drops`` call
+    scores them all. A rank-1 rho_B (smaller eigenvalue at most
+    MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives NaN
+    for a member of a stack. A ``trials`` that is not a non-negative integer,
+    booleans included, or a seed that is not a Philox key (``philox_key``),
+    for any member, raises OutOfDomain before any work.
     """
     if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 0):
         raise OutOfDomain(f"trials must be a non-negative integer, got {trials!r}")
@@ -507,15 +504,9 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     lam, rank_one, r_b, images = _marginal_images(stack)
     kept = np.flatnonzero(~rank_one)
     r_b, images = r_b[kept], images[kept]
-    (pair_p, pair_v), triple = _sampled_decompositions(r_b, trials, [seeds[i] for i in kept])
-    # The aligned chord and the pairs, all two-point decompositions, in one call.
-    aligned_p, aligned_v = _aligned_chord(images, r_b)
-    twos = _linear_entropy_drops(images, r_b, np.concatenate([aligned_p, pair_p], axis=1),
-                                 np.concatenate([aligned_v, pair_v], axis=1))
-    aligned = twos[:, 0]
-    sampled = np.maximum(
-        np.max(twos[:, 1:], axis=1, initial=-math.inf),
-        np.max(_linear_entropy_drops(images, r_b, *triple), axis=1, initial=-math.inf))
+    drops = _linear_entropy_drops(images, r_b, *_decompositions(
+        r_b, _aligned_direction(images), trials, [seeds[i] for i in kept]))
+    aligned, sampled = drops[:, 0], np.max(drops[:, 1:], axis=1, initial=-math.inf)
     best[kept] = np.maximum(aligned, sampled)
     if _log.isEnabledFor(logging.DEBUG):
         for a, s in zip(aligned, sampled):

@@ -330,6 +330,13 @@ class TestAnyDimensionA:
         sampled = decomposition_linear_cc(states, trials=16, seed=list(range(len(states))))
         assert np.max(sampled - got) <= _CHECK_TOLERANCES["decomposition_bound"]
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_one_level_a_reads_exactly_zero(self, seed):
+        # I2_cc <= (2(d-1)/d) S2(rho_B) is 0 at d = 1, where A has no Bloch vector.
+        states = random_trials(seed, range(50), 1)[0]
+        assert np.all(linear_classical_correlation(states) == 0.0)
+        assert np.all(correlation_report(states).I2_cc == 0.0)
+
 
 class TestBatchedChannel:
     @pytest.mark.parametrize("d", [2, 3, 4])

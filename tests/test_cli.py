@@ -293,6 +293,15 @@ class TestCompute:
         assert doc["rank"] == 2
         assert doc["Q_discord"] >= -1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 42, 7919])
+    def test_one_level_a_has_no_linear_classical_correlation(self, capsys, seed):
+        # A 1-level A has no Bloch vector, so I2_cc is exactly 0, not the
+        # rounding noise of its 1x1 images.
+        code, out, _ = run(capsys, "compute", "--family", "random_rank2", "--seed", str(seed),
+                           "--da", "1")
+        assert code == 0
+        assert '"I2_cc": 0,' in out
+
     def test_random_rank2_is_trial_zero_of_validate(self, capsys, monkeypatch):
         # compute --seed s reports, bit for bit, the state validate --seed s
         # draws as its trial 0.

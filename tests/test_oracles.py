@@ -4,6 +4,7 @@ import logging
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +22,14 @@ from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
 from qdiscord.measures import linear_entropy, spectral_entropy, von_neumann_entropy
 from qdiscord.oracles import (
-    _aligned_chord,
+    _aligned_direction,
     _chords,
     _coefficients,
+    _decompositions,
     _linear_entropy_drops,
     _marginal_images,
     _measurement_response,
     _outcome_entropies,
-    _sampled_decompositions,
     decomposition_linear_cc,
     projective_classical_correlation,
 )
@@ -624,9 +625,12 @@ class TestDecompositionOracle:
             decomposition_linear_cc(make_horodecki(0.5), trials=trials, seed=1)
 
     def test_zero_trials_give_the_aligned_chord(self):
+        # The two-point chord along the aligned direction, scored on its own:
+        # the oracle's zero-weight third element leaves its value bit for bit.
         stack = random_trials(6, range(4))[0]
         _, _, r_b, images = _marginal_images(stack)
-        aligned = _linear_entropy_drops(images, r_b, *_aligned_chord(images, r_b))[:, 0]
+        chord = _chords(r_b[:, None], _aligned_direction(images)[:, None])
+        aligned = _linear_entropy_drops(images, r_b, *chord)[:, 0]
         np.testing.assert_array_equal(
             decomposition_linear_cc(stack, trials=0, seed=[0, 1, 2, 3]), aligned)
         assert decomposition_linear_cc(stack[1], trials=np.int64(0), seed=1) == aligned[1]
@@ -702,10 +706,10 @@ def _stack_with_rank_one_marginal(dim_a):
     return stack_of(members[:2], DensityMatrix((dim_a, 2), product), members[2:])
 
 
-def _x_axis_chord(images, r_b):
-    """A chord through r_b along x in place of the aligned chord, so that the
-    sampled decompositions, and so each member's seeds, decide the value."""
-    return _chords(r_b[:, None], np.tile([1.0, 0.0, 0.0], (len(r_b), 1, 1)))
+def _x_axis(images):
+    """The x axis in place of the aligned direction, so that the sampled
+    decompositions, and so each member's seeds, decide the value."""
+    return np.tile([1.0, 0.0, 0.0], (len(images), 1))
 
 
 class TestDecompositionStack:
@@ -713,7 +717,7 @@ class TestDecompositionStack:
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "samples_decide"])
     def test_stack_equals_its_batches_of_one(self, caplog, monkeypatch, dim_a, aligned):
         if not aligned:
-            monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+            monkeypatch.setattr(oracles, "_aligned_direction", _x_axis)
         stack = random_trials(dim_a, range(12), dim_a)[0]
         seeds = [dim_a ^ ((t + 1) << 64) for t in range(12)]
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
@@ -735,7 +739,7 @@ class TestDecompositionStack:
     @pytest.mark.parametrize("dim_a", [2, 3])
     def test_rank_one_marginal_member_is_nan_in_a_stack(self, caplog, monkeypatch, dim_a):
         # With the samples deciding, each later member must still get its own seed.
-        monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        monkeypatch.setattr(oracles, "_aligned_direction", _x_axis)
         stack = _stack_with_rank_one_marginal(dim_a)
         seeds = [dim_a ^ ((t + 1) << 64) for t in range(len(stack))]
         caplog.set_level(logging.DEBUG, logger="qdiscord.oracles")
@@ -750,26 +754,35 @@ class TestDecompositionStack:
 
     @pytest.mark.parametrize("dim_a", [2, 3])
     def test_merged_scoring_is_the_maximum_of_separate_calls(self, monkeypatch, dim_a):
-        # The aligned chord and the pairs share one scoring call. With the
-        # samples deciding, the value is bitwise the best of the three kinds
-        # of candidate, each scored in a helper call of its own.
-        monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        # Every candidate is scored in one call. With the samples deciding, the
+        # value is bitwise the best of the aligned, pair and triple slices of
+        # the candidates, each scored in a call of its own.
+        monkeypatch.setattr(oracles, "_aligned_direction", _x_axis)
         stack = _stack_with_rank_one_marginal(dim_a)
         seeds = [dim_a ^ ((t + 1) << 64) for t in range(len(stack))]
         _, rank_one, r_b, images = _marginal_images(stack)
         kept = np.flatnonzero(~rank_one)
         r_b, images = r_b[kept], images[kept]
-        pair, triple = _sampled_decompositions(r_b, 16, [seeds[i] for i in kept])
-        kinds = [_linear_entropy_drops(images, r_b, *_x_axis_chord(images, r_b))[:, 0],
-                 np.max(_linear_entropy_drops(images, r_b, *pair), axis=1),
-                 np.max(_linear_entropy_drops(images, r_b, *triple), axis=1)]
+        probs, vectors = _decompositions(r_b, _x_axis(images), 16, [seeds[i] for i in kept])
+        kinds = [np.max(_linear_entropy_drops(images, r_b, probs[:, part], vectors[:, part]),
+                        axis=1)
+                 for part in (slice(0, 1), slice(1, 17), slice(17, 33))]
         expected = np.full(len(stack), np.nan)
         expected[kept] = np.max(kinds, axis=0)
         np.testing.assert_array_equal(decomposition_linear_cc(stack, trials=16, seed=seeds),
                                       expected)
-        # Pairs, which share their call with the chord, win for some member,
-        # and so do triples.
+        # Pairs win for some member, and so do triples.
         assert {1, 2} <= set(np.argmax(kinds, axis=0).tolist())
+
+    @pytest.mark.parametrize("trials", [0, 8])
+    def test_one_call_builds_one_chord_batch_and_one_scoring_batch(self, monkeypatch, trials):
+        spies = [mock.Mock(wraps=getattr(oracles, name))
+                 for name in ("_chords", "_linear_entropy_drops")]
+        monkeypatch.setattr(oracles, "_chords", spies[0])
+        monkeypatch.setattr(oracles, "_linear_entropy_drops", spies[1])
+        stack = _stack_with_rank_one_marginal(3)
+        decomposition_linear_cc(stack, trials=trials, seed=list(range(len(stack))))
+        assert [spy.call_count for spy in spies] == [1, 1]
 
     @pytest.mark.parametrize("seed", [True, np.False_, [0, True, 2, 3, 4, 5]], ids=repr)
     def test_boolean_seeds_are_refused(self, seed):
@@ -819,16 +832,15 @@ class TestDecompositionStack:
     def test_more_trials_extend_each_member(self, monkeypatch):
         # Each member's first 16 samples are those of its 16-trial run, so with
         # the samples deciding, its 32-trial value is at least its 16-trial one.
-        monkeypatch.setattr(oracles, "_aligned_chord", _x_axis_chord)
+        monkeypatch.setattr(oracles, "_aligned_direction", _x_axis)
         stack = random_trials(0, range(8), dim_a=3)[0]
         seeds = [5 ^ ((t + 1) << 64) for t in range(8)]
         _, _, r_b, images = _marginal_images(stack)
-        small = _sampled_decompositions(r_b, 16, seeds)
-        large = _sampled_decompositions(r_b, 32, seeds)
-        for (p16, v16), (p32, v32) in zip(small, large):
-            drops16 = _linear_entropy_drops(images, r_b, p16, v16)
-            drops32 = _linear_entropy_drops(images, r_b, p32, v32)
-            np.testing.assert_array_equal(drops16, drops32[:, :16])
+        drops16, drops32 = (_linear_entropy_drops(images, r_b, *_decompositions(
+            r_b, _x_axis(images), trials, seeds)) for trials in (16, 32))
+        # The chord and the first 16 pairs, then the first 16 triples.
+        np.testing.assert_array_equal(drops16[:, :17], drops32[:, :17])
+        np.testing.assert_array_equal(drops16[:, 17:], drops32[:, 33:49])
         lo = decomposition_linear_cc(stack, trials=16, seed=seeds)
         hi = decomposition_linear_cc(stack, trials=32, seed=seeds)
         assert np.all(hi >= lo) and np.any(hi > lo)
@@ -877,7 +889,7 @@ class TestBatchedPaths:
         np.testing.assert_array_equal(oracle_r_b[0], r_b)
         top = np.linalg.eigh(linear_part.T @ linear_part)[1][None, None, :, -1]
         chord = _chords(r_b[None, None], top)
-        for probs, vectors in [chord, *_sampled_decompositions(oracle_r_b, 6, [45])]:
+        for probs, vectors in [chord, _decompositions(oracle_r_b, top[:, 0], 6, [45])]:
             reference = [
                 s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(row_p, row_v))
                 for row_p, row_v in zip(probs[0], vectors[0])
@@ -899,61 +911,68 @@ class TestBatchedPaths:
 
 class TestDecompositionSampling:
     @staticmethod
-    def _marginals(seed, n):
-        return _marginal_images(random_trials(seed, range(n))[0])[2]
+    def _marginals(seed, n, dim_a=2):
+        """Each member's r_b and aligned direction, for ``n`` random states."""
+        _, _, r_b, images = _marginal_images(random_trials(seed, range(n), dim_a)[0])
+        return r_b, _aligned_direction(images)
 
-    @pytest.mark.parametrize("size", [2, 3])
-    def test_constraints_hold(self, size):
-        seeds = list(range(20))
-        r_b = self._marginals(0, 20)
-        probs, vectors = _sampled_decompositions(r_b, 16, seeds)[size - 2]
-        assert probs.shape == (20, 16, size) and vectors.shape == (20, 16, size, 3)
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_constraints_hold(self, dim_a):
+        # Every candidate, the aligned chord included: three weights >= 0
+        # summing to 1 on unit Bloch vectors whose barycentre is r_b.
+        r_b, aligned = self._marginals(0, 20, dim_a)
+        probs, vectors = _decompositions(r_b, aligned, 16, list(range(20)))
+        assert probs.shape == (20, 33, 3) and vectors.shape == (20, 33, 3, 3)
         assert np.all(probs >= -1e-12)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
         recon = np.einsum("mts,mtsk->mtk", probs, vectors)
         np.testing.assert_allclose(recon, np.broadcast_to(r_b[:, None], recon.shape), atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(vectors, axis=-1), 1.0, atol=1e-10)
+        # The chord and the pairs are two-point decompositions, the triples not.
+        assert np.all(probs[:, :17, 0] == 0.0) and np.all(probs[:, 17:, 0] > 0.0)
 
     def test_smaller_sample_is_a_prefix_of_a_larger_one(self):
-        r_b = self._marginals(5, 3)
-        small = _sampled_decompositions(r_b, 16, [11, 12, 13])
-        large = _sampled_decompositions(r_b, 32, [11, 12, 13])
-        for (p16, v16), (p32, v32) in zip(small, large):
-            np.testing.assert_array_equal(p16, p32[:, :16])
-            np.testing.assert_array_equal(v16, v32[:, :16])
+        r_b, aligned = self._marginals(5, 3)
+        small = _decompositions(r_b, aligned, 16, [11, 12, 13])
+        large = _decompositions(r_b, aligned, 32, [11, 12, 13])
+        for a16, a32 in zip(small, large):
+            # The chord and the first 16 pairs, then the first 16 triples.
+            np.testing.assert_array_equal(a16[:, :17], a32[:, :17])
+            np.testing.assert_array_equal(a16[:, 17:], a32[:, 33:49])
 
     def test_members_draw_their_own_streams(self):
         # Member i of a stack draws what a stack of one with its seed draws,
         # whatever the other members and their seeds are.
-        r_b = self._marginals(5, 3)
-        together = _sampled_decompositions(r_b, 8, [11, 12, 13])
+        r_b, aligned = self._marginals(5, 3)
+        together = _decompositions(r_b, aligned, 8, [11, 12, 13])
         for i, seed in enumerate([11, 12, 13]):
-            alone = _sampled_decompositions(r_b[i : i + 1], 8, [seed])
-            for (p_all, v_all), (p_one, v_one) in zip(together, alone):
-                np.testing.assert_array_equal(p_all[i], p_one[0])
-                np.testing.assert_array_equal(v_all[i], v_one[0])
+            alone = _decompositions(r_b[i : i + 1], aligned[i : i + 1], 8, [seed])
+            for a_all, a_one in zip(together, alone):
+                np.testing.assert_array_equal(a_all[i], a_one[0])
 
     def test_each_trial_reads_one_row_of_one_draw(self):
         # Trial t of a member reads row t of one random((trials, 11)) draw of
-        # philox(seed): the size-2 chord's normals from columns 0-3, the size-3
-        # pure state's and chord's from 4-9, the size-3 weight from 10.
-        r_b = self._marginals(5, 3)
-        pair, triple = _sampled_decompositions(r_b, 8, [11, 12, 13])
+        # philox(seed): the pair's chord normals from columns 0-3, the
+        # triple's pure state's and chord's from 4-9, the triple's weight from
+        # 10. A pair puts weight 0 on the triple's pure state.
+        r_b, aligned = self._marginals(5, 3)
+        probs, vectors = _decompositions(r_b, aligned, 8, [11, 12, 13])
+        pair, triple = (probs[:, 1:9], vectors[:, 1:9]), (probs[:, 9:], vectors[:, 9:])
         for i, seed in enumerate([11, 12, 13]):
             rows = np.random.Generator(philox(seed)).random((8, 11))
             chord_p, chord_v = _chords(r_b[i], box_muller(rows[:, :4])[:, :3])
-            np.testing.assert_allclose(pair[0][i], chord_p, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(pair[1][i], chord_v, rtol=0, atol=1e-14)
             normals = box_muller(rows[:, 4:10])
             u = normals[:, :3] / np.linalg.norm(normals[:, :3], axis=1, keepdims=True)
             p1 = rows[:, 10] * (1.0 - np.linalg.norm(r_b[i])) / 2.0
             rest_p, rest_v = _chords((r_b[i] - p1[:, None] * u) / (1.0 - p1[:, None]),
                                      normals[:, 3:])
-            np.testing.assert_allclose(triple[0][i, :, 0], p1, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(triple[0][i, :, 1:], (1.0 - p1[:, None]) * rest_p,
-                                       rtol=0, atol=1e-14)
-            np.testing.assert_allclose(triple[1][i, :, 0], u, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(triple[1][i, :, 1:], rest_v, rtol=0, atol=1e-14)
+            for (got_p, got_v), weight, rest in [(pair, np.zeros(8), (chord_p, chord_v)),
+                                                 (triple, p1, (rest_p, rest_v))]:
+                np.testing.assert_allclose(got_p[i, :, 0], weight, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(got_p[i, :, 1:], (1.0 - weight[:, None]) * rest[0],
+                                           rtol=0, atol=1e-14)
+                np.testing.assert_allclose(got_v[i, :, 0], u, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(got_v[i, :, 1:], rest[1], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("dim_a", [2, 3, 4])
     def test_chord_mixture_is_the_mean_of_its_chords(self, dim_a):
@@ -979,15 +998,17 @@ class TestDecompositionSampling:
         for dim_a in (2, 3, 4):
             stack = random_trials(0, range(10), dim_a)[0]
             _, _, r_b, images = _marginal_images(stack)
-            probs, vectors = _aligned_chord(images, r_b)
-            assert probs.shape == (10, 1, 2) and vectors.shape == (10, 1, 2, 3)
-            assert np.all(probs >= 0.0)
+            direction = _aligned_direction(images)
+            assert direction.shape == (10, 3)
+            probs, vectors = _decompositions(r_b, direction, 0, list(range(10)))
+            assert probs.shape == (10, 1, 3) and vectors.shape == (10, 1, 3, 3)
+            assert np.all(probs >= 0.0) and np.all(probs[:, 0, 0] == 0.0)
             values = _linear_entropy_drops(images, r_b, probs, vectors)[:, 0]
             for rho, p, v, point, value in zip(stack, probs[:, 0], vectors[:, 0], r_b, values):
                 linear_part, _ = bloch_channel(marginal_eigenframe(rho)[1])
                 np.testing.assert_allclose(p @ v, point, atol=1e-10)
                 np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-10)
-                chord = v[0] - v[1]
+                chord = v[1] - v[2]
                 top = np.linalg.eigh(linear_part.T @ linear_part)[1][:, -1]
                 assert abs(chord @ top) == pytest.approx(np.linalg.norm(chord), abs=1e-10)
                 assert value == pytest.approx(linear_classical_correlation(rho), abs=1e-14)
