@@ -61,9 +61,10 @@ _WIDTH_FACTOR = np.where(np.abs(_WINDOW).max(axis=1) == 1.0, 1.0, 0.5)
 # of the theta < pi/2 half of a _N_THETA x _N_PHI (theta, phi) coarse grid is
 # refined for _ROUNDS window rounds; a ridge scan of _RIDGE_POINTS - 1
 # directions follows the great circle through the refined centre along its
-# flattest direction; then _NEWTON_STEPS Newton steps, each on a stencil of
-# spacing _STENCIL_STEP rad and at most _STEP_CLIP rad long, start from the
-# best direction so far. Five rounds leave the centre mostly inside the first
+# flattest direction; then _NEWTON_STEPS Newton steps, each read from a
+# stencil of spacing _STENCIL_STEP and at most _STEP_CLIP long, all in the
+# tangent frame at the best direction so far, whose units stay within 0.2% of
+# radians that close. Five rounds leave the centre mostly inside the first
 # step's clip (the Newton steps then move it by 1.4e-3 rad in the median and
 # 1.2e-2 rad at most, over 300 random rank-2 states), and from there the
 # quadratic convergence of Newton's method needs two or three steps.
@@ -84,10 +85,20 @@ _NEWTON_STEPS = 4
 _STENCIL_STEP = 6e-5
 _STEP_CLIP = 1e-2
 
-# The Newton stencil in tangent-plane coordinates, in units of _STENCIL_STEP:
-# the centre, the four axis points, then the four diagonal ones.
-_STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
-                    dtype=float)
+# The Newton stencil as rows [1, h s_u, h s_v], h = _STENCIL_STEP, on a
+# ``_chart`` frame's rows n, e_theta, e_phi: the centre, the four axis points,
+# then the four diagonal ones. At tangent offset w = [0, w_u, w_v] it scores
+# the directions normalize((_STENCIL + w) @ frame).
+_STENCIL = np.column_stack([np.ones(9), _STENCIL_STEP * np.array(
+    [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)])])
+# Central differences: the 9 stencil values minus the centre's, times these
+# weights, give (g_u, g_v, h_uu, h_vv, h_uv) at the stencil's centre.
+_DIFFERENCES = np.array([
+    (0, 0, 0, 0, 0),
+    (1, 0, 1, 0, 0), (-1, 0, 1, 0, 0), (0, 1, 0, 1, 0), (0, -1, 0, 1, 0),
+    (0, 0, 0, 0, 1), (0, 0, 0, 0, -1), (0, 0, 0, 0, -1), (0, 0, 0, 0, 1),
+]) / np.array([2.0 * _STENCIL_STEP, 2.0 * _STENCIL_STEP, _STENCIL_STEP**2, _STENCIL_STEP**2,
+               4.0 * _STENCIL_STEP**2])
 # The ridge scan's angles from the centre; pi would repeat the centre's
 # measurement with its outcomes swapped.
 _RIDGE = np.arange(1, _RIDGE_POINTS) * math.pi / _RIDGE_POINTS
@@ -163,13 +174,14 @@ def _outcome_entropies(coords: np.ndarray, probs: np.ndarray) -> np.ndarray:
     safe = np.where(occurs, probs, 1.0)
     if coords.shape[-1] == 4:
         radius = np.sqrt(np.einsum("...i,...i->...", coords[..., 1:], coords[..., 1:])) / safe
-        lam = (0.5 - radius, 0.5 + radius)
+        # 1/2 + r is at least 1/2, so only 1/2 - r can fall to the cut.
+        smaller = 0.5 - radius
+        kept = [np.where(smaller > EIGENVALUE_CLAMP, smaller, 1.0), 0.5 + radius]
     else:
         frame = math.isqrt(coords.shape[-1] // 2)
         normalized = coords[..., 1:] / safe[..., None]
         lam = np.linalg.eigvalsh(normalized.view(complex).reshape(*probs.shape, frame, frame))
-        lam = np.moveaxis(lam, -1, 0)
-    kept = [np.where(v > EIGENVALUE_CLAMP, v, 1.0) for v in lam]
+        kept = [np.where(v > EIGENVALUE_CLAMP, v, 1.0) for v in np.moveaxis(lam, -1, 0)]
     return np.where(occurs, -sum(v * np.log2(v) for v in kept), 0.0)
 
 
@@ -219,41 +231,6 @@ def _chart(angles: np.ndarray) -> np.ndarray:
     chart[:, 1, 0], chart[:, 1, 1], chart[:, 1, 2] = ct * cp, ct * sp, -st
     chart[:, 2, 0], chart[:, 2, 1] = -sp, cp
     return chart
-
-
-def _derivatives(values: np.ndarray):
-    """Central differences from (N, 9) values on ``_STENCIL``: the (N, 2)
-    gradient (gu, gv), the (N, 2) Hessian diagonal (huu, hvv) and the (N,)
-    Hessian entry huv."""
-    h = _STENCIL_STEP
-    f = values - values[:, :1]
-    forward, backward = f[:, 1:5:2], f[:, 2:5:2]
-    return ((forward - backward) / (2.0 * h), (forward + backward) / (h * h),
-            (f[:, 5] - f[:, 6] - f[:, 7] + f[:, 8]) / (4.0 * h * h))
-
-
-def _newton_step(values: np.ndarray) -> np.ndarray:
-    """The (N, 2) tangent-plane step -H^-1 g from (N, 9) values on
-    ``_STENCIL``, solved in closed form per state: zero where the Hessian is
-    not negative definite (a flat objective, a tie, a saddle), and clipped
-    to _STEP_CLIP."""
-    gradient, diagonal, huv = _derivatives(values)
-    det = diagonal[:, 0] * diagonal[:, 1] - huv * huv
-    concave = (diagonal[:, 0] < 0.0) & (det > 0.0)
-    inverse = np.divide(1.0, det, out=np.zeros_like(det), where=concave)
-    # (huv gv - hvv gu, huv gu - huu gv) / det
-    step = (huv[:, None] * gradient[:, ::-1] - diagonal[:, ::-1] * gradient) * inverse[:, None]
-    length = np.sqrt((step * step).sum(axis=1, keepdims=True))
-    return step * (_STEP_CLIP / np.maximum(length, _STEP_CLIP))
-
-
-def _flattest(values: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """The (N, 3) unit vector of the (N, 2, 3) tangent planes along the
-    eigenvector of the larger eigenvalue of the Hessian, from (N, 9) values
-    on ``_STENCIL``."""
-    _, diagonal, huv = _derivatives(values)
-    psi = 0.5 * np.arctan2(2.0 * huv, diagonal[:, 0] - diagonal[:, 1])
-    return np.cos(psi)[:, None] * tangent[:, 0] + np.sin(psi)[:, None] * tangent[:, 1]
 
 
 def _angles(directions: np.ndarray) -> np.ndarray:
@@ -309,25 +286,34 @@ def _search(coefficients: np.ndarray, s_a: np.ndarray):
         angles = angles + _WINDOW[pick] * width
         width *= _WIDTH_FACTOR[pick, None]
 
-    def stencil(angles):
-        chart = _chart(angles)
-        centre, tangent = chart[:, 0], chart[:, 1:]
-        points = centre[:, None] + (_STENCIL_STEP * _STENCIL) @ tangent
-        points /= np.sqrt((points * points).sum(axis=2, keepdims=True))
-        return centre, tangent, evaluate(points)
+    def score(rows, frame):
+        points = rows @ frame
+        return evaluate(points / np.sqrt((points * points).sum(axis=2, keepdims=True)))
+
+    def stencil(frame, offset):
+        values = score(_STENCIL + offset, frame)
+        return ((values - values[:, :1])[:, None] @ _DIFFERENCES)[:, 0]
 
     # The ridge scan: the great circle through the refined centre along its
-    # flattest direction, where a nearly flat ridge leads to a distant peak.
-    centre, tangent, values = stencil(angles)
-    along = _flattest(values, tangent)
-    evaluate(np.cos(_RIDGE)[:, None] * centre[:, None] + np.sin(_RIDGE)[:, None] * along[:, None])
-    angles = _angles(best()[1])
+    # flattest direction (the Hessian's eigenvector of the larger eigenvalue),
+    # where a nearly flat ridge leads to a distant peak.
+    frame, offset = _chart(angles), np.zeros((n, 1, 3))
+    _, _, huu, hvv, huv = stencil(frame, offset).T
+    psi = 0.5 * np.arctan2(2.0 * huv, huu - hvv)
+    along = np.cos(psi)[:, None] * frame[:, 1] + np.sin(psi)[:, None] * frame[:, 2]
+    evaluate(np.cos(_RIDGE)[:, None] * frame[:, None, 0] + np.sin(_RIDGE)[:, None] * along[:, None])
+    # The Newton steps move the offset in the tangent frame at the best
+    # direction so far.
+    frame = _chart(_angles(best()[1]))
     for _ in range(_NEWTON_STEPS):
-        centre, tangent, values = stencil(angles)
-        step = _newton_step(values)
-        moved = centre + (step[:, :1] * tangent[:, 0] + step[:, 1:] * tangent[:, 1])
-        angles = _angles(moved / np.sqrt((moved * moved).sum(axis=1, keepdims=True)))
-    evaluate(_directions(angles)[:, None])
+        gu, gv, huu, hvv, huv = stencil(frame, offset).T
+        det = huu * hvv - huv * huv
+        # Zero steps where the Hessian is not negative definite.
+        inverse = np.divide(1.0, det, out=np.zeros_like(det), where=(huu < 0.0) & (det > 0.0))
+        step = np.stack([huv * gv - hvv * gu, huv * gu - huu * gv], axis=1) * inverse[:, None]
+        length = np.sqrt((step * step).sum(axis=1, keepdims=True))
+        offset[:, 0, 1:] += step * (_STEP_CLIP / np.maximum(length, _STEP_CLIP))
+    score(_STENCIL[:1] + offset, frame)
     return best()
 
 
@@ -349,9 +335,10 @@ def projective_classical_correlation(rho: DensityMatrix):
     circle through each state's centre along the direction in which its
     value curves least, which reaches a peak at the far end of a nearly flat
     ridge. Last, each state takes _NEWTON_STEPS Newton steps from its best
-    direction so far, in the tangent plane at that direction, with the
-    gradient and Hessian from central differences on a 9-point stencil; a
-    state whose Hessian is not negative definite takes a zero step. Every
+    direction so far, all in the tangent frame there, with the gradient and
+    Hessian from central differences on a 9-point stencil around the
+    state's offset in that frame; a state whose Hessian is not negative
+    definite takes a zero step. Every
     state runs this same schedule. Every evaluated value is the entropy drop
     of a real measurement, so the maximum over all of them, coarse grid
     included, is a lower bound on the POVM maximum up to the mass below
@@ -417,8 +404,14 @@ def _decompositions(r_b: np.ndarray, aligned: np.ndarray, trials: int, seeds):
     """
     n = len(seeds)
     rows = np.empty((n, trials, 11))
+    # One generator, re-keyed through its state for each member: the stream of
+    # a fresh philox(seed), whose 128-bit key is two 64-bit words, low first.
+    generator = np.random.Generator(philox(0))
+    state = generator.bit_generator.state
     for i, seed in enumerate(seeds):
-        rows[i] = np.random.Generator(philox(seed)).random((trials, 11))
+        state["state"]["key"] = (seed & (2**64 - 1), seed >> 64)
+        generator.bit_generator.state = state
+        rows[i] = generator.random((trials, 11))
     normals = box_muller(rows[..., :10])
 
     centre = r_b[:, None, :]
@@ -467,7 +460,9 @@ def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, ve
     n, count, d_a = len(r_b), math.prod(probabilities.shape[1:]), images.shape[-1]
     rows = np.concatenate([r_b[:, None], vectors.reshape(n, count, 3)], axis=1)
     # (R_0 + r.R)/2, built in place: a stack's conditionals are its largest arrays.
-    conditionals = (rows @ images[:, 1:].reshape(n, 3, d_a * d_a)).reshape(n, count + 1, d_a, d_a)
+    # The real rows multiply the images' real view, so they are not cast to complex.
+    real_images = images[:, 1:].reshape(n, 3, d_a * d_a).view(float)
+    conditionals = (rows @ real_images).view(complex).reshape(n, count + 1, d_a, d_a)
     conditionals += images[:, None, 0]
     conditionals /= 2.0
     s2 = purity_loss(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)

@@ -405,6 +405,9 @@ class TestProjectiveStack:
                     values = np.concatenate([scored[i][0][0], *(v[i] for v, _ in scored[g:])])
                     points = np.concatenate([scored[i][1][0], *(d[i] for _, d in scored[g:])])
                     assert len(values) == oracles._SEARCH_DIRECTIONS
+                    # Every scored point is a unit vector, a real measurement.
+                    np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, rtol=0,
+                                               atol=1e-15)
                     assert best[i] == values.max()
                     np.testing.assert_array_equal(directions[i], points[np.argmax(values)])
                 # Scored again on its own, the direction reads the same value
@@ -412,6 +415,19 @@ class TestProjectiveStack:
                 np.testing.assert_allclose(
                     entropy_drops(_coefficients(t), s_a[members], directions[:, None])[:, 0], best,
                     rtol=0, atol=1e-15)
+
+    def test_difference_weights_return_a_quadratics_derivatives(self):
+        # Central differences are exact on a quadratic, so the weights give its
+        # gradient and Hessian up to the values' rounding, eps |f| over 2h for
+        # the gradient and over h^2 for the Hessian.
+        gu, gv, huu, hvv, huv = 0.3, -0.7, -1.9, -0.4, 0.25
+        h = oracles._STENCIL_STEP
+        u, v = oracles._STENCIL[:, 1:].T
+        f = 0.8 + gu * u + gv * v + 0.5 * (huu * u * u + 2.0 * huv * u * v + hvv * v * v)
+        assert oracles._DIFFERENCES.shape == (9, 5)
+        error = np.abs((f - f[0]) @ oracles._DIFFERENCES - [gu, gv, huu, hvv, huv])
+        rounding = 4.0 * np.finfo(float).eps * np.abs(f).max()
+        assert np.all(error <= rounding / np.array([2 * h, 2 * h, h * h, h * h, h * h])), error
 
     def test_ties_keep_the_first_half_grid_cell(self, caplog, monkeypatch):
         # The maximally mixed state gains nothing from any measurement, so
