@@ -21,8 +21,14 @@ what they score, and the best is read from all of it where it is needed. The
 decomposition oracle writes each of its candidates, the aligned chord, the
 sampled pairs and the sampled triples, as one three-element decomposition: it
 turns every member's draw into normals in one ``box_muller`` call, builds
-every candidate's chord in one ``_chords`` call and scores every candidate in
-one ``_linear_entropy_drops`` call.
+every candidate's chord in one ``_chords`` call, into arrays allocated once,
+and scores every candidate in one ``_linear_entropy_drops`` call. It builds
+its own images R_mu of the POVM on B and reads them only through their real
+4x4 Gram G_mu,nu = Re Tr(R_mu R_nu): an outcome at Bloch vector r leaves A in
+(R_0 + r.R)/2, whose linear entropy is 2 - [1, r] G [1, r]^T / 2, so scoring
+builds no conditional state and costs the same at any dA. The scores are
+elementwise multiply-adds, so a candidate scores the same bits whatever else
+shares its call.
 
 Both log their convergence at DEBUG through the ``qdiscord.oracles`` logger,
 one line per member.
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import EIGENVALUE_CLAMP, SIGMAS, _partial_trace
-from .measures import purity_loss, spectral_entropy
+from .measures import spectral_entropy
 from .states import (MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox,
                      philox_key)
 
@@ -366,20 +372,24 @@ def projective_classical_correlation(rho: DensityMatrix):
     return _unstack(rho, best)
 
 
-def _chords(r_b: np.ndarray, directions: np.ndarray):
+def _chords(r_b: np.ndarray, directions: np.ndarray, probabilities, vectors):
     """Two-point decompositions along chords of the Bloch sphere through r_b.
 
     ``r_b`` (..., 3) broadcasts against the (..., 3) ``directions``, of any
-    nonzero length. Returns the (..., 2) probabilities and the (..., 2, 3)
-    unit Bloch vectors where each chord meets the sphere.
+    nonzero length. Writes the (..., 2) ``probabilities`` and the (..., 2, 3)
+    unit Bloch ``vectors`` where each chord meets the sphere, and returns them.
     """
-    e = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
-    b = np.sum(r_b * e, axis=-1)
-    disc = np.sqrt(np.maximum(b * b + 1.0 - np.sum(r_b * r_b, axis=-1), 0.0))
-    t = np.stack([-b + disc, -b - disc], axis=-1)
-    p_plus = -t[..., 1] / (t[..., 0] - t[..., 1])
-    probabilities = np.stack([p_plus, 1.0 - p_plus], axis=-1)
-    return probabilities, r_b[..., None, :] + t[..., None] * e[..., None, :]
+    e = directions / np.sqrt(np.einsum("...i,...i->...", directions, directions))[..., None]
+    b = np.einsum("...i,...i->...", r_b, e)
+    disc = np.sqrt(np.maximum(b * b + 1.0 - np.einsum("...i,...i->...", r_b, r_b), 0.0))
+    # The chord meets the sphere at r_b + t e for t = disc - b and t = -s,
+    # s = b + disc; the first has probability s / (disc - b + s).
+    t, s = disc - b, b + disc
+    np.divide(s, t + s, out=probabilities[..., 0])
+    np.subtract(1.0, probabilities[..., 0], out=probabilities[..., 1])
+    np.add(r_b, t[..., None] * e, out=vectors[..., 0, :])
+    np.subtract(r_b, s[..., None] * e, out=vectors[..., 1, :])
+    return probabilities, vectors
 
 
 def _decompositions(r_b: np.ndarray, aligned: np.ndarray, trials: int, seeds):
@@ -400,9 +410,12 @@ def _decompositions(r_b: np.ndarray, aligned: np.ndarray, trials: int, seeds):
     depend neither on ``trials`` nor on the other members. No size 4: the
     objective is linear in the weights, so a mixture of two chords never
     beats the better one. The whole stack takes one ``box_muller`` call and
-    one ``_chords`` call.
+    one ``_chords`` call, which writes into the returned arrays. The vectors
+    are a view of coordinate-major memory: each coordinate of every element
+    is one contiguous (N, 1 + 2 trials, 3) block, which ``_linear_entropy_drops``
+    reads as it is.
     """
-    n = len(seeds)
+    n, count = len(seeds), 1 + 2 * trials
     rows = np.empty((n, trials, 11))
     # One generator, re-keyed through its state for each member: the stream of
     # a fresh philox(seed), whose 128-bit key is two 64-bit words, low first.
@@ -414,16 +427,25 @@ def _decompositions(r_b: np.ndarray, aligned: np.ndarray, trials: int, seeds):
         rows[i] = generator.random((trials, 11))
     normals = box_muller(rows[..., :10])
 
-    centre = r_b[:, None, :]
-    u = normals[..., 4:7] / np.linalg.norm(normals[..., 4:7], axis=-1, keepdims=True)
-    weight = rows[..., 10:] * (1.0 - np.linalg.norm(centre, axis=-1, keepdims=True)) / 2.0
-    p1 = np.concatenate([np.zeros((n, 1 + trials, 1)), weight], axis=1)
-    pure = np.concatenate([aligned[:, None], u, u], axis=1)
-    probabilities, vectors = _chords(
-        (centre - p1 * pure) / (1.0 - p1),
-        np.concatenate([aligned[:, None], normals[..., :3], normals[..., 7:]], axis=1))
-    return (np.concatenate([p1, (1.0 - p1) * probabilities], axis=-1),
-            np.concatenate([pure[:, :, None], vectors], axis=2))
+    probabilities = np.empty((n, count, 3))
+    vectors = np.empty((3, n, count, 3)).transpose(1, 2, 3, 0)
+    directions = np.empty((n, count, 3))
+    p1, u = probabilities[..., 0], vectors[:, :, 0]
+    pairs, triples = slice(1, 1 + trials), slice(1 + trials, count)
+    p1[:, :1 + trials] = 0.0
+    np.multiply(rows[..., 10], (1.0 - np.sqrt(np.einsum("ni,ni->n", r_b, r_b)))[:, None] / 2.0,
+                out=p1[:, triples])
+    u[:, 0], directions[:, 0] = aligned, aligned
+    np.divide(normals[..., 4:7],
+              np.sqrt(np.einsum("...i,...i->...", normals[..., 4:7], normals[..., 4:7]))[..., None],
+              out=u[:, pairs])
+    u[:, triples] = u[:, pairs]
+    directions[:, pairs], directions[:, triples] = normals[..., :3], normals[..., 7:]
+    rest = 1.0 - p1
+    _chords((r_b[:, None] - p1[..., None] * u) / rest[..., None], directions,
+            probabilities[..., 1:], vectors[:, :, 1:])
+    probabilities[..., 1:] *= rest[..., None]
+    return probabilities, vectors
 
 
 def _marginal_images(rho: DensityMatrix):
@@ -446,27 +468,46 @@ def _marginal_images(rho: DensityMatrix):
     return lam, rank_one, r_b, _conditionals(rho, operators)
 
 
-def _aligned_direction(images: np.ndarray) -> np.ndarray:
-    """Per member, the (N, 3) top eigenvector of Re Tr(R_k R_l)."""
-    gram = np.einsum("nkij,nlji->nkl", images[:, 1:], images[:, 1:]).real
-    return np.linalg.eigh(gram)[1][:, :, -1]
+def _gram(images: np.ndarray) -> np.ndarray:
+    """The (N, 4, 4) real Gram G_mu,nu = Re Tr(R_mu R_nu) of (N, 4, dA, dA)
+    ``_marginal_images``. The conditional state C = (R_0 + r.R)/2 has
+    Tr C^2 = v G v^T / 4, v = [1, r], so every linear entropy the
+    decomposition oracle reads is a quadratic form in r, whatever dA."""
+    return np.einsum("nkij,nlji->nkl", images, images).real
 
 
-def _linear_entropy_drops(images: np.ndarray, r_b: np.ndarray, probabilities, vectors):
+def _aligned_direction(gram: np.ndarray) -> np.ndarray:
+    """Per member, the (N, 3) top eigenvector of the Gram's block
+    Re Tr(R_k R_l), k, l = 1..3."""
+    return np.linalg.eigh(gram[:, 1:, 1:])[1][:, :, -1]
+
+
+# S2((R_0 + r.R)/2) = 2 - v G v^T / 2 as sum over mu <= nu of
+# c_mu,nu v_mu v_nu: c = -G/2 on the diagonal and -G above it, counting
+# G_mu,nu and G_nu,mu once each.
+_S2_WEIGHTS = -0.5 * (2.0 - np.eye(4))
+
+
+def _linear_entropy_drops(gram: np.ndarray, r_b: np.ndarray, probabilities, vectors):
     """S2(rho_A) minus the average S2 of A over the outcomes of each
     decomposition's POVM, for (N, M, size) / (N, M, size, 3) decompositions,
-    M per member; every conditional state of every member goes to the linear
-    entropy in one stack. Returns (N, M) values."""
-    n, count, d_a = len(r_b), math.prod(probabilities.shape[1:]), images.shape[-1]
-    rows = np.concatenate([r_b[:, None], vectors.reshape(n, count, 3)], axis=1)
-    # (R_0 + r.R)/2, built in place: a stack's conditionals are its largest arrays.
-    # The real rows multiply the images' real view, so they are not cast to complex.
-    real_images = images[:, 1:].reshape(n, 3, d_a * d_a).view(float)
-    conditionals = (rows @ real_images).view(complex).reshape(n, count + 1, d_a, d_a)
-    conditionals += images[:, None, 0]
-    conditionals /= 2.0
-    s2 = purity_loss(conditionals.reshape(-1, d_a, d_a)).reshape(n, count + 1)
-    return s2[:, :1] - np.sum(probabilities * s2[:, 1:].reshape(probabilities.shape), axis=-1)
+    M per member, from each member's ``_gram``. Returns (N, M) values.
+
+    Each S2 is 2 - v G v^T / 2 at v = [1, r], read as multiply-adds on whole
+    coordinate arrays, with no matrix product: a candidate's score is bitwise
+    the same whatever else shares the call, and costs the same at any dA.
+    """
+    # Each member's c_mu,nu, shaped (N, 1, 1) to meet (N, M, size) coordinates.
+    (c00, c01, c02, c03), (_, c11, c12, c13), (_, _, c22, c23), (_, _, _, c33) = (
+        (gram * _S2_WEIGHTS).transpose(1, 2, 0)[..., None, None])
+    constant = 2.0 + c00
+
+    def s2(points):
+        x, y, z = points[..., 0], points[..., 1], points[..., 2]
+        return (constant + x * (c01 + c11 * x + c12 * y + c13 * z)
+                + y * (c02 + c22 * y + c23 * z) + z * (c03 + c33 * z))
+
+    return s2(r_b[:, None, None])[..., 0] - np.einsum("nms,nms->nm", probabilities, s2(vectors))
 
 
 def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
@@ -480,11 +521,11 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     one draw from a Philox stream keyed by its seed, so larger trial counts
     extend smaller ones. ``_decompositions`` writes every candidate as a
     three-element decomposition, and one ``_linear_entropy_drops`` call
-    scores them all. A rank-1 rho_B (smaller eigenvalue at most
-    MARGINAL_RANK_TOL) raises DegenerateMarginal for one state and gives NaN
-    for a member of a stack. A ``trials`` that is not a non-negative integer,
-    booleans included, or a seed that is not a Philox key (``philox_key``),
-    for any member, raises OutOfDomain before any work.
+    scores them all from each member's ``_gram``. A rank-1 rho_B (smaller
+    eigenvalue at most MARGINAL_RANK_TOL) raises DegenerateMarginal for one
+    state and gives NaN for a member of a stack. A ``trials`` that is not a
+    non-negative integer, booleans included, or a seed that is not a Philox
+    key (``philox_key``), for any member, raises OutOfDomain before any work.
     """
     if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 0):
         raise OutOfDomain(f"trials must be a non-negative integer, got {trials!r}")
@@ -498,9 +539,9 @@ def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,
     seeds = [philox_key(s) for s in (seed if np.ndim(seed) else [seed])]
     lam, rank_one, r_b, images = _marginal_images(stack)
     kept = np.flatnonzero(~rank_one)
-    r_b, images = r_b[kept], images[kept]
-    drops = _linear_entropy_drops(images, r_b, *_decompositions(
-        r_b, _aligned_direction(images), trials, [seeds[i] for i in kept]))
+    r_b, gram = r_b[kept], _gram(images[kept])
+    drops = _linear_entropy_drops(gram, r_b, *_decompositions(
+        r_b, _aligned_direction(gram), trials, [seeds[i] for i in kept]))
     aligned, sampled = drops[:, 0], np.max(drops[:, 1:], axis=1, initial=-math.inf)
     best[kept] = np.maximum(aligned, sampled)
     if _log.isEnabledFor(logging.DEBUG):

@@ -274,7 +274,10 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     its stream."""
     r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
     angle = 2.0 * np.pi * u[..., 1::2]
-    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(u.shape)
+    normals = np.empty(u.shape)
+    np.multiply(r, np.cos(angle), out=normals[..., 0::2])
+    np.multiply(r, np.sin(angle), out=normals[..., 1::2])
+    return normals
 
 
 def _trial_width(dim_a: int) -> int:

@@ -20,12 +20,14 @@ from qdiscord.channel import _rebuilt_states, linear_cc_batch, linear_classical_
 from qdiscord.discord import correlation_report, discord_rank2
 from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
-from qdiscord.measures import linear_entropy, spectral_entropy, von_neumann_entropy
+from qdiscord.measures import (linear_entropy, purity_loss, spectral_entropy,
+                               von_neumann_entropy)
 from qdiscord.oracles import (
     _aligned_direction,
     _chords,
     _coefficients,
     _decompositions,
+    _gram,
     _linear_entropy_drops,
     _marginal_images,
     _measurement_response,
@@ -46,6 +48,12 @@ from qdiscord.states import (
 )
 
 LOG2_3 = math.log2(3.0)
+
+
+def _fresh_chords(r_b, directions):
+    """``_chords`` written into new arrays of the broadcast shape."""
+    shape = np.broadcast_shapes(np.shape(r_b), np.shape(directions))[:-1]
+    return _chords(r_b, directions, np.empty((*shape, 2)), np.empty((*shape, 2, 3)))
 
 
 def projective_discord(rho):
@@ -645,8 +653,9 @@ class TestDecompositionOracle:
         # the oracle's zero-weight third element leaves its value bit for bit.
         stack = random_trials(6, range(4))[0]
         _, _, r_b, images = _marginal_images(stack)
-        chord = _chords(r_b[:, None], _aligned_direction(images)[:, None])
-        aligned = _linear_entropy_drops(images, r_b, *chord)[:, 0]
+        gram = _gram(images)
+        chord = _fresh_chords(r_b[:, None], _aligned_direction(gram)[:, None])
+        aligned = _linear_entropy_drops(gram, r_b, *chord)[:, 0]
         np.testing.assert_array_equal(
             decomposition_linear_cc(stack, trials=0, seed=[0, 1, 2, 3]), aligned)
         assert decomposition_linear_cc(stack[1], trials=np.int64(0), seed=1) == aligned[1]
@@ -722,10 +731,10 @@ def _stack_with_rank_one_marginal(dim_a):
     return stack_of(members[:2], DensityMatrix((dim_a, 2), product), members[2:])
 
 
-def _x_axis(images):
+def _x_axis(gram):
     """The x axis in place of the aligned direction, so that the sampled
     decompositions, and so each member's seeds, decide the value."""
-    return np.tile([1.0, 0.0, 0.0], (len(images), 1))
+    return np.tile([1.0, 0.0, 0.0], (len(gram), 1))
 
 
 class TestDecompositionStack:
@@ -778,9 +787,9 @@ class TestDecompositionStack:
         seeds = [dim_a ^ ((t + 1) << 64) for t in range(len(stack))]
         _, rank_one, r_b, images = _marginal_images(stack)
         kept = np.flatnonzero(~rank_one)
-        r_b, images = r_b[kept], images[kept]
-        probs, vectors = _decompositions(r_b, _x_axis(images), 16, [seeds[i] for i in kept])
-        kinds = [np.max(_linear_entropy_drops(images, r_b, probs[:, part], vectors[:, part]),
+        r_b, gram = r_b[kept], _gram(images[kept])
+        probs, vectors = _decompositions(r_b, _x_axis(gram), 16, [seeds[i] for i in kept])
+        kinds = [np.max(_linear_entropy_drops(gram, r_b, probs[:, part], vectors[:, part]),
                         axis=1)
                  for part in (slice(0, 1), slice(1, 17), slice(17, 33))]
         expected = np.full(len(stack), np.nan)
@@ -823,6 +832,17 @@ class TestDecompositionStack:
         with pytest.raises(OutOfDomain, match=message):
             decomposition_linear_cc(stack, trials=4, seed=seed)
 
+    @pytest.mark.parametrize("dim_a", [1, 2, 3, 4, 8])
+    def test_no_member_kept(self, dim_a):
+        # A product state's rho_B is rank-1, so no member reaches the Gram or
+        # the scoring: one state raises, a stack of two reads NaN twice.
+        product = np.zeros((2 * dim_a, 2 * dim_a), dtype=complex)
+        product[0, 0] = 1.0
+        rho = DensityMatrix((dim_a, 2), product)
+        with pytest.raises(DegenerateMarginal, match="rank-1"):
+            decomposition_linear_cc(rho, trials=4, seed=0)
+        assert np.isnan(decomposition_linear_cc(stack_of(rho, rho), trials=4, seed=[0, 1])).all()
+
     def test_all_members_rank_one(self):
         stack = _stack_with_rank_one_marginal(2)[[2, 2]]
         assert np.isnan(decomposition_linear_cc(stack, trials=4, seed=[0, 1])).all()
@@ -852,8 +872,9 @@ class TestDecompositionStack:
         stack = random_trials(0, range(8), dim_a=3)[0]
         seeds = [5 ^ ((t + 1) << 64) for t in range(8)]
         _, _, r_b, images = _marginal_images(stack)
-        drops16, drops32 = (_linear_entropy_drops(images, r_b, *_decompositions(
-            r_b, _x_axis(images), trials, seeds)) for trials in (16, 32))
+        gram = _gram(images)
+        drops16, drops32 = (_linear_entropy_drops(gram, r_b, *_decompositions(
+            r_b, _x_axis(gram), trials, seeds)) for trials in (16, 32))
         # The chord and the first 16 pairs, then the first 16 triples.
         np.testing.assert_array_equal(drops16[:, :17], drops32[:, :17])
         np.testing.assert_array_equal(drops16[:, 17:], drops32[:, 33:49])
@@ -904,14 +925,61 @@ class TestBatchedPaths:
         _, _, oracle_r_b, images = _marginal_images(rho[:])
         np.testing.assert_array_equal(oracle_r_b[0], r_b)
         top = np.linalg.eigh(linear_part.T @ linear_part)[1][None, None, :, -1]
-        chord = _chords(r_b[None, None], top)
+        chord = _fresh_chords(r_b[None, None], top)
         for probs, vectors in [chord, _decompositions(oracle_r_b, top[:, 0], 6, [45])]:
             reference = [
                 s2_out(r_b) - sum(p * s2_out(r) for p, r in zip(row_p, row_v))
                 for row_p, row_v in zip(probs[0], vectors[0])
             ]
-            got = _linear_entropy_drops(images, oracle_r_b, probs, vectors)
+            got = _linear_entropy_drops(_gram(images), oracle_r_b, probs, vectors)
             np.testing.assert_allclose(got[0], reference, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim_a", [1, 2, 3, 4, 8])
+    def test_gram_form_matches_the_explicit_conditionals(self, dim_a):
+        # S2((R_0 + r.R)/2) = 2 - [1, r] G [1, r]^T / 2: every drop matches
+        # the one read from the conditional states themselves, built from the
+        # images and taken through purity_loss, for the oracle's candidates
+        # and for one-point decompositions at points inside the Bloch ball.
+        _, _, r_b, images = _marginal_images(random_trials(dim_a, range(20), dim_a)[0])
+        gram = _gram(images)
+        inside = np.random.default_rng(dim_a).uniform(-1.0, 1.0, (20, 16, 1, 3)) / math.sqrt(3.0)
+
+        def drops(probs, vectors):
+            def s2(points):
+                r_dot_images = np.einsum("nmsk,nkij->nmsij", points, images[:, 1:])
+                return purity_loss((images[:, None, None, 0] + r_dot_images) / 2.0)
+
+            return s2(r_b[:, None, None])[..., 0] - np.sum(probs * s2(vectors), axis=-1)
+
+        for probs, vectors in [
+                _decompositions(r_b, _aligned_direction(gram), 8, list(range(20))),
+                (np.ones((20, 16, 1)), inside)]:
+            np.testing.assert_allclose(_linear_entropy_drops(gram, r_b, probs, vectors),
+                                       drops(probs, vectors), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_a_score_does_not_depend_on_its_batch(self, dim_a):
+        # Each score is a chain of elementwise multiply-adds, so a candidate
+        # scores bitwise the same alone, among its member's candidates and in
+        # a 25-member stack; merged scoring, longer draws and stacks rest on
+        # this. So does each element of a candidate, scored as a one-point
+        # decomposition: a matrix product moves last bits when it gets a
+        # single row.
+        _, _, r_b, images = _marginal_images(random_trials(dim_a, range(25), dim_a)[0])
+        gram = _gram(images)
+        probs, vectors = _decompositions(r_b, _aligned_direction(gram), 32, list(range(25)))
+        points = (np.ones((25, 3 * 65, 1)), vectors.reshape(25, 3 * 65, 1, 3))
+        for probs, vectors in [(probs, vectors), points]:
+            stacked = _linear_entropy_drops(gram, r_b, probs, vectors)
+            for i in range(25):
+                one = slice(i, i + 1)
+                np.testing.assert_array_equal(
+                    _linear_entropy_drops(gram[one], r_b[one], probs[one], vectors[one])[0],
+                    stacked[i])
+                alone = [_linear_entropy_drops(gram[one], r_b[one], probs[one, j:j + 1],
+                                               vectors[one, j:j + 1])[0, 0]
+                         for j in range(probs.shape[1])]
+                np.testing.assert_array_equal(alone, stacked[i])
 
     def test_oracles_import_nothing_from_the_closed_forms(self):
         tree = ast.parse(Path(oracles.__file__).read_text())
@@ -930,7 +998,7 @@ class TestDecompositionSampling:
     def _marginals(seed, n, dim_a=2):
         """Each member's r_b and aligned direction, for ``n`` random states."""
         _, _, r_b, images = _marginal_images(random_trials(seed, range(n), dim_a)[0])
-        return r_b, _aligned_direction(images)
+        return r_b, _aligned_direction(_gram(images))
 
     @pytest.mark.parametrize("dim_a", [2, 3])
     def test_constraints_hold(self, dim_a):
@@ -976,11 +1044,11 @@ class TestDecompositionSampling:
         pair, triple = (probs[:, 1:9], vectors[:, 1:9]), (probs[:, 9:], vectors[:, 9:])
         for i, seed in enumerate([11, 12, 13]):
             rows = np.random.Generator(philox(seed)).random((8, 11))
-            chord_p, chord_v = _chords(r_b[i], box_muller(rows[:, :4])[:, :3])
+            chord_p, chord_v = _fresh_chords(r_b[i], box_muller(rows[:, :4])[:, :3])
             normals = box_muller(rows[:, 4:10])
             u = normals[:, :3] / np.linalg.norm(normals[:, :3], axis=1, keepdims=True)
             p1 = rows[:, 10] * (1.0 - np.linalg.norm(r_b[i])) / 2.0
-            rest_p, rest_v = _chords((r_b[i] - p1[:, None] * u) / (1.0 - p1[:, None]),
+            rest_p, rest_v = _fresh_chords((r_b[i] - p1[:, None] * u) / (1.0 - p1[:, None]),
                                      normals[:, 3:])
             for (got_p, got_v), weight, rest in [(pair, np.zeros(8), (chord_p, chord_v)),
                                                  (triple, p1, (rest_p, rest_v))]:
@@ -997,11 +1065,11 @@ class TestDecompositionSampling:
         # that way never beats its better chord, and the sampler draws none.
         _, _, r_b, images = _marginal_images(random_trials(dim_a, range(50), dim_a)[0])
         rng = np.random.default_rng(dim_a)
-        first, second = (_chords(r_b[:, None], rng.standard_normal((50, 1, 3))) for _ in "ab")
+        first, second = (_fresh_chords(r_b[:, None], rng.standard_normal((50, 1, 3))) for _ in "ab")
         w = rng.uniform(0.0, 1.0, (50, 1, 1))
         mixture = (np.concatenate([w * first[0], (1.0 - w) * second[0]], axis=-1),
                    np.concatenate([first[1], second[1]], axis=2))
-        a, b, mixed = (_linear_entropy_drops(images, r_b, *dec)[:, 0]
+        a, b, mixed = (_linear_entropy_drops(_gram(images), r_b, *dec)[:, 0]
                        for dec in (first, second, mixture))
         w = w[:, 0, 0]
         np.testing.assert_allclose(mixed, w * a + (1.0 - w) * b, rtol=0, atol=1e-15)
@@ -1014,12 +1082,13 @@ class TestDecompositionSampling:
         for dim_a in (2, 3, 4):
             stack = random_trials(0, range(10), dim_a)[0]
             _, _, r_b, images = _marginal_images(stack)
-            direction = _aligned_direction(images)
+            gram = _gram(images)
+            direction = _aligned_direction(gram)
             assert direction.shape == (10, 3)
             probs, vectors = _decompositions(r_b, direction, 0, list(range(10)))
             assert probs.shape == (10, 1, 3) and vectors.shape == (10, 1, 3, 3)
             assert np.all(probs >= 0.0) and np.all(probs[:, 0, 0] == 0.0)
-            values = _linear_entropy_drops(images, r_b, probs, vectors)[:, 0]
+            values = _linear_entropy_drops(gram, r_b, probs, vectors)[:, 0]
             for rho, p, v, point, value in zip(stack, probs[:, 0], vectors[:, 0], r_b, values):
                 linear_part, _ = bloch_channel(marginal_eigenframe(rho)[1])
                 np.testing.assert_allclose(p @ v, point, atol=1e-10)
