@@ -49,6 +49,7 @@ _MAX_STEPS = 600_000
 # at 192 MB; both grow as dA^2, so either stays under 0.4 GB.
 _MAX_DA = 640
 _STAGES = ("draw_states", "twins", "residuals", "projective", "decomposition")
+_SWEEP_STAGES = ("build", "columns", "format", "write")
 
 
 def _fmt_json(value) -> str:
@@ -69,6 +70,18 @@ def _fmt_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _stage_seconds(names, laps) -> dict:
+    """Each named stage's wall time from the ``perf_counter`` laps that
+    bound the stages, and the total."""
+    return {**{name: b - a for name, a, b in zip(names, laps, laps[1:])},
+            "total": laps[-1] - laps[0]}
+
+
+def _print_stage_seconds(stage_seconds: dict) -> None:
+    """The stage times as one JSON line on stderr, rounded to the microsecond."""
+    print(_fmt_json({name: round(t, 6) for name, t in stage_seconds.items()}), file=sys.stderr)
 
 
 def _parse_c_triple(text: str):
@@ -95,7 +108,7 @@ def _report_columns(report, closed):
 
 
 def _example1_columns(grid, states, parameters):
-    closed = [max(1.0 / 9.0, (1.0 - 2.0 * x) ** 2 / 9.0) for x in grid]
+    closed = np.maximum(1.0 / 9.0, (1.0 - 2.0 * grid) ** 2 / 9.0)
     return ["I2_cc", "I2_cc_closed"], [linear_classical_correlation(states), closed]
 
 
@@ -193,7 +206,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Write the CSV of one sweep; the grid is one stack of states."""
+    """Write the CSV of one sweep; the grid is one stack of states, from
+    ``--from`` to exactly ``--to``. Once the CSV is written, the wall times
+    of building the stack, its columns, the text and the write go to stderr
+    as one JSON line."""
     if args.steps < 2:
         raise QDiscordError(f"--steps must be at least 2, got {args.steps}")
     if args.steps > _MAX_STEPS:
@@ -210,13 +226,22 @@ def cmd_sweep(args) -> int:
     if args.param != family.sweep:
         raise QDiscordError(f"{args.family} sweeps over --param {family.sweep}")
     parameters = _family_parameters(args, swept=family.sweep)
+    laps = [time.perf_counter()]
     grid = args.start + (args.stop - args.start) * np.arange(args.steps) / (args.steps - 1)
+    grid[-1] = args.stop  # the formula's last point can miss --to by an ulp either way
     states = family.build(*{**parameters, family.sweep: grid}.values())
+    laps.append(time.perf_counter())
     header, columns = family.columns(grid, states, parameters)
-    rows = (",".join(repr(float(v)) for v in row) for row in zip(grid, *columns))
+    laps.append(time.perf_counter())
+    # One .tolist() of one float block: repr of a Python float, not of a
+    # numpy scalar, is what each field costs.
+    rows = (",".join(map(repr, row)) for row in np.column_stack([grid, *columns]).tolist())
     text = "\n".join([",".join([family.sweep, *header]), *rows]) + "\n"
+    laps.append(time.perf_counter())
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+    laps.append(time.perf_counter())
+    _print_stage_seconds(_stage_seconds(_SWEEP_STAGES, laps))
     return 0
 
 
@@ -287,7 +312,7 @@ def run_validation(trials: int, seed: int, stage_seconds=None) -> dict:
         np.count_nonzero(np.isnan(decomposition)))
     laps.append(time.perf_counter())
     if stage_seconds is not None:
-        stage_seconds.update(zip(_STAGES, np.diff(laps).tolist()), total=laps[-1] - laps[0])
+        stage_seconds.update(_stage_seconds(_STAGES, laps))
     checks = {
         name: _check_summary(residuals[name], _CHECK_TOLERANCES[name], skipped[name])
         for name in _CHECK_TOLERANCES
@@ -308,8 +333,7 @@ def cmd_validate(args) -> int:
     stage_seconds = {}
     summary = run_validation(args.trials, args.seed, stage_seconds)
     print(_fmt_json(summary))
-    print(_fmt_json({name: round(t, 6) for name, t in stage_seconds.items()}),
-          file=sys.stderr)
+    _print_stage_seconds(stage_seconds)
     return 0 if summary["pass"] else 1
 
 

@@ -491,7 +491,8 @@ _S2_WEIGHTS = -0.5 * (2.0 - np.eye(4))
 def _linear_entropy_drops(gram: np.ndarray, r_b: np.ndarray, probabilities, vectors):
     """S2(rho_A) minus the average S2 of A over the outcomes of each
     decomposition's POVM, for (N, M, size) / (N, M, size, 3) decompositions,
-    M per member, from each member's ``_gram``. Returns (N, M) values.
+    M per member, from each member's ``_gram`` and the (N, 3) Bloch vectors
+    ``r_b = (0, 0, z)`` of ``_marginal_images``. Returns (N, M) values.
 
     Each S2 is 2 - v G v^T / 2 at v = [1, r], read as multiply-adds on whole
     coordinate arrays, with no matrix product: a candidate's score is bitwise
@@ -507,7 +508,9 @@ def _linear_entropy_drops(gram: np.ndarray, r_b: np.ndarray, probabilities, vect
         return (constant + x * (c01 + c11 * x + c12 * y + c13 * z)
                 + y * (c02 + c22 * y + c23 * z) + z * (c03 + c33 * z))
 
-    return s2(r_b[:, None, None])[..., 0] - np.einsum("nms,nms->nm", probabilities, s2(vectors))
+    z = r_b[:, None, None, 2]  # r_b = (0, 0, z): S2(rho_A) needs no x or y terms
+    return (constant + z * (c03 + c33 * z))[..., 0] - np.einsum(
+        "nms,nms->nm", probabilities, s2(vectors))
 
 
 def decomposition_linear_cc(rho: DensityMatrix, trials: int = 200,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (bloch, bloch_channel, bloch_i2_cc, from_bloch, gell_mann, haar_unitary,
                       random_density, stack_of)
-from qdiscord.channel import (_extract_images, _rebuilt_states, linear_cc_batch,
+from qdiscord.channel import (_extract_images, _gram, _rebuilt_states, linear_cc_batch,
                               linear_classical_correlation)
 from qdiscord.cli import _CHECK_TOLERANCES
 from qdiscord.discord import correlation_report
@@ -336,6 +336,19 @@ class TestAnyDimensionA:
         states = random_trials(seed, range(50), 1)[0]
         assert np.all(linear_classical_correlation(states) == 0.0)
         assert np.all(correlation_report(states).I2_cc == 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_gram_is_exactly_symmetric_and_matches_its_definition(d):
+    # G = V V^T over the images' real view against Re Tr(R_k R_l) as an
+    # einsum, relative to each member's largest Re Tr(R_mu R_nu), mu, nu =
+    # 0..3: at dA = 1, R_1..R_3 are rounding noise and R_0 sets the scale.
+    images = _extract_images(random_trials(d, range(400), dim_a=d)[0].matrix, d)[3]
+    gram = _gram(images)
+    np.testing.assert_array_equal(gram, gram.transpose(0, 2, 1))
+    full = np.einsum("nkij,nlji->nkl", images, images).real
+    scale = np.abs(full).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(gram - full[:, 1:, 1:]) <= 2e-15 * scale)
 
 
 class TestBatchedChannel:

@@ -512,6 +512,97 @@ class TestSweep:
         assert b"\r" not in raw
         assert not raw.startswith(b"\xef\xbb\xbf")
 
+    @pytest.mark.parametrize("start", [0.1, 1 / 3, 0.7])
+    def test_grid_runs_from_from_to_exactly_to(self, capsys, tmp_path, start):
+        # from + (to - from) * i / (steps - 1) can end an ulp either side of
+        # --to (0.9999999999999999 at 10 steps from 0.1); the last point is --to.
+        path = tmp_path / "x.csv"
+        for steps in range(2, 201):
+            code, _, err = run(capsys, "sweep", "--family", "example1", "--param", "x",
+                               "--from", repr(start), "--to", "1", "--steps", str(steps),
+                               "--out", str(path))
+            assert code == 0, err
+            lines = path.read_text(encoding="utf-8").splitlines()[1:]
+            grid = [float(line.split(",", 1)[0]) for line in lines]
+            assert (len(grid), grid[0], grid[-1]) == (steps, start, 1.0)
+            assert all(a <= b for a, b in zip(grid, grid[1:])), steps
+
+    @pytest.mark.parametrize("name, param, flags", [
+        ("horodecki", "p", []), ("rho2", "x", ["--theta", "1", "--eta", "2"])])
+    def test_a_grid_ending_at_the_domain_edge_stays_inside_it(self, capsys, tmp_path, name,
+                                                              param, flags):
+        # From 0.1 in 14 steps the formula's last point is 1.0000000000000002,
+        # outside the family's [0, 1].
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "--family", name, "--param", param, "--from", "0.1",
+                           "--to", "1", "--steps", "14", *flags, "--out", str(path))
+        assert code == 0, err
+        assert path.read_text(encoding="utf-8").splitlines()[-1].startswith("1.0,")
+
+    @pytest.mark.parametrize("name, param, parameters", [
+        ("example1", "x", {}), ("horodecki", "p", {}), ("rho2", "x", {"theta": 0.4, "eta": 2.5})])
+    def test_each_field_is_repr_of_the_library_value(self, capsys, tmp_path, name, param,
+                                                     parameters):
+        # The measured columns come from the library on the same stack, the
+        # closed form from the family's columns; every field parses back bit for bit.
+        path = tmp_path / "x.csv"
+        flags = [arg for flag, value in parameters.items() for arg in (f"--{flag}", repr(value))]
+        code, _, _ = run(capsys, "sweep", "--family", name, "--param", param, "--from", "0",
+                         "--to", "1", "--steps", "37", *flags, "--out", str(path))
+        assert code == 0
+        grid = np.arange(37) / 36
+        family = cli._FAMILIES[name]
+        states = family.build(*(grid if flag == param else parameters[flag]
+                                for flag in family.flags))
+        if name == "example1":
+            measured = [channel.linear_classical_correlation(states)]
+        else:
+            report = discord_rank2(states)
+            measured = [getattr(report, column) for column in cli._REPORT_COLUMNS]
+        closed = family.columns(grid, states, parameters)[1][-1]
+        expected = np.column_stack([grid, *measured, closed])
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == len(expected)
+        for line, row in zip(lines, expected):
+            fields = line.split(",")
+            assert fields == [repr(v) for v in row.tolist()]
+            assert np.array(fields, dtype=float).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("start, stop, steps", [(0, 2, 201), (0.05, 1.95, 77)])
+    def test_example1_closed_column_is_the_scalar_formula(self, capsys, tmp_path, start, stop,
+                                                          steps):
+        path = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "sweep", "--family", "example1", "--param", "x", "--from",
+                         repr(start), "--to", repr(stop), "--steps", str(steps), "--out", str(path))
+        assert code == 0
+        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+            x, _, closed = line.split(",")
+            assert closed == repr(max(1.0 / 9.0, (1.0 - 2.0 * float(x)) ** 2 / 9.0)), x
+
+    def test_stage_times_go_to_stderr_and_the_csv_stays_identical(self, capsys, tmp_path):
+        paths = tmp_path / "a.csv", tmp_path / "b.csv"
+        errs = []
+        for path in paths:
+            code, out, err = run(capsys, "sweep", "--family", "rho2", "--param", "x", "--from",
+                                 "0", "--to", "1", "--steps", "21", "--theta", "1", "--eta", "2",
+                                 "--out", str(path))
+            assert (code, out) == (0, "")
+            errs.append(err)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        for err in errs:
+            assert err.count("\n") == 1
+            stages = json.loads(err)
+            assert list(stages) == ["build", "columns", "format", "write", "total"]
+            assert all(seconds >= 0 for seconds in stages.values())
+            parts = sum(seconds for name, seconds in stages.items() if name != "total")
+            assert parts == pytest.approx(stages["total"], abs=1e-5)
+        # A sweep that fails prints its one error line and no stage times.
+        path = tmp_path / "c.csv"
+        assert run(capsys, "sweep", "--family", "horodecki", "--param", "p", "--from", "0",
+                   "--to", "1.5", "--steps", "3", "--out", str(path)) == (
+            2, "", "error: p=1.5 outside [0, 1]\n")
+        assert not path.exists()
+
     def test_bad_step_count_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--family", "horodecki", "--param", "p",
                            "--from", "0", "--to", "1", "--steps", "1",
