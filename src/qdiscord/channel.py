@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SIGMAS, _partial_trace
+from .linalg import SIGMAS, partial_trace
 from .states import MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack
 
 
@@ -38,7 +38,7 @@ def _extract_images(matrices: np.ndarray, d_a: int):
     order, then one GEMM with the Paulis.
     """
     n = len(matrices)
-    lam, vecs = np.linalg.eigh(_partial_trace(matrices, (d_a, 2), "B"))
+    lam, vecs = np.linalg.eigh(partial_trace(matrices, (d_a, 2), "B"))
     lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
     pure = lam[:, 1] <= MARGINAL_RANK_TOL
     w = vecs / np.sqrt(np.where(pure[:, None], 1.0, lam) if pure.any() else lam)[:, None, :]

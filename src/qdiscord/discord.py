@@ -22,9 +22,8 @@ import numpy as np
 
 from .channel import _rebuilt_states, linear_cc_batch
 from .errors import ConsistencyError, DegenerateDenominator, DimensionMismatch, RankTooHigh
-from .linalg import _partial_trace, qubit_eigvalsh
-from .measures import (binary_entropy, f_map, f_map_unchecked, purity_loss, spectral_entropies,
-                       unit_interval)
+from .linalg import partial_trace, qubit_eigvalsh
+from .measures import binary_entropy, f_map, purity_loss, spectral_entropies, unit_interval
 from .states import DensityMatrix, _stack_of, _unstack, rho2_domain
 
 RANK_TOL = 1e-10  # eigenvalues above it count toward a state's rank
@@ -70,7 +69,7 @@ def _report_fields(rho: DensityMatrix):
     The state's spectrum is the one its validation computed, rho_B is
     diagonalized once, by ``linear_cc_batch``, and a qubit rho_A in closed form."""
     spectrum, dims = rho.spectrum, rho.dims
-    rho_a = _partial_trace(rho.matrix, dims, "A")
+    rho_a = partial_trace(rho.matrix, dims, "A")
     rank = np.count_nonzero(spectrum > RANK_TOL, axis=-1)
     applies = (rank <= 2) & (dims == (2, 2))
     i2_cc, extracted = linear_cc_batch(rho)
@@ -79,7 +78,7 @@ def _report_fields(rho: DensityMatrix):
     s_a, s_b, s_ab = spectral_entropies(lam_a, lam_b, spectrum)
     s2_a = purity_loss(rho_a)
     f_arg = _clamp_unit_interval(np.where(applies, s2_a - i2_cc, 0.0))
-    i_cc = np.where(applies, s_a - f_map_unchecked(f_arg), np.nan)
+    i_cc = np.where(applies, s_a - f_map(f_arg), np.nan)
     i_mutual = s_a + s_b - s_ab
     return {"S_A": s_a, "S_B": s_b, "S_AB": s_ab, "S2_A": s2_a,
             "S2_B": 4.0 * lam_b[:, 0] * lam_b[:, 1], "I_mutual": i_mutual, "I2_cc": i2_cc,
@@ -160,7 +159,7 @@ def discord_rho2_closed_form(x, theta: float, eta: float):
     l5 = 4.0 * den
     peak = np.maximum(np.maximum(l1 * l1, l2 * l2), l3 * l3)
     f_arg = _clamp_unit_interval(np.where(degenerate, 0.0, l4 - peak * l5))
-    q = binary_entropy(d2) - binary_entropy(x) + f_map_unchecked(f_arg)
+    q = binary_entropy(d2) - binary_entropy(x) + f_map(f_arg)
     return float(q) if x.ndim == 0 else np.where(degenerate, np.nan, q)
 
 

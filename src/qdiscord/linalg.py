@@ -1,5 +1,5 @@
-"""The Pauli matrices, the eigenvalue cut-off, the partial trace and the
-2x2 Hermitian spectrum.
+"""The Pauli matrices, the eigenvalue cut-off, the one reading of ``dims``,
+the partial trace and the 2x2 Hermitian spectrum.
 
 Everything here is a pure function of its inputs; values are safe to share
 across threads.
@@ -34,33 +34,37 @@ def qubit_eigvalsh(m) -> np.ndarray:
     return mean[..., None] + radius[..., None] * _MINUS_PLUS
 
 
+def _dims(dims) -> tuple:
+    """The one reading of ``dims``: two positive integers (dA, dB), as plain
+    ints; DimensionMismatch otherwise. A Python boolean, an int subclass, is
+    refused by type; ``operator.index`` refuses a numpy one."""
+    try:
+        d_a, d_b = dims
+        if isinstance(d_a, bool) or isinstance(d_b, bool):
+            raise TypeError
+        d_a, d_b = operator.index(d_a), operator.index(d_b)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"dims must be two integers, got {dims!r}") from None
+    if min(d_a, d_b) < 1:
+        raise DimensionMismatch(f"dims must be two positive integers, got {dims!r}")
+    return d_a, d_b
+
+
 def partial_trace(m, dims, keep: str) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 
-    ``dims`` is two integers (dA, dB); ``keep`` selects the surviving subsystem, "A" or "B".
-    An (N, n, n) stack of operators gives an (N, d, d) stack.
+    ``dims`` is two positive integers (dA, dB); ``keep`` selects the
+    surviving subsystem, "A" or "B". An (N, n, n) stack of operators gives
+    an (N, d, d) stack.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix or a stack, got shape {a.shape}")
-    try:
-        d_a, d_b = map(operator.index, dims)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"dims must be two integers, got {dims!r}") from None
-    if min(d_a, d_b) < 1 or a.shape[-1] != d_a * d_b:
+    d_a, d_b = _dims(dims)
+    if a.shape[-1] != d_a * d_b:
         raise DimensionMismatch(
             f"matrix of size {a.shape[-1]} cannot split into dims ({d_a}, {d_b})"
         )
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return _partial_trace(a, (d_a, d_b), keep)
-
-
-def _partial_trace(m: np.ndarray, dims: tuple, keep: str) -> np.ndarray:
-    """``partial_trace`` of a complex (N, n, n) stack, unchecked: for
-    ``partial_trace``, which checks its arguments, and for
-    ``channel._extract_images``, ``discord._report_fields`` and the oracles,
-    whose stacks and dims a DensityMatrix validated."""
-    d_a, d_b = dims
-    return np.einsum(_KEPT[keep], m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b))
-
+    return np.einsum(_KEPT[keep], a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b))

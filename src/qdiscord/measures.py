@@ -30,16 +30,12 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def spectral_entropy(values):
-    """-sum of lam*log2(lam) over the last axis, for eigenvalues above EIGENVALUE_CLAMP."""
-    return _scalar_or_array(spectral_entropies(np.asarray(values, dtype=float))[0])
-
-
 def spectral_entropies(*spectra) -> np.ndarray:
-    """``spectral_entropy`` of each of ``spectra``, float arrays that differ
-    only in their last axis, stacked on a new first axis: the logarithms are
-    taken in one pass over their concatenation, and each sum over its own
-    slice, so the bits match one call per spectrum."""
+    """-sum of lam*log2(lam) over the last axis, for eigenvalues above
+    EIGENVALUE_CLAMP, of each of ``spectra``, float arrays that differ only in
+    their last axis, stacked on a new first axis: the logarithms are taken in
+    one pass over their concatenation, and each sum over its own slice, so
+    the bits match one call per spectrum."""
     v = np.concatenate(spectra, axis=-1)
     kept = np.where(v > EIGENVALUE_CLAMP, v, 1.0)
     terms = kept * np.log2(kept)
@@ -55,7 +51,7 @@ def spectral_entropies(*spectra) -> np.ndarray:
 def von_neumann_entropy(rho):
     """S(rho) over eigenvalues above EIGENVALUE_CLAMP, from the spectrum that
     validation computed; an (N, d, d) stack gives N values."""
-    return spectral_entropy(_state_of(rho).spectrum)
+    return _scalar_or_array(spectral_entropies(_state_of(rho).spectrum)[0])
 
 
 def purity_loss(m: np.ndarray) -> np.ndarray:
@@ -79,9 +75,9 @@ def unit_interval(x, what: str, slack: float = _DOMAIN_SLACK, error=OutOfDomain)
 
 
 def _binary_entropy(p):
-    """h(p) of values already in [0, 1], unchecked: for ``binary_entropy``,
-    which checks its argument, and ``f_map_unchecked``, whose argument
-    (1 + sqrt(1-v))/2 lies in [1/2, 1] by construction."""
+    """h(p) of values already in [0, 1], unchecked: the formula that
+    ``binary_entropy`` and ``f_map`` share, after each checked its own
+    argument; f's (1 + sqrt(1-x))/2 lies in [1/2, 1] by construction."""
     q = 1.0 - p
     p, q = np.where(p > 0.0, p, 1.0), np.where(q > 0.0, q, 1.0)
     return _scalar_or_array(-(p * np.log2(p) + q * np.log2(q)))
@@ -92,17 +88,9 @@ def binary_entropy(x):
     return _binary_entropy(unit_interval(x, "binary entropy argument"))
 
 
-def f_map_unchecked(v):
-    """``f_map`` of values already in [0, 1], unchecked: for ``f_map``, which
-    checks its argument, and for ``discord._report_fields`` and
-    ``discord.discord_rho2_closed_form``, whose argument
-    ``discord._clamp_unit_interval`` checked and clipped."""
-    return _binary_entropy((1.0 + np.sqrt(1.0 - v)) / 2.0)
-
-
 def f_map(x):
     """The monotone map f(x) = h((1 + sqrt(1-x))/2) from [0, 1] onto [0, 1]."""
-    return f_map_unchecked(unit_interval(x, "f argument"))
+    return _binary_entropy((1.0 + np.sqrt(1.0 - unit_interval(x, "f argument"))) / 2.0)
 
 
 def wootters_concurrence(rho):

@@ -45,8 +45,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
-from .linalg import EIGENVALUE_CLAMP, SIGMAS, _partial_trace
-from .measures import spectral_entropy
+from .linalg import EIGENVALUE_CLAMP, SIGMAS, partial_trace
+from .measures import spectral_entropies
 from .states import (MARGINAL_RANK_TOL, DensityMatrix, _stack_of, _unstack, box_muller, philox,
                      philox_key)
 
@@ -357,7 +357,7 @@ def projective_classical_correlation(rho: DensityMatrix):
     either side of the cut.
     """
     stack = _stack_of(rho)
-    s_a = spectral_entropy(np.linalg.eigvalsh(_partial_trace(stack.matrix, stack.dims, "A")))
+    s_a = spectral_entropies(np.linalg.eigvalsh(partial_trace(stack.matrix, stack.dims, "A")))[0]
     n = len(stack)
     best, directions, frames = np.empty(n), np.empty((n, 3)), np.empty(n, int)
     for members, t in _measurement_response(stack):
@@ -458,7 +458,7 @@ def _marginal_images(rho: DensityMatrix):
     W^dagger on B; outcome i has probability p_i and leaves A in
     (R_0 + r_i.R)/2.
     """
-    lam, vecs = np.linalg.eigh(_partial_trace(rho.matrix, rho.dims, "B"))
+    lam, vecs = np.linalg.eigh(partial_trace(rho.matrix, rho.dims, "B"))
     lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
     rank_one = lam[:, 1] <= MARGINAL_RANK_TOL
     w = vecs / np.sqrt(np.where(rank_one[:, None], 1.0, lam))[:, None, :]

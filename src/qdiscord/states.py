@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotFinite, NotHermitian, NotPositive, OutOfDomain,
                      StateFormatError)
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _dims
 
 HERMITIAN_TOL = 1e-10  # largest |m - m^dagger| entry a density matrix may have
 DENSITY_TOL = 1e-10  # how far a density matrix's trace and spectrum may stray
@@ -56,13 +56,8 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            d_a, d_b = map(operator.index, self.dims)
-        except (TypeError, ValueError):
-            raise DimensionMismatch(f"dims must be two integers, got {self.dims!r}") from None
+        d_a, d_b = _dims(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
-        if min(d_a, d_b) < 1:
-            raise DimensionMismatch(f"dims must be two positive integers, got {self.dims!r}")
         n = d_a * d_b
         if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims ({d_a}, {d_b}), "
@@ -417,12 +412,10 @@ def load_state(text: str) -> DensityMatrix:
         rows = obj["matrix"]
     except KeyError as exc:
         raise StateFormatError(f"missing field: {exc}") from exc
-    if (
-        not isinstance(dims, (list, tuple))
-        or len(dims) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
-        raise StateFormatError(f"dims must be two positive integers, got {dims!r}")
+    try:
+        d_a, d_b = _dims(dims)
+    except DimensionMismatch:
+        raise StateFormatError(f"dims must be two positive integers, got {dims!r}") from None
     try:
         if any(isinstance(part, bool) for row in rows for cell in row for part in cell[:2]):
             raise TypeError("true and false are not numbers")
@@ -436,9 +429,9 @@ def load_state(text: str) -> DensityMatrix:
         raise StateFormatError(f"matrix entries must be at most {ENTRY_LIMIT:g} in modulus")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateFormatError(f"matrix is not square: shape {m.shape}")
-    if m.shape[0] != dims[0] * dims[1]:
+    if m.shape[0] != d_a * d_b:
         raise StateFormatError(
-            f"matrix size {m.shape[0]} does not equal dims product {dims[0] * dims[1]}"
+            f"matrix size {m.shape[0]} does not equal dims product {d_a * d_b}"
         )
     adjoint = m.conj().T
     herm_dev = float(np.abs(m - adjoint).max())
@@ -452,4 +445,4 @@ def load_state(text: str) -> DensityMatrix:
     canonical = np.add(m, adjoint, order="C")
     parts = canonical.view(float)  # halved and rescaled at once, as DensityMatrix scales
     parts *= 1.0 / canonical.trace().real
-    return DensityMatrix((dims[0], dims[1]), canonical)
+    return DensityMatrix((d_a, d_b), canonical)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -77,6 +78,22 @@ def test_cli_imports_no_private_name():
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert imported and [name for name in imported if name.startswith("_")] == []
+
+
+def test_readme_names_resolve():
+    # Each code name README gives exists: a backticked module.name in that
+    # module, a backticked _private name in some module, and each row of the
+    # Tolerances table in the module it names as owner.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem: importlib.import_module(f"qdiscord.{path.stem}")
+               for path in SOURCES if path.stem != "__init__"}
+    qualified = re.findall(r"`(%s)\.(\w+)" % "|".join(modules), readme)
+    private = set(re.findall(r"`(_\w+)`", readme))
+    owned = re.findall(r"^\| `(\w+)` \| [^|]* \| `(\w+)` \|", readme, flags=re.M)
+    assert len(qualified) >= 9 and len(private) >= 10 and len(owned) >= 11
+    assert [f"{m}.{n}" for m, n in qualified if not hasattr(modules[m], n)] == []
+    assert sorted(n for n in private if not any(hasattr(m, n) for m in modules.values())) == []
+    assert [f"{m}.{n}" for n, m in owned if not hasattr(modules[m], n)] == []
 
 
 def test_no_module_imports_a_private_name_from_measures():

@@ -46,10 +46,17 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), (3, 2), "A")
 
-    @pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), ("2", 2), (2, 2, 1), None, (-2, -2)])
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), ("2", 2), (2, 2, 1), None, (-2, -2),
+                                      (True, 2), (2, False), (np.True_, 2)])
     def test_dims_that_are_not_two_positive_integers_raise(self, dims):
-        # 2.9 once read as int(2.9) == 2 and traced I/4 to I/2.
+        # 2.9 once read as int(2.9) == 2 and traced I/4 to I/2; True read as 1.
         with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(4) / 4, dims, "A")
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0), (-2, -2)], ids=str)
+    def test_non_positive_dims_are_named_before_the_size(self, dims):
+        # The rule DensityMatrix and load_state apply, with the same message.
+        with pytest.raises(DimensionMismatch, match=r"^dims must be two positive integers, got "):
             partial_trace(np.eye(4) / 4, dims, "A")
 
     def test_numpy_integer_dims_are_accepted(self):

@@ -20,7 +20,7 @@ from qdiscord.channel import _rebuilt_states, linear_cc_batch, linear_classical_
 from qdiscord.discord import correlation_report, discord_rank2
 from qdiscord.errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from qdiscord.linalg import EIGENVALUE_CLAMP, PAULIS, partial_trace
-from qdiscord.measures import (linear_entropy, purity_loss, spectral_entropy,
+from qdiscord.measures import (linear_entropy, purity_loss, spectral_entropies,
                                von_neumann_entropy)
 from qdiscord.oracles import (
     _aligned_direction,
@@ -403,7 +403,8 @@ class TestProjectiveStack:
         monkeypatch.setattr(oracles, "_entropy_drops", recorded)
         stack = build()
         for batch in (stack, *(stack[i:i + 1] for i in range(len(stack)))):
-            s_a = spectral_entropy(np.linalg.eigvalsh(partial_trace(batch.matrix, batch.dims, "A")))
+            s_a = spectral_entropies(
+                np.linalg.eigvalsh(partial_trace(batch.matrix, batch.dims, "A")))[0]
             for members, t in _measurement_response(batch):
                 scored.clear()
                 best, directions = oracles._search(_coefficients(t), s_a[members])

@@ -500,11 +500,12 @@ class TestDensityMatrixValidation:
                 DensityMatrix((2, 2), m)
 
     def test_dims_are_read_as_integers(self):
-        # Integer types of any kind are accepted as plain ints; a float or a
-        # pair of the wrong length is an error, not a silent truncation.
+        # Python and numpy integers are accepted as plain ints; a float, a
+        # boolean (as load_state refuses [true, 4]) or a pair of the wrong
+        # length is an error, not a silent truncation.
         rho = DensityMatrix((np.int64(2), 2), np.eye(4) / 4)
         assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
-        for dims in ((2.9, 2), (2, 2.0), (4,), (2, 2, 1)):
+        for dims in ((2.9, 2), (2, 2.0), (4,), (2, 2, 1), (True, 2), (2, False), (np.True_, 2)):
             with pytest.raises(DimensionMismatch, match="dims must be two integers"):
                 DensityMatrix(dims, np.eye(4) / 4)
 
